@@ -6,17 +6,17 @@ import csv
 import io
 from dataclasses import dataclass
 
+from .analysis import FileAnalysis
 from .cascade import FusionConfig, run_pipeline
 from .corpus import CorpusManifest
-from .detector import _stage_samples, load_units
+from .detector import _bucket_rare_symbols, _stage_samples, load_units
 from .errors import VulnMinerError
 from .frontend.lexer import tokenize
-from .lexicon import DEFAULT_LEXICON
-from .linearize import EmbeddingTable, Vocabulary
+from .linearize import EmbeddingTable, Vocabulary, linearize
 from .metrics import MetricsReport, compute_metrics, confusion_from_pairs
 from .nn import gru_forward
 from .source import SourceUnit
-from .stage1 import structural_sequence
+from .stage2 import verify_semantic
 from .training import Sample, train_structural
 
 ABLATIONS = ("no-flow-edges", "raw-code", "no-bias", "no-normalization",
@@ -56,34 +56,30 @@ class BenchRow:
                                  (m.acc, m.pre, m.rec, m.f1, m.fpr, m.fnr)]
 
 
-def _cascade_row(variant: str, units, labels, bundle, cfg=None, **kw) -> BenchRow:
-    verdicts, _ = run_pipeline(units, bundle, cfg=cfg, **kw)
+def _cascade_row(variant: str, units, labels, bundle, cfg=None) -> BenchRow:
+    verdicts, _ = run_pipeline(units, bundle, cfg=cfg)
     pairs = [(labels[v.file_id], int(v.vulnerable)) for v in verdicts]
     return BenchRow(variant, compute_metrics(confusion_from_pairs(pairs)))
 
 
-def _stage2_row(variant: str, units, labels, bundle, **kw) -> BenchRow:
+def _stage2_row(variant: str, analyses, labels, bundle, **kw) -> BenchRow:
     """Semantic verifier alone; bias/normalization ablations act here."""
-    from .stage2 import verify_semantic
-
     pairs = []
-    for unit in units:
-        score = verify_semantic(unit, bundle, **kw).score
-        pairs.append((labels[unit.path], int(score > 0.5)))
+    for analysis in analyses:
+        score = verify_semantic(analysis, bundle, **kw).score
+        pairs.append((labels[analysis.path], int(score > 0.5)))
     return BenchRow(variant, compute_metrics(confusion_from_pairs(pairs)))
 
 
-def _stage1_retrained_row(variant: str, manifest, units, labels, bundle,
+def _stage1_retrained_row(variant: str, train, analyses, labels, bundle,
                           stream_fn) -> BenchRow:
-    """Retrain the structural stage on alternate streams and score it alone."""
-    train_units = load_units(manifest.split("train"))
-    samples = []
-    for unit, label in train_units:
-        samples.append(Sample(tokens=stream_fn(unit), label=label,
-                              path=unit.path))
-    _, semantic = _stage_samples(train_units, DEFAULT_LEXICON)
-    from .detector import _bucket_rare_symbols
+    """Retrain the structural stage on alternate streams and score it alone.
 
+    ``train`` holds (FileAnalysis, label) pairs of the train split.
+    """
+    samples = [Sample(tokens=stream_fn(analysis), label=label,
+                      path=analysis.path) for analysis, label in train]
+    _, semantic = _stage_samples(train)
     _bucket_rare_symbols(samples, semantic)
     vocab = Vocabulary.build([s.tokens for s in samples]
                              + [s.tokens for s in semantic])
@@ -91,19 +87,23 @@ def _stage1_retrained_row(variant: str, manifest, units, labels, bundle,
                                 seed=bundle.stage1_config.seed)
     params, _ = train_structural(samples, vocab, table, bundle.stage1_config)
     pairs = []
-    for unit in units:
-        emb = table.matrix[vocab.ids(stream_fn(unit))]
+    for analysis in analyses:
+        emb = table.matrix[vocab.ids(stream_fn(analysis))]
         score, _, _ = gru_forward(emb, params)
-        pairs.append((labels[unit.path], int(score > 0.5)))
+        pairs.append((labels[analysis.path], int(score > 0.5)))
     return BenchRow(variant, compute_metrics(confusion_from_pairs(pairs)))
 
 
-def _full_stream(unit: SourceUnit) -> list[str]:
-    return structural_sequence(unit, flow_markers=True).tokens
+def _full_stream(analysis: FileAnalysis) -> list[str]:
+    return analysis.structural.tokens
 
 
-def _no_marker_stream(unit: SourceUnit) -> list[str]:
-    return structural_sequence(unit, flow_markers=False).tokens
+def _no_marker_stream(analysis: FileAnalysis) -> list[str]:
+    return linearize(analysis.graph, flow_markers=False).tokens
+
+
+def _raw_stream(analysis: FileAnalysis) -> list[str]:
+    return raw_token_stream(analysis.unit)
 
 
 def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
@@ -114,6 +114,8 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
         raise VulnMinerError(f"manifest has no {split} entries")
     units = [SourceUnit.from_file(e.path) for e in entries]
     labels = {e.path: e.label for e in entries}
+    analyses = [FileAnalysis(unit) for unit in units]
+    train: list[tuple[FileAnalysis, int]] = []
 
     rows = [_cascade_row("full", units, labels, bundle)]
     stage2_ref_added = False
@@ -121,22 +123,30 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
     def add_stage2_reference():
         nonlocal stage2_ref_added
         if not stage2_ref_added:
-            rows.append(_stage2_row("stage2-full", units, labels, bundle))
+            rows.append(_stage2_row("stage2-full", analyses, labels, bundle))
             stage2_ref_added = True
+
+    def retrained(variant: str, stream_fn) -> BenchRow:
+        if not train:
+            train.extend((FileAnalysis(unit), label) for unit, label
+                         in load_units(manifest.split("train")))
+        return _stage1_retrained_row(variant, train, analyses, labels,
+                                     bundle, stream_fn)
 
     for ablation in ablations:
         if ablation == "no-bias":
             add_stage2_reference()
-            rows.append(_stage2_row("stage2-no-bias", units, labels, bundle,
+            rows.append(_stage2_row("stage2-no-bias", analyses, labels, bundle,
                                     beta=0.0))
         elif ablation == "no-normalization":
             add_stage2_reference()
-            rows.append(_stage2_row("stage2-no-normalization", units, labels,
-                                    bundle, normalized=False))
+            rows.append(_stage2_row("stage2-no-normalization", analyses,
+                                    labels, bundle, normalized=False))
         elif ablation == "no-norm-no-bias":
             add_stage2_reference()
-            rows.append(_stage2_row("stage2-no-norm-no-bias", units, labels,
-                                    bundle, normalized=False, beta=0.0))
+            rows.append(_stage2_row("stage2-no-norm-no-bias", analyses,
+                                    labels, bundle, normalized=False,
+                                    beta=0.0))
         elif ablation == "lambda0":
             cfg = FusionConfig(0.0, bundle.fusion.tau, bundle.fusion.tau1)
             rows.append(_cascade_row(ablation, units, labels, bundle, cfg=cfg))
@@ -144,17 +154,11 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
             cfg = FusionConfig(1.0, bundle.fusion.tau, bundle.fusion.tau1)
             rows.append(_cascade_row(ablation, units, labels, bundle, cfg=cfg))
         elif ablation == "no-flow-edges":
-            rows.append(_stage1_retrained_row(
-                "stage1-full", manifest, units, labels, bundle, _full_stream))
-            rows.append(_stage1_retrained_row(
-                "stage1-no-flow-edges", manifest, units, labels, bundle,
-                _no_marker_stream))
+            rows.append(retrained("stage1-full", _full_stream))
+            rows.append(retrained("stage1-no-flow-edges", _no_marker_stream))
         elif ablation == "raw-code":
-            rows.append(_stage1_retrained_row(
-                "stage1-full", manifest, units, labels, bundle, _full_stream))
-            rows.append(_stage1_retrained_row(
-                "stage1-raw-code", manifest, units, labels, bundle,
-                raw_token_stream))
+            rows.append(retrained("stage1-full", _full_stream))
+            rows.append(retrained("stage1-raw-code", _raw_stream))
         else:
             raise VulnMinerError(f"unknown ablation {ablation!r}")
     return rows

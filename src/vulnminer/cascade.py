@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
+from .analysis import FileAnalysis
 from .errors import ParseError, TrainingError, VulnMinerError
-from .flows import augment_flows, classify_vuln_type, taint_trace
-from .frontend import parse
-from .lexicon import DEFAULT_LEXICON, TaintLexicon
+from .flows import classify_vuln_type
+from .lexicon import TaintLexicon
 from .metrics import compute_metrics, confusion_from_pairs
-from .source import SourceUnit
 from .stage1 import score_structural
 from .stage2 import verify_semantic
 
@@ -62,11 +59,8 @@ def fuse_scores(s1: float, s2: float, lam: float) -> float:
     return lam * s1 + (1.0 - lam) * s2
 
 
-def _advisory_finding(unit: SourceUnit, lex: TaintLexicon):
-    try:
-        findings = taint_trace(augment_flows(parse(unit)), lex)
-    except ParseError:
-        return None, None
+def _advisory_finding(analysis: FileAnalysis):
+    findings = analysis.findings
     live = [f for f in findings if not f.sanitized] or findings
     if not live:
         return None, None
@@ -74,72 +68,71 @@ def _advisory_finding(unit: SourceUnit, lex: TaintLexicon):
     return classify_vuln_type(best), best.sink_span.start_line
 
 
+def score_files(analyses, bundle, tau1: float, errors: list):
+    """Yield (analysis, stage-one score) for each file that parses.
+
+    The one scoring loop of scan, calibration and hypothesis proposal; a
+    file that does not parse is appended to ``errors`` as (path, message).
+    """
+    for analysis in analyses:
+        try:
+            one = score_structural(analysis, bundle, tau1=tau1)
+        except ParseError as exc:
+            errors.append((analysis.path, str(exc)))
+            continue
+        yield analysis, one
+
+
 def run_pipeline(units, bundle, cfg: FusionConfig | None = None,
-                 lex: TaintLexicon | None = None,
-                 flow_markers: bool = True, normalized: bool = True,
-                 beta: float | None = None):
+                 lex: TaintLexicon | None = None):
     """Stage two runs only on stage-one passers; rejects are final negatives.
 
     Returns (verdicts, errors); every parseable file gets a verdict and
-    per-file parse failures are collected rather than raised.
+    per-file parse failures are collected rather than raised. Units are
+    taken one at a time, and each file's analysis is dropped with it.
     """
     cfg = cfg or FusionConfig(bundle.fusion.lam, bundle.fusion.tau,
                               bundle.fusion.tau1)
-    lex = lex or DEFAULT_LEXICON
     verdicts: list[DetectionVerdict] = []
     errors: list[tuple[str, str]] = []
-    for unit in units:
-        try:
-            one = score_structural(unit, bundle, tau1=cfg.tau1,
-                                   flow_markers=flow_markers)
-        except ParseError as exc:
-            errors.append((unit.path, str(exc)))
-            continue
+    analyses = (FileAnalysis(unit, lex) for unit in units)
+    for analysis, one in score_files(analyses, bundle, cfg.tau1, errors):
         if not one.passed:
             verdicts.append(DetectionVerdict(
-                file_id=unit.path, score1=one.score, score2=None,
+                file_id=one.file_id, score1=one.score, score2=None,
                 score_final=None, vulnerable=False))
             continue
-        two = verify_semantic(unit, bundle, lex=lex, beta=beta,
-                              normalized=normalized)
+        two = verify_semantic(analysis, bundle)
         final = fuse_scores(one.score, two.score, cfg.lam)
         vulnerable = final > cfg.tau
         vuln_type = sink_line = None
         if vulnerable:
-            vuln_type, sink_line = _advisory_finding(unit, lex)
+            vuln_type, sink_line = _advisory_finding(analysis)
         verdicts.append(DetectionVerdict(
-            file_id=unit.path, score1=one.score, score2=two.score,
+            file_id=one.file_id, score1=one.score, score2=two.score,
             score_final=final, vulnerable=vulnerable,
             vuln_type=vuln_type, sink_line=sink_line))
     verdicts.sort(key=lambda v: v.file_id)
     return verdicts, errors
 
 
-def calibrate_lambda(labeled_units, bundle, grid_step: float = 0.05,
-                     tau: float | None = None, tau1: float | None = None,
-                     flow_markers: bool = True, normalized: bool = True):
+def calibrate_lambda(labeled, bundle, grid_step: float = 0.05,
+                     tau: float | None = None, tau1: float | None = None):
     """Grid search for the fusion weight maximizing F1 at fixed tau.
 
-    ``labeled_units`` is a list of (SourceUnit, label); ties prefer the
+    ``labeled`` is a list of (FileAnalysis, label); ties prefer the
     smaller lambda so stage two wins when stages are interchangeable.
     """
-    labels = {label for _, label in labeled_units}
-    if labels != {0, 1}:
+    label_of = dict(labeled)
+    if set(label_of.values()) != {0, 1}:
         raise TrainingError("calibration requires both classes present")
     tau = bundle.fusion.tau if tau is None else tau
     tau1 = bundle.fusion.tau1 if tau1 is None else tau1
 
     scored: list[tuple[int, float, float | None]] = []
-    for unit, label in labeled_units:
-        try:
-            one = score_structural(unit, bundle, tau1=tau1,
-                                   flow_markers=flow_markers)
-        except ParseError:
-            continue
-        two = None
-        if one.passed:
-            two = verify_semantic(unit, bundle, normalized=normalized).score
-        scored.append((label, one.score, two))
+    for analysis, one in score_files(label_of, bundle, tau1, []):
+        two = verify_semantic(analysis, bundle).score if one.passed else None
+        scored.append((label_of[analysis], one.score, two))
 
     steps = int(round(1.0 / grid_step))
     best_lam, best_f1 = 0.0, -1.0
@@ -155,9 +148,3 @@ def calibrate_lambda(labeled_units, bundle, grid_step: float = 0.05,
         if f1 > best_f1 + 1e-12:
             best_lam, best_f1 = lam, f1
     return best_lam, best_f1
-
-
-def save_verdicts(verdicts, path: str | Path) -> None:
-    lines = [json.dumps(v.record(), sort_keys=True) for v in verdicts]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")

@@ -5,12 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .augment import augment_corpus, save_augment_manifest
 from .bench import ABLATIONS, rows_to_csv, run_benchmark
-from .cascade import FusionConfig, run_pipeline
+from .cascade import run_pipeline
 from .config import Config, load_config
 from .corpus import CorpusManifest, generate_synthetic_corpus
 from .detector import train_bundle
@@ -61,29 +60,20 @@ def _templates(cfg: Config):
     return templates
 
 
-def _scan_units(units, bundle, cfg: Config, lex):
-    fusion = FusionConfig(bundle.fusion.lam, bundle.fusion.tau,
-                          bundle.fusion.tau1)
-    if cfg.parallelism <= 1 or len(units) < 4:
-        return run_pipeline(units, bundle, cfg=fusion, lex=lex)
-    chunks = [units[i::cfg.parallelism] for i in range(cfg.parallelism)]
-    verdicts, errors = [], []
-    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-        for vs, es in pool.map(
-                lambda chunk: run_pipeline(chunk, bundle, cfg=fusion, lex=lex),
-                chunks):
-            verdicts.extend(vs)
-            errors.extend(es)
-    verdicts.sort(key=lambda v: v.file_id)
-    errors.sort()
-    return verdicts, errors
-
-
 def _emit(text: str, out: str | None):
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def write_jsonl(records, out: str | None = None) -> None:
+    """One sort-keyed JSON object per line to ``out``, or to stdout.
+
+    The stream ends in a newline only when it holds a record.
+    """
+    lines = [json.dumps(r, sort_keys=True) for r in records]
+    _emit("\n".join(lines) + ("\n" if lines else ""), out)
 
 
 # ---------------------------------------------------------------------------
@@ -96,16 +86,14 @@ def cmd_scan(args) -> int:
     lex = _lexicon(cfg)
     files = _collect_php_files(args.paths)
     units = [SourceUnit.from_file(p) for p in files]
-    verdicts, errors = _scan_units(units, bundle, cfg, lex)
+    verdicts, errors = run_pipeline(units, bundle, lex=lex)
 
     if args.format == "sarif":
         _emit(json.dumps(verdicts_to_sarif(verdicts), indent=2,
                          sort_keys=True) + "\n", args.out)
     else:
-        lines = [json.dumps(v.record(), sort_keys=True) for v in verdicts]
-        lines += [json.dumps({"path": p, "error": e}, sort_keys=True)
-                  for p, e in errors]
-        _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
+        write_jsonl([v.record() for v in verdicts]
+                    + [{"path": p, "error": e} for p, e in errors], args.out)
     return EXIT_FINDINGS if any(v.vulnerable for v in verdicts) else EXIT_CLEAN
 
 
@@ -118,7 +106,7 @@ def cmd_localize(args) -> int:
                            token=cfg.endpoint_token, timeout=cfg.timeout)
     files = _collect_php_files(args.paths)
     units = [SourceUnit.from_file(p) for p in files]
-    verdicts, _ = _scan_units(units, bundle, cfg, lex)
+    verdicts, _ = run_pipeline(units, bundle, lex=lex)
     unit_of = {u.path: u for u in units}
 
     reports = []
@@ -129,8 +117,7 @@ def cmd_localize(args) -> int:
             unit_of[verdict.file_id], bundle, templates, backend,
             alpha=cfg.alpha, max_iterations=cfg.max_iterations, lex=lex,
             hook=cfg.verify_hook or None))
-    lines = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
-    _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
+    write_jsonl([r.to_dict() for r in reports], args.out)
     return EXIT_FINDINGS if reports else EXIT_CLEAN
 
 
@@ -163,9 +150,8 @@ def cmd_bench(args) -> int:
     rows = run_benchmark(manifest, bundle, ablations=ablations,
                          split=args.split)
     if args.format == "jsonl":
-        lines = [json.dumps(dict(variant=r.variant, **r.metrics.as_dict()),
-                            sort_keys=True) for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        write_jsonl([dict(variant=r.variant, **r.metrics.as_dict())
+                     for r in rows], args.out)
     else:
         _emit(rows_to_csv(rows), args.out)
     return EXIT_CLEAN

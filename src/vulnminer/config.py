@@ -25,7 +25,6 @@ class Config:
     endpoint: str = ""
     endpoint_token: str = ""
     timeout: float = 10.0
-    parallelism: int = 1
     seed: int = 0
     verify_hook: str = ""
 
@@ -40,8 +39,6 @@ class Config:
             raise ConfigError("alpha must be in [0, 1]")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
         if self.timeout <= 0:
             raise ConfigError("timeout must be positive")
         if self.backend not in ("deterministic", "remote", "refusal"):

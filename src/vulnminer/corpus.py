@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,9 +36,13 @@ class CorpusManifest:
         return [e for e in self.entries if e.label == 1]
 
     def save(self, path: str | Path) -> None:
-        lines = [json.dumps({"path": e.path, "label": e.label,
-                             "vuln_type": e.vuln_type, "split": e.split},
-                            sort_keys=True)
+        """Relative entry paths are written relative to the manifest's
+        directory, which is where ``load`` resolves them; absolute paths
+        are written as they are."""
+        base = Path(path).parent
+        lines = [json.dumps({"path": _relative_to(e.path, base),
+                             "label": e.label, "vuln_type": e.vuln_type,
+                             "split": e.split}, sort_keys=True)
                  for e in self.entries]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -61,6 +66,12 @@ class CorpusManifest:
             if entry.split not in SPLITS:
                 raise VulnMinerError(f"unknown split {entry.split!r} in manifest")
         return manifest
+
+
+def _relative_to(path: str, base: Path) -> str:
+    if Path(path).is_absolute():
+        return path
+    return os.path.relpath(path, base)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
+from .analysis import FileAnalysis
 from .corpus import CorpusManifest
 from .errors import ParseError, TrainingError
-from .lexicon import DEFAULT_LEXICON, TaintLexicon
+from .lexicon import TaintLexicon
 from .linearize import EmbeddingTable, Vocabulary, fallback_symbol
 from .model_store import FusionSettings, ModelBundle
 from .cascade import calibrate_lambda
 from .source import SourceUnit
-from .stage1 import structural_sequence
-from .stage2 import semantic_sequence
 from .training import Sample, stage_configs, train_semantic, train_structural
 
 
@@ -21,20 +20,22 @@ def load_units(entries) -> list[tuple[SourceUnit, int]]:
     return out
 
 
-def _stage_samples(units, lex: TaintLexicon):
-    risky = lex.risky_names()
+def _stage_samples(labeled):
+    """Stage-one and stage-two samples from (FileAnalysis, label) pairs."""
     structural: list[Sample] = []
     semantic: list[Sample] = []
-    for unit, label in units:
+    for analysis, label in labeled:
         try:
-            seq1 = structural_sequence(unit)
-            seq2 = semantic_sequence(unit)
+            seq1 = analysis.structural
+            seq2 = analysis.semantic
         except ParseError:
             continue
-        structural.append(Sample(tokens=seq1.tokens, label=label, path=unit.path))
+        risky = analysis.lex.risky_names()
+        structural.append(Sample(tokens=seq1.tokens, label=label,
+                                 path=analysis.path))
         cols = tuple(i for i, t in enumerate(seq2.tokens) if t in risky)
         semantic.append(Sample(tokens=seq2.tokens, label=label,
-                               risky_columns=cols, path=unit.path))
+                               risky_columns=cols, path=analysis.path))
     _bucket_rare_symbols(structural, semantic)
     return structural, semantic
 
@@ -64,11 +65,11 @@ def train_bundle(manifest: CorpusManifest, seed: int = 0,
                  tau: float = 0.5, tau1: float = 0.2,
                  calibrate: bool = True) -> ModelBundle:
     """Train stage one (with embeddings), then stage two, then pick lambda."""
-    lex = lex or DEFAULT_LEXICON
     train_units = load_units(manifest.split("train"))
     if not train_units:
         raise TrainingError("manifest has no train entries")
-    structural, semantic = _stage_samples(train_units, lex)
+    structural, semantic = _stage_samples(
+        (FileAnalysis(unit, lex), label) for unit, label in train_units)
 
     cfg1, cfg2 = stage_configs(seed, profile)
     vocab = Vocabulary.build([s.tokens for s in structural]
@@ -86,9 +87,10 @@ def train_bundle(manifest: CorpusManifest, seed: int = 0,
         curves={"stage1": curve1, "stage2": curve2},
     )
     if calibrate:
-        val_units = load_units(manifest.split("val"))
-        if val_units and {label for _, label in val_units} == {0, 1}:
-            lam, _ = calibrate_lambda(val_units, bundle, tau=tau, tau1=tau1)
+        val = [(FileAnalysis(unit, lex), label)
+               for unit, label in load_units(manifest.split("val"))]
+        if val and {label for _, label in val} == {0, 1}:
+            lam, _ = calibrate_lambda(val, bundle, tau=tau, tau1=tau1)
             bundle.fusion = FusionSettings(lam=lam, tau=tau, tau1=tau1,
                                            beta=cfg2.beta)
     bundle.validate()

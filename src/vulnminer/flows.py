@@ -51,9 +51,6 @@ class _Scope:
     reach_in: dict[int, dict[str, set[int]]] = field(default_factory=dict)
     returns: list[AstNode] = field(default_factory=list)
 
-    def node_map(self) -> dict[int, AstNode]:
-        return {s.node_id: s for s in self.statements}
-
 
 @dataclass
 class FlowGraph:

@@ -22,7 +22,6 @@ from .engine import (
     analyze_failures,
     generate_candidates,
     localize,
-    save_reports,
     verify,
 )
 from .ir import IntermediateRepresentation, build_ir, refine_context
@@ -60,7 +59,6 @@ __all__ = [
     "localize",
     "make_backend",
     "refine_context",
-    "save_reports",
     "score_candidate",
     "select_best",
     "verify",

@@ -452,25 +452,21 @@ class RemoteBackend:
 
     Unreachable endpoints fall back to the deterministic filler so runs
     always complete; well-formed transport with a malformed body counts
-    as a refusal. ``max_in_flight`` bounds concurrent requests when
-    localization jobs run in parallel.
+    as a refusal.
     """
 
     endpoint: str
     token: str = ""
     timeout: float = 10.0
-    max_in_flight: int = 2
     inner: DeterministicBackend = field(default_factory=DeterministicBackend)
     name: str = "remote"
     last_analysis: dict | None = None
 
-    def __post_init__(self):
-        import threading
-
-        self._gate = threading.Semaphore(max(1, self.max_in_flight))
-
     def fill(self, template, ir, constraints) -> list[FillPlan]:
-        import requests
+        # imported here: urllib.request loads ssl, which costs every
+        # process that imports this module several MB of memory
+        import urllib.error
+        import urllib.request
 
         payload = {
             "prompt": ANALYSIS_PROMPT,
@@ -484,17 +480,20 @@ class RemoteBackend:
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
+        request = urllib.request.Request(
+            self.endpoint, data=json.dumps(payload).encode("utf-8"),
+            headers=headers, method="POST")
         try:
-            with self._gate:
-                response = requests.post(self.endpoint, json=payload,
-                                         headers=headers,
-                                         timeout=self.timeout)
-        except requests.RequestException:
+            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                raw = response.read()
+        except urllib.error.HTTPError as exc:  # an error status still has a body
+            raw = exc.read()
+        except (OSError, ValueError):  # unreachable, timed out or bad URL
             self.name = "deterministic-fallback"
             return self.inner.fill(template, ir, constraints)
         try:
-            body = response.json()
-        except (json.JSONDecodeError, ValueError):
+            body = json.loads(raw)
+        except ValueError:
             return []
         if not all(key in body for key in _RESPONSE_KEYS):
             return []
@@ -503,7 +502,7 @@ class RemoteBackend:
 
 
 def make_backend(kind: str, endpoint: str = "", token: str = "",
-                 timeout: float = 10.0, max_in_flight: int = 2):
+                 timeout: float = 10.0):
     if kind == "deterministic":
         return DeterministicBackend()
     if kind == "refusal":
@@ -511,6 +510,5 @@ def make_backend(kind: str, endpoint: str = "", token: str = "",
     if kind == "remote":
         if not endpoint:
             return DeterministicBackend()
-        return RemoteBackend(endpoint=endpoint, token=token, timeout=timeout,
-                             max_in_flight=max_in_flight)
+        return RemoteBackend(endpoint=endpoint, token=token, timeout=timeout)
     raise ValueError(f"unknown backend kind {kind!r}")

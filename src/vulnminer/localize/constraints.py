@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..flows import taint_trace, augment_flows
-from ..frontend import parse_text
+from ..analysis import FileAnalysis
+from ..errors import ParseError
 from ..frontend.nodes import AstNode, NodeKind
-from ..lexicon import TaintLexicon
 from .ir import IntermediateRepresentation
 
 SANITIZE_BEFORE_USE = "SanitizeBeforeUse"
@@ -97,26 +96,20 @@ def extract_constraints(ir: IntermediateRepresentation) -> ConstraintSet:
 class CandidateContext:
     """Parsed candidate plus the facts predicates need."""
 
-    text: str
-    ast: AstNode | None
+    analysis: FileAnalysis
+    ast: AstNode | None             # None when the candidate does not parse
     findings: list
-    lex: TaintLexicon
     original_sink_class: str
     original_query_built: bool
 
     @classmethod
-    def build(cls, text: str, ir: IntermediateRepresentation,
+    def build(cls, analysis: FileAnalysis, ir: IntermediateRepresentation,
               query_built: bool) -> "CandidateContext":
-        from ..errors import ParseError
-
         try:
-            ast = parse_text(ir.unit.path + ".candidate", text)
-            findings = taint_trace(augment_flows(ast), ir.lex)
+            ast, findings = analysis.ast, analysis.findings
         except ParseError:
-            return cls(text=text, ast=None, findings=[], lex=ir.lex,
-                       original_sink_class=ir.finding.sink_class,
-                       original_query_built=query_built)
-        return cls(text=text, ast=ast, findings=findings, lex=ir.lex,
+            ast, findings = None, []
+        return cls(analysis=analysis, ast=ast, findings=findings,
                    original_sink_class=ir.finding.sink_class,
                    original_query_built=query_built)
 
@@ -167,7 +160,7 @@ def _leftmost_leaf(expr: AstNode) -> AstNode:
 def _sinks_bounded(ctx: CandidateContext) -> bool:
     """Each sink argument keeps a literal prefix or an accepted wrapper."""
     accepted = ACCEPTED_SANITIZERS[ctx.original_sink_class]
-    sink_names = {name for name, cls in ctx.lex.sinks.items()
+    sink_names = {name for name, cls in ctx.analysis.lex.sinks.items()
                   if cls == ctx.original_sink_class}
     args: list[AstNode] = []
     for node in ctx.ast.walk():

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import json
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..analysis import FileAnalysis
 from ..errors import NoFindingError, ParseError, VulnMinerError
-from ..flows import augment_flows, classify_vuln_type, taint_trace
-from ..frontend import parse_text
+from ..flows import classify_vuln_type
 from ..source import SourceUnit
 from .backends import GenerationBackend, _collect_facts
 from .constraints import ConstraintSet, extract_constraints
@@ -94,8 +93,8 @@ def generate_candidates(ir: IntermediateRepresentation,
                         constraints: ConstraintSet,
                         templates: list[MicroTemplate],
                         backend: GenerationBackend) -> list[Candidate]:
-    """One candidate per backend fill; non-parsing output is kept as a
-    recorded failure, never silently dropped."""
+    """One candidate per backend fill, each analyzed once; non-parsing
+    output is kept as a recorded failure, never silently dropped."""
     out: list[Candidate] = []
     rewriter = Rewriter(ir)
     for template in templates:
@@ -117,7 +116,7 @@ def generate_candidates(ir: IntermediateRepresentation,
                 template_id=template.template_id, variant=plan.variant,
                 text=text, backend=backend.name)
             try:
-                parse_text(ir.unit.path + ".candidate", text)
+                candidate.analyze(ir).ast
             except ParseError as exc:
                 candidate.parse_ok = False
                 candidate.failure = f"candidate does not parse: {exc}"
@@ -132,10 +131,9 @@ def verify(candidate: Candidate, ir: IntermediateRepresentation,
     """Compile gate, taint re-check, constraint re-evaluation, optional hook."""
     reasons: list[str] = []
     try:
-        ast = parse_text(ir.unit.path + ".candidate", candidate.text)
+        findings = candidate.analyze(ir).findings
     except ParseError as exc:
         return False, [f"compile: {exc}"]
-    findings = taint_trace(augment_flows(ast), ir.lex)
     klass = ir.finding.sink_class
     if any(not f.sanitized and f.sink_class == klass for f in findings):
         reasons.append(f"taint: unsanitized {klass} flow remains")
@@ -204,7 +202,7 @@ def localize(unit: SourceUnit, bundle, templates: list[MicroTemplate],
              enforce_constraints: bool = True) -> LocalizationReport:
     """Full loop per Stage-confirmed file; returns a FAIL report on exhaustion."""
     try:
-        ir = build_ir(unit, lex=lex)
+        ir = build_ir(FileAnalysis(unit, lex))
     except NoFindingError:
         return LocalizationReport(
             path=unit.path, vuln_type=None,
@@ -253,9 +251,3 @@ def localize(unit: SourceUnit, bundle, templates: list[MicroTemplate],
         path=unit.path, vuln_type=vuln_type,
         cause=_cause_text(ir, vuln_type), lines=_involved_lines(ir),
         status="fail", iterations=state.iteration, feedback=state.feedback)
-
-
-def save_reports(reports, path: str | Path) -> None:
-    lines = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")

@@ -4,26 +4,44 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
+from ..analysis import FileAnalysis
 from ..errors import NoFindingError
-from ..flows import FlowGraph, TaintFinding, augment_flows, taint_trace
-from ..frontend import parse
+from ..flows import FlowGraph, TaintFinding
 from ..frontend.nodes import AstNode, NodeKind, STATEMENT_KINDS
-from ..lexicon import DEFAULT_LEXICON, TaintLexicon
+from ..lexicon import TaintLexicon
 from ..source import SourceUnit
 
 
 @dataclass
 class IntermediateRepresentation:
-    unit: SourceUnit
-    ast: AstNode
-    graph: FlowGraph
+    analysis: FileAnalysis
     finding: TaintFinding
-    lex: TaintLexicon
     window_owner: int | None        # FunctionDecl node id, None = whole file
     window_level: int               # 0 narrow, 1 whole file
     saturated: bool = False
     feedback: list[dict] = field(default_factory=list)
     context: dict = field(default_factory=dict)
+    # mean semantic embedding of the original file, set by the first
+    # candidate scored against it
+    origin_embedding: np.ndarray | None = None
+
+    @property
+    def unit(self) -> SourceUnit:
+        return self.analysis.unit
+
+    @property
+    def ast(self) -> AstNode:
+        return self.analysis.ast
+
+    @property
+    def graph(self) -> FlowGraph:
+        return self.analysis.graph
+
+    @property
+    def lex(self) -> TaintLexicon:
+        return self.analysis.lex
 
     def parent_map(self) -> dict[int, AstNode]:
         parents: dict[int, AstNode] = {}
@@ -43,16 +61,6 @@ class IntermediateRepresentation:
             out.extend(n for n in stmt.walk() if n.kind in STATEMENT_KINDS)
         return out
 
-    def window_text(self) -> str:
-        from ..frontend.printer import print_statement
-
-        if self.window_owner is None:
-            from ..frontend.printer import print_source
-
-            return print_source(self.ast)
-        owner = self.graph.nodes[self.window_owner]
-        return print_statement(owner)
-
 
 def _enclosing_function(graph: FlowGraph, node_id: int) -> int | None:
     parents: dict[int, int] = {}
@@ -68,29 +76,22 @@ def _enclosing_function(graph: FlowGraph, node_id: int) -> int | None:
     return None
 
 
-def build_ir(unit: SourceUnit, lex: TaintLexicon | None = None,
-             verdict=None) -> IntermediateRepresentation:
+def build_ir(analysis: FileAnalysis) -> IntermediateRepresentation:
     """Pick the highest-severity unsanitized finding and its context.
 
     Raises NoFindingError when the detector verdict was a false positive
     (no unsanitized flow exists).
     """
-    if verdict is not None and not verdict.vulnerable:
-        raise NoFindingError(f"{unit.path}: verdict is not vulnerable")
-    lex = lex or DEFAULT_LEXICON
-    ast = parse(unit)
-    graph = augment_flows(ast)
-    findings = taint_trace(graph, lex)
-    live = [f for f in findings if not f.sanitized]
+    live = [f for f in analysis.findings if not f.sanitized]
     if not live:
-        raise NoFindingError(f"{unit.path}: no unsanitized taint finding")
+        raise NoFindingError(f"{analysis.path}: no unsanitized taint finding")
     finding = max(live, key=lambda f: (
         f.severity, (-f.sink_span.start_line, -f.sink_span.start_col)))
 
-    owner = _enclosing_function(graph, finding.sink_id)
-    context = _build_context(graph, finding, lex, owner)
+    owner = _enclosing_function(analysis.graph, finding.sink_id)
+    context = _build_context(analysis.graph, finding, analysis.lex, owner)
     return IntermediateRepresentation(
-        unit=unit, ast=ast, graph=graph, finding=finding, lex=lex,
+        analysis=analysis, finding=finding,
         window_owner=owner, window_level=0 if owner is not None else 1,
         context=context,
     )

@@ -69,9 +69,6 @@ class FillPlan:
     credential_env: dict[int, str] = field(default_factory=dict)  # assign -> env
     sink_head: dict[int, str] = field(default_factory=dict)  # sink node -> literal
 
-    def describe(self) -> dict:
-        return {"template": self.template_id, "variant": self.variant}
-
 
 class Rewriter:
     """Applies a fill plan to the original tree and re-prints the file."""

@@ -7,12 +7,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..analysis import FileAnalysis
 from ..cascade import fuse_scores
-from ..errors import ParseError
 from ..linearize import embed_sequence
 from ..source import SourceUnit
 from ..stage1 import score_structural
-from ..stage2 import semantic_sequence, verify_semantic
+from ..stage2 import verify_semantic
 from .constraints import CandidateContext, ConstraintSet, evaluate_constraint
 from .ir import IntermediateRepresentation
 
@@ -32,10 +32,18 @@ class Candidate:
     constraint_results: dict[str, bool] = field(default_factory=dict)
     failure: str | None = None
     context: CandidateContext | None = None
+    analysis: FileAnalysis | None = None
 
     def passes_hard(self, constraints: ConstraintSet) -> bool:
         return all(self.constraint_results.get(c.cid, False)
                    for c in constraints.hard())
+
+    def analyze(self, ir: IntermediateRepresentation) -> FileAnalysis:
+        """The candidate text's analysis, made on first use and kept."""
+        if self.analysis is None:
+            unit = SourceUnit.from_text(ir.unit.path + ".candidate", self.text)
+            self.analysis = FileAnalysis(unit, ir.lex)
+        return self.analysis
 
 
 def edit_distance(original: str, candidate: str) -> float:
@@ -44,47 +52,37 @@ def edit_distance(original: str, candidate: str) -> float:
     return 1.0 - ratio
 
 
-def _mean_embedding(unit: SourceUnit, bundle) -> np.ndarray | None:
-    seq = semantic_sequence(unit)
-    emb = embed_sequence(seq, bundle.embedding, bundle.vocab)
-    if emb.shape[0] == 0:
-        return None
-    return emb.mean(axis=0)
-
-
 def score_candidate(candidate: Candidate, ir: IntermediateRepresentation,
                     bundle, constraints: ConstraintSet,
                     alpha: float = 0.6, query_built: bool = False) -> Candidate:
-    """Security score from the frozen cascade, semantic score from embeddings."""
+    """Security score from the frozen cascade, semantic score from embeddings.
+
+    The candidate must parse (``generate_candidates`` sets ``parse_ok``).
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    unit = SourceUnit.from_text(ir.unit.path + ".candidate", candidate.text)
-    try:
-        one = score_structural(unit, bundle)
-        two = verify_semantic(unit, bundle)
-    except ParseError:
-        candidate.parse_ok = False
-        candidate.failure = "candidate does not parse"
-        candidate.s_sec = 0.0
-        candidate.s_sem = 0.0
-        candidate.utility = 0.0
-        return candidate
+    analysis = candidate.analyze(ir)
+    one = score_structural(analysis, bundle)
+    two = verify_semantic(analysis, bundle)
     fused = fuse_scores(one.score, two.score, bundle.fusion.lam)
     candidate.s_sec = 1.0 - fused
 
-    origin_vec = _mean_embedding(ir.unit, bundle)
-    cand_vec = _mean_embedding(unit, bundle)
-    if origin_vec is None or cand_vec is None:
-        sim = 0.0
-    else:
-        denom = float(np.linalg.norm(origin_vec) * np.linalg.norm(cand_vec))
-        sim = float(origin_vec @ cand_vec / denom) if denom > 0 else 0.0
+    # mean token embeddings; an empty sequence gives zeros, similarity 0
+    if ir.origin_embedding is None:
+        emb = embed_sequence(ir.analysis.semantic, bundle.embedding,
+                             bundle.vocab)
+        ir.origin_embedding = emb.sum(axis=0) / max(len(emb), 1)
+    origin_vec = ir.origin_embedding
+    emb = embed_sequence(analysis.semantic, bundle.embedding, bundle.vocab)
+    cand_vec = emb.sum(axis=0) / max(len(emb), 1)
+    denom = float(np.linalg.norm(origin_vec) * np.linalg.norm(cand_vec))
+    sim = float(origin_vec @ cand_vec / denom) if denom > 0 else 0.0
     candidate.s_sem = min(1.0, max(0.0, sim))
 
     candidate.utility = alpha * candidate.s_sec + (1 - alpha) * candidate.s_sem
     candidate.edit_distance = edit_distance(ir.unit.text, candidate.text)
 
-    ctx = CandidateContext.build(candidate.text, ir, query_built)
+    ctx = CandidateContext.build(analysis, ir, query_built)
     candidate.context = ctx
     for constraint in constraints.constraints:
         candidate.constraint_results[constraint.cid] = evaluate_constraint(

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from . import __version__
 
 _SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
@@ -61,9 +58,3 @@ def verdicts_to_sarif(verdicts) -> dict:
             "results": results,
         }],
     }
-
-
-def save_sarif(verdicts, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(verdicts_to_sarif(verdicts), indent=2, sort_keys=True),
-        encoding="utf-8")

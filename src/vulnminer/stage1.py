@@ -6,12 +6,10 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ParseError, VulnMinerError
-from .flows import augment_flows
-from .frontend import parse
-from .linearize import embed_sequence, linearize
+from .analysis import FileAnalysis
+from .errors import VulnMinerError
+from .linearize import embed_sequence
 from .nn import gru_forward
-from .source import SourceUnit
 
 DEFAULT_TAU1 = 0.2
 
@@ -41,55 +39,35 @@ class HypothesisSet:
         return [h.file_id for h in self.hypotheses]
 
 
-def structural_sequence(unit: SourceUnit, flow_markers: bool = True,
-                        canonical: bool = True):
-    """Parse, flow-augment and linearize one file."""
-    graph = augment_flows(parse(unit))
-    return linearize(graph, canonical=canonical, flow_markers=flow_markers)
-
-
-def score_structural(unit: SourceUnit, bundle, tau1: float | None = None,
-                     flow_markers: bool = True) -> StageOneScore:
+def score_structural(analysis: FileAnalysis, bundle,
+                     tau1: float | None = None) -> StageOneScore:
     """GRU score over the linearized flow-enhanced tree."""
     tau1 = bundle.fusion.tau1 if tau1 is None else tau1
-    try:
-        seq = structural_sequence(unit, flow_markers=flow_markers)
-    except ParseError as exc:
-        exc.path = exc.path or unit.path
-        raise
+    seq = analysis.structural
     emb = embed_sequence(seq, bundle.embedding, bundle.vocab)
     score, _, _ = gru_forward(emb, bundle.stage1)
-    return StageOneScore(file_id=unit.path, score=score, passed=score > tau1,
-                         tokens=seq.n, truncated=seq.truncated)
+    return StageOneScore(file_id=analysis.path, score=score,
+                         passed=score > tau1, tokens=seq.n,
+                         truncated=seq.truncated)
 
 
 def propose_hypotheses(units, bundle, tau1: float | None = None,
-                       flow_markers: bool = True,
                        corpus: str = "") -> HypothesisSet:
     """Score every parseable file; keep those above the low bar."""
+    from .cascade import score_files  # the cascade builds on this module
+
     tau1 = bundle.fusion.tau1 if tau1 is None else tau1
     if not 0.0 <= tau1 < 1.0:
         raise VulnMinerError("tau1 must be in [0, 1)")
     passed: list[StageOneScore] = []
     skipped: list[StageOneScore] = []
     errors: list[tuple[str, str]] = []
-    for unit in units:
-        try:
-            result = score_structural(unit, bundle, tau1=tau1,
-                                      flow_markers=flow_markers)
-        except ParseError as exc:
-            errors.append((unit.path, str(exc)))
-            continue
+    analyses = (FileAnalysis(unit) for unit in units)
+    for _, result in score_files(analyses, bundle, tau1, errors):
         (passed if result.passed else skipped).append(result)
     passed.sort(key=lambda h: (-h.score, h.file_id))
     return HypothesisSet(hypotheses=passed, corpus=corpus,
                          skip_log=skipped, errors=errors)
-
-
-def save_hypotheses(hset: HypothesisSet, path: str | Path) -> None:
-    lines = [json.dumps(h.record(), sort_keys=True) for h in hset.hypotheses]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")
 
 
 def load_hypotheses(path: str | Path) -> list[StageOneScore]:

@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import ParseError
-from .flows import augment_flows
-from .frontend import normalize, parse
-from .lexicon import DEFAULT_LEXICON, TaintLexicon
+from .analysis import FileAnalysis
+from .lexicon import TaintLexicon
 from .linearize import TokenSequence, embed_sequence, linearize
 from .nn import RiskMatrix, attention_forward, risky_attention_mass
-from .source import SourceUnit
 
 
 @dataclass(frozen=True)
@@ -34,39 +29,22 @@ def build_risk_matrix(seq: TokenSequence, lex: TaintLexicon,
     return RiskMatrix.build(len(seq.tokens), columns, beta)
 
 
-def semantic_sequence(unit: SourceUnit, normalized: bool = True,
-                      canonical: bool = True) -> TokenSequence:
-    """Clean (normalize) then linearize without flow markers."""
-    ast = parse(unit)
-    if normalized:
-        ast = normalize(ast)
-    graph = augment_flows(ast)
-    return linearize(graph, canonical=canonical, flow_markers=False)
+def verify_semantic(analysis: FileAnalysis, bundle, beta: float | None = None,
+                    normalized: bool = True) -> StageTwoScore:
+    """Attention score for one stage-one hypothesis.
 
-
-def verify_semantic(unit: SourceUnit, bundle, lex: TaintLexicon | None = None,
-                    beta: float | None = None, normalized: bool = True) -> StageTwoScore:
-    """Attention score for one stage-one hypothesis."""
-    lex = lex or DEFAULT_LEXICON
+    ``normalized=False`` scores the raw-identifier sequence instead, for
+    the normalization ablation.
+    """
     beta = bundle.fusion.beta if beta is None else beta
-    try:
-        seq = semantic_sequence(unit, normalized=normalized,
-                                canonical=normalized)
-    except ParseError as exc:
-        exc.path = exc.path or unit.path
-        raise
-    bias = build_risk_matrix(seq, lex, beta)
+    seq = analysis.semantic if normalized else linearize(
+        analysis.graph, canonical=False, flow_markers=False)
+    bias = build_risk_matrix(seq, analysis.lex, beta)
     emb = embed_sequence(seq, bundle.embedding, bundle.vocab)
     score, _, attn, _ = attention_forward(emb, bundle.stage2, bias)
     return StageTwoScore(
-        file_id=unit.path,
+        file_id=analysis.path,
         score=score,
         risky_positions=bias.risky_columns,
         risky_mass=risky_attention_mass(attn, bias.risky_columns),
     )
-
-
-def save_stage2_scores(scores, path: str | Path) -> None:
-    lines = [json.dumps(s.record(), sort_keys=True) for s in scores]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")

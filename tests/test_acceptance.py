@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vulnminer.analysis import FileAnalysis
 from vulnminer.source import SourceUnit
 
 from conftest import FIXTURES, MODEL_SEED
@@ -264,7 +265,7 @@ def test_criterion_07_ablation_directions(bundle, manifest, corpus_units,
     verdicts, _ = run_pipeline(corpus_units, bundle)
     pairs = [(labels[v.file_id], int(v.vulnerable)) for v in verdicts]
     cascade = compute_metrics(confusion_from_pairs(pairs))
-    scores = {u.path: score_structural(u, bundle).score
+    scores = {u.path: score_structural(FileAnalysis(u), bundle).score
               for u in corpus_units}
     stage1_fpr = None
     for threshold in sorted(set(scores.values()), reverse=True):
@@ -354,7 +355,7 @@ def test_criterion_09_case_study(bundle):
     assert report.succeeded
     assert 3 in report.lines  # the system() call line
     assert report.to_dict()["vulnerability type"] == "Injection"
-    ir = build_ir(command_unit)
+    ir = build_ir(FileAnalysis(command_unit))
     constraints = extract_constraints(ir)
     candidate = Candidate(candidate_id="case", template_id="validation_wrapper",
                           variant="primary", text=report.candidate_text,
@@ -367,10 +368,12 @@ def test_criterion_09_case_study(bundle):
 
     sql_report = localize(sql_unit, bundle, templates, backend)
     assert sql_report.succeeded
-    sql_ir = build_ir(sql_unit)
+    sql_ir = build_ir(FileAnalysis(sql_unit))
     sql_constraints = extract_constraints(sql_ir)
-    ctx = CandidateContext.build(sql_report.candidate_text, sql_ir,
-                                 query_built=True)
+    ctx = CandidateContext.build(
+        FileAnalysis(SourceUnit.from_text("sql.candidate",
+                                          sql_report.candidate_text)),
+        sql_ir, query_built=True)
     param_sql = next(c for c in sql_constraints.constraints
                      if c.kind == "ParameterizedSql")
     assert evaluate_constraint(param_sql, ctx)
@@ -454,7 +457,8 @@ def test_criterion_11_metrics_identities():
 @pytest.mark.slow
 def test_criterion_12_determinism(manifest, corpus_dir, tmp_path):
     from vulnminer.bench import rows_to_csv, run_benchmark
-    from vulnminer.cascade import run_pipeline, save_verdicts
+    from vulnminer.cascade import run_pipeline
+    from vulnminer.cli import write_jsonl
     from vulnminer.detector import train_bundle
     from vulnminer.model_store import load_model, save_model
 
@@ -470,8 +474,8 @@ def test_criterion_12_determinism(manifest, corpus_dir, tmp_path):
     out_a, out_b = tmp_path / "scan_a.jsonl", tmp_path / "scan_b.jsonl"
     verdicts_a, _ = run_pipeline(units, bundle)
     verdicts_b, _ = run_pipeline(units, bundle)
-    save_verdicts(verdicts_a, out_a)
-    save_verdicts(verdicts_b, out_b)
+    write_jsonl([v.record() for v in verdicts_a], out_a)
+    write_jsonl([v.record() for v in verdicts_b], out_b)
     assert out_a.read_bytes() == out_b.read_bytes()
 
     csv_a = rows_to_csv(run_benchmark(manifest, bundle, split="test"))

@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vulnminer.analysis import FileAnalysis
 from vulnminer.cascade import (
     FusionConfig,
     calibrate_lambda,
     fuse_scores,
     run_pipeline,
-    save_verdicts,
 )
+from vulnminer.cli import write_jsonl
 from vulnminer.errors import TrainingError, VulnMinerError
 from vulnminer.metrics import compute_metrics, confusion_from_pairs
 from vulnminer.sarif import verdicts_to_sarif
@@ -87,7 +88,7 @@ def test_cascade_quality_on_bundled_corpus(bundle, corpus_units, labels):
 def test_verdict_output_round_trip(bundle, corpus_units, tmp_path):
     verdicts, _ = run_pipeline(corpus_units[:10], bundle)
     path = tmp_path / "verdicts.jsonl"
-    save_verdicts(verdicts, path)
+    write_jsonl([v.record() for v in verdicts], path)
     import json
 
     loaded = [json.loads(line) for line in path.read_text().splitlines()]
@@ -187,7 +188,8 @@ def test_calibration_prefers_perfect_stage(bundle):
 def test_calibrated_lambda_reproducible(bundle, manifest):
     from vulnminer.detector import load_units
 
-    val_units = load_units(manifest.split("val"))
+    val_units = [(FileAnalysis(u), label)
+                 for u, label in load_units(manifest.split("val"))]
     lam1, _ = calibrate_lambda(val_units, bundle)
     lam2, _ = calibrate_lambda(val_units, bundle)
     assert lam1 == lam2 == bundle.fusion.lam

@@ -151,22 +151,25 @@ def test_scan_determinism(model_path, corpus_dir, capsys):
     assert out1 == out2
 
 
-def test_parallel_scan_matches_serial(model_path, corpus_dir, tmp_path, capsys):
-    files = [str(p) for p in sorted(corpus_dir.glob("*.php"))[:16]]
-    cfg = tmp_path / "par.conf"
-    cfg.write_text("parallelism = 4\n")
-    _, serial, _ = run(capsys, "scan", "--model", model_path, *files)
-    code, parallel, _ = run(capsys, "--config", str(cfg), "scan",
-                            "--model", model_path, *files)
-    assert parallel == serial
-
-
 def test_gen_corpus_command(tmp_path, capsys):
     code, out, _ = run(capsys, "gen-corpus", "--out-dir",
                        str(tmp_path / "c"), "--size", "24", "--ratio", "0.3",
                        "--seed", "11")
     assert code == 0
     assert (tmp_path / "c" / "manifest.jsonl").exists()
+
+
+def test_gen_corpus_relative_dir_then_train(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "gen-corpus", "--out-dir", "corpus",
+                     "--size", "20", "--seed", "7")
+    assert code == 0
+    first = json.loads(Path("corpus/manifest.jsonl").read_text().splitlines()[0])
+    assert not Path(first["path"]).is_absolute()
+    code, out, err = run(capsys, "train", "corpus/manifest.jsonl",
+                         "--model", "m.json")
+    assert code == 0, err
+    assert Path("m.json").exists()
 
 
 def test_localization_rate_command(model_path, capsys, tmp_path):

@@ -4,6 +4,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from vulnminer.analysis import FileAnalysis
 from vulnminer.errors import NoFindingError
 from vulnminer.localize import (
     ANALYSIS_PROMPT,
@@ -42,7 +43,7 @@ $rows = run_query($q);
 # -- IR ----------------------------------------------------------------------
 
 def test_build_ir_command_case(command_injection_unit):
-    ir = build_ir(command_injection_unit)
+    ir = build_ir(FileAnalysis(command_injection_unit))
     assert ir.finding.sink_name == "system"
     assert ir.finding.sink_span.start_line == 3
     assert ir.window_level == 1  # top-level sink: window is the whole file
@@ -50,7 +51,7 @@ def test_build_ir_command_case(command_injection_unit):
 
 
 def test_build_ir_sql_case(sql_auth_unit):
-    ir = build_ir(sql_auth_unit)
+    ir = build_ir(FileAnalysis(sql_auth_unit))
     assert ir.finding.sink_name == "mysql_query"
     assert ir.finding.sink_class == "Sql"
 
@@ -60,17 +61,17 @@ def test_build_ir_picks_highest_severity():
 echo $_GET['x'];
 system($_GET['c']);
 """)
-    ir = build_ir(unit)
+    ir = build_ir(FileAnalysis(unit))
     assert ir.finding.sink_class == "Command"
 
 
 def test_build_ir_no_finding(clean_unit):
     with pytest.raises(NoFindingError):
-        build_ir(clean_unit)
+        build_ir(FileAnalysis(clean_unit))
 
 
 def test_refine_widens_then_saturates():
-    ir = build_ir(SourceUnit.from_text("fn.php", FN_SQL))
+    ir = build_ir(FileAnalysis(SourceUnit.from_text("fn.php", FN_SQL)))
     assert ir.window_level == 0
     widened = refine_context(ir, [{"kind": "x"}])
     assert widened.window_level == 1 and not widened.saturated
@@ -80,7 +81,7 @@ def test_refine_widens_then_saturates():
 
 
 def test_refine_requires_feedback():
-    ir = build_ir(SourceUnit.from_text("fn.php", FN_SQL))
+    ir = build_ir(FileAnalysis(SourceUnit.from_text("fn.php", FN_SQL)))
     with pytest.raises(ValueError):
         refine_context(ir, [])
 
@@ -88,18 +89,18 @@ def test_refine_requires_feedback():
 # -- constraints ----------------------------------------------------------------
 
 def test_constraints_by_sink_class(command_injection_unit, sql_auth_unit):
-    command = extract_constraints(build_ir(command_injection_unit))
+    command = extract_constraints(build_ir(FileAnalysis(command_injection_unit)))
     kinds = [(c.kind, c.hard) for c in command.constraints]
     assert kinds == [("SanitizeBeforeUse", True)]
     assert set(command.constraints[0].sanitizers) == {
         "escapeshellcmd", "escapeshellarg", "sanitize_path",
         "sanitize_filename"}
 
-    sql = extract_constraints(build_ir(sql_auth_unit))
+    sql = extract_constraints(build_ir(FileAnalysis(sql_auth_unit)))
     assert [c.kind for c in sql.constraints] == ["ParameterizedSql"]
 
-    include_ir = build_ir(SourceUnit.from_text(
-        "i.php", "<?php include $_GET['p'];"))
+    include_ir = build_ir(FileAnalysis(SourceUnit.from_text(
+        "i.php", "<?php include $_GET['p'];")))
     inc = extract_constraints(include_ir)
     assert sorted(c.kind for c in inc.constraints) \
         == ["BoundedOperation", "SanitizeBeforeUse"]
@@ -107,23 +108,27 @@ def test_constraints_by_sink_class(command_injection_unit, sql_auth_unit):
 
 
 def test_soft_preference_recorded(command_injection_unit):
-    constraints = extract_constraints(build_ir(command_injection_unit))
+    constraints = extract_constraints(build_ir(FileAnalysis(command_injection_unit)))
     assert "minimize_edit_distance" in constraints.soft_preferences
 
 
 def test_wrong_class_sanitizer_fails_constraint(command_injection_unit):
-    ir = build_ir(command_injection_unit)
+    ir = build_ir(FileAnalysis(command_injection_unit))
     constraints = extract_constraints(ir)
     bad = ("<?php\n$cmd = 'tar -czf ' . htmlspecialchars($_GET['file']) "
            ". '.tar.gz ' . htmlspecialchars($_GET['path']);\nsystem($cmd);\n")
-    ctx = CandidateContext.build(bad, ir, query_built=False)
+    ctx = CandidateContext.build(
+        FileAnalysis(SourceUnit.from_text("bad.candidate", bad)), ir,
+        query_built=False)
     assert evaluate_constraint(constraints.constraints[0], ctx) is False
 
 
 def test_non_parsing_candidate_fails_all(command_injection_unit):
-    ir = build_ir(command_injection_unit)
+    ir = build_ir(FileAnalysis(command_injection_unit))
     constraints = extract_constraints(ir)
-    ctx = CandidateContext.build("<?php if (", ir, query_built=False)
+    ctx = CandidateContext.build(
+        FileAnalysis(SourceUnit.from_text("broken.candidate", "<?php if (")),
+        ir, query_built=False)
     assert evaluate_constraint(constraints.constraints[0], ctx) is False
 
 
@@ -157,7 +162,7 @@ def test_template_dir_loading(tmp_path):
 # -- generation --------------------------------------------------------------------
 
 def test_command_candidates_match_remediation_shape(command_injection_unit):
-    ir = build_ir(command_injection_unit)
+    ir = build_ir(FileAnalysis(command_injection_unit))
     constraints = extract_constraints(ir)
     candidates = generate_candidates(ir, constraints, TEMPLATES, BACKEND)
     assert len(candidates) == 2
@@ -170,7 +175,7 @@ def test_command_candidates_match_remediation_shape(command_injection_unit):
 
 
 def test_sql_candidate_uses_placeholder_binding(sql_auth_unit):
-    ir = build_ir(sql_auth_unit)
+    ir = build_ir(FileAnalysis(sql_auth_unit))
     constraints = extract_constraints(ir)
     candidates = generate_candidates(ir, constraints, TEMPLATES, BACKEND)
     primary = next(c for c in candidates if c.variant == "primary")
@@ -181,13 +186,13 @@ def test_sql_candidate_uses_placeholder_binding(sql_auth_unit):
 
 
 def test_refusal_backend_yields_no_candidates(command_injection_unit):
-    ir = build_ir(command_injection_unit)
+    ir = build_ir(FileAnalysis(command_injection_unit))
     constraints = extract_constraints(ir)
     assert generate_candidates(ir, constraints, TEMPLATES, RefusalBackend()) == []
 
 
 def test_narrow_window_refuses_sql_rewrite():
-    ir = build_ir(SourceUnit.from_text("fn.php", FN_SQL))
+    ir = build_ir(FileAnalysis(SourceUnit.from_text("fn.php", FN_SQL)))
     constraints = extract_constraints(ir)
     assert ir.window_level == 0
     candidates = generate_candidates(ir, constraints, TEMPLATES, BACKEND)
@@ -203,7 +208,7 @@ def test_edit_distance_bounds():
 
 
 def test_score_candidate_dual_scores(bundle, command_injection_unit):
-    ir = build_ir(command_injection_unit)
+    ir = build_ir(FileAnalysis(command_injection_unit))
     constraints = extract_constraints(ir)
     candidates = generate_candidates(ir, constraints, TEMPLATES, BACKEND)
     primary = next(c for c in candidates if c.variant == "primary")
@@ -217,7 +222,7 @@ def test_score_candidate_dual_scores(bundle, command_injection_unit):
 
 
 def test_alpha_one_means_security_only(bundle, command_injection_unit):
-    ir = build_ir(command_injection_unit)
+    ir = build_ir(FileAnalysis(command_injection_unit))
     constraints = extract_constraints(ir)
     candidates = generate_candidates(ir, constraints, TEMPLATES, BACKEND)
     primary = candidates[0]
@@ -228,7 +233,7 @@ def test_alpha_one_means_security_only(bundle, command_injection_unit):
 def test_identical_candidate_has_semantic_one(bundle, command_injection_unit):
     from vulnminer.localize.scoring import Candidate
 
-    ir = build_ir(command_injection_unit)
+    ir = build_ir(FileAnalysis(command_injection_unit))
     constraints = extract_constraints(ir)
     clone = Candidate(candidate_id="id:0", template_id="validation_wrapper",
                       variant="primary", text=command_injection_unit.text,
@@ -241,7 +246,7 @@ def test_identical_candidate_has_semantic_one(bundle, command_injection_unit):
 def test_select_best_filters_and_breaks_ties(command_injection_unit):
     from vulnminer.localize.scoring import Candidate
 
-    ir = build_ir(command_injection_unit)
+    ir = build_ir(FileAnalysis(command_injection_unit))
     constraints = extract_constraints(ir)
     cid = constraints.constraints[0].cid
 
@@ -266,7 +271,7 @@ def test_select_best_filters_and_breaks_ties(command_injection_unit):
 # -- verification -----------------------------------------------------------------
 
 def _scored_best(unit, bundle):
-    ir = build_ir(unit)
+    ir = build_ir(FileAnalysis(unit))
     constraints = extract_constraints(ir)
     candidates = generate_candidates(ir, constraints, TEMPLATES, BACKEND)
     for c in candidates:
@@ -284,7 +289,7 @@ def test_verify_passes_remediated_candidate(bundle, command_injection_unit):
 def test_verify_rejects_wrong_class_sanitizer(bundle, command_injection_unit):
     from vulnminer.localize.scoring import Candidate
 
-    ir = build_ir(command_injection_unit)
+    ir = build_ir(FileAnalysis(command_injection_unit))
     constraints = extract_constraints(ir)
     bad = Candidate(
         candidate_id="x", template_id="validation_wrapper", variant="generic",
@@ -300,7 +305,7 @@ def test_verify_rejects_wrong_class_sanitizer(bundle, command_injection_unit):
 def test_verify_rejects_broken_candidate(bundle, command_injection_unit):
     from vulnminer.localize.scoring import Candidate
 
-    ir = build_ir(command_injection_unit)
+    ir = build_ir(FileAnalysis(command_injection_unit))
     constraints = extract_constraints(ir)
     broken = Candidate(candidate_id="x", template_id="t", variant="primary",
                        text="<?php if (", backend="test")
@@ -333,7 +338,7 @@ def test_analyze_failures_empty_candidates():
 
 
 def test_analyze_failures_names_constraints(bundle, sql_auth_unit):
-    ir = build_ir(sql_auth_unit)
+    ir = build_ir(FileAnalysis(sql_auth_unit))
     constraints = extract_constraints(ir)
     candidates = generate_candidates(ir, constraints, TEMPLATES, BACKEND)
     for c in candidates:
@@ -430,7 +435,7 @@ def test_remote_backend_malformed_counts_as_refusal(
         bundle, command_injection_unit, http_server):
     _Handler.mode = "malformed"
     backend = RemoteBackend(endpoint=http_server)
-    ir = build_ir(command_injection_unit)
+    ir = build_ir(FileAnalysis(command_injection_unit))
     constraints = extract_constraints(ir)
     template = next(t for t in TEMPLATES if t.applicable("Command"))
     assert backend.fill(template, ir, constraints) == []

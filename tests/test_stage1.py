@@ -1,24 +1,25 @@
 import pytest
 
+from vulnminer.analysis import FileAnalysis
+from vulnminer.cli import write_jsonl
 from vulnminer.errors import ParseError
 from vulnminer.source import SourceUnit
 from vulnminer.stage1 import (
     load_hypotheses,
     propose_hypotheses,
-    save_hypotheses,
     score_structural,
 )
 
 
 def test_vulnerable_fixture_flagged(bundle, command_injection_unit):
-    result = score_structural(command_injection_unit, bundle, tau1=0.2)
+    result = score_structural(FileAnalysis(command_injection_unit), bundle, tau1=0.2)
     assert result.score > 0.2
     assert result.passed
 
 
 def test_pure_literal_program_rejected(bundle):
     unit = SourceUnit.from_text("lit.php", '<?php echo "hi";')
-    result = score_structural(unit, bundle, tau1=0.2)
+    result = score_structural(FileAnalysis(unit), bundle, tau1=0.2)
     assert result.score <= 0.2
     assert not result.passed
 
@@ -26,7 +27,7 @@ def test_pure_literal_program_rejected(bundle):
 def test_unparseable_file_propagates_error(bundle):
     unit = SourceUnit.from_text("bad.php", "<?php if ($a)")
     with pytest.raises(ParseError):
-        score_structural(unit, bundle)
+        score_structural(FileAnalysis(unit), bundle)
 
 
 def test_threshold_floor_passes_everything(bundle, corpus_units):
@@ -77,7 +78,7 @@ def test_parse_errors_collected_not_fatal(bundle, tmp_path):
 def test_handoff_file_round_trip(bundle, corpus_units, tmp_path):
     hset = propose_hypotheses(corpus_units[:20], bundle, tau1=0.2)
     path = tmp_path / "hypotheses.jsonl"
-    save_hypotheses(hset, path)
+    write_jsonl([h.record() for h in hset.hypotheses], path)
     loaded = load_hypotheses(path)
     assert [(h.file_id, h.score, h.passed) for h in loaded] \
         == [(h.file_id, h.score, h.passed) for h in hset.hypotheses]
