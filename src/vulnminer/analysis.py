@@ -6,7 +6,7 @@ from functools import cached_property
 
 from .flows import augment_flows, taint_trace
 from .frontend import normalize, parse
-from .lexicon import DEFAULT_LEXICON, TaintLexicon
+from .lexicon import BUILTIN_FUNCTIONS, DEFAULT_LEXICON, TaintLexicon
 from .linearize import linearize
 from .source import SourceUnit
 
@@ -17,12 +17,14 @@ class FileAnalysis:
     Each field is computed on first use and kept, so stage one, stage two,
     the advisory finding and localization share a single parse. A parse
     failure is not kept: each field that needs the tree raises the
-    ``ParseError`` again.
+    ``ParseError`` again. Function names in ``keep`` (built-ins and every
+    name of the lexicon) survive renaming in both stage sequences.
     """
 
     def __init__(self, unit: SourceUnit, lex: TaintLexicon | None = None):
         self.unit = unit
         self.lex = lex or DEFAULT_LEXICON
+        self.keep = BUILTIN_FUNCTIONS | self.lex.names
 
     @property
     def path(self) -> str:
@@ -33,17 +35,23 @@ class FileAnalysis:
         return parse(self.unit)
 
     @cached_property
+    def parents(self):
+        """Node id -> parent node over the whole tree; the root has none."""
+        return {child.node_id: node for node in self.ast.walk()
+                for child in node.children}
+
+    @cached_property
     def graph(self):
         return augment_flows(self.ast)
 
     @cached_property
     def structural(self):
         """Stage-one input: the flow graph linearized with flow markers."""
-        return linearize(self.graph, flow_markers=True)
+        return linearize(self.graph, flow_markers=True, keep=self.keep)
 
     @cached_property
     def normalized(self):
-        return normalize(self.ast)
+        return normalize(self.ast, keep=self.keep)
 
     @cached_property
     def normalized_graph(self):
@@ -52,7 +60,8 @@ class FileAnalysis:
     @cached_property
     def semantic(self):
         """Stage-two input: the normalized graph without flow markers."""
-        return linearize(self.normalized_graph, flow_markers=False)
+        return linearize(self.normalized_graph, flow_markers=False,
+                         keep=self.keep)
 
     @cached_property
     def findings(self):

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analysis import FileAnalysis
-from .cascade import FusionConfig, run_pipeline
+from .cascade import run_pipeline
 from .corpus import CorpusManifest
 from .detector import _bucket_rare_symbols, _stage_samples, load_units
 from .errors import VulnMinerError
@@ -99,7 +99,8 @@ def _full_stream(analysis: FileAnalysis) -> list[str]:
 
 
 def _no_marker_stream(analysis: FileAnalysis) -> list[str]:
-    return linearize(analysis.graph, flow_markers=False).tokens
+    return linearize(analysis.graph, flow_markers=False,
+                     keep=analysis.keep).tokens
 
 
 def _raw_stream(analysis: FileAnalysis) -> list[str]:
@@ -148,10 +149,10 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
                                     labels, bundle, normalized=False,
                                     beta=0.0))
         elif ablation == "lambda0":
-            cfg = FusionConfig(0.0, bundle.fusion.tau, bundle.fusion.tau1)
+            cfg = replace(bundle.fusion, lam=0.0)
             rows.append(_cascade_row(ablation, units, labels, bundle, cfg=cfg))
         elif ablation == "lambda1":
-            cfg = FusionConfig(1.0, bundle.fusion.tau, bundle.fusion.tau1)
+            cfg = replace(bundle.fusion, lam=1.0)
             rows.append(_cascade_row(ablation, units, labels, bundle, cfg=cfg))
         elif ablation == "no-flow-edges":
             rows.append(retrained("stage1-full", _full_stream))

@@ -9,23 +9,16 @@ from .errors import ParseError, TrainingError, VulnMinerError
 from .flows import classify_vuln_type
 from .lexicon import TaintLexicon
 from .metrics import compute_metrics, confusion_from_pairs
+from .model_store import FusionSettings
 from .stage1 import score_structural
 from .stage2 import verify_semantic
 
 
-@dataclass(frozen=True)
-class FusionConfig:
-    lam: float
-    tau: float
-    tau1: float
+# The one fusion-settings type, also under the name benchmark and test
+# code use: FusionConfig(lam, tau, tau1).
+FusionConfig = FusionSettings
 
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise VulnMinerError("lambda must be in [0, 1]")
-        if not 0.0 <= self.tau <= 1.0:
-            raise VulnMinerError("tau must be in [0, 1]")
-        if not 0.0 <= self.tau1 < 1.0:
-            raise VulnMinerError("tau1 must be in [0, 1)")
+_LAMBDA_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -83,28 +76,28 @@ def score_files(analyses, bundle, tau1: float, errors: list):
         yield analysis, one
 
 
-def run_pipeline(units, bundle, cfg: FusionConfig | None = None,
+def run_pipeline(units, bundle, cfg: FusionSettings | None = None,
                  lex: TaintLexicon | None = None):
     """Stage two runs only on stage-one passers; rejects are final negatives.
 
     Returns (verdicts, errors); every parseable file gets a verdict and
     per-file parse failures are collected rather than raised. Units are
     taken one at a time, and each file's analysis is dropped with it.
+    ``cfg`` defaults to the model's own fusion settings.
     """
-    cfg = cfg or FusionConfig(bundle.fusion.lam, bundle.fusion.tau,
-                              bundle.fusion.tau1)
+    fusion = cfg or bundle.fusion
     verdicts: list[DetectionVerdict] = []
     errors: list[tuple[str, str]] = []
     analyses = (FileAnalysis(unit, lex) for unit in units)
-    for analysis, one in score_files(analyses, bundle, cfg.tau1, errors):
+    for analysis, one in score_files(analyses, bundle, fusion.tau1, errors):
         if not one.passed:
             verdicts.append(DetectionVerdict(
                 file_id=one.file_id, score1=one.score, score2=None,
                 score_final=None, vulnerable=False))
             continue
         two = verify_semantic(analysis, bundle)
-        final = fuse_scores(one.score, two.score, cfg.lam)
-        vulnerable = final > cfg.tau
+        final = fuse_scores(one.score, two.score, fusion.lam)
+        vulnerable = final > fusion.tau
         vuln_type = sink_line = None
         if vulnerable:
             vuln_type, sink_line = _advisory_finding(analysis)
@@ -116,9 +109,9 @@ def run_pipeline(units, bundle, cfg: FusionConfig | None = None,
     return verdicts, errors
 
 
-def calibrate_lambda(labeled, bundle, grid_step: float = 0.05,
-                     tau: float | None = None, tau1: float | None = None):
-    """Grid search for the fusion weight maximizing F1 at fixed tau.
+def calibrate_lambda(labeled, bundle, tau: float | None = None,
+                     tau1: float | None = None):
+    """Grid search, in steps of 0.05, for the weight maximizing F1 at tau.
 
     ``labeled`` is a list of (FileAnalysis, label); ties prefer the
     smaller lambda so stage two wins when stages are interchangeable.
@@ -134,10 +127,10 @@ def calibrate_lambda(labeled, bundle, grid_step: float = 0.05,
         two = verify_semantic(analysis, bundle).score if one.passed else None
         scored.append((label_of[analysis], one.score, two))
 
-    steps = int(round(1.0 / grid_step))
+    steps = int(round(1.0 / _LAMBDA_STEP))
     best_lam, best_f1 = 0.0, -1.0
     for k in range(steps + 1):
-        lam = min(1.0, k * grid_step)
+        lam = min(1.0, k * _LAMBDA_STEP)
         pairs = []
         for label, s1, s2 in scored:
             pred = 0

@@ -15,7 +15,7 @@ from .corpus import CorpusManifest, generate_synthetic_corpus
 from .detector import train_bundle
 from .errors import VulnMinerError
 from .lexicon import DEFAULT_LEXICON, load_lexicon
-from .localize import default_templates, load_templates, localize, make_backend
+from .localize import default_templates, localize, make_backend
 from .metrics import localization_rate
 from .model_store import load_model, save_model
 from .sarif import verdicts_to_sarif
@@ -51,13 +51,6 @@ def _load_cfg(args) -> Config:
 
 def _lexicon(cfg: Config):
     return load_lexicon(cfg.lexicon) if cfg.lexicon else DEFAULT_LEXICON
-
-
-def _templates(cfg: Config):
-    templates = default_templates()
-    if cfg.templates:
-        templates = templates + load_templates(cfg.templates)
-    return templates
 
 
 def _emit(text: str, out: str | None):
@@ -101,7 +94,7 @@ def cmd_localize(args) -> int:
     cfg = _load_cfg(args)
     bundle = load_model(cfg.model)
     lex = _lexicon(cfg)
-    templates = _templates(cfg)
+    templates = default_templates()
     backend = make_backend(cfg.backend, endpoint=cfg.endpoint,
                            token=cfg.endpoint_token, timeout=cfg.timeout)
     files = _collect_php_files(args.paths)

@@ -15,12 +15,10 @@ ENV_PREFIX = "VULNMINER_"
 class Config:
     model: str = "model.json"
     lexicon: str = ""                 # empty = built-in default lexicon
-    lam: float = 0.5
     tau: float = 0.5
     tau1: float = 0.2
     alpha: float = 0.6
     max_iterations: int = 2
-    templates: str = ""               # extra template directory
     backend: str = "deterministic"
     endpoint: str = ""
     endpoint_token: str = ""
@@ -29,8 +27,6 @@ class Config:
     verify_hook: str = ""
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError("lam must be in [0, 1]")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError("tau must be in [0, 1]")
         if not 0.0 <= self.tau1 < 1.0:
@@ -75,8 +71,6 @@ def load_config(path: str | Path | None = None,
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip().lower()
-            if key == "lambda":  # spelled-out alias; lam is the field name
-                key = "lam"
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = _coerce(key, value.strip())

@@ -13,7 +13,7 @@ from .nodes import (
 )
 from .normalizer import normalize
 from .parser import parse, parse_text
-from .printer import print_source, print_statement
+from .printer import print_expression, print_source, print_statement
 
 __all__ = [
     "AstNode",
@@ -28,6 +28,7 @@ __all__ = [
     "normalize",
     "parse",
     "parse_text",
+    "print_expression",
     "print_source",
     "print_statement",
     "tokenize",

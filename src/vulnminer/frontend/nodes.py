@@ -94,9 +94,6 @@ class AstNode:
             yield node
             stack.extend(reversed(node.children))
 
-    def find_all(self, kind: NodeKind) -> list["AstNode"]:
-        return [n for n in self.walk() if n.kind is kind]
-
     # -- structured accessors used by analyses and the printer -------------
 
     def if_parts(self):

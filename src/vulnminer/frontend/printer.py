@@ -31,6 +31,10 @@ def print_statement(stmt: AstNode) -> str:
     return "\n".join(_stmt_lines(stmt, 0))
 
 
+def print_expression(expr: AstNode) -> str:
+    return _expr(expr, 0)
+
+
 def _stmt_lines(node: AstNode, depth: int) -> list[str]:
     pad = _INDENT * depth
     k = node.kind

@@ -68,9 +68,6 @@ class TaintLexicon:
         """Source and sink symbols used to build attention risk columns."""
         return self.sources | frozenset(self.sinks)
 
-    def sanitizer_covers(self, name: str, sink_class: str) -> bool:
-        return sink_class in self.sanitizers.get(name, ())
-
 
 DEFAULT_LEXICON = TaintLexicon(
     sources=SUPERGLOBAL_SOURCES,

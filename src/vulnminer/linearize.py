@@ -11,13 +11,11 @@ import numpy as np
 from .errors import ConfigError
 from .frontend.nodes import AstNode, NodeKind, STATEMENT_KINDS
 from .flows import DATA_FLOW, FlowGraph
-from .lexicon import BUILTIN_FUNCTIONS, DEFAULT_LEXICON, SECRET_NAME_RE
+from .lexicon import RESERVED_FUNCTION_NAMES, SECRET_NAME_RE
 
 MAX_SEQUENCE = 512
 PAD, UNK = "<pad>", "<unk>"
 FLOW_MARK = "DF"
-
-_KEEP_NAMES = BUILTIN_FUNCTIONS | DEFAULT_LEXICON.names
 
 _KIND_TOKENS = {
     NodeKind.PROGRAM: "prog",
@@ -46,12 +44,16 @@ class TokenSequence:
 
 
 def linearize(graph: FlowGraph, canonical: bool = True,
-              flow_markers: bool = True, max_len: int = MAX_SEQUENCE) -> TokenSequence:
+              flow_markers: bool = True, max_len: int = MAX_SEQUENCE,
+              keep: frozenset[str] | None = None) -> TokenSequence:
     """Pre-order DFS token stream plus def/use markers for data-flow edges.
 
     Structural tokens take priority under the length budget; markers whose
     endpoints survive are appended afterwards, statement ordinals 1-based.
+    Function names in ``keep`` (default: built-ins and the default
+    lexicon) stay as they are; other function names are renamed.
     """
+    keep = RESERVED_FUNCTION_NAMES if keep is None else keep
     var_names: dict[str, str] = {}
     fn_names: dict[str, str] = {}
     secret_count = 0
@@ -71,7 +73,7 @@ def linearize(graph: FlowGraph, canonical: bool = True,
         return var_names[name]
 
     def fn_symbol(name: str) -> str:
-        if name in _KEEP_NAMES:
+        if name in keep:
             return name
         if not canonical:
             return f"fn:{name}"

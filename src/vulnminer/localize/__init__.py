@@ -27,7 +27,7 @@ from .engine import (
 from .ir import IntermediateRepresentation, build_ir, refine_context
 from .rewrite import FillPlan, Rewriter, SourceWrap
 from .scoring import Candidate, edit_distance, score_candidate, select_best
-from .templates import HoleSpec, MicroTemplate, default_templates, load_templates
+from .templates import MicroTemplate, default_templates
 
 __all__ = [
     "ANALYSIS_PROMPT",
@@ -39,7 +39,6 @@ __all__ = [
     "DeterministicBackend",
     "FillPlan",
     "GenerationBackend",
-    "HoleSpec",
     "IntermediateRepresentation",
     "LocalizationReport",
     "MicroTemplate",
@@ -55,7 +54,6 @@ __all__ = [
     "evaluate_constraint",
     "extract_constraints",
     "generate_candidates",
-    "load_templates",
     "localize",
     "make_backend",
     "refine_context",

@@ -1,4 +1,4 @@
-"""Hole-filling backends: rule-based, refusing, and remote."""
+"""Plan-making backends: rule-based, refusing, and remote."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from ..frontend.nodes import AstNode, NodeKind, STATEMENT_KINDS
+from ..frontend.nodes import AstNode, NodeKind
 from .constraints import ConstraintSet
-from .ir import IntermediateRepresentation
+from .ir import IntermediateRepresentation, enclosing_function
 from .rewrite import FillPlan, PreparedRewrite, SourceWrap
 from .templates import MicroTemplate
 
@@ -48,7 +48,7 @@ class GenerationBackend(Protocol):
 
     def fill(self, template: MicroTemplate, ir: IntermediateRepresentation,
              constraints: ConstraintSet) -> list[FillPlan]:
-        """Hole assignments for a template; empty list means refusal."""
+        """Guard plans for a template; empty list means refusal."""
         ...
 
 
@@ -59,22 +59,12 @@ class RefusalBackend:
         return []
 
 
-@dataclass
-class _SliceFacts:
-    window_ids: set[int]
-    read_groups: list[tuple[str, tuple[int, ...], str | None]]  # text, ids, key
-    tainted_vars: set[str]
-    sink_stmt_id: int
-    sink_node: AstNode
-    sink_arg: AstNode | None
-    build_stmt: AstNode | None
-    build_in_window: bool
-    query_built: bool
-    hoist_container_of: dict[int, bool]
-
-
 class DeterministicBackend:
-    """Derives hole values from the IR; no generation model involved."""
+    """Derives guard plans from the IR; no generation model involved.
+
+    A template's id names the plan maker; the plan itself comes from the
+    IR's slice facts.
+    """
 
     name = "deterministic"
 
@@ -82,7 +72,6 @@ class DeterministicBackend:
              constraints: ConstraintSet) -> list[FillPlan]:
         if not template.applicable(ir.finding.sink_class):
             return []
-        facts = _collect_facts(ir)
         maker = {
             "validation_wrapper": self._command_plans,
             "prepared_statement": self._sql_plans,
@@ -92,7 +81,7 @@ class DeterministicBackend:
         }.get(template.template_id)
         if maker is None:
             return []
-        return maker(template, ir, facts)
+        return maker(template, ir, ir.facts)
 
     # -- per-template plan construction ------------------------------------
 
@@ -100,7 +89,7 @@ class DeterministicBackend:
         primary = FillPlan(template_id=template.template_id, variant="primary")
         for text, ids, key in facts.read_groups:
             sanitizer = _path_sanitizer(key)
-            stmt_id = _stmt_of(ir, ids[0])
+            stmt_id = ir.stmt_of(ids[0])
             if facts.hoist_container_of.get(stmt_id, False):
                 primary.source_wraps.append(SourceWrap(
                     node_ids=ids, sanitizer=sanitizer,
@@ -225,114 +214,12 @@ class DeterministicBackend:
         )
 
 
-# ---------------------------------------------------------------------------
-# IR fact extraction shared by the deterministic backend
-# ---------------------------------------------------------------------------
-
-def _collect_facts(ir: IntermediateRepresentation) -> _SliceFacts:
-    finding = ir.finding
-    graph = ir.graph
-    parents = ir.parent_map()
-    window_ids = {s.node_id for s in ir.window_statements()}
-
-    path_stmts: list[AstNode] = []
-    seen: set[int] = set()
-    for nid in finding.path:
-        sid = _stmt_of(ir, nid)
-        if sid not in seen:
-            seen.add(sid)
-            path_stmts.append(graph.nodes[sid])
-
-    groups: dict[str, list[int]] = {}
-    keys: dict[str, str | None] = {}
-    if finding.source_kind == "superglobal":
-        for stmt in path_stmts:
-            if stmt.node_id not in window_ids:
-                continue
-            for node in stmt.walk():
-                if (node.kind is NodeKind.SUPERGLOBAL
-                        and f"$_{node.attrs['sg']}" == finding.source_label):
-                    read = node
-                    parent = parents.get(node.node_id)
-                    if (parent is not None and parent.kind is NodeKind.INDEX
-                            and parent.children[0] is node):
-                        read = parent
-                    text = _expr_text(read)
-                    groups.setdefault(text, []).append(read.node_id)
-                    keys.setdefault(text, _index_key(read))
-
-    tainted = {graph.nodes[_stmt_of(ir, nid)] for nid in finding.path}
-    tainted_vars = set()
-    for stmt in tainted:
-        if stmt.kind is NodeKind.ASSIGN and stmt.children[0].kind is NodeKind.VAR:
-            tainted_vars.add(stmt.children[0].attrs["name"])
-    if finding.source_kind == "secret_literal":
-        tainted_vars.add(finding.source_label.split(":", 1)[1])
-
-    sink_node = graph.nodes[finding.sink_id]
-    sink_stmt_id = _stmt_of(ir, finding.sink_id)
-    sink_arg = _tainted_sink_arg(sink_node, tainted_vars, finding)
-
-    build_stmt = _build_statement(ir, path_stmts, sink_arg)
-    build_in_window = (build_stmt is not None
-                       and build_stmt.node_id in window_ids)
-    query_built = bool(
-        build_stmt is not None
-        and any(n.kind is NodeKind.CONCAT for n in build_stmt.children[1].walk())
-    ) or bool(sink_arg is not None
-              and sink_arg.kind is NodeKind.CONCAT)
-
-    hoistable: dict[int, bool] = {}
-    for stmt in path_stmts:
-        parent = parents.get(stmt.node_id)
-        hoistable[stmt.node_id] = parent is not None and parent.kind in (
-            NodeKind.PROGRAM, NodeKind.FUNCTION_DECL)
-
-    ordered = sorted(groups)
-    return _SliceFacts(
-        window_ids=window_ids,
-        read_groups=[(t, tuple(groups[t]), keys[t]) for t in ordered],
-        tainted_vars=tainted_vars,
-        sink_stmt_id=sink_stmt_id,
-        sink_node=sink_node,
-        sink_arg=sink_arg,
-        build_stmt=build_stmt,
-        build_in_window=build_in_window,
-        query_built=query_built,
-        hoist_container_of=hoistable,
-    )
-
-
 def _concat_leaves(expr: AstNode) -> list[AstNode]:
     """Flatten a left-nested concat chain into its ordered leaves."""
     if expr.kind is NodeKind.CONCAT:
         left, right = expr.children
         return _concat_leaves(left) + _concat_leaves(right)
     return [expr]
-
-
-def _stmt_of(ir: IntermediateRepresentation, node_id: int) -> int:
-    parents = ir.parent_map()
-    node = ir.graph.nodes[node_id]
-    while node.kind not in STATEMENT_KINDS:
-        parent = parents.get(node.node_id)
-        if parent is None:
-            return node.node_id
-        node = parent
-    return node.node_id
-
-
-def _expr_text(node: AstNode) -> str:
-    from ..frontend.printer import _expr
-
-    return _expr(node, 0)
-
-
-def _index_key(read: AstNode) -> str | None:
-    if (read.kind is NodeKind.INDEX
-            and read.children[1].kind is NodeKind.STRING_LIT):
-        return read.children[1].attrs["value"]
-    return None
 
 
 def _is_pathish(key: str) -> bool:
@@ -360,22 +247,6 @@ def _fresh_var(ir: IntermediateRepresentation, base: str) -> str:
     return name
 
 
-def _tainted_sink_arg(sink_node: AstNode, tainted_vars: set[str],
-                      finding) -> AstNode | None:
-    if sink_node.kind in (NodeKind.ECHO, NodeKind.INCLUDE_STMT):
-        return sink_node.children[0]
-    if sink_node.kind is NodeKind.CALL:
-        for arg in sink_node.children:
-            for leaf in arg.walk():
-                if leaf.kind is NodeKind.SUPERGLOBAL:
-                    return arg
-                if (leaf.kind is NodeKind.VAR
-                        and leaf.attrs["name"] in tainted_vars):
-                    return arg
-        return sink_node.children[0] if sink_node.children else None
-    return None
-
-
 def _tainted_leaves(arg: AstNode | None, tainted_vars: set[str]):
     if arg is None:
         return []
@@ -388,23 +259,9 @@ def _tainted_leaves(arg: AstNode | None, tainted_vars: set[str]):
     return out
 
 
-def _build_statement(ir, path_stmts, sink_arg) -> AstNode | None:
-    if sink_arg is None:
-        return None
-    arg_vars = {n.attrs["name"] for n in sink_arg.walk()
-                if n.kind is NodeKind.VAR}
-    build = None
-    for stmt in path_stmts:
-        if (stmt.kind is NodeKind.ASSIGN
-                and stmt.children[0].kind is NodeKind.VAR
-                and stmt.children[0].attrs["name"] in arg_vars):
-            build = stmt
-    return build
-
-
 def _secret_assign(ir) -> int | None:
     for nid in ir.finding.path:
-        sid = _stmt_of(ir, nid)
+        sid = ir.stmt_of(nid)
         stmt = ir.graph.nodes[sid]
         if (stmt.kind is NodeKind.ASSIGN
                 and stmt.children[0].kind is NodeKind.VAR
@@ -416,30 +273,19 @@ def _secret_assign(ir) -> int | None:
 
 def _execute_site(ir, facts) -> tuple[int | None, str | None]:
     """Statement whose call gets replaced by the prepared execute."""
-    sink_fn = _enclosing_fn_name(ir, facts.sink_stmt_id)
-    build_fn = _enclosing_fn_name(ir, facts.build_stmt.node_id)
-    if sink_fn == build_fn:
+    sink_owner = enclosing_function(ir.analysis, facts.sink_stmt_id)
+    build_owner = enclosing_function(ir.analysis, facts.build_stmt.node_id)
+    if sink_owner == build_owner:
         return facts.sink_stmt_id, facts.sink_node.attrs.get("name")
-    if build_fn is None and sink_fn is not None:
+    if build_owner is None and sink_owner is not None:
         # query built at top level, executed inside a helper: call the
         # prepared handle directly at the original call site
+        helper = ir.graph.nodes[sink_owner].attrs["name"]
         for node in ir.ast.walk():
             if (node.kind is NodeKind.CALL
-                    and node.attrs["name"] == sink_fn):
-                return _stmt_of(ir, node.node_id), sink_fn
+                    and node.attrs["name"] == helper):
+                return ir.stmt_of(node.node_id), helper
     return None, None
-
-
-def _enclosing_fn_name(ir, node_id: int) -> str | None:
-    parents = ir.parent_map()
-    node = ir.graph.nodes[node_id]
-    while True:
-        parent = parents.get(node.node_id)
-        if parent is None:
-            return None
-        if parent.kind is NodeKind.FUNCTION_DECL:
-            return parent.attrs["name"]
-        node = parent
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +329,8 @@ class RemoteBackend:
         request = urllib.request.Request(
             self.endpoint, data=json.dumps(payload).encode("utf-8"),
             headers=headers, method="POST")
+        # the name is set on every call: candidates read it after each fill
+        self.name = "remote"
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 raw = response.read()

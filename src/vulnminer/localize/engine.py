@@ -11,7 +11,7 @@ from ..analysis import FileAnalysis
 from ..errors import NoFindingError, ParseError, VulnMinerError
 from ..flows import classify_vuln_type
 from ..source import SourceUnit
-from .backends import GenerationBackend, _collect_facts
+from .backends import GenerationBackend
 from .constraints import ConstraintSet, extract_constraints
 from .ir import IntermediateRepresentation, build_ir, refine_context
 from .rewrite import Rewriter
@@ -221,7 +221,7 @@ def localize(unit: SourceUnit, bundle, templates: list[MicroTemplate],
     while not state.exhausted():
         state.iteration += 1
         candidates = generate_candidates(ir, constraints, templates, backend)
-        query_built = _collect_facts(ir).query_built and sink_class == "Sql"
+        query_built = ir.facts.query_built and sink_class == "Sql"
         for candidate in candidates:
             if candidate.parse_ok:
                 score_candidate(candidate, ir, bundle, constraints,

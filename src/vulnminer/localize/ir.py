@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from ..analysis import FileAnalysis
 from ..errors import NoFindingError
 from ..flows import FlowGraph, TaintFinding
 from ..frontend.nodes import AstNode, NodeKind, STATEMENT_KINDS
+from ..frontend.printer import print_expression
 from ..lexicon import TaintLexicon
 from ..source import SourceUnit
 
@@ -43,12 +45,25 @@ class IntermediateRepresentation:
     def lex(self) -> TaintLexicon:
         return self.analysis.lex
 
-    def parent_map(self) -> dict[int, AstNode]:
-        parents: dict[int, AstNode] = {}
-        for node in self.ast.walk():
-            for child in node.children:
-                parents[child.node_id] = node
-        return parents
+    @cached_property
+    def facts(self) -> SliceFacts:
+        """Slice facts of this window, computed once per IR.
+
+        A cached property, not a field, so the IR that ``refine_context``
+        makes for a wider window computes its own.
+        """
+        return _collect_facts(self)
+
+    def stmt_of(self, node_id: int) -> int:
+        """Id of the innermost statement holding a node (itself if one)."""
+        parents = self.analysis.parents
+        node = self.graph.nodes[node_id]
+        while node.kind not in STATEMENT_KINDS:
+            parent = parents.get(node.node_id)
+            if parent is None:
+                return node.node_id
+            node = parent
+        return node.node_id
 
     def window_statements(self) -> list[AstNode]:
         """Statements the backend and rewriter may inspect this iteration."""
@@ -62,17 +77,14 @@ class IntermediateRepresentation:
         return out
 
 
-def _enclosing_function(graph: FlowGraph, node_id: int) -> int | None:
-    parents: dict[int, int] = {}
-    for node in graph.root.walk():
-        for child in node.children:
-            parents[child.node_id] = node.node_id
-    current = node_id
-    while current in parents:
-        current = parents[current]
-        node = graph.nodes[current]
+def enclosing_function(analysis: FileAnalysis, node_id: int) -> int | None:
+    """Id of the innermost function declaration above a node, None at top level."""
+    parents = analysis.parents
+    node = parents.get(node_id)
+    while node is not None:
         if node.kind is NodeKind.FUNCTION_DECL:
-            return current
+            return node.node_id
+        node = parents.get(node.node_id)
     return None
 
 
@@ -88,7 +100,7 @@ def build_ir(analysis: FileAnalysis) -> IntermediateRepresentation:
     finding = max(live, key=lambda f: (
         f.severity, (-f.sink_span.start_line, -f.sink_span.start_col)))
 
-    owner = _enclosing_function(analysis.graph, finding.sink_id)
+    owner = enclosing_function(analysis, finding.sink_id)
     context = _build_context(analysis.graph, finding, analysis.lex, owner)
     return IntermediateRepresentation(
         analysis=analysis, finding=finding,
@@ -126,3 +138,131 @@ def refine_context(ir: IntermediateRepresentation,
     if ir.window_level >= 1 or ir.window_owner is None:
         return replace(ir, saturated=True, feedback=merged)
     return replace(ir, window_owner=None, window_level=1, feedback=merged)
+
+
+# ---------------------------------------------------------------------------
+# Slice facts: what the backend and the scorer read off one IR window
+# ---------------------------------------------------------------------------
+
+@dataclass
+class SliceFacts:
+    window_ids: set[int]
+    read_groups: list[tuple[str, tuple[int, ...], str | None]]  # text, ids, key
+    tainted_vars: set[str]
+    sink_stmt_id: int
+    sink_node: AstNode
+    sink_arg: AstNode | None
+    build_stmt: AstNode | None
+    build_in_window: bool
+    query_built: bool
+    hoist_container_of: dict[int, bool]
+
+
+def _collect_facts(ir: IntermediateRepresentation) -> SliceFacts:
+    finding = ir.finding
+    graph = ir.graph
+    parents = ir.analysis.parents
+    window_ids = {s.node_id for s in ir.window_statements()}
+
+    path_stmts: list[AstNode] = []
+    seen: set[int] = set()
+    for nid in finding.path:
+        sid = ir.stmt_of(nid)
+        if sid not in seen:
+            seen.add(sid)
+            path_stmts.append(graph.nodes[sid])
+
+    groups: dict[str, list[int]] = {}
+    keys: dict[str, str | None] = {}
+    if finding.source_kind == "superglobal":
+        for stmt in path_stmts:
+            if stmt.node_id not in window_ids:
+                continue
+            for node in stmt.walk():
+                if (node.kind is NodeKind.SUPERGLOBAL
+                        and f"$_{node.attrs['sg']}" == finding.source_label):
+                    read = node
+                    parent = parents.get(node.node_id)
+                    if (parent is not None and parent.kind is NodeKind.INDEX
+                            and parent.children[0] is node):
+                        read = parent
+                    text = print_expression(read)
+                    groups.setdefault(text, []).append(read.node_id)
+                    keys.setdefault(text, _index_key(read))
+
+    tainted_vars = set()
+    for stmt in path_stmts:
+        if stmt.kind is NodeKind.ASSIGN and stmt.children[0].kind is NodeKind.VAR:
+            tainted_vars.add(stmt.children[0].attrs["name"])
+    if finding.source_kind == "secret_literal":
+        tainted_vars.add(finding.source_label.split(":", 1)[1])
+
+    sink_node = graph.nodes[finding.sink_id]
+    sink_arg = _tainted_sink_arg(sink_node, tainted_vars)
+
+    build_stmt = _build_statement(path_stmts, sink_arg)
+    build_in_window = (build_stmt is not None
+                       and build_stmt.node_id in window_ids)
+    query_built = bool(
+        build_stmt is not None
+        and any(n.kind is NodeKind.CONCAT for n in build_stmt.children[1].walk())
+    ) or bool(sink_arg is not None
+              and sink_arg.kind is NodeKind.CONCAT)
+
+    hoistable: dict[int, bool] = {}
+    for stmt in path_stmts:
+        parent = parents.get(stmt.node_id)
+        hoistable[stmt.node_id] = parent is not None and parent.kind in (
+            NodeKind.PROGRAM, NodeKind.FUNCTION_DECL)
+
+    ordered = sorted(groups)
+    return SliceFacts(
+        window_ids=window_ids,
+        read_groups=[(t, tuple(groups[t]), keys[t]) for t in ordered],
+        tainted_vars=tainted_vars,
+        sink_stmt_id=ir.stmt_of(finding.sink_id),
+        sink_node=sink_node,
+        sink_arg=sink_arg,
+        build_stmt=build_stmt,
+        build_in_window=build_in_window,
+        query_built=query_built,
+        hoist_container_of=hoistable,
+    )
+
+
+def _index_key(read: AstNode) -> str | None:
+    if (read.kind is NodeKind.INDEX
+            and read.children[1].kind is NodeKind.STRING_LIT):
+        return read.children[1].attrs["value"]
+    return None
+
+
+def _tainted_sink_arg(sink_node: AstNode,
+                      tainted_vars: set[str]) -> AstNode | None:
+    if sink_node.kind in (NodeKind.ECHO, NodeKind.INCLUDE_STMT):
+        return sink_node.children[0]
+    if sink_node.kind is NodeKind.CALL:
+        for arg in sink_node.children:
+            for leaf in arg.walk():
+                if leaf.kind is NodeKind.SUPERGLOBAL:
+                    return arg
+                if (leaf.kind is NodeKind.VAR
+                        and leaf.attrs["name"] in tainted_vars):
+                    return arg
+        return sink_node.children[0] if sink_node.children else None
+    return None
+
+
+def _build_statement(path_stmts: list[AstNode],
+                     sink_arg: AstNode | None) -> AstNode | None:
+    if sink_arg is None:
+        return None
+    arg_vars = {n.attrs["name"] for n in sink_arg.walk()
+                if n.kind is NodeKind.VAR}
+    build = None
+    for stmt in path_stmts:
+        if (stmt.kind is NodeKind.ASSIGN
+                and stmt.children[0].kind is NodeKind.VAR
+                and stmt.children[0].attrs["name"] in arg_vars):
+            build = stmt
+    return build

@@ -1,10 +1,10 @@
-"""Splices filled templates into the vulnerable slice and re-prints it."""
+"""Applies guard plans to the vulnerable slice and re-prints it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..frontend.nodes import AstNode, NodeKind, STATEMENT_KINDS, copy_tree
+from ..frontend.nodes import AstNode, NodeKind, copy_tree
 from ..frontend.printer import print_source
 from ..source import Span
 from .constraints import ACCEPTED_SANITIZERS
@@ -130,7 +130,7 @@ class Rewriter:
             return mk_assign(target, value)
         if (plan.prepared and node.kind is NodeKind.CALL
                 and node.attrs["name"] == plan.prepared.replace_call_name
-                and self._stmt_of(nid) == plan.prepared.replace_call_stmt_id):
+                and self.ir.stmt_of(nid) == plan.prepared.replace_call_stmt_id):
             return mk_call("db_execute", [mk_var(plan.prepared.stmt_var)])
         if nid in plan.sink_head:
             inner = self._rebuild_children(node)
@@ -214,13 +214,3 @@ class Rewriter:
                       mk_call("db_prepare", [mk_str(prep.query_literal)])),
             *binds,
         ]
-
-    def _stmt_of(self, node_id: int) -> int:
-        parents = self.ir.parent_map()
-        node = self.ir.graph.nodes[node_id]
-        while node.kind not in STATEMENT_KINDS:
-            parent = parents.get(node.node_id)
-            if parent is None:
-                return node.node_id
-            node = parent
-        return node.node_id

@@ -1,116 +1,26 @@
-"""Parameterized micro-templates: safe skeletons a backend fills."""
+"""Micro-templates: one guard-plan maker per sink class."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-
-from ..errors import VulnMinerError
-from ..frontend import parse_text
-
-HOLE_KINDS = ("sanitizer", "variable", "literal", "expr")
-
-_DUMMIES = {"sanitizer": "basename", "variable": "$tmp", "literal": "'x'",
-            "expr": "$value"}
-
-
-@dataclass(frozen=True)
-class HoleSpec:
-    name: str
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in HOLE_KINDS:
-            raise VulnMinerError(f"unknown hole kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class MicroTemplate:
+    """Names the backend's plan maker for the sink classes it guards."""
+
     template_id: str
     sink_classes: tuple[str, ...]
-    skeleton: str
-    holes: tuple[HoleSpec, ...]
 
     def applicable(self, sink_class: str) -> bool:
         return sink_class in self.sink_classes
 
-    def fill_skeleton(self, values: dict[str, str]) -> str:
-        text = self.skeleton
-        for hole in self.holes:
-            if hole.name not in values:
-                raise VulnMinerError(
-                    f"template {self.template_id}: hole {hole.name} unfilled")
-            text = text.replace("%{" + hole.name + "}", values[hole.name])
-        if "%{" in text:
-            raise VulnMinerError(
-                f"template {self.template_id}: unresolved holes remain")
-        return text
-
-    def check_parses(self) -> None:
-        """Skeleton with dummy fills must be valid subset PHP."""
-        values = {h.name: _DUMMIES[h.kind] for h in self.holes}
-        parse_text(f"{self.template_id}.skeleton", "<?php\n" + self.fill_skeleton(values))
-
 
 def default_templates() -> list[MicroTemplate]:
     return [
-        MicroTemplate(
-            template_id="validation_wrapper",
-            sink_classes=("Command",),
-            skeleton=("%{variable} = %{sanitizer}(%{expr});\n"
-                      "$cmd = escapeshellcmd(%{expr});"),
-            holes=(HoleSpec("variable", "variable"),
-                   HoleSpec("sanitizer", "sanitizer"),
-                   HoleSpec("expr", "expr")),
-        ),
-        MicroTemplate(
-            template_id="prepared_statement",
-            sink_classes=("Sql",),
-            skeleton=("%{variable} = db_prepare(%{literal});\n"
-                      "db_bind(%{variable}, %{expr});\n"
-                      "$result = db_execute(%{variable});"),
-            holes=(HoleSpec("variable", "variable"),
-                   HoleSpec("literal", "literal"),
-                   HoleSpec("expr", "expr")),
-        ),
-        MicroTemplate(
-            template_id="output_escape",
-            sink_classes=("Output",),
-            skeleton="echo %{sanitizer}(%{expr});",
-            holes=(HoleSpec("sanitizer", "sanitizer"),
-                   HoleSpec("expr", "expr")),
-        ),
-        MicroTemplate(
-            template_id="include_guard",
-            sink_classes=("Include",),
-            skeleton="include %{literal} . %{sanitizer}(%{expr});",
-            holes=(HoleSpec("literal", "literal"),
-                   HoleSpec("sanitizer", "sanitizer"),
-                   HoleSpec("expr", "expr")),
-        ),
-        MicroTemplate(
-            template_id="redirect_guard",
-            sink_classes=("Redirect",),
-            skeleton="header(%{literal} . %{sanitizer}(%{expr}));",
-            holes=(HoleSpec("literal", "literal"),
-                   HoleSpec("sanitizer", "sanitizer"),
-                   HoleSpec("expr", "expr")),
-        ),
+        MicroTemplate("validation_wrapper", ("Command",)),
+        MicroTemplate("prepared_statement", ("Sql",)),
+        MicroTemplate("output_escape", ("Output",)),
+        MicroTemplate("include_guard", ("Include",)),
+        MicroTemplate("redirect_guard", ("Redirect",)),
     ]
-
-
-def load_templates(directory: str | Path) -> list[MicroTemplate]:
-    """Read additional templates from *.json files in a directory."""
-    out: list[MicroTemplate] = []
-    for path in sorted(Path(directory).glob("*.json")):
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        template = MicroTemplate(
-            template_id=obj["template_id"],
-            sink_classes=tuple(obj["sink_classes"]),
-            skeleton=obj["skeleton"],
-            holes=tuple(HoleSpec(h["name"], h["kind"]) for h in obj["holes"]),
-        )
-        template.check_parses()
-        out.append(template)
-    return out

@@ -74,10 +74,6 @@ class SourceUnit:
         el, ec = self.position(max(start, end - 1))
         return Span(sl, sc, el, ec)
 
-    @property
-    def line_count(self) -> int:
-        return len(self.line_offsets)
-
 
 def _index_lines(text: str) -> tuple[int, ...]:
     offsets = [0]

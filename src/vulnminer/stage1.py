@@ -11,8 +11,6 @@ from .errors import VulnMinerError
 from .linearize import embed_sequence
 from .nn import gru_forward
 
-DEFAULT_TAU1 = 0.2
-
 
 @dataclass(frozen=True)
 class StageOneScore:
@@ -31,7 +29,6 @@ class HypothesisSet:
     """Stage-one survivors, strongest first, plus the rejects for the log."""
 
     hypotheses: list[StageOneScore]
-    corpus: str = ""
     skip_log: list[StageOneScore] = field(default_factory=list)
     errors: list[tuple[str, str]] = field(default_factory=list)
 
@@ -51,8 +48,8 @@ def score_structural(analysis: FileAnalysis, bundle,
                          truncated=seq.truncated)
 
 
-def propose_hypotheses(units, bundle, tau1: float | None = None,
-                       corpus: str = "") -> HypothesisSet:
+def propose_hypotheses(units, bundle,
+                       tau1: float | None = None) -> HypothesisSet:
     """Score every parseable file; keep those above the low bar."""
     from .cascade import score_files  # the cascade builds on this module
 
@@ -66,8 +63,7 @@ def propose_hypotheses(units, bundle, tau1: float | None = None,
     for _, result in score_files(analyses, bundle, tau1, errors):
         (passed if result.passed else skipped).append(result)
     passed.sort(key=lambda h: (-h.score, h.file_id))
-    return HypothesisSet(hypotheses=passed, corpus=corpus,
-                         skip_log=skipped, errors=errors)
+    return HypothesisSet(hypotheses=passed, skip_log=skipped, errors=errors)
 
 
 def load_hypotheses(path: str | Path) -> list[StageOneScore]:

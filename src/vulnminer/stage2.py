@@ -38,7 +38,8 @@ def verify_semantic(analysis: FileAnalysis, bundle, beta: float | None = None,
     """
     beta = bundle.fusion.beta if beta is None else beta
     seq = analysis.semantic if normalized else linearize(
-        analysis.graph, canonical=False, flow_markers=False)
+        analysis.graph, canonical=False, flow_markers=False,
+        keep=analysis.keep)
     bias = build_risk_matrix(seq, analysis.lex, beta)
     emb = embed_sequence(seq, bundle.embedding, bundle.vocab)
     score, _, attn, _ = attention_forward(emb, bundle.stage2, bias)

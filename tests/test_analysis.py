@@ -15,7 +15,7 @@ from vulnminer.lexicon import DEFAULT_LEXICON
 from vulnminer.localize import DeterministicBackend, default_templates, localize
 from vulnminer.source import SourceUnit
 from vulnminer.stage1 import score_structural
-from vulnminer.stage2 import verify_semantic
+from vulnminer.stage2 import build_risk_matrix, verify_semantic
 
 # Default lexicon plus one extra source name. Sources only mark risky
 # attention columns (taint tracing takes sources from the tree), so this
@@ -42,7 +42,21 @@ def test_fields_are_computed_once(command_injection_unit, parse_count):
     assert analysis.structural is analysis.structural
     assert analysis.semantic is analysis.semantic
     assert analysis.findings is analysis.findings
+    assert analysis.parents is analysis.parents
     assert parse_count == [command_injection_unit.path]
+
+
+def test_lexicon_sink_reaches_both_sequences():
+    lex = dataclasses.replace(
+        DEFAULT_LEXICON, sinks={**DEFAULT_LEXICON.sinks, "run_job": "Command"})
+    unit = SourceUnit.from_text("t.php", '<?php run_job($_GET["c"]);')
+    analysis = FileAnalysis(unit, lex)
+    assert [f.sink_class for f in analysis.findings] == ["Command"]
+    assert "run_job" in analysis.structural.tokens
+    semantic = analysis.semantic.tokens
+    assert "run_job" in semantic
+    risk = build_risk_matrix(analysis.semantic, lex, beta=2.0)
+    assert semantic.index("run_job") in risk.risky_columns
 
 
 def test_run_pipeline_parses_each_file_once(bundle, corpus_units,

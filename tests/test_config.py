@@ -1,5 +1,10 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+import vulnminer
 from vulnminer.config import Config, load_config
 from vulnminer.errors import ConfigError
 
@@ -14,7 +19,6 @@ def test_file_values(tmp_path):
     path = tmp_path / "vulnminer.conf"
     path.write_text("""# project settings
 model = trained.json
-lambda = 0.35
 tau = 0.6
 max_iterations = 3
 backend = remote
@@ -22,7 +26,6 @@ endpoint = http://llm.internal:8080/analyze
 """)
     cfg = load_config(path)
     assert cfg.model == "trained.json"
-    assert cfg.lam == 0.35
     assert cfg.max_iterations == 3
     assert cfg.backend == "remote"
 
@@ -44,9 +47,23 @@ def test_cli_overrides_env(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "c.conf"
-    path.write_text("velocity = 9\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        load_config(path)
+    for line in ("velocity = 9\n", "lambda = 0.35\n"):
+        path.write_text(line)
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(path)
+
+
+def test_every_config_field_is_read():
+    """A key nothing reads is dead: each field is read as ``cfg.<field>``
+    in some module that imports the config."""
+    package = Path(vulnminer.__file__).parent
+    read: set[str] = set()
+    for path in package.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        if re.search(r"^from \.+config import", text, re.MULTILINE):
+            read.update(re.findall(r"\bcfg\.(\w+)", text))
+    unread = {f.name for f in fields(Config)} - read
+    assert not unread, f"config fields nothing reads: {sorted(unread)}"
 
 
 def test_malformed_line_rejected(tmp_path):

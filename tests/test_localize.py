@@ -73,8 +73,10 @@ def test_build_ir_no_finding(clean_unit):
 def test_refine_widens_then_saturates():
     ir = build_ir(FileAnalysis(SourceUnit.from_text("fn.php", FN_SQL)))
     assert ir.window_level == 0
+    narrow = ir.facts.window_ids
     widened = refine_context(ir, [{"kind": "x"}])
     assert widened.window_level == 1 and not widened.saturated
+    assert widened.facts.window_ids > narrow  # not the narrow IR's facts
     again = refine_context(widened, [{"kind": "y"}])
     assert again.saturated
     assert len(again.feedback) == 2
@@ -142,21 +144,26 @@ def test_template_library_covers_all_sink_classes():
     assert len(TEMPLATES) == 5
 
 
-def test_skeletons_parse_with_dummy_fills():
+# one small flagged file per sink class
+_SINK_CLASS_FILES = {
+    "Command": "<?php\nsystem('ls ' . $_GET['dir']);\n",
+    "Sql": ("<?php\n$id = $_GET['id'];\n"
+            "mysql_query(\"SELECT * FROM t WHERE id='\" . $id . \"'\");\n"),
+    "Output": "<?php\necho $_GET['name'];\n",
+    "Include": "<?php\ninclude $_GET['page'];\n",
+    "Redirect": "<?php\nheader('Location: ' . $_GET['next']);\n",
+}
+
+
+def test_every_default_template_yields_a_plan():
     for template in TEMPLATES:
-        template.check_parses()
-
-
-def test_template_dir_loading(tmp_path):
-    from vulnminer.localize import load_templates
-
-    doc = {"template_id": "extra_guard", "sink_classes": ["Output"],
-           "skeleton": "echo %{sanitizer}(%{expr});",
-           "holes": [{"name": "sanitizer", "kind": "sanitizer"},
-                     {"name": "expr", "kind": "expr"}]}
-    (tmp_path / "extra.json").write_text(json.dumps(doc))
-    loaded = load_templates(tmp_path)
-    assert [t.template_id for t in loaded] == ["extra_guard"]
+        (sink_class,) = template.sink_classes
+        unit = SourceUnit.from_text(f"{template.template_id}.php",
+                                    _SINK_CLASS_FILES[sink_class])
+        ir = build_ir(FileAnalysis(unit))
+        assert ir.finding.sink_class == sink_class
+        plans = BACKEND.fill(template, ir, extract_constraints(ir))
+        assert plans, template.template_id
 
 
 # -- generation --------------------------------------------------------------------
@@ -446,3 +453,14 @@ def test_remote_backend_unreachable_falls_back(bundle, command_injection_unit):
     report = localize(command_injection_unit, bundle, TEMPLATES, backend)
     assert report.succeeded
     assert backend.name == "deterministic-fallback"
+
+
+def test_remote_backend_name_recovers_with_the_endpoint(
+        bundle, command_injection_unit, http_server):
+    _Handler.mode = "ok"
+    backend = RemoteBackend(endpoint="http://127.0.0.1:9", timeout=0.5)
+    first = localize(command_injection_unit, bundle, TEMPLATES, backend)
+    backend.endpoint = http_server
+    second = localize(command_injection_unit, bundle, TEMPLATES, backend)
+    assert first.to_dict()["artifact"]["backend"] == "deterministic-fallback"
+    assert second.to_dict()["artifact"]["backend"] == "remote"
