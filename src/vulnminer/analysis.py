@@ -4,21 +4,23 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .flows import augment_flows, taint_trace
-from .frontend import normalize, parse
+from .flows import augment_flows, file_is_vulnerable, file_vuln_types, taint_trace
+from .frontend import parse
 from .lexicon import BUILTIN_FUNCTIONS, DEFAULT_LEXICON, TaintLexicon
 from .linearize import linearize
 from .source import SourceUnit
 
 
 class FileAnalysis:
-    """Parse, flow graph, sequences and taint findings of one file.
+    """Parse tree, flow graph, both stage sequences and taint findings.
 
     Each field is computed on first use and kept, so stage one, stage two,
-    the advisory finding and localization share a single parse. A parse
-    failure is not kept: each field that needs the tree raises the
-    ``ParseError`` again. Function names in ``keep`` (built-ins and every
-    name of the lexicon) survive renaming in both stage sequences.
+    the advisory finding and localization share one parse and one flow
+    graph. Both sequences linearize that graph, which renames variables
+    and user functions canonically: that is stage two's normalization.
+    A parse failure is not kept: each field that needs the tree raises
+    the ``ParseError`` again. Function names in ``keep`` (built-ins and
+    every name of the lexicon) are never renamed.
     """
 
     def __init__(self, unit: SourceUnit, lex: TaintLexicon | None = None):
@@ -50,19 +52,15 @@ class FileAnalysis:
         return linearize(self.graph, flow_markers=True, keep=self.keep)
 
     @cached_property
-    def normalized(self):
-        return normalize(self.ast, keep=self.keep)
-
-    @cached_property
-    def normalized_graph(self):
-        return augment_flows(self.normalized)
-
-    @cached_property
     def semantic(self):
-        """Stage-two input: the normalized graph without flow markers."""
-        return linearize(self.normalized_graph, flow_markers=False,
-                         keep=self.keep)
+        """Stage-two input: the same graph linearized without flow markers."""
+        return linearize(self.graph, flow_markers=False, keep=self.keep)
 
     @cached_property
     def findings(self):
         return taint_trace(self.graph, self.lex)
+
+    @property
+    def oracle_label(self) -> tuple[bool, tuple[str, ...]]:
+        """Whether the taint oracle finds an unsanitized flow, and its types."""
+        return file_is_vulnerable(self.findings), file_vuln_types(self.findings)

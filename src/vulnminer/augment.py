@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import FileAnalysis
 from .errors import VulnMinerError
-from .flows import augment_flows, file_is_vulnerable, file_vuln_types, taint_trace
-from .frontend import normalize, parse_text, print_source
+from .frontend import print_source
 from .frontend.nodes import AstNode, NodeKind, copy_tree
-from .lexicon import DEFAULT_LEXICON, RESERVED_FUNCTION_NAMES
-from .linearize import linearize
+from .lexicon import RESERVED_FUNCTION_NAMES
+from .source import SourceUnit
 
 OP_KINDS = ("Rename", "LoopToRecursion", "SyntaxTransform")
 
@@ -51,11 +51,13 @@ class AugmentedSample:
 # Individual operators
 # ---------------------------------------------------------------------------
 
-def rename_variables(ast: AstNode, seed: int) -> AstNode:
-    """Consistent one-to-one renaming of user variables and functions."""
-    rng = np.random.default_rng(seed)
-    reserved = RESERVED_FUNCTION_NAMES
+def rename_variables(ast: AstNode, seed: int,
+                     keep: frozenset[str] = RESERVED_FUNCTION_NAMES) -> AstNode:
+    """Consistent one-to-one renaming of user variables and functions.
 
+    Function names in ``keep`` (built-ins and lexicon names) are not renamed.
+    """
+    rng = np.random.default_rng(seed)
     var_names: list[str] = []
     fn_names: list[str] = []
     for node in ast.walk():
@@ -63,10 +65,10 @@ def rename_variables(ast: AstNode, seed: int) -> AstNode:
             var_names.append(node.attrs["name"])
         elif node.kind in (NodeKind.FUNCTION_DECL, NodeKind.CALL):
             name = node.attrs["name"]
-            if name not in reserved and name not in fn_names:
+            if name not in keep and name not in fn_names:
                 fn_names.append(name)
 
-    taken = set(var_names) | set(fn_names) | set(reserved)
+    taken = set(var_names) | set(fn_names) | set(keep)
 
     def variant(name: str) -> str:
         choices = [
@@ -378,16 +380,6 @@ def _rebuild_bodies(ast: AstNode, rebuild_body) -> AstNode:
 # Corpus-level driver
 # ---------------------------------------------------------------------------
 
-def _oracle_signature(text: str, path: str, lex) -> tuple:
-    findings = taint_trace(augment_flows(parse_text(path, text)), lex)
-    return file_is_vulnerable(findings), file_vuln_types(findings)
-
-
-def _normalized_stream(text: str, path: str) -> tuple[str, ...]:
-    ast = normalize(parse_text(path, text))
-    return tuple(linearize(augment_flows(ast), flow_markers=False).tokens)
-
-
 _OP_PLANS = (
     ("SyntaxTransform",),
     ("Rename", "SyntaxTransform"),
@@ -399,15 +391,20 @@ _OP_PLANS = (
 
 def augment_sample(text: str, path: str, plan: tuple[str, ...], seed: int,
                    lex=None) -> tuple[str, list[str]] | None:
-    """Apply an op plan; None when nothing structural applied or a gate failed."""
-    lex = lex or DEFAULT_LEXICON
-    ast = parse_text(path, text)
+    """Apply an op plan; None when nothing structural applied or a gate failed.
+
+    The origin and the result are each analyzed once: the label gate
+    compares their taint-oracle labels, the novelty gate their stage-two
+    sequences. Every op copies the tree before it writes.
+    """
+    origin = FileAnalysis(SourceUnit.from_text(path, text), lex)
+    ast = origin.ast
     applied_ops: list[str] = []
     structural = False
     for i, op in enumerate(plan):
         op_seed = seed + 7919 * i
         if op == "Rename":
-            ast = rename_variables(ast, op_seed)
+            ast = rename_variables(ast, op_seed, keep=origin.keep)
             applied_ops.append("Rename")
         elif op == "LoopToRecursion":
             ast, ok = loop_to_recursion(ast, op_seed)
@@ -422,9 +419,10 @@ def augment_sample(text: str, path: str, plan: tuple[str, ...], seed: int,
     if not structural:
         return None
     new_text = print_source(ast)
-    if _oracle_signature(new_text, path, lex) != _oracle_signature(text, path, lex):
+    result = FileAnalysis(SourceUnit.from_text(path, new_text), origin.lex)
+    if result.oracle_label != origin.oracle_label:
         return None
-    if _normalized_stream(new_text, path) == _normalized_stream(text, path):
+    if result.semantic.tokens == origin.semantic.tokens:
         return None
     return new_text, applied_ops
 
@@ -438,7 +436,6 @@ def augment_corpus(entries, target_ratio: float, seed: int,
     """
     if not 0.0 < target_ratio < 1.0:
         raise VulnMinerError("target ratio must be inside (0, 1)")
-    lex = lex or DEFAULT_LEXICON
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

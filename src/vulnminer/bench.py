@@ -12,7 +12,7 @@ from .corpus import CorpusManifest
 from .detector import _bucket_rare_symbols, _stage_samples, load_units
 from .errors import VulnMinerError
 from .frontend.lexer import tokenize
-from .linearize import EmbeddingTable, Vocabulary, linearize
+from .linearize import EmbeddingTable, Vocabulary
 from .metrics import MetricsReport, compute_metrics, confusion_from_pairs
 from .nn import gru_forward
 from .source import SourceUnit
@@ -98,11 +98,6 @@ def _full_stream(analysis: FileAnalysis) -> list[str]:
     return analysis.structural.tokens
 
 
-def _no_marker_stream(analysis: FileAnalysis) -> list[str]:
-    return linearize(analysis.graph, flow_markers=False,
-                     keep=analysis.keep).tokens
-
-
 def _raw_stream(analysis: FileAnalysis) -> list[str]:
     return raw_token_stream(analysis.unit)
 
@@ -156,7 +151,8 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
             rows.append(_cascade_row(ablation, units, labels, bundle, cfg=cfg))
         elif ablation == "no-flow-edges":
             rows.append(retrained("stage1-full", _full_stream))
-            rows.append(retrained("stage1-no-flow-edges", _no_marker_stream))
+            rows.append(retrained("stage1-no-flow-edges",
+                                  lambda analysis: analysis.semantic.tokens))
         elif ablation == "raw-code":
             rows.append(retrained("stage1-full", _full_stream))
             rows.append(retrained("stage1-raw-code", _raw_stream))

@@ -37,6 +37,18 @@ def _collect_php_files(paths: list[str]) -> list[Path]:
     return sorted(set(out))
 
 
+def _read_units(paths: list[str]):
+    """(units, errors); a non-UTF-8 file is a (path, message) error record."""
+    units: list[SourceUnit] = []
+    errors: list[tuple[str, str]] = []
+    for path in _collect_php_files(paths):
+        try:
+            units.append(SourceUnit.from_file(path))
+        except UnicodeDecodeError as exc:
+            errors.append((str(path), f"not valid UTF-8: {exc}"))
+    return units, errors
+
+
 def _load_cfg(args) -> Config:
     overrides = {}
     for key in ("seed", "backend", "endpoint", "timeout", "alpha",
@@ -77,9 +89,9 @@ def cmd_scan(args) -> int:
     cfg = _load_cfg(args)
     bundle = load_model(cfg.model)
     lex = _lexicon(cfg)
-    files = _collect_php_files(args.paths)
-    units = [SourceUnit.from_file(p) for p in files]
+    units, unread = _read_units(args.paths)
     verdicts, errors = run_pipeline(units, bundle, lex=lex)
+    errors = unread + errors
 
     if args.format == "sarif":
         _emit(json.dumps(verdicts_to_sarif(verdicts), indent=2,
@@ -97,8 +109,7 @@ def cmd_localize(args) -> int:
     templates = default_templates()
     backend = make_backend(cfg.backend, endpoint=cfg.endpoint,
                            token=cfg.endpoint_token, timeout=cfg.timeout)
-    files = _collect_php_files(args.paths)
-    units = [SourceUnit.from_file(p) for p in files]
+    units, _ = _read_units(args.paths)
     verdicts, _ = run_pipeline(units, bundle, lex=lex)
     unit_of = {u.path: u for u in units}
 
@@ -195,13 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_required=True):
+    def common(p):
         p.add_argument("--model", help="model file path")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--lexicon", default=None,
                        help="taint lexicon file (kind,name,class lines)")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        del model_required
 
     scan = sub.add_parser("scan", help="run the detection cascade")
     scan.add_argument("paths", nargs="+")

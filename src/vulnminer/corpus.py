@@ -9,10 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import FileAnalysis
 from .errors import VulnMinerError
-from .flows import augment_flows, file_is_vulnerable, file_vuln_types, taint_trace
-from .frontend import parse_text
-from .lexicon import DEFAULT_LEXICON
+from .source import SourceUnit
 
 SPLITS = ("train", "val", "test")
 
@@ -287,11 +286,6 @@ def _render(rng: np.random.Generator, body: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _oracle_check(path: str, text: str):
-    findings = taint_trace(augment_flows(parse_text(path, text)), DEFAULT_LEXICON)
-    return file_is_vulnerable(findings), file_vuln_types(findings)
-
-
 def generate_synthetic_corpus(out_dir: str | Path, seed: int, size: int = 200,
                               positive_ratio: float = 0.3,
                               type_mix: dict[str, float] | None = None,
@@ -332,7 +326,8 @@ def generate_synthetic_corpus(out_dir: str | Path, seed: int, size: int = 200,
                 body = _GENERATORS[vuln_type](rng, vuln)
             text = _render(rng, body)
             name = f"{'pos' if vuln else 'neg'}_{vuln_type.lower()}_{idx:04d}.php"
-            oracle_vuln, oracle_types = _oracle_check(name, text)
+            unit = SourceUnit.from_text(name, text)
+            oracle_vuln, oracle_types = FileAnalysis(unit).oracle_label
             if oracle_vuln == vuln:
                 break
         else:

@@ -20,8 +20,6 @@ SYNTAX_CHILD = "SyntaxChild"
 CONTROL_FLOW = "ControlFlow"
 DATA_FLOW = "DataFlow"
 
-VULN_TYPES = ("Injection", "XSS", "URF", "FileInclusion", "SDE", "SM", "IDOR")
-
 _ALL_CLASSES = frozenset(SINK_CLASSES)
 _MAX_CALL_DEPTH = 3
 

@@ -83,9 +83,6 @@ class AstNode:
     span: Span | None = None
     node_id: int = field(default_factory=_next_id)
 
-    def attr(self, key: str, default=None):
-        return self.attrs.get(key, default)
-
     def walk(self) -> Iterator["AstNode"]:
         """Pre-order depth-first traversal."""
         stack = [self]

@@ -1,4 +1,8 @@
-"""Identifier canonicalization used before semantic scoring."""
+"""Identifier canonicalization as a printable tree, off the scan path.
+
+``linearize`` applies the same naming policy to the file's one flow
+graph; tests use ``normalize`` as the reference for the stage-two sequence.
+"""
 
 from __future__ import annotations
 

@@ -329,8 +329,10 @@ class RemoteBackend:
         request = urllib.request.Request(
             self.endpoint, data=json.dumps(payload).encode("utf-8"),
             headers=headers, method="POST")
-        # the name is set on every call: candidates read it after each fill
+        # both are set on every call: candidates read the name after each
+        # fill, and a refused or fallen-back call has no analysis
         self.name = "remote"
+        self.last_analysis = None
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 raw = response.read()

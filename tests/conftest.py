@@ -64,6 +64,22 @@ def fixture_unit(name: str) -> SourceUnit:
 
 
 @pytest.fixture
+def parse_count(monkeypatch):
+    """Paths of the texts parsed while the test runs, one per parse."""
+    from vulnminer.frontend import parser
+
+    calls = []
+    program = parser._Parser.program
+
+    def counting(self):
+        calls.append(self.unit.path)
+        return program(self)
+
+    monkeypatch.setattr(parser._Parser, "program", counting)
+    return calls
+
+
+@pytest.fixture
 def command_injection_unit():
     return fixture_unit("command_injection.php")
 

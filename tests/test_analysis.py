@@ -4,14 +4,17 @@ import dataclasses
 
 import pytest
 
+import vulnminer.analysis as analysis_mod
 import vulnminer.cascade as cascade_mod
 import vulnminer.localize.engine as engine_mod
 from vulnminer.analysis import FileAnalysis
 from vulnminer.cascade import fuse_scores, run_pipeline
 from vulnminer.corpus import CorpusManifest, generate_synthetic_corpus
 from vulnminer.detector import train_bundle
-from vulnminer.frontend import parser
+from vulnminer.flows import augment_flows
+from vulnminer.frontend import normalize
 from vulnminer.lexicon import DEFAULT_LEXICON
+from vulnminer.linearize import linearize
 from vulnminer.localize import DeterministicBackend, default_templates, localize
 from vulnminer.source import SourceUnit
 from vulnminer.stage1 import score_structural
@@ -23,18 +26,21 @@ from vulnminer.stage2 import build_risk_matrix, verify_semantic
 CUSTOM_LEXICON = dataclasses.replace(
     DEFAULT_LEXICON, sources=DEFAULT_LEXICON.sources | {"escapeshellcmd"})
 
+# Default lexicon plus the sink run_job, a name no default set knows.
+RUN_JOB_LEXICON = dataclasses.replace(
+    DEFAULT_LEXICON, sinks={**DEFAULT_LEXICON.sinks, "run_job": "Command"})
+
 
 @pytest.fixture
-def parse_count(monkeypatch):
-    calls = []
-    program = parser._Parser.program
+def graph_count(monkeypatch):
+    roots = []
 
-    def counting(self):
-        calls.append(self.unit.path)
-        return program(self)
+    def counting(root):
+        roots.append(root)
+        return augment_flows(root)
 
-    monkeypatch.setattr(parser._Parser, "program", counting)
-    return calls
+    monkeypatch.setattr(analysis_mod, "augment_flows", counting)
+    return roots
 
 
 def test_fields_are_computed_once(command_injection_unit, parse_count):
@@ -47,8 +53,7 @@ def test_fields_are_computed_once(command_injection_unit, parse_count):
 
 
 def test_lexicon_sink_reaches_both_sequences():
-    lex = dataclasses.replace(
-        DEFAULT_LEXICON, sinks={**DEFAULT_LEXICON.sinks, "run_job": "Command"})
+    lex = RUN_JOB_LEXICON
     unit = SourceUnit.from_text("t.php", '<?php run_job($_GET["c"]);')
     analysis = FileAnalysis(unit, lex)
     assert [f.sink_class for f in analysis.findings] == ["Command"]
@@ -59,19 +64,41 @@ def test_lexicon_sink_reaches_both_sequences():
     assert semantic.index("run_job") in risk.risky_columns
 
 
+def _normalized_reference(analysis: FileAnalysis) -> list[str]:
+    """Stage-two tokens the long way: rename the tree, then a second graph."""
+    tree = normalize(analysis.ast, keep=analysis.keep)
+    return linearize(augment_flows(tree), flow_markers=False,
+                     keep=analysis.keep).tokens
+
+
+def test_semantic_sequence_matches_the_normalized_tree(corpus_units):
+    units = [(u, DEFAULT_LEXICON) for u in corpus_units]
+    units.append((SourceUnit.from_text(
+        "t.php", '<?php function helper($x){return $x;} $pwd = $_GET["c"]; '
+        '$d = "a" . $pwd; run_job(helper($d));'), RUN_JOB_LEXICON))
+    for unit, lex in units:
+        analysis = FileAnalysis(unit, lex)
+        assert analysis.semantic.tokens == _normalized_reference(analysis), \
+            unit.path
+    assert "run_job" in analysis.semantic.tokens
+    assert "$sec1" in analysis.semantic.tokens
+
+
 def test_run_pipeline_parses_each_file_once(bundle, corpus_units,
                                             command_injection_unit,
-                                            parse_count):
+                                            parse_count, graph_count):
     units = corpus_units[:40] + [command_injection_unit]
     verdicts, errors = run_pipeline(units, bundle)
     assert any(v.score2 is not None for v in verdicts)
     assert any(v.vulnerable for v in verdicts)
     assert not errors
     assert sorted(parse_count) == sorted(u.path for u in units)
+    assert len(graph_count) == len(parse_count)
 
 
 def test_localize_parses_original_once_and_each_candidate_once(
-        bundle, command_injection_unit, parse_count, monkeypatch):
+        bundle, command_injection_unit, parse_count, graph_count,
+        monkeypatch):
     generated = []
     generate = engine_mod.generate_candidates
 
@@ -87,6 +114,7 @@ def test_localize_parses_original_once_and_each_candidate_once(
     assert generated
     assert len(parse_count) <= 1 + len(generated)
     assert parse_count.count(command_injection_unit.path) == 1
+    assert len(graph_count) == len(parse_count)
 
 
 def test_candidates_scored_with_the_localization_lexicon(

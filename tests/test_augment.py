@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from vulnminer.augment import (
@@ -13,6 +15,7 @@ from vulnminer.errors import VulnMinerError
 from vulnminer.flows import augment_flows, file_vuln_types, taint_trace
 from vulnminer.frontend import normalize, parse_text, print_source
 from vulnminer.frontend.nodes import NodeKind
+from vulnminer.lexicon import DEFAULT_LEXICON
 from vulnminer.linearize import linearize
 
 
@@ -159,6 +162,28 @@ class TestAugmentSample:
         norm_new = tuple(linearize(augment_flows(
             normalize(parse_text("t.php", text))), flow_markers=False).tokens)
         assert norm_src != norm_new
+
+    def test_parses_origin_and_result_once(self, parse_count):
+        src = "<?php $x = $_GET['q'];\necho $x;\n"
+        for seed in range(3):
+            parse_count.clear()
+            assert augment_sample(src, "t.php", ("Rename", "SyntaxTransform"),
+                                  seed) is not None
+            assert parse_count == ["t.php", "t.php"]
+
+    def test_lexicon_sink_survives_rename(self):
+        lex = dataclasses.replace(
+            DEFAULT_LEXICON,
+            sinks={**DEFAULT_LEXICON.sinks, "run_job": "Command"})
+        src = ('<?php function helper($x){return $x;} $c = $_GET["c"]; '
+               '$d = "a" . $c; run_job(helper($d));')
+        for seed in range(10):
+            result = augment_sample(src, "t.php", ("Rename", "SyntaxTransform"),
+                                    seed, lex=lex)
+            assert result is not None, seed
+            text, ops = result
+            assert "run_job(" in text and "run_job(helper(" not in text
+            assert ops[0] == "Rename"
 
     def test_rename_alone_is_rejected(self):
         # renaming cannot change the normalized stream, so no plan without

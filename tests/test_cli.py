@@ -59,6 +59,35 @@ def test_scan_missing_path_exits_two(model_path, capsys):
     assert code == 2
 
 
+def test_scan_non_utf8_file_is_an_error_record(model_path, tmp_path,
+                                               capsys):
+    (tmp_path / "bad.php").write_bytes('<?php echo "café";'.encode("latin-1"))
+    good = (FIXTURES / "command_injection.php").read_text()
+    (tmp_path / "good.php").write_text(good)
+    code, out, _ = run(capsys, "scan", "--model", model_path, str(tmp_path))
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    verdicts = [r for r in records if "error" not in r]
+    errors = [r for r in records if "error" in r]
+    assert [r["path"] for r in verdicts] == [str(tmp_path / "good.php")]
+    assert verdicts[0]["vulnerable"] is True
+    assert [r["path"] for r in errors] == [str(tmp_path / "bad.php")]
+    assert "UTF-8" in errors[0]["error"]
+
+
+def test_localize_skips_non_utf8_file(model_path, tmp_path, capsys):
+    (tmp_path / "bad.php").write_bytes(b"<?php echo '\xff';")
+    (tmp_path / "good.php").write_text(
+        (FIXTURES / "command_injection.php").read_text())
+    code, out, _ = run(capsys, "localize", "--model", model_path,
+                       str(tmp_path))
+    assert code == 1
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["artifact"]["path"] for r in reports] \
+        == [str(tmp_path / "good.php")]
+    assert reports[0]["artifact"]["status"] == "ok"
+
+
 def test_localize_reports_schema(model_path, capsys):
     code, out, _ = run(capsys, "localize", "--model", model_path,
                        str(FIXTURES / "command_injection.php"))

@@ -448,6 +448,20 @@ def test_remote_backend_malformed_counts_as_refusal(
     assert backend.fill(template, ir, constraints) == []
 
 
+def test_remote_backend_clears_last_analysis_on_refusal(
+        bundle, command_injection_unit, http_server):
+    backend = RemoteBackend(endpoint=http_server)
+    ir = build_ir(FileAnalysis(command_injection_unit))
+    constraints = extract_constraints(ir)
+    template = next(t for t in TEMPLATES if t.applicable("Command"))
+    _Handler.mode = "ok"
+    assert backend.fill(template, ir, constraints)
+    assert backend.last_analysis["vulnerability type"] == "command injection"
+    _Handler.mode = "malformed"
+    assert backend.fill(template, ir, constraints) == []
+    assert backend.last_analysis is None
+
+
 def test_remote_backend_unreachable_falls_back(bundle, command_injection_unit):
     backend = RemoteBackend(endpoint="http://127.0.0.1:9", timeout=0.5)
     report = localize(command_injection_unit, bundle, TEMPLATES, backend)
