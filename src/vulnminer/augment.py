@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,17 +19,6 @@ from .source import SourceUnit
 OP_KINDS = ("Rename", "LoopToRecursion", "SyntaxTransform")
 
 _NAME_SUFFIXES = ("alt", "val", "tmp", "inp", "raw", "buf")
-
-
-@dataclass(frozen=True)
-class AugmentationOp:
-    kind: str
-    seed: int
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in OP_KINDS:
-            raise VulnMinerError(f"unknown augmentation op {self.kind!r}")
 
 
 @dataclass
@@ -395,8 +384,12 @@ def augment_sample(text: str, path: str, plan: tuple[str, ...], seed: int,
 
     The origin and the result are each analyzed once: the label gate
     compares their taint-oracle labels, the novelty gate their stage-two
-    sequences. Every op copies the tree before it writes.
+    sequences. Every op copies the tree before it writes. An op name not
+    in ``OP_KINDS`` raises ``VulnMinerError``.
     """
+    for op in plan:
+        if op not in OP_KINDS:
+            raise VulnMinerError(f"unknown augmentation op {op!r}")
     origin = FileAnalysis(SourceUnit.from_text(path, text), lex)
     ast = origin.ast
     applied_ops: list[str] = []

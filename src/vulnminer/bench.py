@@ -14,7 +14,7 @@ from .errors import VulnMinerError
 from .frontend.lexer import tokenize
 from .linearize import EmbeddingTable, Vocabulary
 from .metrics import MetricsReport, compute_metrics, confusion_from_pairs
-from .nn import gru_forward
+from .nn import gru_scores
 from .source import SourceUnit
 from .stage2 import verify_semantic
 from .training import Sample, train_structural
@@ -89,7 +89,7 @@ def _stage1_retrained_row(variant: str, train, analyses, labels, bundle,
     pairs = []
     for analysis in analyses:
         emb = table.matrix[vocab.ids(stream_fn(analysis))]
-        score, _, _ = gru_forward(emb, params)
+        score = gru_scores([emb], params)[0]
         pairs.append((labels[analysis.path], int(score > 0.5)))
     return BenchRow(variant, compute_metrics(confusion_from_pairs(pairs)))
 
@@ -114,7 +114,7 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
     train: list[tuple[FileAnalysis, int]] = []
 
     rows = [_cascade_row("full", units, labels, bundle)]
-    stage2_ref_added = False
+    stage2_ref_added = stage1_ref_added = False
 
     def add_stage2_reference():
         nonlocal stage2_ref_added
@@ -128,6 +128,12 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
                          in load_units(manifest.split("train")))
         return _stage1_retrained_row(variant, train, analyses, labels,
                                      bundle, stream_fn)
+
+    def add_stage1_reference():
+        nonlocal stage1_ref_added
+        if not stage1_ref_added:
+            rows.append(retrained("stage1-full", _full_stream))
+            stage1_ref_added = True
 
     for ablation in ablations:
         if ablation == "no-bias":
@@ -150,11 +156,11 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
             cfg = replace(bundle.fusion, lam=1.0)
             rows.append(_cascade_row(ablation, units, labels, bundle, cfg=cfg))
         elif ablation == "no-flow-edges":
-            rows.append(retrained("stage1-full", _full_stream))
+            add_stage1_reference()
             rows.append(retrained("stage1-no-flow-edges",
                                   lambda analysis: analysis.semantic.tokens))
         elif ablation == "raw-code":
-            rows.append(retrained("stage1-full", _full_stream))
+            add_stage1_reference()
             rows.append(retrained("stage1-raw-code", _raw_stream))
         else:
             raise VulnMinerError(f"unknown ablation {ablation!r}")

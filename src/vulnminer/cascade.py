@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .analysis import FileAnalysis
 from .errors import ParseError, TrainingError, VulnMinerError
 from .flows import classify_vuln_type
 from .lexicon import TaintLexicon
+from .linearize import embed_sequence
 from .metrics import compute_metrics, confusion_from_pairs
 from .model_store import FusionSettings
-from .stage1 import score_structural
+from .nn import gru_scores
+from .stage1 import stage_one_score
 from .stage2 import verify_semantic
 
 
@@ -19,6 +22,10 @@ from .stage2 import verify_semantic
 FusionConfig = FusionSettings
 
 _LAMBDA_STEP = 0.05
+
+# Files scored by one GRU call: larger chunks score faster but keep more
+# analyses (trees, graphs, sequences) alive at once.
+SCORE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -62,18 +69,28 @@ def _advisory_finding(analysis: FileAnalysis):
 
 
 def score_files(analyses, bundle, tau1: float, errors: list):
-    """Yield (analysis, stage-one score) for each file that parses.
+    """Yield (analysis, stage-one score) for each file that parses, in order.
 
-    The one scoring loop of scan, calibration and hypothesis proposal; a
-    file that does not parse is appended to ``errors`` as (path, message).
+    The one scoring loop of scan, calibration and hypothesis proposal.
+    Analyses are taken ``SCORE_CHUNK`` at a time and each chunk is scored
+    by one ``gru_scores`` call. A file that does not parse, or nests too
+    deep for the parser, is appended to ``errors`` as (path, message).
     """
-    for analysis in analyses:
-        try:
-            one = score_structural(analysis, bundle, tau1=tau1)
-        except ParseError as exc:
-            errors.append((analysis.path, str(exc)))
-            continue
-        yield analysis, one
+    analyses = iter(analyses)
+    while chunk := list(islice(analyses, SCORE_CHUNK)):
+        parsed, embs = [], []
+        for analysis in chunk:
+            try:
+                seq = analysis.structural
+            except ParseError as exc:
+                errors.append((analysis.path, str(exc)))
+            except RecursionError:
+                errors.append((analysis.path, "nesting too deep"))
+            else:
+                parsed.append(analysis)
+                embs.append(embed_sequence(seq, bundle.embedding, bundle.vocab))
+        for analysis, score in zip(parsed, gru_scores(embs, bundle.stage1)):
+            yield analysis, stage_one_score(analysis, score, tau1)
 
 
 def run_pipeline(units, bundle, cfg: FusionSettings | None = None,
@@ -82,7 +99,8 @@ def run_pipeline(units, bundle, cfg: FusionSettings | None = None,
 
     Returns (verdicts, errors); every parseable file gets a verdict and
     per-file parse failures are collected rather than raised. Units are
-    taken one at a time, and each file's analysis is dropped with it.
+    taken in chunks of 16 (``SCORE_CHUNK``), and each chunk's analyses are
+    dropped with it.
     ``cfg`` defaults to the model's own fusion settings.
     """
     fusion = cfg or bundle.fusion
@@ -126,7 +144,16 @@ def calibrate_lambda(labeled, bundle, tau: float | None = None,
     for analysis, one in score_files(label_of, bundle, tau1, []):
         two = verify_semantic(analysis, bundle).score if one.passed else None
         scored.append((label_of[analysis], one.score, two))
+    return search_lambda(scored, tau)
 
+
+def search_lambda(scored, tau: float) -> tuple[float, float]:
+    """(lambda, F1) of the grid point with the best F1 over ``scored``.
+
+    ``scored`` holds (label, s1, s2) triples, s2 None for a stage-one
+    reject, which is a negative at every lambda; ties keep the smaller
+    lambda.
+    """
     steps = int(round(1.0 / _LAMBDA_STEP))
     best_lam, best_f1 = 0.0, -1.0
     for k in range(steps + 1):

@@ -109,8 +109,8 @@ def cmd_localize(args) -> int:
     templates = default_templates()
     backend = make_backend(cfg.backend, endpoint=cfg.endpoint,
                            token=cfg.endpoint_token, timeout=cfg.timeout)
-    units, _ = _read_units(args.paths)
-    verdicts, _ = run_pipeline(units, bundle, lex=lex)
+    units, unread = _read_units(args.paths)
+    verdicts, errors = run_pipeline(units, bundle, lex=lex)
     unit_of = {u.path: u for u in units}
 
     reports = []
@@ -121,7 +121,9 @@ def cmd_localize(args) -> int:
             unit_of[verdict.file_id], bundle, templates, backend,
             alpha=cfg.alpha, max_iterations=cfg.max_iterations, lex=lex,
             hook=cfg.verify_hook or None))
-    write_jsonl([r.to_dict() for r in reports], args.out)
+    write_jsonl([r.to_dict() for r in reports]
+                + [{"path": p, "error": e} for p, e in unread + errors],
+                args.out)
     return EXIT_FINDINGS if reports else EXIT_CLEAN
 
 

@@ -86,7 +86,8 @@ def gru_forward(seq: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
     """Run the recurrence; returns (score, hidden_states, cache).
 
     Gates: z update, r reset, candidate h~; blend h' = (1-z)*h + z*h~,
-    sigmoid readout on the final hidden state.
+    sigmoid readout on the final hidden state. Training reads the cache;
+    inference uses ``gru_scores``, which this is the reference for.
     """
     n = seq.shape[0]
     if n and seq.shape[1] != p.dim:
@@ -109,6 +110,50 @@ def gru_forward(seq: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
     cache = {"steps": steps, "h_last": h, "score": score, "p": p, "n": n,
              "d": seq.shape[1] if n else p.dim}
     return score, np.array(states) if states else np.zeros((0, p.hidden)), cache
+
+
+def gru_scores(seqs, p: GruParams) -> np.ndarray:
+    """Scores of a batch of embedded sequences, one per input, in order.
+
+    The recurrence of ``gru_forward`` from a zero state, run as one masked
+    batch. Rows are sorted longest first, so step t updates only the
+    ``alive[t]`` rows still inside their sequence. The inputs of all steps
+    are projected once through ``[wz|wr|wh]`` with the biases folded in.
+    Every product is an ``np.einsum``: its per-row sums do not depend on
+    how many rows there are (BLAS ``@`` does), so a sequence scores the
+    same alone and in any batch. A NaN state stays NaN through the blend,
+    so finiteness is checked once, after the last step.
+    """
+    for seq in seqs:
+        if seq.shape[0] and seq.shape[1] != p.dim:
+            raise ConfigError(
+                f"sequence width {seq.shape[1]} != model width {p.dim}")
+    hid = p.hidden
+    lengths = np.array([seq.shape[0] for seq in seqs], dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    steps = int(lengths.max()) if len(seqs) else 0
+    alive = (lengths[:, None] > np.arange(steps)).sum(axis=0).tolist()
+    w_in = np.concatenate([p.wz, p.wr, p.wh], axis=1)
+    b_in = np.concatenate([p.bz, p.br, p.bh])
+    u_zr = np.concatenate([p.uz, p.ur], axis=1)
+    # time-major projections: proj[t, i] is sorted row i's input at step t
+    proj = np.zeros((steps, len(seqs), 3 * hid))
+    for i, k in enumerate(order):
+        if lengths[k]:
+            proj[:lengths[k], i] = np.einsum("td,dj->tj", seqs[k], w_in) + b_in
+    h = np.zeros((len(seqs), hid))
+    for t, k in enumerate(alive):
+        hk = h[:k]
+        a = proj[t, :k]
+        zr = sigmoid(a[:, :2 * hid] + np.einsum("bi,ij->bj", hk, u_zr))
+        z, r = zr[:, :hid], zr[:, hid:]
+        cand = np.tanh(a[:, 2 * hid:] + np.einsum("bi,ij->bj", r * hk, p.uh))
+        h[:k] = (1.0 - z) * hk + z * cand
+    if not np.isfinite(h).all():
+        raise NumericError("non-finite hidden state")
+    scores = np.empty(len(seqs))
+    scores[order] = sigmoid(np.einsum("bi,i->b", h, p.w) + p.b)
+    return scores
 
 
 def gru_backward(cache: dict, dscore: float):

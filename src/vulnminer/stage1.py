@@ -9,7 +9,7 @@ from pathlib import Path
 from .analysis import FileAnalysis
 from .errors import VulnMinerError
 from .linearize import embed_sequence
-from .nn import gru_forward
+from .nn import gru_scores
 
 
 @dataclass(frozen=True)
@@ -36,16 +36,22 @@ class HypothesisSet:
         return [h.file_id for h in self.hypotheses]
 
 
-def score_structural(analysis: FileAnalysis, bundle,
-                     tau1: float | None = None) -> StageOneScore:
-    """GRU score over the linearized flow-enhanced tree."""
-    tau1 = bundle.fusion.tau1 if tau1 is None else tau1
+def stage_one_score(analysis: FileAnalysis, score: float,
+                    tau1: float) -> StageOneScore:
+    """The stage-one record of a GRU score over ``analysis.structural``."""
     seq = analysis.structural
-    emb = embed_sequence(seq, bundle.embedding, bundle.vocab)
-    score, _, _ = gru_forward(emb, bundle.stage1)
+    score = float(score)
     return StageOneScore(file_id=analysis.path, score=score,
                          passed=score > tau1, tokens=seq.n,
                          truncated=seq.truncated)
+
+
+def score_structural(analysis: FileAnalysis, bundle,
+                     tau1: float | None = None) -> StageOneScore:
+    """GRU score over the linearized flow-enhanced tree, a batch of one."""
+    tau1 = bundle.fusion.tau1 if tau1 is None else tau1
+    emb = embed_sequence(analysis.structural, bundle.embedding, bundle.vocab)
+    return stage_one_score(analysis, gru_scores([emb], bundle.stage1)[0], tau1)
 
 
 def propose_hypotheses(units, bundle,

@@ -250,6 +250,8 @@ def test_criterion_07_ablation_directions(bundle, manifest, corpus_units,
                                     "no-norm-no-bias", "no-bias"),
                          split="all")
     by_variant = {r.variant: r.metrics for r in rows}
+    # both stage-one ablations share one retrained reference row
+    assert [r.variant for r in rows].count("stage1-full") == 1
 
     # removing structure raises the miss rate
     assert by_variant["stage1-raw-code"].fnr > by_variant["stage1-full"].fnr

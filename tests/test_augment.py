@@ -3,7 +3,6 @@ import dataclasses
 import pytest
 
 from vulnminer.augment import (
-    AugmentationOp,
     augment_corpus,
     augment_sample,
     loop_to_recursion,
@@ -25,7 +24,7 @@ def types_of(text, path="t.php"):
 
 def test_op_kind_validation():
     with pytest.raises(VulnMinerError):
-        AugmentationOp(kind="Obfuscate", seed=1)
+        augment_sample("<?php echo 1;", "t.php", plan=("Obfuscate",), seed=1)
 
 
 class TestRename:

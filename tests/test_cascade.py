@@ -8,6 +8,7 @@ from vulnminer.cascade import (
     calibrate_lambda,
     fuse_scores,
     run_pipeline,
+    search_lambda,
 )
 from vulnminer.cli import write_jsonl
 from vulnminer.errors import TrainingError, VulnMinerError
@@ -113,75 +114,17 @@ def test_calibration_requires_both_classes(bundle, corpus_units):
 
 def test_calibration_tie_breaks_toward_smaller_lambda():
     # identical stage scores make every lambda equivalent
-    class Stub:
-        pass
-
-    import vulnminer.cascade as cascade_mod
-
     scored = [(1, 0.9, 0.9), (0, 0.1, 0.1), (1, 0.8, 0.8), (0, 0.2, 0.2)]
-
-    def fake_score_structural(unit, bundle, tau1, flow_markers=True):
-        label, s1, _ = unit
-        from vulnminer.stage1 import StageOneScore
-
-        return StageOneScore(file_id=str(unit), score=s1, passed=True)
-
-    def fake_verify(unit, bundle, normalized=True):
-        label, _, s2 = unit
-
-        class R:
-            score = s2
-
-        return R()
-
-    original = (cascade_mod.score_structural, cascade_mod.verify_semantic)
-    cascade_mod.score_structural = fake_score_structural
-    cascade_mod.verify_semantic = fake_verify
-    try:
-        bundle = Stub()
-        bundle.fusion = Stub()
-        bundle.fusion.tau = 0.5
-        bundle.fusion.tau1 = 0.0
-        lam, f1 = calibrate_lambda([(s, s[0]) for s in scored], bundle)
-    finally:
-        cascade_mod.score_structural, cascade_mod.verify_semantic = original
+    lam, f1 = search_lambda(scored, tau=0.5)
     assert lam == 0.0
     assert f1 == 1.0
 
 
-def test_calibration_prefers_perfect_stage(bundle):
+def test_calibration_prefers_perfect_stage():
     # stage one perfect, stage two anti-correlated: lambda* must be 1
-    import vulnminer.cascade as cascade_mod
-
-    class Stub:
-        pass
-
-    def fake_score_structural(unit, bundle, tau1, flow_markers=True):
-        from vulnminer.stage1 import StageOneScore
-
-        label, s1, _ = unit
-        return StageOneScore(file_id=str(unit), score=s1, passed=True)
-
-    def fake_verify(unit, bundle, normalized=True):
-        class R:
-            score = unit[2]
-
-        return R()
-
     # borderline pair: only lambda = 1 classifies both correctly
-    data = [((1, 0.95, 0.1), 1), ((1, 0.51, 0.0), 1),
-            ((0, 0.49, 1.0), 0), ((0, 0.1, 0.8), 0)]
-    original = (cascade_mod.score_structural, cascade_mod.verify_semantic)
-    cascade_mod.score_structural = fake_score_structural
-    cascade_mod.verify_semantic = fake_verify
-    try:
-        bundle = Stub()
-        bundle.fusion = Stub()
-        bundle.fusion.tau = 0.5
-        bundle.fusion.tau1 = 0.0
-        lam, f1 = calibrate_lambda([(u, lab) for u, lab in data], bundle)
-    finally:
-        cascade_mod.score_structural, cascade_mod.verify_semantic = original
+    scored = [(1, 0.95, 0.1), (1, 0.51, 0.0), (0, 0.49, 1.0), (0, 0.1, 0.8)]
+    lam, f1 = search_lambda(scored, tau=0.5)
     assert lam == 1.0 and f1 == 1.0
 
 

@@ -82,10 +82,29 @@ def test_localize_skips_non_utf8_file(model_path, tmp_path, capsys):
     code, out, _ = run(capsys, "localize", "--model", model_path,
                        str(tmp_path))
     assert code == 1
-    reports = [json.loads(line) for line in out.splitlines()]
+    records = [json.loads(line) for line in out.splitlines()]
+    reports, errors = records[:-1], records[-1:]
     assert [r["artifact"]["path"] for r in reports] \
         == [str(tmp_path / "good.php")]
     assert reports[0]["artifact"]["status"] == "ok"
+    assert [r["path"] for r in errors] == [str(tmp_path / "bad.php")]
+    assert "UTF-8" in errors[0]["error"]
+
+
+def test_scan_deep_nesting_is_an_error_record(model_path, tmp_path, capsys):
+    (tmp_path / "deep.php").write_text(
+        "<?php $a = " + "(" * 300 + "1" + ")" * 300 + ";")
+    (tmp_path / "good.php").write_text(
+        (FIXTURES / "command_injection.php").read_text())
+    code, out, _ = run(capsys, "scan", "--model", model_path, str(tmp_path))
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    verdicts = [r for r in records if "error" not in r]
+    errors = [r for r in records if "error" in r]
+    assert [r["path"] for r in verdicts] == [str(tmp_path / "good.php")]
+    assert verdicts[0]["vulnerable"] is True
+    assert errors == [{"path": str(tmp_path / "deep.php"),
+                       "error": "nesting too deep"}]
 
 
 def test_localize_reports_schema(model_path, capsys):

@@ -13,6 +13,7 @@ from vulnminer.nn import (
     finite_diff_gradcheck,
     gru_backward,
     gru_forward,
+    gru_scores,
     risk_biased_attention,
     risky_attention_mass,
     weighted_bce_loss,
@@ -59,6 +60,32 @@ class TestGruForward:
         rng = np.random.default_rng(0)
         score, _, _ = gru_forward(rng.uniform(-9, 9, (20, 3)), p)
         assert 0.0 < score < 1.0
+
+
+class TestGruScores:
+    def test_batch_matches_forward_reference(self):
+        rng = np.random.default_rng(11)
+        p = GruParams.init(64, 32, seed=4)
+        seqs = [rng.uniform(-1, 1, (n, 64)) for n in (0, 1, 25, 66)]
+        scores = gru_scores(seqs, p)
+        assert scores.shape == (4,)
+        for seq, score in zip(seqs, scores):
+            assert abs(score - gru_forward(seq, p)[0]) <= 1e-12
+
+    def test_empty_batch(self):
+        assert gru_scores([], zeroed_gru()).shape == (0,)
+
+    def test_width_mismatch_raises(self):
+        p = zeroed_gru(dim=4)
+        with pytest.raises(ConfigError):
+            gru_scores([np.zeros((2, 4)), np.zeros((2, 5))], p)
+
+    def test_non_finite_state_raises(self):
+        p = GruParams.init(2, 2, seed=1)
+        seq = np.zeros((3, 2))
+        seq[1, 0] = np.nan
+        with pytest.raises(NumericError):
+            gru_scores([np.zeros((4, 2)), seq], p)
 
 
 class TestGruGradients:

@@ -1,6 +1,7 @@
 import pytest
 
 from vulnminer.analysis import FileAnalysis
+from vulnminer.cascade import score_files
 from vulnminer.cli import write_jsonl
 from vulnminer.errors import ParseError
 from vulnminer.source import SourceUnit
@@ -65,6 +66,13 @@ def test_order_independence(bundle, corpus_units):
                                   tau1=0.2)
     assert [(h.file_id, h.score) for h in forward.hypotheses] \
         == [(h.file_id, h.score) for h in backward.hypotheses]
+
+
+def test_score_does_not_depend_on_batch(bundle, corpus_units):
+    analyses = [FileAnalysis(unit) for unit in corpus_units]
+    alone = [score_structural(a, bundle).score for a in analyses]
+    batched = [one.score for _, one in score_files(analyses, bundle, 0.2, [])]
+    assert batched == alone
 
 
 def test_parse_errors_collected_not_fatal(bundle, tmp_path):
