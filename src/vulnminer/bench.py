@@ -77,8 +77,8 @@ def _stage1_retrained_row(variant: str, train, analyses, labels, bundle,
 
     ``train`` holds (FileAnalysis, label) pairs of the train split.
     """
-    samples = [Sample(tokens=stream_fn(analysis), label=label,
-                      path=analysis.path) for analysis, label in train]
+    samples = [Sample(tokens=stream_fn(analysis), label=label)
+               for analysis, label in train]
     _, semantic = _stage_samples(train)
     _bucket_rare_symbols(samples, semantic)
     vocab = Vocabulary.build([s.tokens for s in samples]
@@ -114,13 +114,10 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
     train: list[tuple[FileAnalysis, int]] = []
 
     rows = [_cascade_row("full", units, labels, bundle)]
-    stage2_ref_added = stage1_ref_added = False
 
     def add_stage2_reference():
-        nonlocal stage2_ref_added
-        if not stage2_ref_added:
+        if all(row.variant != "stage2-full" for row in rows):
             rows.append(_stage2_row("stage2-full", analyses, labels, bundle))
-            stage2_ref_added = True
 
     def retrained(variant: str, stream_fn) -> BenchRow:
         if not train:
@@ -130,10 +127,8 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
                                      bundle, stream_fn)
 
     def add_stage1_reference():
-        nonlocal stage1_ref_added
-        if not stage1_ref_added:
+        if all(row.variant != "stage1-full" for row in rows):
             rows.append(retrained("stage1-full", _full_stream))
-            stage1_ref_added = True
 
     for ablation in ablations:
         if ablation == "no-bias":

@@ -97,8 +97,8 @@ def run_pipeline(units, bundle, cfg: FusionSettings | None = None,
                  lex: TaintLexicon | None = None):
     """Stage two runs only on stage-one passers; rejects are final negatives.
 
-    Returns (verdicts, errors); every parseable file gets a verdict and
-    per-file parse failures are collected rather than raised. Units are
+    Returns (verdicts, errors); every file gets a verdict or a per-file
+    error record (parse error or nesting too deep), never a raise. Units are
     taken in chunks of 16 (``SCORE_CHUNK``), and each chunk's analyses are
     dropped with it.
     ``cfg`` defaults to the model's own fusion settings.
@@ -113,12 +113,15 @@ def run_pipeline(units, bundle, cfg: FusionSettings | None = None,
                 file_id=one.file_id, score1=one.score, score2=None,
                 score_final=None, vulnerable=False))
             continue
-        two = verify_semantic(analysis, bundle)
-        final = fuse_scores(one.score, two.score, fusion.lam)
-        vulnerable = final > fusion.tau
-        vuln_type = sink_line = None
-        if vulnerable:
-            vuln_type, sink_line = _advisory_finding(analysis)
+        try:
+            two = verify_semantic(analysis, bundle)
+            final = fuse_scores(one.score, two.score, fusion.lam)
+            vulnerable = final > fusion.tau
+            vuln_type, sink_line = (_advisory_finding(analysis) if vulnerable
+                                    else (None, None))
+        except RecursionError:
+            errors.append((one.file_id, "nesting too deep"))
+            continue
         verdicts.append(DetectionVerdict(
             file_id=one.file_id, score1=one.score, score2=two.score,
             score_final=final, vulnerable=vulnerable,

@@ -94,7 +94,7 @@ def cmd_scan(args) -> int:
     errors = unread + errors
 
     if args.format == "sarif":
-        _emit(json.dumps(verdicts_to_sarif(verdicts), indent=2,
+        _emit(json.dumps(verdicts_to_sarif(verdicts, errors), indent=2,
                          sort_keys=True) + "\n", args.out)
     else:
         write_jsonl([v.record() for v in verdicts]
@@ -130,8 +130,8 @@ def cmd_localize(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     manifest = CorpusManifest.load(args.manifest)
-    bundle = train_bundle(manifest, seed=cfg.seed, profile=args.profile,
-                          lex=_lexicon(cfg), tau=cfg.tau, tau1=cfg.tau1)
+    bundle = train_bundle(manifest, seed=cfg.seed, lex=_lexicon(cfg),
+                          tau=cfg.tau, tau1=cfg.tau1)
     save_model(bundle, cfg.model)
     for stage, curve in sorted(bundle.curves.items()):
         print(f"{stage}: epochs={len(curve)} first_loss={curve[0]:.4f} "
@@ -235,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train both stages and calibrate fusion")
     train.add_argument("manifest")
-    train.add_argument("--profile", choices=("desk", "finetune"),
-                       default="desk")
     common(train)
     train.set_defaults(func=cmd_train)
 

@@ -14,10 +14,7 @@ from .training import Sample, stage_configs, train_semantic, train_structural
 
 
 def load_units(entries) -> list[tuple[SourceUnit, int]]:
-    out = []
-    for entry in entries:
-        out.append((SourceUnit.from_file(entry.path), entry.label))
-    return out
+    return [(SourceUnit.from_file(e.path), e.label) for e in entries]
 
 
 def _stage_samples(labeled):
@@ -31,11 +28,10 @@ def _stage_samples(labeled):
         except ParseError:
             continue
         risky = analysis.lex.risky_names()
-        structural.append(Sample(tokens=seq1.tokens, label=label,
-                                 path=analysis.path))
+        structural.append(Sample(tokens=seq1.tokens, label=label))
         cols = tuple(i for i, t in enumerate(seq2.tokens) if t in risky)
         semantic.append(Sample(tokens=seq2.tokens, label=label,
-                               risky_columns=cols, path=analysis.path))
+                               risky_columns=cols))
     _bucket_rare_symbols(structural, semantic)
     return structural, semantic
 
@@ -61,9 +57,8 @@ def _bucket_rare_symbols(*sample_sets: list[Sample], min_count: int = 2):
 
 
 def train_bundle(manifest: CorpusManifest, seed: int = 0,
-                 profile: str = "desk", lex: TaintLexicon | None = None,
-                 tau: float = 0.5, tau1: float = 0.2,
-                 calibrate: bool = True) -> ModelBundle:
+                 lex: TaintLexicon | None = None,
+                 tau: float = 0.5, tau1: float = 0.2) -> ModelBundle:
     """Train stage one (with embeddings), then stage two, then pick lambda."""
     train_units = load_units(manifest.split("train"))
     if not train_units:
@@ -71,13 +66,12 @@ def train_bundle(manifest: CorpusManifest, seed: int = 0,
     structural, semantic = _stage_samples(
         (FileAnalysis(unit, lex), label) for unit, label in train_units)
 
-    cfg1, cfg2 = stage_configs(seed, profile)
+    cfg1, cfg2 = stage_configs(seed)
     vocab = Vocabulary.build([s.tokens for s in structural]
                              + [s.tokens for s in semantic])
     table = EmbeddingTable.init(len(vocab), cfg1.dim, seed=seed)
 
-    stage1, curve1 = train_structural(structural, vocab, table, cfg1,
-                                      train_embeddings=True)
+    stage1, curve1 = train_structural(structural, vocab, table, cfg1)
     stage2, curve2 = train_semantic(semantic, vocab, table, cfg2)
 
     fusion = FusionSettings(lam=0.5, tau=tau, tau1=tau1, beta=cfg2.beta)
@@ -86,12 +80,11 @@ def train_bundle(manifest: CorpusManifest, seed: int = 0,
         fusion=fusion, stage1_config=cfg1, stage2_config=cfg2,
         curves={"stage1": curve1, "stage2": curve2},
     )
-    if calibrate:
-        val = [(FileAnalysis(unit, lex), label)
-               for unit, label in load_units(manifest.split("val"))]
-        if val and {label for _, label in val} == {0, 1}:
-            lam, _ = calibrate_lambda(val, bundle, tau=tau, tau1=tau1)
-            bundle.fusion = FusionSettings(lam=lam, tau=tau, tau1=tau1,
-                                           beta=cfg2.beta)
+    val = [(FileAnalysis(unit, lex), label)
+           for unit, label in load_units(manifest.split("val"))]
+    if val and {label for _, label in val} == {0, 1}:
+        lam, _ = calibrate_lambda(val, bundle, tau=tau, tau1=tau1)
+        bundle.fusion = FusionSettings(lam=lam, tau=tau, tau1=tau1,
+                                       beta=cfg2.beta)
     bundle.validate()
     return bundle

@@ -294,11 +294,12 @@ def _execute_site(ir, facts) -> tuple[int | None, str | None]:
 
 @dataclass
 class RemoteBackend:
-    """HTTP client for an external analysis model.
+    """A gate on an external analysis model.
 
+    An answer with all three analysis keys lets the deterministic filler
+    run; well-formed transport with a malformed body counts as a refusal.
     Unreachable endpoints fall back to the deterministic filler so runs
-    always complete; well-formed transport with a malformed body counts
-    as a refusal.
+    always complete.
     """
 
     endpoint: str
@@ -306,7 +307,6 @@ class RemoteBackend:
     timeout: float = 10.0
     inner: DeterministicBackend = field(default_factory=DeterministicBackend)
     name: str = "remote"
-    last_analysis: dict | None = None
 
     def fill(self, template, ir, constraints) -> list[FillPlan]:
         # imported here: urllib.request loads ssl, which costs every
@@ -329,10 +329,8 @@ class RemoteBackend:
         request = urllib.request.Request(
             self.endpoint, data=json.dumps(payload).encode("utf-8"),
             headers=headers, method="POST")
-        # both are set on every call: candidates read the name after each
-        # fill, and a refused or fallen-back call has no analysis
+        # set on every call: candidates read the name after each fill
         self.name = "remote"
-        self.last_analysis = None
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 raw = response.read()
@@ -342,12 +340,11 @@ class RemoteBackend:
             self.name = "deterministic-fallback"
             return self.inner.fill(template, ir, constraints)
         try:
-            body = json.loads(raw)
-        except ValueError:
+            body = dict(json.loads(raw))
+        except (ValueError, TypeError):  # not JSON, or not a JSON object
             return []
         if not all(key in body for key in _RESPONSE_KEYS):
             return []
-        self.last_analysis = {k: body[k] for k in _RESPONSE_KEYS}
         return self.inner.fill(template, ir, constraints)
 
 

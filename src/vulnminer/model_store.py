@@ -8,12 +8,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, VulnMinerError
 from .linearize import EmbeddingTable, Vocabulary
 from .nn import AttentionParams, GruParams
 from .training import TrainConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -60,6 +60,8 @@ def _array_out(arr: np.ndarray):
 
 
 def _array_in(obj, what: str) -> np.ndarray:
+    if not isinstance(obj, dict) or not {"data", "shape"} <= obj.keys():
+        raise ConfigError(f"{what}: not a shape/data array")
     arr = np.asarray(obj["data"], dtype=float)
     shape = tuple(obj["shape"])
     expected = int(np.prod(shape)) if shape else 1
@@ -72,6 +74,26 @@ def _params_out(params) -> dict:
     return {k: _array_out(v) for k, v in params.arrays().items()}
 
 
+def _number(value, what: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what}: {value!r} is not a number")
+    return value
+
+
+def _section(doc: dict, name: str, build, convert=None):
+    """``build`` of section ``name``, its values through ``convert`` if given;
+    a missing section, key or value of the wrong type names the section."""
+    if name not in doc:
+        raise ConfigError(f"model file has no {name!r} section")
+    try:
+        if convert is None:
+            return build(doc[name])
+        return build(**{k: convert(v, k) for k, v in doc[name].items()})
+    except (VulnMinerError, TypeError, ValueError, KeyError, IndexError,
+            AttributeError) as exc:
+        raise ConfigError(f"model section {name!r}: {exc}") from None
+
+
 def save_model(bundle: ModelBundle, path: str | Path) -> None:
     bundle.validate()
     doc = {
@@ -80,8 +102,7 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
         "vocab_hash": bundle.vocab.stable_hash(),
         "embedding": _array_out(bundle.embedding.matrix),
         "stage1": _params_out(bundle.stage1),
-        "stage2": dict(_params_out(bundle.stage2),
-                       project_qkv=bundle.stage2.project_qkv),
+        "stage2": _params_out(bundle.stage2),
         "fusion": asdict(bundle.fusion),
         "stage1_config": asdict(bundle.stage1_config),
         "stage2_config": asdict(bundle.stage2_config),
@@ -98,31 +119,24 @@ def load_model(path: str | Path) -> ModelBundle:
         raise ConfigError(f"model file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"model file {path} is not valid JSON: {exc}")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported model format {doc.get('format_version')!r}")
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != FORMAT_VERSION:
+        raise ConfigError(f"unsupported model format {version!r}")
 
-    vocab = Vocabulary(symbols=list(doc["vocab"]))
-    if vocab.stable_hash() != doc["vocab_hash"]:
+    vocab = _section(doc, "vocab",
+                     lambda v: Vocabulary(symbols=[str(s) for s in v]))
+    if vocab.stable_hash() != _section(doc, "vocab_hash", str):
         raise ConfigError("vocabulary hash mismatch; model file corrupted")
-    embedding = EmbeddingTable(matrix=_array_in(doc["embedding"], "embedding"))
-
-    s1 = {k: _array_in(v, f"stage1.{k}") for k, v in doc["stage1"].items()}
-    stage1 = GruParams(**s1)
-    s2_doc = dict(doc["stage2"])
-    project = bool(s2_doc.pop("project_qkv", True))
-    s2 = {k: _array_in(v, f"stage2.{k}") for k, v in s2_doc.items()}
-    stage2 = AttentionParams(**s2, project_qkv=project)
-
     bundle = ModelBundle(
         vocab=vocab,
-        embedding=embedding,
-        stage1=stage1,
-        stage2=stage2,
-        fusion=FusionSettings(**doc["fusion"]),
-        stage1_config=TrainConfig(**doc["stage1_config"]),
-        stage2_config=TrainConfig(**doc["stage2_config"]),
-        curves={k: list(v) for k, v in doc.get("curves", {}).items()},
+        embedding=_section(doc, "embedding", lambda v: EmbeddingTable(
+            matrix=_array_in(v, "embedding"))),
+        stage1=_section(doc, "stage1", GruParams, _array_in),
+        stage2=_section(doc, "stage2", AttentionParams, _array_in),
+        fusion=_section(doc, "fusion", FusionSettings, _number),
+        stage1_config=_section(doc, "stage1_config", TrainConfig, _number),
+        stage2_config=_section(doc, "stage2_config", TrainConfig, _number),
+        curves=_section(doc, "curves", dict, lambda v, _: list(v)),
     )
     bundle.validate()
     return bundle

@@ -215,11 +215,9 @@ class AttentionParams:
     b2: np.ndarray
     w: np.ndarray   # d readout
     b: np.ndarray   # 0-d readout bias
-    project_qkv: bool = True
 
     @classmethod
-    def init(cls, dim: int, seed: int, scale: float = 0.2,
-             project_qkv: bool = True) -> "AttentionParams":
+    def init(cls, dim: int, seed: int, scale: float = 0.2) -> "AttentionParams":
         rng = np.random.default_rng(seed)
 
         def mat(rows, cols):
@@ -230,7 +228,6 @@ class AttentionParams:
             w1=mat(dim, 4 * dim), b1=np.zeros(4 * dim),
             w2=mat(4 * dim, dim), b2=np.zeros(dim),
             w=rng.uniform(-scale, scale, size=dim), b=np.zeros(()),
-            project_qkv=project_qkv,
         )
 
     @property
@@ -300,10 +297,7 @@ def attention_forward(emb: np.ndarray, p: AttentionParams,
         raise ConfigError(
             f"risk matrix shape {bias.matrix.shape} != ({n}, {n})")
 
-    if p.project_qkv:
-        q, k, v = emb @ p.wq, emb @ p.wk, emb @ p.wv
-    else:
-        q = k = v = emb
+    q, k, v = emb @ p.wq, emb @ p.wk, emb @ p.wv
     scores = q @ k.T / np.sqrt(p.dim)
     if bias is not None:
         scores = scores + bias.matrix
@@ -351,13 +345,10 @@ def attention_backward(cache: dict, dscore: float):
     scale = 1.0 / np.sqrt(p.dim)
     dq = dscores @ k * scale
     dk = dscores.T @ q * scale
-    if p.project_qkv:
-        grads["wq"] += emb.T @ dq
-        grads["wk"] += emb.T @ dk
-        grads["wv"] += emb.T @ dv
-        demb = dq @ p.wq.T + dk @ p.wk.T + dv @ p.wv.T
-    else:
-        demb = dq + dk + dv
+    grads["wq"] += emb.T @ dq
+    grads["wk"] += emb.T @ dk
+    grads["wv"] += emb.T @ dv
+    demb = dq @ p.wq.T + dk @ p.wk.T + dv @ p.wv.T
     return grads, demb
 
 

@@ -18,8 +18,10 @@ _RULBASE = {
 }
 
 
-def verdicts_to_sarif(verdicts) -> dict:
-    """One result per vulnerable verdict, span-backed location."""
+def verdicts_to_sarif(verdicts, errors=()) -> dict:
+    """One result per vulnerable verdict, span-backed location; each
+    (path, message) error is a notification of the one invocation, which
+    succeeded only when no file errored (SARIF 2.1.0 section 3.20)."""
     rules_used: dict[str, dict] = {}
     results = []
     for verdict in verdicts:
@@ -55,6 +57,14 @@ def verdicts_to_sarif(verdicts) -> dict:
                     "rules": [rules_used[k] for k in sorted(rules_used)],
                 },
             },
+            "invocations": [{
+                "executionSuccessful": not errors,
+                "toolExecutionNotifications": [{
+                    "level": "error", "message": {"text": message},
+                    "locations": [{"physicalLocation": {
+                        "artifactLocation": {"uri": path}}}],
+                } for path, message in errors],
+            }],
             "results": results,
         }],
     }

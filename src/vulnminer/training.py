@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +32,9 @@ class TrainConfig:
     w_pos: float = 1.0
     w_neg: float = 1.0
     seed: int = 0
-    optimizer: str = "adam"
     hidden: int = DEFAULT_HIDDEN
     dim: int = DEFAULT_DIM
     beta: float = DEFAULT_BETA
-    project_qkv: bool = True
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -49,16 +47,6 @@ class TrainConfig:
             raise TrainingError("class weights must be positive")
         if self.batch_size < 1:
             raise TrainingError("batch size must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise TrainingError(f"unknown optimizer {self.optimizer!r}")
-
-
-# Desk profile fits the bundled synthetic corpus; the finetune profile
-# mirrors the hyperparameters used with large pretrained encoders.
-PRESETS = {
-    "desk": TrainConfig(),
-    "finetune": TrainConfig(learning_rate=1e-5, batch_size=4, dropout=0.3, epochs=10),
-}
 
 
 @dataclass
@@ -66,31 +54,16 @@ class Sample:
     tokens: list[str]
     label: int
     risky_columns: tuple[int, ...] = field(default_factory=tuple)
-    path: str = ""
 
 
-def _check_corpus(samples: list[Sample]):
-    if not samples:
-        raise TrainingError("training corpus is empty")
-    labels = {s.label for s in samples}
-    if labels != {0, 1}:
-        raise TrainingError(
-            f"corpus must contain both classes, found labels {sorted(labels)}")
-
-
-class _Optimizer:
-    def __init__(self, cfg: TrainConfig, tensors: dict[str, np.ndarray]):
-        self.cfg = cfg
+class _Adam:
+    def __init__(self, learning_rate: float, tensors: dict[str, np.ndarray]):
+        self.lr = learning_rate
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
 
     def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        lr = self.cfg.learning_rate
-        if self.cfg.optimizer == "sgd":
-            for k, arr in tensors.items():
-                arr -= lr * grads[k]
-            return
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         for k, arr in tensors.items():
@@ -99,33 +72,32 @@ class _Optimizer:
             self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
             mhat = self.m[k] / (1 - b1 ** self.t)
             vhat = self.v[k] / (1 - b2 ** self.t)
-            arr -= lr * mhat / (np.sqrt(vhat) + eps)
+            arr -= self.lr * mhat / (np.sqrt(vhat) + eps)
 
 
-def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
-    if rate == 0.0:
-        return np.ones(shape)
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+def _fit(samples: list[Sample], vocab: Vocabulary, table: EmbeddingTable,
+         cfg: TrainConfig, tensors: dict[str, np.ndarray], seed: int,
+         forward, update_table: bool = False) -> list[float]:
+    """Train ``tensors`` by seeded mini-batch Adam; returns the loss curve.
 
-
-def train_structural(samples: list[Sample], vocab: Vocabulary,
-                     table: EmbeddingTable, cfg: TrainConfig,
-                     train_embeddings: bool = True):
-    """Train the GRU head (and optionally the shared embedding table).
-
-    Returns (GruParams, loss curve). The table is updated in place when
-    ``train_embeddings`` is set; the PAD row stays zero.
+    ``forward(i, x)`` scores sample ``i`` on its dropped-out embedded
+    sequence ``x`` and returns (score, backward), where ``backward(dscore)``
+    gives (param grads, input grads). Batch gradients are per-sample means.
+    With ``update_table`` the embedding table is trained too, and its PAD
+    row is reset to zero after every step.
     """
-    _check_corpus(samples)
-    params = GruParams.init(cfg.dim, cfg.hidden, seed=cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    tensors = params.arrays()
-    if train_embeddings:
+    if not samples:
+        raise TrainingError("training corpus is empty")
+    labels = {s.label for s in samples}
+    if labels != {0, 1}:
+        raise TrainingError(
+            f"corpus must contain both classes, found labels {sorted(labels)}")
+    rng = np.random.default_rng(seed)
+    if update_table:
         tensors = dict(tensors, emb=table.matrix)
-    opt = _Optimizer(cfg, tensors)
+    opt = _Adam(cfg.learning_rate, tensors)
     ids_per_sample = [vocab.ids(s.tokens) for s in samples]
     curve: list[float] = []
-
     for _ in range(cfg.epochs):
         order = rng.permutation(len(samples))
         total = 0.0
@@ -133,24 +105,43 @@ def train_structural(samples: list[Sample], vocab: Vocabulary,
             batch = order[start:start + cfg.batch_size]
             acc = {k: np.zeros_like(v) for k, v in tensors.items()}
             for si in batch:
-                sample = samples[si]
                 ids = ids_per_sample[si]
                 emb = table.matrix[ids] if ids else np.zeros((0, cfg.dim))
-                mask = _dropout_mask(rng, emb.shape, cfg.dropout)
-                score, _, cache = gru_forward(emb * mask, params)
+                mask = np.ones(emb.shape) if cfg.dropout == 0.0 else (
+                    rng.random(emb.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+                score, backward = forward(si, emb * mask)
                 loss, dscore = weighted_bce_loss(
-                    score, sample.label, cfg.w_pos, cfg.w_neg)
+                    score, samples[si].label, cfg.w_pos, cfg.w_neg)
                 total += float(loss)
-                grads, dseq = gru_backward(cache, dscore)
+                grads, dseq = backward(dscore)
                 for k in grads:
                     acc[k] += grads[k]
-                if train_embeddings and ids:
+                if update_table and ids:
                     np.add.at(acc["emb"], ids, dseq * mask)
             for k in acc:
                 acc[k] /= len(batch)
             opt.step(tensors, acc)
-            table.matrix[0, :] = 0.0
+            if update_table:
+                table.matrix[0, :] = 0.0
         curve.append(total / len(samples))
+    return curve
+
+
+def train_structural(samples: list[Sample], vocab: Vocabulary,
+                     table: EmbeddingTable, cfg: TrainConfig):
+    """Train the GRU head and the shared embedding table.
+
+    Returns (GruParams, loss curve). The table is updated in place; the
+    PAD row stays zero.
+    """
+    params = GruParams.init(cfg.dim, cfg.hidden, seed=cfg.seed)
+
+    def forward(i, x):
+        score, _, cache = gru_forward(x, params)
+        return score, lambda dscore: gru_backward(cache, dscore)
+
+    curve = _fit(samples, vocab, table, cfg, params.arrays(), cfg.seed,
+                 forward, update_table=True)
     params.validate()
     return params, curve
 
@@ -158,56 +149,28 @@ def train_structural(samples: list[Sample], vocab: Vocabulary,
 def train_semantic(samples: list[Sample], vocab: Vocabulary,
                    table: EmbeddingTable, cfg: TrainConfig):
     """Train the risk-biased attention head on frozen embeddings."""
-    _check_corpus(samples)
-    params = AttentionParams.init(cfg.dim, seed=cfg.seed + 1,
-                                  project_qkv=cfg.project_qkv)
-    rng = np.random.default_rng(cfg.seed + 1)
-    tensors = params.arrays()
-    opt = _Optimizer(cfg, tensors)
-    ids_per_sample = [vocab.ids(s.tokens) for s in samples]
-    bias_per_sample = [
-        RiskMatrix.build(len(s.tokens), s.risky_columns, cfg.beta)
-        for s in samples
-    ]
-    curve: list[float] = []
+    params = AttentionParams.init(cfg.dim, seed=cfg.seed + 1)
+    biases = [RiskMatrix.build(len(s.tokens), s.risky_columns, cfg.beta)
+              for s in samples]
 
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(samples))
-        total = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            acc = {k: np.zeros_like(v) for k, v in tensors.items()}
-            for si in batch:
-                sample = samples[si]
-                ids = ids_per_sample[si]
-                emb = table.matrix[ids] if ids else np.zeros((0, cfg.dim))
-                mask = _dropout_mask(rng, emb.shape, cfg.dropout)
-                score, _, _, cache = attention_forward(
-                    emb * mask, params, bias_per_sample[si])
-                loss, dscore = weighted_bce_loss(
-                    score, sample.label, cfg.w_pos, cfg.w_neg)
-                total += float(loss)
-                grads, _ = attention_backward(cache, dscore)
-                for k in grads:
-                    acc[k] += grads[k]
-            for k in acc:
-                acc[k] /= len(batch)
-            opt.step(tensors, acc)
-        curve.append(total / len(samples))
+    def forward(i, x):
+        score, _, _, cache = attention_forward(x, params, biases[i])
+        return score, lambda dscore: attention_backward(cache, dscore)
+
+    curve = _fit(samples, vocab, table, cfg, params.arrays(), cfg.seed + 1,
+                 forward)
     params.validate()
     return params, curve
 
 
-def stage_configs(seed: int, profile: str = "desk") -> tuple[TrainConfig, TrainConfig]:
+def stage_configs(seed: int) -> tuple[TrainConfig, TrainConfig]:
     """Per-stage configs: recall-weighted stage one, precision-weighted stage two.
 
     Stage one is kept deliberately small (it is the cheap high-recall
     sieve); stage two gets the larger budget and carries the precision.
     """
-    base = PRESETS[profile]
-    stage1 = replace(base, w_pos=4.0, seed=seed, hidden=16,
-                     epochs=max(1, int(base.epochs * 2 / 3)), dropout=0.2)
-    stage2 = replace(base, w_neg=2.0, seed=seed,
-                     epochs=max(1, int(base.epochs * 10 / 3)),
-                     learning_rate=base.learning_rate * 2, dropout=0.1)
+    stage1 = TrainConfig(w_pos=4.0, seed=seed, hidden=16, epochs=20,
+                         dropout=0.2)
+    stage2 = TrainConfig(w_neg=2.0, seed=seed, epochs=100,
+                         learning_rate=2e-3, dropout=0.1)
     return stage1, stage2

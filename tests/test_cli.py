@@ -32,10 +32,12 @@ def test_scan_clean_dir_exits_zero(model_path, tmp_path, capsys):
     assert len(records) == 1 and records[0]["vulnerable"] is False
 
 
-def test_scan_appendix_fixture_sarif(model_path, capsys):
+def test_scan_appendix_fixture_sarif(model_path, tmp_path, capsys):
+    broken = tmp_path / "broken.php"
+    broken.write_text("<?php $a = (;")
     code, out, _ = run(capsys, "scan", "--model", model_path,
                        "--format", "sarif",
-                       str(FIXTURES / "command_injection.php"))
+                       str(FIXTURES / "command_injection.php"), str(broken))
     assert code == 1
     doc = json.loads(out)
     assert doc["version"] == "2.1.0"
@@ -43,6 +45,21 @@ def test_scan_appendix_fixture_sarif(model_path, capsys):
     assert len(results) == 1
     region = results[0]["locations"][0]["physicalLocation"]["region"]
     assert region["startLine"] == 3
+    [invocation] = doc["runs"][0]["invocations"]
+    assert invocation["executionSuccessful"] is False
+    [note] = invocation["toolExecutionNotifications"]
+    assert note["level"] == "error"
+    assert "unexpected token" in note["message"]["text"]
+    location = note["locations"][0]["physicalLocation"]["artifactLocation"]
+    assert location["uri"] == str(broken)
+
+
+def test_scan_clean_sarif_invocation_succeeds(model_path, capsys):
+    _, out, _ = run(capsys, "scan", "--model", model_path, "--format",
+                    "sarif", str(FIXTURES / "clean_page.php"))
+    [invocation] = json.loads(out)["runs"][0]["invocations"]
+    assert invocation == {"executionSuccessful": True,
+                          "toolExecutionNotifications": []}
 
 
 def test_scan_missing_model_exits_two(capsys, tmp_path):
@@ -94,6 +111,9 @@ def test_localize_skips_non_utf8_file(model_path, tmp_path, capsys):
 def test_scan_deep_nesting_is_an_error_record(model_path, tmp_path, capsys):
     (tmp_path / "deep.php").write_text(
         "<?php $a = " + "(" * 300 + "1" + ")" * 300 + ";")
+    # parses, but the taint trace recurses once per `.` term
+    (tmp_path / "chain.php").write_text(
+        "<?php $a = $_GET['x']" + " . 'y'" * 500 + "; system($a);")
     (tmp_path / "good.php").write_text(
         (FIXTURES / "command_injection.php").read_text())
     code, out, _ = run(capsys, "scan", "--model", model_path, str(tmp_path))
@@ -103,8 +123,9 @@ def test_scan_deep_nesting_is_an_error_record(model_path, tmp_path, capsys):
     errors = [r for r in records if "error" in r]
     assert [r["path"] for r in verdicts] == [str(tmp_path / "good.php")]
     assert verdicts[0]["vulnerable"] is True
-    assert errors == [{"path": str(tmp_path / "deep.php"),
-                       "error": "nesting too deep"}]
+    assert sorted(errors, key=lambda r: r["path"]) == [
+        {"path": str(tmp_path / name), "error": "nesting too deep"}
+        for name in ("chain.php", "deep.php")]
 
 
 def test_localize_reports_schema(model_path, capsys):

@@ -401,6 +401,8 @@ class _Handler(BaseHTTPRequestHandler):
         _Handler.seen.append(json.loads(self.rfile.read(length)))
         if _Handler.mode == "malformed":
             body = b"not json at all"
+        elif _Handler.mode == "scalar":
+            body = b"5"
         else:
             body = json.dumps({
                 "vulnerability type": "command injection",
@@ -435,7 +437,13 @@ def test_remote_backend_success(bundle, command_injection_unit, http_server):
     assert payload["prompt"] == ANALYSIS_PROMPT
     assert payload["input"]["line"] == 3
     assert "php_code" in payload["input"]
-    assert backend.last_analysis["vulnerability type"] == "command injection"
+    ir = build_ir(FileAnalysis(command_injection_unit))
+    constraints = extract_constraints(ir)
+    template = next(t for t in TEMPLATES if t.applicable("Command"))
+    plans = backend.fill(template, ir, constraints)
+    assert plans
+    assert plans == DeterministicBackend().fill(template, ir, constraints)
+    assert backend.name == "remote"
 
 
 def test_remote_backend_malformed_counts_as_refusal(
@@ -448,18 +456,14 @@ def test_remote_backend_malformed_counts_as_refusal(
     assert backend.fill(template, ir, constraints) == []
 
 
-def test_remote_backend_clears_last_analysis_on_refusal(
+def test_remote_backend_non_object_body_counts_as_refusal(
         bundle, command_injection_unit, http_server):
+    _Handler.mode = "scalar"
     backend = RemoteBackend(endpoint=http_server)
     ir = build_ir(FileAnalysis(command_injection_unit))
     constraints = extract_constraints(ir)
     template = next(t for t in TEMPLATES if t.applicable("Command"))
-    _Handler.mode = "ok"
-    assert backend.fill(template, ir, constraints)
-    assert backend.last_analysis["vulnerability type"] == "command injection"
-    _Handler.mode = "malformed"
     assert backend.fill(template, ir, constraints) == []
-    assert backend.last_analysis is None
 
 
 def test_remote_backend_unreachable_falls_back(bundle, command_injection_unit):

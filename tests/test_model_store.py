@@ -70,3 +70,56 @@ def test_unknown_format_version(bundle, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="format"):
         load_model(path)
+
+
+def _tampered(bundle, tmp_path, tamper):
+    path = tmp_path / "model.json"
+    save_model(bundle, path)
+    doc = json.loads(path.read_text())
+    tamper(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_pre_format_two_model_refused(bundle, tmp_path):
+    def as_format_one(doc):
+        doc["format_version"] = 1
+        doc["stage2"]["project_qkv"] = True
+        for key in ("stage1_config", "stage2_config"):
+            doc[key].update(optimizer="adam", project_qkv=True)
+
+    with pytest.raises(ConfigError, match="unsupported model format 1"):
+        load_model(_tampered(bundle, tmp_path, as_format_one))
+
+
+@pytest.mark.parametrize("section, tamper", [
+    ("stage1_config", lambda d: d["stage1_config"].update(momentum=0.9)),
+    ("stage2_config", lambda d: d["stage2_config"].update(optimizer="sgd")),
+    ("stage1_config", lambda d: d["stage1_config"].update(dim="64")),
+    ("vocab", lambda d: d.pop("vocab")),
+    ("vocab_hash", lambda d: d.pop("vocab_hash")),
+    ("vocab", lambda d: d.update(vocab=7)),
+    ("embedding", lambda d: d.update(embedding=[0.0])),
+    ("stage1", lambda d: d["stage1"].pop("uz")),
+    ("stage2", lambda d: d["stage2"].update(project_qkv=True)),
+    ("fusion", lambda d: d["fusion"].update(lam=None)),
+    ("curves", lambda d: d.pop("curves")),
+    ("curves", lambda d: d.update(curves=[0.5])),
+], ids=["unknown-key", "unknown-string-key", "string-number",
+        "no-vocab", "no-vocab-hash", "vocab-not-a-list", "embedding-list",
+        "missing-array", "unknown-array", "null-number", "no-curves",
+        "curves-list"])
+def test_malformed_section_is_a_config_error_naming_it(
+        bundle, tmp_path, section, tamper):
+    with pytest.raises(ConfigError, match=f"'{section}'"):
+        load_model(_tampered(bundle, tmp_path, tamper))
+
+
+def test_scan_with_malformed_model_exits_two(bundle, tmp_path, capsys):
+    from vulnminer.cli import main
+
+    path = _tampered(bundle, tmp_path, lambda d: d.pop("vocab"))
+    page = tmp_path / "page.php"
+    page.write_text('<?php echo "static";')
+    assert main(["scan", "--model", str(path), str(page)]) == 2
+    assert "model file has no 'vocab' section" in capsys.readouterr().err

@@ -179,17 +179,6 @@ class TestAttention:
         with pytest.raises(ConfigError):
             attention_forward(np.zeros((4, 4)), p, bias)
 
-    def test_unprojected_form(self):
-        rng = np.random.default_rng(17)
-        p = AttentionParams.init(4, seed=9, project_qkv=False)
-        emb = rng.uniform(-1, 1, (3, 4))
-        score, _, attn, _ = attention_forward(emb, p, None)
-        expected = emb @ emb.T / 2.0
-        expected = np.exp(expected - expected.max(axis=1, keepdims=True))
-        expected /= expected.sum(axis=1, keepdims=True)
-        assert np.allclose(attn, expected)
-        assert 0.0 < score < 1.0
-
     def test_gradcheck_projected(self):
         rng = np.random.default_rng(7)
         p = AttentionParams.init(8, seed=9, scale=0.4)
@@ -204,24 +193,6 @@ class TestAttention:
         _, dscore = weighted_bce_loss(score, 0, w_pos=1.0, w_neg=2.0)
         grads, demb = attention_backward(cache, dscore)
         assert finite_diff_gradcheck(loss, p.arrays(), grads) < 1e-4
-        assert finite_diff_gradcheck(loss, {"emb": emb}, {"emb": demb}) < 1e-4
-
-    def test_gradcheck_unprojected(self):
-        rng = np.random.default_rng(19)
-        p = AttentionParams.init(4, seed=21, scale=0.4, project_qkv=False)
-        emb = rng.uniform(-1, 1, (5, 4))
-
-        def loss():
-            s, _, _, _ = attention_forward(emb, p, None)
-            return weighted_bce_loss(s, 1, w_pos=3.0)[0]
-
-        score, _, _, cache = attention_forward(emb, p, None)
-        _, dscore = weighted_bce_loss(score, 1, w_pos=3.0)
-        grads, demb = attention_backward(cache, dscore)
-        checkable = {k: v for k, v in p.arrays().items()
-                     if k not in ("wq", "wk", "wv")}
-        assert finite_diff_gradcheck(loss, checkable,
-                                     {k: grads[k] for k in checkable}) < 1e-4
         assert finite_diff_gradcheck(loss, {"emb": emb}, {"emb": demb}) < 1e-4
 
 
