@@ -10,7 +10,7 @@ from .analysis import FileAnalysis
 from .cascade import run_pipeline
 from .corpus import CorpusManifest
 from .detector import _bucket_rare_symbols, _stage_samples, load_units
-from .errors import VulnMinerError
+from .errors import ParseError, VulnMinerError
 from .frontend.lexer import tokenize
 from .linearize import EmbeddingTable, Vocabulary
 from .metrics import MetricsReport, compute_metrics, confusion_from_pairs
@@ -111,6 +111,19 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
     units = [SourceUnit.from_file(e.path) for e in entries]
     labels = {e.path: e.label for e in entries}
     analyses = [FileAnalysis(unit) for unit in units]
+    # Every row must cover the same files, so a file that any stage or the
+    # advisory finding could not analyze stops the bench before any row.
+    errors = []
+    for analysis in analyses:
+        try:
+            analysis.structural, analysis.findings
+        except ParseError as exc:
+            errors.append(f"{analysis.path}: {exc}")
+        except RecursionError:
+            errors.append(f"{analysis.path}: nesting too deep")
+    if errors:
+        raise VulnMinerError(f"{len(errors)} labeled file(s) cannot be "
+                             f"scored: {'; '.join(errors)}")
     train: list[tuple[FileAnalysis, int]] = []
 
     rows = [_cascade_row("full", units, labels, bundle)]

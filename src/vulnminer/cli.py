@@ -65,6 +65,13 @@ def _lexicon(cfg: Config):
     return load_lexicon(cfg.lexicon) if cfg.lexicon else DEFAULT_LEXICON
 
 
+def _exit_code(findings: bool, errors, allow_errors: bool) -> int:
+    """2 when a file gave an error record (unless allowed), else 1 or 0."""
+    if errors and not allow_errors:
+        return EXIT_ERROR
+    return EXIT_FINDINGS if findings else EXIT_CLEAN
+
+
 def _emit(text: str, out: str | None):
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -99,7 +106,8 @@ def cmd_scan(args) -> int:
     else:
         write_jsonl([v.record() for v in verdicts]
                     + [{"path": p, "error": e} for p, e in errors], args.out)
-    return EXIT_FINDINGS if any(v.vulnerable for v in verdicts) else EXIT_CLEAN
+    return _exit_code(any(v.vulnerable for v in verdicts), errors,
+                      args.allow_errors)
 
 
 def cmd_localize(args) -> int:
@@ -111,6 +119,7 @@ def cmd_localize(args) -> int:
                            token=cfg.endpoint_token, timeout=cfg.timeout)
     units, unread = _read_units(args.paths)
     verdicts, errors = run_pipeline(units, bundle, lex=lex)
+    errors = unread + errors
     unit_of = {u.path: u for u in units}
 
     reports = []
@@ -122,9 +131,8 @@ def cmd_localize(args) -> int:
             alpha=cfg.alpha, max_iterations=cfg.max_iterations, lex=lex,
             hook=cfg.verify_hook or None))
     write_jsonl([r.to_dict() for r in reports]
-                + [{"path": p, "error": e} for p, e in unread + errors],
-                args.out)
-    return EXIT_FINDINGS if reports else EXIT_CLEAN
+                + [{"path": p, "error": e} for p, e in errors], args.out)
+    return _exit_code(bool(reports), errors, args.allow_errors)
 
 
 def cmd_train(args) -> int:
@@ -215,14 +223,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="taint lexicon file (kind,name,class lines)")
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
+    def scanning(p):
+        p.add_argument("paths", nargs="+")
+        p.add_argument("--allow-errors", action="store_true",
+                       help="exit 0 or 1 even when some file gave an error "
+                            "record (default: exit 2)")
+
     scan = sub.add_parser("scan", help="run the detection cascade")
-    scan.add_argument("paths", nargs="+")
+    scanning(scan)
     scan.add_argument("--format", choices=("jsonl", "sarif"), default="jsonl")
     common(scan)
     scan.set_defaults(func=cmd_scan)
 
     loc = sub.add_parser("localize", help="locate and rewrite confirmed findings")
-    loc.add_argument("paths", nargs="+")
+    scanning(loc)
     loc.add_argument("--backend", choices=("deterministic", "remote", "refusal"),
                      default=None)
     loc.add_argument("--endpoint", default=None)

@@ -1,7 +1,8 @@
-"""Lexer for the PHP subset."""
+"""Lexer for the PHP subset: one compiled regex, lines tracked forward."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -13,21 +14,45 @@ KEYWORDS = frozenset({
     "echo", "include", "include_once", "require", "require_once",
 })
 
-# Longest first so maximal munch works with a linear scan.
+# Longest first: the alternation takes the first operator that matches.
 _OPERATORS = (
     "===", "!==", "==", "!=", "<=", ">=", "&&", "||", "=>",
     "=", "<", ">", ".", "+", "-", "*", "/", "%", "!",
     "(", ")", "{", "}", "[", "]", ";", ",",
 )
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+
+# Leading whitespace, then one alternative per token class, tried in order;
+# ``end`` matches the whitespace at the end of the text. A backslash in a
+# single-quoted string always takes the next character with it, so the body
+# has one way to match and cannot backtrack into a string that ends early.
+# A double-quoted string with no backslash and no "$" is one match; any
+# other goes to ``_double_quoted``. Text that no alternative matches is an
+# error (see ``_no_match``), and so is an unclosed "/*".
+_TOKEN = re.compile(r"[ \t\r\n]*(?:" + "|".join((
+    r"(?P<comment>(?://|#)[^\n]*|/\*[\s\S]*?\*/)",
+    r"(?P<open_comment>/\*)",
+    rf"(?P<var>\${_NAME})",
+    r"(?P<single>'[^'\\]*(?:\\[\s\S][^'\\]*)*')",
+    r'(?P<plain>"[^"\\$]*")',
+    r"(?P<number>[0-9]+(?:\.[0-9]+)?)",
+    rf"(?P<ident>{_NAME})",
+    r"(?P<close_tag>\?>)",
+    "(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")",
+    r"(?P<end>\Z)",
+)) + ")")
+_WS = re.compile(r"[ \t\r\n]*")
+_SQ_ESCAPE = re.compile(r"\\(['\\])")
 
 _DQ_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"', "$": "$"}
+_DQ_LITERAL = re.compile(r'[^"\\${]+')
+_DQ_NAME = re.compile(_NAME)
+_DQ_BARE_INDEX = re.compile(rf"\[(?:([0-9]+)|({_NAME}))\]")
+_DIGITS = re.compile(r"[0-9]+")
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str          # open_tag close_tag var ident keyword string interp_string number op comment eof
     text: str
@@ -52,274 +77,180 @@ class InterpPart:
 
 
 def tokenize(unit: SourceUnit) -> list[Token]:
-    """Lex a source unit; comments are kept as tokens of kind ``comment``."""
-    return _Lexer(unit).run()
+    """Lex a source unit; comments are kept as tokens of kind ``comment``.
 
-
-class _Lexer:
-    def __init__(self, unit: SourceUnit):
-        self.unit = unit
-        self.text = unit.text
-        self.pos = 0
-        self.tokens: list[Token] = []
-
-    def run(self) -> list[Token]:
-        self._open_tag()
-        n = len(self.text)
-        while self.pos < n:
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "/" and self._peek(1) == "/":
-                self._line_comment(2)
-            elif ch == "#":
-                self._line_comment(1)
-            elif ch == "/" and self._peek(1) == "*":
-                self._block_comment()
-            elif ch == "$":
-                self._variable()
-            elif ch == "'":
-                self._single_quoted()
-            elif ch == '"':
-                self._double_quoted()
-            elif ch in _DIGITS:
-                self._number()
-            elif ch in _IDENT_START:
-                self._ident()
-            elif ch == "?" and self._peek(1) == ">":
-                self._close_tag()
-            else:
-                self._operator()
-        self.tokens.append(Token("eof", "", self.unit.span_between(n, n + 1)))
-        return self.tokens
-
-    # -- helpers ------------------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.text[i] if i < len(self.text) else ""
-
-    def _emit(self, kind: str, start: int, value=None, parts=None):
-        tok = Token(
-            kind,
-            self.text[start:self.pos],
-            self.unit.span_between(start, self.pos),
-            value=value,
-            parts=parts or [],
-        )
-        self.tokens.append(tok)
-
-    def _error(self, message: str, at: int, expected=None):
-        raise ParseError(message, span=self.unit.span_between(at, at + 1),
-                         expected=expected, path=self.unit.path)
-
-    # -- token scanners ------------------------------------------------------
-
-    def _open_tag(self):
-        stripped = 0
-        while stripped < len(self.text) and self.text[stripped] in " \t\r\n":
-            stripped += 1
-        if not self.text.startswith("<?php", stripped):
-            self._error("missing opening <?php tag", stripped, expected="<?php")
-        self.pos = stripped + 5
-        self._emit("open_tag", stripped)
-
-    def _close_tag(self):
-        start = self.pos
-        self.pos += 2
-        if self.text[self.pos:].strip():
-            self._error("content after closing tag is not supported", self.pos)
-        self._emit("close_tag", start)
-        self.pos = len(self.text)
-
-    def _line_comment(self, marker_len: int):
-        start = self.pos
-        self.pos += marker_len
-        while self.pos < len(self.text) and self.text[self.pos] != "\n":
-            self.pos += 1
-        self._emit("comment", start)
-
-    def _block_comment(self):
-        start = self.pos
-        end = self.text.find("*/", self.pos + 2)
-        if end < 0:
-            self._error("unterminated comment", start)
-        self.pos = end + 2
-        self._emit("comment", start)
-
-    def _variable(self):
-        start = self.pos
-        self.pos += 1
-        if self._peek() not in _IDENT_START:
-            self._error("expected variable name after $", start)
-        while self._peek() in _IDENT_CONT:
-            self.pos += 1
-        self._emit("var", start, value=self.text[start + 1:self.pos])
-
-    def _ident(self):
-        start = self.pos
-        while self._peek() in _IDENT_CONT:
-            self.pos += 1
-        word = self.text[start:self.pos]
-        self._emit("keyword" if word in KEYWORDS else "ident", start, value=word)
-
-    def _number(self):
-        start = self.pos
-        while self._peek() in _DIGITS:
-            self.pos += 1
-        if self._peek() == "." and self._peek(1) in _DIGITS:
-            self.pos += 1
-            while self._peek() in _DIGITS:
-                self.pos += 1
-            value = float(self.text[start:self.pos])
+    The scan tracks its line as it moves forward: ``line`` is the line of
+    ``pos`` and ``line_start`` that line's first offset, updated from the
+    newlines of each match, so no offset is looked up in a line index.
+    """
+    text = unit.text
+    n = len(text)
+    pos = n - len(text.lstrip(" \t\r\n"))
+    if not text.startswith("<?php", pos):
+        raise _error(unit, "missing opening <?php tag", pos, expected="<?php")
+    line = text.count("\n", 0, pos) + 1
+    line_start = text.rfind("\n", 0, pos) + 1
+    col = pos - line_start + 1
+    tokens = [Token("open_tag", "<?php", Span(line, col, line, col + 4))]
+    pos += 5
+    match = _TOKEN.match
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup if m else None
+        value, parts = None, []
+        if kind == "end":
+            break
+        if kind is None or kind == "open_comment":
+            start = _WS.match(text, pos).end()
+            end, kind, value, parts = _no_match(unit, start)
         else:
-            value = int(self.text[start:self.pos])
-        self._emit("number", start, value=value)
-
-    def _operator(self):
-        for op in _OPERATORS:
-            if self.text.startswith(op, self.pos):
-                start = self.pos
-                self.pos += len(op)
-                self._emit("op", start, value=op)
-                return
-        self._error(f"unexpected character {self.text[self.pos]!r}", self.pos)
-
-    def _single_quoted(self):
-        start = self.pos
-        self.pos += 1
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                self._error("unterminated string", start)
-            ch = self.text[self.pos]
-            if ch == "\\" and self._peek(1) in ("'", "\\"):
-                out.append(self._peek(1))
-                self.pos += 2
-            elif ch == "'":
-                self.pos += 1
-                break
-            else:
-                out.append(ch)
-                self.pos += 1
-        self._emit("string", start, value="".join(out))
-
-    def _double_quoted(self):
-        start = self.pos
-        self.pos += 1
-        parts: list[InterpPart] = []
-        lit: list[str] = []
-        lit_start = self.pos
-
-        def flush_lit(end: int):
-            if lit:
-                parts.append(InterpPart("lit", text="".join(lit), start=lit_start, end=end))
-                lit.clear()
-
-        while True:
-            if self.pos >= len(self.text):
-                self._error("unterminated string", start)
-            ch = self.text[self.pos]
-            if ch == "\\":
-                esc = self._peek(1)
-                if esc in _DQ_ESCAPES:
-                    lit.append(_DQ_ESCAPES[esc])
-                    self.pos += 2
-                else:
-                    lit.append("\\")
-                    self.pos += 1
-            elif ch == '"':
-                flush_lit(self.pos)
-                self.pos += 1
-                break
-            elif ch == "$" and self._peek(1) in _IDENT_START:
-                flush_lit(self.pos)
-                parts.append(self._interp_simple())
-                lit_start = self.pos
-            elif ch == "{" and self._peek(1) == "$":
-                flush_lit(self.pos)
-                parts.append(self._interp_curly())
-                lit_start = self.pos
-            else:
-                lit.append(ch)
-                self.pos += 1
-
-        if any(p.kind == "expr" for p in parts):
-            self._emit("interp_string", start, parts=parts)
+            start, end = m.span(kind)
+            if kind == "op":
+                value = m[kind]
+            elif kind == "var":
+                value = text[start + 1:end]
+            elif kind == "ident":
+                value = m[kind]
+                kind = "keyword" if value in KEYWORDS else "ident"
+            elif kind == "plain":
+                kind, value = "string", text[start + 1:end - 1]
+            elif kind == "single":
+                kind, value = "string", _SQ_ESCAPE.sub(r"\1", text[start + 1:end - 1])
+            elif kind == "number":
+                value = float(m[kind]) if "." in m[kind] else int(m[kind])
+            elif kind == "close_tag" and text[end:].strip():
+                raise _error(unit, "content after closing tag is not supported", end)
+        if text.find("\n", pos, end) < 0:
+            col = start - line_start + 1
+            span = Span(line, col, line, col + end - start - 1)
         else:
-            self._emit("string", start, value=parts[0].text if parts else "")
+            line += text.count("\n", pos, start)
+            line_start = text.rfind("\n", 0, start) + 1
+            first = line, start - line_start + 1
+            if breaks := text.count("\n", start, end):
+                line += breaks
+                line_start = text.rfind("\n", start, end) + 1
+            span = Span(*first, line, end - line_start)
+        tokens.append(Token(kind, text[start:end], span, value, parts))
+        pos = end
+        if kind == "close_tag":
+            break
+    line += text.count("\n", pos, n)
+    col = n - text.rfind("\n")
+    tokens.append(Token("eof", "", Span(line, col, line, col)))
+    return tokens
 
-    def _interp_simple(self) -> InterpPart:
-        # "$var" or "$var[bareword]" / "$var[123]" (PHP simple syntax: no quotes)
-        start = self.pos
-        self.pos += 1
-        name_start = self.pos
-        while self._peek() in _IDENT_CONT:
-            self.pos += 1
-        name = self.text[name_start:self.pos]
-        index = None
-        if self._peek() == "[":
-            save = self.pos
-            self.pos += 1
-            index = self._interp_bare_index()
-            if index is None:
-                self.pos = save  # not a simple index; '[' is literal text
-        return InterpPart("expr", var=name, index=index, start=start, end=self.pos)
 
-    def _interp_bare_index(self):
-        idx_start = self.pos
-        if self._peek() in _DIGITS:
-            while self._peek() in _DIGITS:
-                self.pos += 1
-            text = self.text[idx_start:self.pos]
-            if self._peek() != "]":
-                return None
-            self.pos += 1
-            return ("num", text)
-        if self._peek() in _IDENT_START:
-            while self._peek() in _IDENT_CONT:
-                self.pos += 1
-            word = self.text[idx_start:self.pos]
-            if self._peek() != "]":
-                return None
-            self.pos += 1
-            return ("str", word)
-        return None
+def _error(unit: SourceUnit, message: str, at: int, expected=None) -> ParseError:
+    return ParseError(message, span=unit.span_between(at, at + 1),
+                      expected=expected, path=unit.path)
 
-    def _interp_curly(self) -> InterpPart:
-        # "{$var}" or "{$var['key']}" / "{$var[123]}"
-        start = self.pos
-        self.pos += 2
-        name_start = self.pos
-        if self._peek() not in _IDENT_START:
-            self._error("expected variable in {$...} interpolation", start)
-        while self._peek() in _IDENT_CONT:
-            self.pos += 1
-        name = self.text[name_start:self.pos]
-        index = None
-        if self._peek() == "[":
-            self.pos += 1
-            if self._peek() in ("'", '"'):
-                quote = self._peek()
-                self.pos += 1
-                key_start = self.pos
-                while self._peek() not in (quote, ""):
-                    self.pos += 1
-                if self._peek() != quote:
-                    self._error("unterminated string", key_start)
-                index = ("str", self.text[key_start:self.pos])
-                self.pos += 1
-            elif self._peek() in _DIGITS:
-                key_start = self.pos
-                while self._peek() in _DIGITS:
-                    self.pos += 1
-                index = ("num", self.text[key_start:self.pos])
+
+def _no_match(unit: SourceUnit, pos: int):
+    """A double-quoted string that needs decoding, else the lexing error."""
+    ch = unit.text[pos]
+    if ch == '"':
+        return _double_quoted(unit, pos)
+    if ch == "'":
+        raise _error(unit, "unterminated string", pos)
+    if ch == "$":
+        raise _error(unit, "expected variable name after $", pos)
+    if ch == "/":
+        raise _error(unit, "unterminated comment", pos)
+    raise _error(unit, f"unexpected character {ch!r}", pos)
+
+
+def _double_quoted(unit: SourceUnit, start: int):
+    """(end, kind, value, parts) of the double-quoted string at ``start``.
+
+    A string with a variable in it is an ``interp_string`` of literal and
+    variable parts; any other is a ``string`` with its decoded value.
+    """
+    text = unit.text
+    pos = start + 1
+    parts: list[InterpPart] = []
+    lit: list[str] = []
+    lit_start = pos
+
+    def flush_lit(end: int):
+        if lit:
+            parts.append(InterpPart("lit", text="".join(lit), start=lit_start, end=end))
+            lit.clear()
+
+    while True:
+        run = _DQ_LITERAL.match(text, pos)
+        if run:
+            lit.append(run.group())
+            pos = run.end()
+        ch = text[pos:pos + 1]
+        if not ch:
+            raise _error(unit, "unterminated string", start)
+        if ch == "\\":
+            esc = text[pos + 1:pos + 2]
+            if esc in _DQ_ESCAPES:
+                lit.append(_DQ_ESCAPES[esc])
+                pos += 2
             else:
-                self._error("unsupported index in {$...} interpolation", self.pos)
-            if self._peek() != "]":
-                self._error("expected ] in {$...} interpolation", self.pos, expected="]")
-            self.pos += 1
-        if self._peek() != "}":
-            self._error("expected } in {$...} interpolation", self.pos, expected="}")
-        self.pos += 1
-        return InterpPart("expr", var=name, index=index, start=start, end=self.pos)
+                lit.append("\\")
+                pos += 1
+        elif ch == '"':
+            flush_lit(pos)
+            pos += 1
+            break
+        elif ch == "$" and _DQ_NAME.match(text, pos + 1):
+            flush_lit(pos)
+            parts.append(_interp_simple(text, pos))
+            pos = lit_start = parts[-1].end
+        elif ch == "{" and text.startswith("$", pos + 1):
+            flush_lit(pos)
+            parts.append(_interp_curly(unit, pos))
+            pos = lit_start = parts[-1].end
+        else:
+            lit.append(ch)
+            pos += 1
+
+    if any(p.kind == "expr" for p in parts):
+        return pos, "interp_string", None, parts
+    return pos, "string", parts[0].text if parts else "", []
+
+
+def _interp_simple(text: str, start: int) -> InterpPart:
+    # "$var" or "$var[bareword]" / "$var[123]" (PHP simple syntax: no quotes);
+    # any other "[" is literal text.
+    name = _DQ_NAME.match(text, start + 1)
+    end, index = name.end(), None
+    bare = _DQ_BARE_INDEX.match(text, end)
+    if bare:
+        end = bare.end()
+        index = ("num", bare[1]) if bare[1] is not None else ("str", bare[2])
+    return InterpPart("expr", var=name.group(), index=index, start=start, end=end)
+
+
+def _interp_curly(unit: SourceUnit, start: int) -> InterpPart:
+    # "{$var}" or "{$var['key']}" / "{$var[123]}"
+    text = unit.text
+    name = _DQ_NAME.match(text, start + 2)
+    if not name:
+        raise _error(unit, "expected variable in {$...} interpolation", start)
+    pos, index = name.end(), None
+    if text.startswith("[", pos):
+        pos += 1
+        quote = text[pos:pos + 1]
+        digits = _DIGITS.match(text, pos)
+        if quote in ("'", '"'):
+            close = text.find(quote, pos + 1)
+            if close < 0:
+                raise _error(unit, "unterminated string", pos + 1)
+            index = ("str", text[pos + 1:close])
+            pos = close + 1
+        elif digits:
+            index = ("num", digits.group())
+            pos = digits.end()
+        else:
+            raise _error(unit, "unsupported index in {$...} interpolation", pos)
+        if not text.startswith("]", pos):
+            raise _error(unit, "expected ] in {$...} interpolation", pos, expected="]")
+        pos += 1
+    if not text.startswith("}", pos):
+        raise _error(unit, "expected } in {$...} interpolation", pos, expected="}")
+    return InterpPart("expr", var=name.group(), index=index, start=start, end=pos + 1)

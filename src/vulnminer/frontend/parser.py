@@ -1,4 +1,10 @@
-"""Recursive-descent parser producing the subset AST."""
+"""Recursive-descent parser producing the subset AST.
+
+Binary expressions are parsed by precedence climbing: one loop over the
+operator tiers, so a parenthesized expression costs four Python frames
+(``expression``, ``_unary``, ``_postfix``, ``_primary``) whatever the
+number of tiers.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +13,10 @@ from ..source import SourceUnit, Span
 from .lexer import Token, tokenize
 from .nodes import AstNode, NodeKind, SUPERGLOBAL_NAMES, INCLUDE_FLAVORS
 
-# Binary precedence tiers, loosest first. Concatenation binds looser than
-# arithmetic, so tainted fragments stay visible at the top of a chain.
-_BINARY_TIERS = (
+# Binary operator -> precedence tier, loosest first. Concatenation binds
+# looser than arithmetic, so tainted fragments stay visible at the top of a
+# chain.
+_TIER = {op: tier for tier, ops in enumerate((
     ("||",),
     ("&&",),
     ("==", "!=", "===", "!=="),
@@ -17,7 +24,17 @@ _BINARY_TIERS = (
     (".",),
     ("+", "-"),
     ("*", "/", "%"),
-)
+)) for op in ops}
+
+_KEYWORD_STATEMENTS = {
+    "if": "_if_stmt",
+    "while": "_while_stmt",
+    "for": "_for_stmt",
+    "foreach": "_foreach_stmt",
+    "function": "_function_decl",
+    "return": "_return_stmt",
+    "echo": "_echo_stmt",
+}
 
 
 def parse(unit: SourceUnit) -> AstNode:
@@ -38,11 +55,8 @@ class _Parser:
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
     def at(self, kind: str, value=None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         return tok.kind == kind and (value is None or tok.value == value)
 
     def advance(self) -> Token:
@@ -52,14 +66,17 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, value=None, what: str | None = None) -> Token:
-        if not self.at(kind, value):
+        tok = self.tokens[self.i]
+        if tok.kind != kind or (value is not None and tok.value != value):
             want = what or (value if value is not None else kind)
             self.fail(f"expected {want}", expected=want)
-        return self.advance()
+        if kind != "eof":
+            self.i += 1
+        return tok
 
     def fail(self, message: str, expected=None):
-        raise ParseError(message, span=self.peek().span, expected=expected,
-                         path=self.unit.path)
+        raise ParseError(message, span=self.tokens[self.i].span,
+                         expected=expected, path=self.unit.path)
 
     # -- grammar ------------------------------------------------------------
 
@@ -75,19 +92,11 @@ class _Parser:
         return AstNode(NodeKind.PROGRAM, children=body, span=span)
 
     def statement(self) -> AstNode:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == "keyword":
-            handler = {
-                "if": self._if_stmt,
-                "while": self._while_stmt,
-                "for": self._for_stmt,
-                "foreach": self._foreach_stmt,
-                "function": self._function_decl,
-                "return": self._return_stmt,
-                "echo": self._echo_stmt,
-            }.get(tok.value)
+            handler = _KEYWORD_STATEMENTS.get(tok.value)
             if handler is not None:
-                return handler()
+                return getattr(self, handler)()
             if tok.value in INCLUDE_FLAVORS:
                 return self._include_stmt()
             self.fail(f"keyword {tok.value!r} cannot start a statement")
@@ -244,26 +253,29 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------------
 
-    def expression(self) -> AstNode:
-        return self._binary(0)
+    def expression(self, min_tier: int = 0) -> AstNode:
+        """Precedence climbing over binary operators of tier >= ``min_tier``.
 
-    def _binary(self, tier: int) -> AstNode:
-        if tier >= len(_BINARY_TIERS):
-            return self._unary()
-        ops = _BINARY_TIERS[tier]
-        node = self._binary(tier + 1)
-        while self.peek().kind == "op" and self.peek().value in ops:
-            op = self.advance().value
-            rhs = self._binary(tier + 1)
-            kind = NodeKind.CONCAT if op == "." else NodeKind.BINARY_OP
-            attrs = {} if op == "." else {"op": op}
+        Each operator's right operand holds only tighter operators, so every
+        tier associates to the left.
+        """
+        node = self._unary()
+        while True:
+            tok = self.tokens[self.i]
+            tier = _TIER.get(tok.value) if tok.kind == "op" else None
+            if tier is None or tier < min_tier:
+                return node
+            self.i += 1
+            rhs = self.expression(tier + 1)
+            kind = NodeKind.CONCAT if tok.value == "." else NodeKind.BINARY_OP
+            attrs = {} if tok.value == "." else {"op": tok.value}
             node = AstNode(kind, children=[node, rhs], attrs=attrs,
                            span=node.span.cover(rhs.span))
-        return node
 
     def _unary(self) -> AstNode:
-        if self.at("op", "!") or self.at("op", "-"):
-            tok = self.advance()
+        tok = self.tokens[self.i]
+        if tok.kind == "op" and tok.value in ("!", "-"):
+            self.i += 1
             operand = self._unary()
             if tok.value == "-" and operand.kind is NodeKind.NUMBER_LIT:
                 return AstNode(NodeKind.NUMBER_LIT,
@@ -286,7 +298,7 @@ class _Parser:
         return node
 
     def _primary(self) -> AstNode:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == "var":
             return self._var_node(self.advance())
         if tok.kind == "number":

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 _BOM = "﻿"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Span:
     """1-based inclusive source region."""
 
@@ -18,13 +21,18 @@ class Span:
     end_col: int
 
     def __post_init__(self):
-        if (self.start_line, self.start_col) > (self.end_line, self.end_col):
+        if self.start_line > self.end_line or (
+                self.start_line == self.end_line and self.start_col > self.end_col):
             raise ValueError(f"span start after end: {self}")
 
     def cover(self, other: "Span") -> "Span":
-        lo = min((self.start_line, self.start_col), (other.start_line, other.start_col))
-        hi = max((self.end_line, self.end_col), (other.end_line, other.end_col))
-        return Span(lo[0], lo[1], hi[0], hi[1])
+        first = self if (self.start_line, self.start_col) <= (
+            other.start_line, other.start_col) else other
+        last = self if (self.end_line, self.end_col) >= (
+            other.end_line, other.end_col) else other
+        if first is last:
+            return first
+        return Span(first.start_line, first.start_col, last.end_line, last.end_col)
 
     @property
     def lines(self) -> list[int]:
@@ -33,17 +41,14 @@ class Span:
 
 @dataclass(frozen=True)
 class SourceUnit:
-    """A single PHP file: identifier, raw text and a line-offset index."""
+    """A single PHP file: identifier and raw text."""
 
     path: str
     text: str
-    line_offsets: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         if not self.path:
             raise ValueError("SourceUnit.path must be non-empty")
-        if not self.line_offsets:
-            object.__setattr__(self, "line_offsets", _index_lines(self.text))
 
     @classmethod
     def from_text(cls, path: str, text: str) -> "SourceUnit":
@@ -59,14 +64,13 @@ class SourceUnit:
     def position(self, offset: int) -> tuple[int, int]:
         """Map a 0-based byte offset to a 1-based (line, col) pair."""
         offset = min(max(offset, 0), len(self.text))
-        lo, hi = 0, len(self.line_offsets) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.line_offsets[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1, offset - self.line_offsets[lo] + 1
+        line = bisect_right(self.line_offsets, offset)
+        return line, offset - self.line_offsets[line - 1] + 1
+
+    @cached_property
+    def line_offsets(self) -> tuple[int, ...]:
+        """Offset of the first character of each line."""
+        return (0, *(m.end() for m in re.finditer("\n", self.text)))
 
     def span_between(self, start: int, end: int) -> Span:
         """Span covering offsets [start, end); end is exclusive."""
@@ -74,10 +78,3 @@ class SourceUnit:
         el, ec = self.position(max(start, end - 1))
         return Span(sl, sc, el, ec)
 
-
-def _index_lines(text: str) -> tuple[int, ...]:
-    offsets = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            offsets.append(i + 1)
-    return tuple(offsets)

@@ -38,7 +38,7 @@ def test_scan_appendix_fixture_sarif(model_path, tmp_path, capsys):
     code, out, _ = run(capsys, "scan", "--model", model_path,
                        "--format", "sarif",
                        str(FIXTURES / "command_injection.php"), str(broken))
-    assert code == 1
+    assert code == 2
     doc = json.loads(out)
     assert doc["version"] == "2.1.0"
     results = doc["runs"][0]["results"]
@@ -82,7 +82,7 @@ def test_scan_non_utf8_file_is_an_error_record(model_path, tmp_path,
     good = (FIXTURES / "command_injection.php").read_text()
     (tmp_path / "good.php").write_text(good)
     code, out, _ = run(capsys, "scan", "--model", model_path, str(tmp_path))
-    assert code == 1
+    assert code == 2
     records = [json.loads(line) for line in out.splitlines()]
     verdicts = [r for r in records if "error" not in r]
     errors = [r for r in records if "error" in r]
@@ -90,6 +90,10 @@ def test_scan_non_utf8_file_is_an_error_record(model_path, tmp_path,
     assert verdicts[0]["vulnerable"] is True
     assert [r["path"] for r in errors] == [str(tmp_path / "bad.php")]
     assert "UTF-8" in errors[0]["error"]
+    code, allowed, _ = run(capsys, "scan", "--model", model_path,
+                           "--allow-errors", str(tmp_path))
+    assert code == 1
+    assert allowed == out
 
 
 def test_localize_skips_non_utf8_file(model_path, tmp_path, capsys):
@@ -98,7 +102,7 @@ def test_localize_skips_non_utf8_file(model_path, tmp_path, capsys):
         (FIXTURES / "command_injection.php").read_text())
     code, out, _ = run(capsys, "localize", "--model", model_path,
                        str(tmp_path))
-    assert code == 1
+    assert code == 2
     records = [json.loads(line) for line in out.splitlines()]
     reports, errors = records[:-1], records[-1:]
     assert [r["artifact"]["path"] for r in reports] \
@@ -106,6 +110,10 @@ def test_localize_skips_non_utf8_file(model_path, tmp_path, capsys):
     assert reports[0]["artifact"]["status"] == "ok"
     assert [r["path"] for r in errors] == [str(tmp_path / "bad.php")]
     assert "UTF-8" in errors[0]["error"]
+    code, allowed, _ = run(capsys, "localize", "--model", model_path,
+                           "--allow-errors", str(tmp_path))
+    assert code == 1
+    assert allowed == out
 
 
 def test_scan_deep_nesting_is_an_error_record(model_path, tmp_path, capsys):
@@ -117,7 +125,7 @@ def test_scan_deep_nesting_is_an_error_record(model_path, tmp_path, capsys):
     (tmp_path / "good.php").write_text(
         (FIXTURES / "command_injection.php").read_text())
     code, out, _ = run(capsys, "scan", "--model", model_path, str(tmp_path))
-    assert code == 1
+    assert code == 2
     records = [json.loads(line) for line in out.splitlines()]
     verdicts = [r for r in records if "error" not in r]
     errors = [r for r in records if "error" in r]
@@ -126,6 +134,9 @@ def test_scan_deep_nesting_is_an_error_record(model_path, tmp_path, capsys):
     assert sorted(errors, key=lambda r: r["path"]) == [
         {"path": str(tmp_path / name), "error": "nesting too deep"}
         for name in ("chain.php", "deep.php")]
+    code, _, _ = run(capsys, "scan", "--model", model_path, "--allow-errors",
+                     str(tmp_path))
+    assert code == 1
 
 
 def test_localize_reports_schema(model_path, capsys):
@@ -191,6 +202,39 @@ def test_bench_csv_and_ablation_row(model_path, corpus_dir, capsys):
     assert lines[0].startswith("variant,")
     variants = [line.split(",")[0] for line in lines[1:]]
     assert variants == ["full", "stage2-full", "stage2-no-bias"]
+
+
+def test_bench_refuses_labeled_file_that_does_not_parse(model_path, tmp_path,
+                                                        capsys):
+    bad = tmp_path / "bad.php"
+    bad.write_text("<?php $a = (;")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(
+        json.dumps({"path": str(path), "label": label, "split": "test"}) + "\n"
+        for path, label in ((FIXTURES / "command_injection.php", 1),
+                            (FIXTURES / "clean_page.php", 0), (bad, 0))))
+    for extra in ((), ("--ablate", "no-bias")):
+        code, out, err = run(capsys, "bench", str(manifest), "--model",
+                             model_path, *extra)
+        assert code == 2
+        assert out == ""
+        assert "1 labeled file(s) cannot be scored" in err
+        assert str(bad) in err
+
+
+def test_scan_only_unparseable_file_exits_two(model_path, tmp_path, capsys):
+    (tmp_path / "handler.php").write_text(
+        '<?php\nclass Handler {\n    public function run() {\n'
+        '        system($_GET["c"]);\n    }\n}\n')
+    for command in ("scan", "localize"):
+        code, out, _ = run(capsys, command, "--model", model_path,
+                           str(tmp_path))
+        assert code == 2
+        [record] = [json.loads(line) for line in out.splitlines()]
+        assert record["path"] == str(tmp_path / "handler.php")
+        code, _, _ = run(capsys, command, "--model", model_path,
+                         "--allow-errors", str(tmp_path))
+        assert code == 0
 
 
 def test_bench_invalid_flag_exits_two(model_path, corpus_dir, capsys):
