@@ -12,15 +12,17 @@ from .source import SourceUnit
 
 
 class FileAnalysis:
-    """Parse tree, flow graph, both stage sequences and taint findings.
+    """Parse tree and its indexes, flow graph, stage sequences, taint findings.
 
     Each field is computed on first use and kept, so stage one, stage two,
     the advisory finding and localization share one parse and one flow
-    graph. Both sequences linearize that graph, which renames variables
-    and user functions canonically: that is stage two's normalization.
-    A parse failure is not kept: each field that needs the tree raises
-    the ``ParseError`` again. Function names in ``keep`` (built-ins and
-    every name of the lexicon) are never renamed.
+    graph. The tree indexes ``nodes`` and ``parents`` live here, not on
+    the flow graph, and only localization reads them. Both sequences
+    linearize the graph, which renames variables and user functions
+    canonically: that is stage two's normalization. A parse failure is
+    not kept: each field that needs the tree raises the ``ParseError``
+    again. Function names in ``keep`` (built-ins and every name of the
+    lexicon) are never renamed.
     """
 
     def __init__(self, unit: SourceUnit, lex: TaintLexicon | None = None):
@@ -35,6 +37,11 @@ class FileAnalysis:
     @cached_property
     def ast(self):
         return parse(self.unit)
+
+    @cached_property
+    def nodes(self):
+        """Node id -> node over the whole tree."""
+        return {node.node_id: node for node in self.ast.walk()}
 
     @cached_property
     def parents(self):

@@ -120,7 +120,11 @@ def loop_to_recursion(ast: AstNode, seed: int) -> tuple[AstNode, bool]:
     while fn_name in existing:
         fn_name += "x"
 
-    def rebuild_body(stmts: list[AstNode], applied: list[bool]) -> list[AstNode]:
+    if ast.kind is not NodeKind.PROGRAM:
+        raise VulnMinerError("loop_to_recursion expects a Program")
+    applied = [False]
+
+    def rebuild_body(stmts: list[AstNode]) -> list[AstNode]:
         out: list[AstNode] = []
         for stmt in stmts:
             if (not applied[0] and stmt.kind in (NodeKind.WHILE, NodeKind.FOR)
@@ -131,23 +135,7 @@ def loop_to_recursion(ast: AstNode, seed: int) -> tuple[AstNode, bool]:
                 out.append(copy_tree(stmt))
         return out
 
-    applied = [False]
-    if ast.kind is not NodeKind.PROGRAM:
-        raise VulnMinerError("loop_to_recursion expects a Program")
-    new_children: list[AstNode] = []
-    for child in ast.children:
-        if child.kind is NodeKind.FUNCTION_DECL:
-            name, params, body = child.function_parts()
-            new_body = rebuild_body(body, applied)
-            new_children.append(AstNode(
-                NodeKind.FUNCTION_DECL,
-                children=[copy_tree(p) for p in params] + new_body,
-                attrs={"name": name, "n_params": len(params)},
-                span=child.span))
-        else:
-            new_children.extend(rebuild_body([child], applied))
-    tree = AstNode(NodeKind.PROGRAM, children=new_children, span=ast.span)
-    return tree, applied[0]
+    return _rebuild_bodies(ast, rebuild_body), applied[0]
 
 
 def _eligible(loop: AstNode) -> bool:
@@ -309,35 +297,18 @@ def _split_concat(ast: AstNode, rng) -> tuple[AstNode, bool]:
 
 
 def _wrap_constant_if(ast: AstNode, rng) -> tuple[AstNode, bool]:
-    """Wrap the last top-level statement in an always-true branch."""
-    applied = [False]
+    """Wrap the last top-level statement in an always-true branch.
 
-    def rebuild_body(stmts: list[AstNode]) -> list[AstNode]:
-        out = [copy_tree(s) for s in stmts]
-        if applied[0] or not out:
-            return out
-        last = out[-1]
-        if last.kind is NodeKind.FUNCTION_DECL:
-            return out
-        applied[0] = True
+    Only at the top level, so function bodies keep their returns; a
+    program that ends in a function declaration is left as it is.
+    """
+    children = [copy_tree(c) for c in ast.children]
+    applied = bool(children) and children[-1].kind is not NodeKind.FUNCTION_DECL
+    if applied:
         cond = AstNode(NodeKind.NUMBER_LIT, attrs={"text": "1", "value": 1})
-        out[-1] = AstNode(NodeKind.IF, children=[cond, last],
-                          attrs={"then_len": 1, "else_len": 0})
-        return out
-
-    # wrap only at the top level so function bodies keep their returns
-    new_children: list[AstNode] = []
-    pending: list[AstNode] = []
-    for child in ast.children:
-        if child.kind is NodeKind.FUNCTION_DECL:
-            new_children.extend(copy_tree(p) for p in pending)
-            pending.clear()
-            new_children.append(copy_tree(child))
-        else:
-            pending.append(child)
-    new_children.extend(rebuild_body(pending))
-    tree = AstNode(NodeKind.PROGRAM, children=new_children, span=ast.span)
-    return tree, applied[0]
+        children[-1] = AstNode(NodeKind.IF, children=[cond, children[-1]],
+                               attrs={"then_len": 1, "else_len": 0})
+    return AstNode(NodeKind.PROGRAM, children=children, span=ast.span), applied
 
 
 def _rebuild_bodies(ast: AstNode, rebuild_body) -> AstNode:

@@ -1,4 +1,11 @@
-"""Control/data-flow graph over the AST and the taint oracle built on it."""
+"""Data-flow graph over the AST and the taint oracle built on it.
+
+The graph keeps what its readers use: the tree's root, one scope per
+function body (or the top level) with its CFG successors, def/use model
+and reaching definitions, and the sorted reaching-definition data-flow
+pairs. Syntax edges are the tree itself; tree indexes such as the node
+and parent maps live on ``analysis.FileAnalysis``.
+"""
 
 from __future__ import annotations
 
@@ -16,23 +23,8 @@ from .lexicon import (
 )
 from .source import Span
 
-SYNTAX_CHILD = "SyntaxChild"
-CONTROL_FLOW = "ControlFlow"
-DATA_FLOW = "DataFlow"
-
 _ALL_CLASSES = frozenset(SINK_CLASSES)
 _MAX_CALL_DEPTH = 3
-
-
-@dataclass(frozen=True)
-class FlowEdge:
-    src: int
-    dst: int
-    kind: str
-
-    def __post_init__(self):
-        if self.kind in (CONTROL_FLOW, DATA_FLOW) and self.src == self.dst:
-            raise ValueError(f"{self.kind} edge may not be a self loop")
 
 
 @dataclass
@@ -52,20 +44,18 @@ class _Scope:
 
 @dataclass
 class FlowGraph:
-    """AST plus syntax, control-flow and data-flow edge sets."""
+    """The tree, its per-scope CFGs and its data-flow pairs.
+
+    ``dataflow`` is the sorted list of ``(def_id, use_id)`` pairs: a
+    definition that reaches a use of its variable, never a node to itself.
+    """
 
     root: AstNode
-    edges: list[FlowEdge]
-    defs: dict[str, list[int]]
-    uses: dict[str, list[int]]
     scopes: list[_Scope]
-    nodes: dict[int, AstNode]
-
-    def edges_of(self, kind: str) -> list[FlowEdge]:
-        return [e for e in self.edges if e.kind == kind]
+    dataflow: list[tuple[int, int]]
 
     def dataflow_triples(self) -> set[tuple[int, int]]:
-        return {(e.src, e.dst) for e in self.edges if e.kind == DATA_FLOW}
+        return set(self.dataflow)
 
     def functions(self) -> dict[str, AstNode]:
         table: dict[str, AstNode] = {}
@@ -80,44 +70,18 @@ class FlowGraph:
 # ---------------------------------------------------------------------------
 
 def augment_flows(root: AstNode) -> FlowGraph:
-    """Attach control-flow and reaching-definition data-flow edges."""
-    nodes = {n.node_id: n for n in root.walk()}
-    edges: list[FlowEdge] = []
-    for node in root.walk():
-        for child in node.children:
-            edges.append(FlowEdge(node.node_id, child.node_id, SYNTAX_CHILD))
-
+    """Build each scope's CFG and its reaching-definition data flow."""
     scopes = _collect_scopes(root)
-    cf_edges: list[FlowEdge] = []
+    pairs: set[tuple[int, int]] = set()
     for scope in scopes:
-        for src, dests in sorted(scope.succ.items()):
-            if src == root.node_id:
-                continue  # top-level entry is not an executed statement
-            for dst in dests:
-                if src != dst:
-                    cf_edges.append(FlowEdge(src, dst, CONTROL_FLOW))
         _solve_reaching(scope)
-    edges.extend(cf_edges)
-
-    defs_map: dict[str, list[int]] = {}
-    uses_map: dict[str, list[int]] = {}
-    df_edges: set[tuple[int, int]] = set()
-    for scope in scopes:
-        for node_id, pairs in scope.defs.items():
-            for var, _ in pairs:
-                defs_map.setdefault(var, []).append(node_id)
         for node_id, varlist in scope.uses.items():
+            reach = scope.reach_in.get(node_id, {})
             for var in varlist:
-                uses_map.setdefault(var, []).append(node_id)
-                for def_id in scope.reach_in.get(node_id, {}).get(var, ()):
+                for def_id in reach.get(var, ()):
                     if def_id != node_id:
-                        df_edges.add((def_id, node_id))
-    edges.extend(FlowEdge(s, d, DATA_FLOW) for s, d in sorted(df_edges))
-
-    return FlowGraph(root=root, edges=edges,
-                     defs={k: sorted(v) for k, v in defs_map.items()},
-                     uses={k: sorted(v) for k, v in uses_map.items()},
-                     scopes=scopes, nodes=nodes)
+                        pairs.add((def_id, node_id))
+    return FlowGraph(root=root, scopes=scopes, dataflow=sorted(pairs))
 
 
 def _collect_scopes(root: AstNode) -> list[_Scope]:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .frontend.nodes import AstNode, NodeKind, STATEMENT_KINDS
-from .flows import DATA_FLOW, FlowGraph
+from .flows import FlowGraph
 from .lexicon import RESERVED_FUNCTION_NAMES, SECRET_NAME_RE
 
 MAX_SEQUENCE = 512
@@ -46,7 +46,7 @@ class TokenSequence:
 def linearize(graph: FlowGraph, canonical: bool = True,
               flow_markers: bool = True, max_len: int = MAX_SEQUENCE,
               keep: frozenset[str] | None = None) -> TokenSequence:
-    """Pre-order DFS token stream plus def/use markers for data-flow edges.
+    """Pre-order DFS token stream plus def/use markers for data-flow pairs.
 
     Structural tokens take priority under the length budget; markers whose
     endpoints survive are appended afterwards, statement ordinals 1-based.
@@ -98,14 +98,12 @@ def linearize(graph: FlowGraph, canonical: bool = True,
     kept = set(origin.values())
     if flow_markers:
         markers = []
-        for edge in graph.edges:
-            if edge.kind != DATA_FLOW:
-                continue
-            if edge.src not in kept or edge.dst not in kept:
+        for src, dst in graph.dataflow:
+            if src not in kept or dst not in kept:
                 truncated = True
                 continue
-            src_ord = stmt_ordinal.get(edge.src)
-            dst_ord = stmt_ordinal.get(edge.dst)
+            src_ord = stmt_ordinal.get(src)
+            dst_ord = stmt_ordinal.get(dst)
             if src_ord is None or dst_ord is None:
                 continue
             markers.append((src_ord, dst_ord))

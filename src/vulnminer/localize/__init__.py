@@ -18,7 +18,6 @@ from .engine import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_ITERATIONS,
     LocalizationReport,
-    RefinementState,
     analyze_failures,
     generate_candidates,
     localize,
@@ -42,7 +41,6 @@ __all__ = [
     "IntermediateRepresentation",
     "LocalizationReport",
     "MicroTemplate",
-    "RefinementState",
     "RefusalBackend",
     "RemoteBackend",
     "Rewriter",

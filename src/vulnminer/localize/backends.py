@@ -238,7 +238,7 @@ def _path_sanitizer(key: str | None) -> str:
 
 
 def _fresh_var(ir: IntermediateRepresentation, base: str) -> str:
-    taken = set(ir.graph.defs) | set(ir.graph.uses)
+    taken = {n.attrs["name"] for n in ir.ast.walk() if n.kind is NodeKind.VAR}
     name = base if base not in taken else f"{base}_safe"
     counter = 1
     while name in taken:
@@ -262,7 +262,7 @@ def _tainted_leaves(arg: AstNode | None, tainted_vars: set[str]):
 def _secret_assign(ir) -> int | None:
     for nid in ir.finding.path:
         sid = ir.stmt_of(nid)
-        stmt = ir.graph.nodes[sid]
+        stmt = ir.analysis.nodes[sid]
         if (stmt.kind is NodeKind.ASSIGN
                 and stmt.children[0].kind is NodeKind.VAR
                 and stmt.children[0].attrs["name"]
@@ -280,7 +280,7 @@ def _execute_site(ir, facts) -> tuple[int | None, str | None]:
     if build_owner is None and sink_owner is not None:
         # query built at top level, executed inside a helper: call the
         # prepared handle directly at the original call site
-        helper = ir.graph.nodes[sink_owner].attrs["name"]
+        helper = ir.analysis.nodes[sink_owner].attrs["name"]
         for node in ir.ast.walk():
             if (node.kind is NodeKind.CALL
                     and node.attrs["name"] == helper):

@@ -40,9 +40,6 @@ class Constraint:
 @dataclass
 class ConstraintSet:
     constraints: list[Constraint] = field(default_factory=list)
-    # Soft preferences have no boolean predicate; selection applies them
-    # as tie-breakers instead.
-    soft_preferences: tuple[str, ...] = ("minimize_edit_distance",)
 
     def __post_init__(self):
         ids = [c.cid for c in self.constraints]

@@ -23,16 +23,6 @@ DEFAULT_ALPHA = 0.6
 
 
 @dataclass
-class RefinementState:
-    iteration: int = 0
-    budget: int = DEFAULT_MAX_ITERATIONS
-    feedback: list[dict] = field(default_factory=list)
-
-    def exhausted(self) -> bool:
-        return self.iteration >= self.budget
-
-
-@dataclass
 class LocalizationReport:
     path: str
     vuln_type: str | None
@@ -83,7 +73,7 @@ def _cause_text(ir: IntermediateRepresentation, vuln_type: str) -> str:
 
 def _involved_lines(ir: IntermediateRepresentation) -> list[int]:
     lines = set(ir.finding.sink_span.lines)
-    source = ir.graph.nodes.get(ir.finding.source_id)
+    source = ir.analysis.nodes.get(ir.finding.source_id)
     if source is not None and source.span is not None:
         lines.add(source.span.start_line)
     return sorted(lines)
@@ -215,17 +205,15 @@ def localize(unit: SourceUnit, bundle, templates: list[MicroTemplate],
 
     vuln_type = classify_vuln_type(ir.finding)
     constraints = extract_constraints(ir)
-    state = RefinementState(budget=max_iterations)
-    sink_class = ir.finding.sink_class
-
-    while not state.exhausted():
-        state.iteration += 1
+    feedback_log: list[dict] = []
+    iteration = 0
+    while iteration < max_iterations:
+        iteration += 1
         candidates = generate_candidates(ir, constraints, templates, backend)
-        query_built = ir.facts.query_built and sink_class == "Sql"
         for candidate in candidates:
             if candidate.parse_ok:
                 score_candidate(candidate, ir, bundle, constraints,
-                                alpha=alpha, query_built=query_built)
+                                alpha=alpha)
         best = select_best(candidates, constraints,
                            enforce_constraints=enforce_constraints)
         if best is not None:
@@ -237,17 +225,17 @@ def localize(unit: SourceUnit, bundle, templates: list[MicroTemplate],
                     cause=_cause_text(ir, vuln_type),
                     lines=_involved_lines(ir), status="ok",
                     candidate_text=best.text, template_id=best.template_id,
-                    backend=best.backend, iterations=state.iteration,
+                    backend=best.backend, iterations=iteration,
                     utility=best.utility, s_sec=best.s_sec, s_sem=best.s_sem,
-                    feedback=state.feedback)
-            state.feedback.append({"kind": "verification_failure",
+                    feedback=feedback_log)
+            feedback_log.append({"kind": "verification_failure",
                                    "candidate": best.candidate_id,
                                    "reasons": reasons})
         feedback = analyze_failures(candidates, constraints)
-        state.feedback.extend(feedback)
+        feedback_log.extend(feedback)
         ir = refine_context(ir, feedback)
 
     return LocalizationReport(
         path=unit.path, vuln_type=vuln_type,
         cause=_cause_text(ir, vuln_type), lines=_involved_lines(ir),
-        status="fail", iterations=state.iteration, feedback=state.feedback)
+        status="fail", iterations=iteration, feedback=feedback_log)

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..analysis import FileAnalysis
 from ..errors import NoFindingError
-from ..flows import FlowGraph, TaintFinding
+from ..flows import TaintFinding
 from ..frontend.nodes import AstNode, NodeKind, STATEMENT_KINDS
 from ..frontend.printer import print_expression
 from ..lexicon import TaintLexicon
@@ -21,10 +21,7 @@ class IntermediateRepresentation:
     analysis: FileAnalysis
     finding: TaintFinding
     window_owner: int | None        # FunctionDecl node id, None = whole file
-    window_level: int               # 0 narrow, 1 whole file
-    saturated: bool = False
     feedback: list[dict] = field(default_factory=list)
-    context: dict = field(default_factory=dict)
     # mean semantic embedding of the original file, set by the first
     # candidate scored against it
     origin_embedding: np.ndarray | None = None
@@ -36,10 +33,6 @@ class IntermediateRepresentation:
     @property
     def ast(self) -> AstNode:
         return self.analysis.ast
-
-    @property
-    def graph(self) -> FlowGraph:
-        return self.analysis.graph
 
     @property
     def lex(self) -> TaintLexicon:
@@ -57,7 +50,7 @@ class IntermediateRepresentation:
     def stmt_of(self, node_id: int) -> int:
         """Id of the innermost statement holding a node (itself if one)."""
         parents = self.analysis.parents
-        node = self.graph.nodes[node_id]
+        node = self.analysis.nodes[node_id]
         while node.kind not in STATEMENT_KINDS:
             parent = parents.get(node.node_id)
             if parent is None:
@@ -69,7 +62,7 @@ class IntermediateRepresentation:
         """Statements the backend and rewriter may inspect this iteration."""
         if self.window_owner is None:
             return [n for n in self.ast.walk() if n.kind in STATEMENT_KINDS]
-        owner = self.graph.nodes[self.window_owner]
+        owner = self.analysis.nodes[self.window_owner]
         _, _, body = owner.function_parts()
         out: list[AstNode] = []
         for stmt in body:
@@ -100,44 +93,25 @@ def build_ir(analysis: FileAnalysis) -> IntermediateRepresentation:
     finding = max(live, key=lambda f: (
         f.severity, (-f.sink_span.start_line, -f.sink_span.start_col)))
 
-    owner = enclosing_function(analysis, finding.sink_id)
-    context = _build_context(analysis.graph, finding, analysis.lex, owner)
     return IntermediateRepresentation(
         analysis=analysis, finding=finding,
-        window_owner=owner, window_level=0 if owner is not None else 1,
-        context=context,
-    )
-
-
-def _build_context(graph: FlowGraph, finding: TaintFinding,
-                   lex: TaintLexicon, owner: int | None) -> dict:
-    reachable = sorted(
-        var for var, uses in graph.uses.items() if finding.sink_id in uses
-        or any(nid in uses for nid in finding.path))
-    hits = sorted({
-        node.attrs["name"] for node in graph.root.walk()
-        if node.kind is NodeKind.CALL and node.attrs["name"] in lex.names
-    } | {
-        f"$_{node.attrs['sg']}" for node in graph.root.walk()
-        if node.kind is NodeKind.SUPERGLOBAL
-    })
-    return {
-        "enclosing_function": (graph.nodes[owner].attrs["name"]
-                               if owner is not None else None),
-        "reachable_vars": reachable,
-        "lexicon_hits": hits,
-    }
+        window_owner=enclosing_function(analysis, finding.sink_id))
 
 
 def refine_context(ir: IntermediateRepresentation,
                    feedback: list[dict]) -> IntermediateRepresentation:
-    """Widen the window one level and carry failure feedback forward."""
+    """Widen the window to the whole file and carry failure feedback forward.
+
+    An IR whose window is already the whole file is returned itself, so
+    its slice facts are not computed again.
+    """
     if not feedback:
         raise ValueError("refine_context requires non-empty feedback")
     merged = ir.feedback + list(feedback)
-    if ir.window_level >= 1 or ir.window_owner is None:
-        return replace(ir, saturated=True, feedback=merged)
-    return replace(ir, window_owner=None, window_level=1, feedback=merged)
+    if ir.window_owner is None:
+        ir.feedback = merged
+        return ir
+    return replace(ir, window_owner=None, feedback=merged)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +134,7 @@ class SliceFacts:
 
 def _collect_facts(ir: IntermediateRepresentation) -> SliceFacts:
     finding = ir.finding
-    graph = ir.graph
+    nodes = ir.analysis.nodes
     parents = ir.analysis.parents
     window_ids = {s.node_id for s in ir.window_statements()}
 
@@ -170,7 +144,7 @@ def _collect_facts(ir: IntermediateRepresentation) -> SliceFacts:
         sid = ir.stmt_of(nid)
         if sid not in seen:
             seen.add(sid)
-            path_stmts.append(graph.nodes[sid])
+            path_stmts.append(nodes[sid])
 
     groups: dict[str, list[int]] = {}
     keys: dict[str, str | None] = {}
@@ -197,7 +171,7 @@ def _collect_facts(ir: IntermediateRepresentation) -> SliceFacts:
     if finding.source_kind == "secret_literal":
         tainted_vars.add(finding.source_label.split(":", 1)[1])
 
-    sink_node = graph.nodes[finding.sink_id]
+    sink_node = nodes[finding.sink_id]
     sink_arg = _tainted_sink_arg(sink_node, tainted_vars)
 
     build_stmt = _build_statement(path_stmts, sink_arg)

@@ -100,7 +100,7 @@ class Rewriter:
             sid = stmt.node_id
             for wrap in plan.source_wraps:
                 if wrap.hoist_before == sid and wrap.hoist_var:
-                    original = self.ir.graph.nodes[wrap.node_ids[0]]
+                    original = self.ir.analysis.nodes[wrap.node_ids[0]]
                     out.append(mk_assign(
                         mk_var(wrap.hoist_var),
                         self._wrap(copy_tree(original), wrap.sanitizer)))
@@ -205,7 +205,7 @@ class Rewriter:
         binds = [
             mk_expr_stmt(mk_call("db_bind", [
                 mk_var(prep.stmt_var),
-                self._rebuild(self.ir.graph.nodes[nid]),
+                self._rebuild(self.ir.analysis.nodes[nid]),
             ]))
             for nid in prep.bind_exprs
         ]

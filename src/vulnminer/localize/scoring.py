@@ -31,7 +31,6 @@ class Candidate:
     edit_distance: float = 1.0
     constraint_results: dict[str, bool] = field(default_factory=dict)
     failure: str | None = None
-    context: CandidateContext | None = None
     analysis: FileAnalysis | None = None
 
     def passes_hard(self, constraints: ConstraintSet) -> bool:
@@ -54,10 +53,12 @@ def edit_distance(original: str, candidate: str) -> float:
 
 def score_candidate(candidate: Candidate, ir: IntermediateRepresentation,
                     bundle, constraints: ConstraintSet,
-                    alpha: float = 0.6, query_built: bool = False) -> Candidate:
+                    alpha: float = 0.6) -> Candidate:
     """Security score from the frozen cascade, semantic score from embeddings.
 
     The candidate must parse (``generate_candidates`` sets ``parse_ok``).
+    A SQL finding whose query the original builds by concatenation holds
+    the candidate to a static prepared query.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
@@ -82,8 +83,8 @@ def score_candidate(candidate: Candidate, ir: IntermediateRepresentation,
     candidate.utility = alpha * candidate.s_sec + (1 - alpha) * candidate.s_sem
     candidate.edit_distance = edit_distance(ir.unit.text, candidate.text)
 
+    query_built = ir.facts.query_built and ir.finding.sink_class == "Sql"
     ctx = CandidateContext.build(analysis, ir, query_built)
-    candidate.context = ctx
     for constraint in constraints.constraints:
         candidate.constraint_results[constraint.cid] = evaluate_constraint(
             constraint, ctx)

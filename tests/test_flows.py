@@ -2,10 +2,6 @@ import pytest
 
 from vulnminer.errors import LexiconError
 from vulnminer.flows import (
-    CONTROL_FLOW,
-    DATA_FLOW,
-    SYNTAX_CHILD,
-    FlowEdge,
     augment_flows,
     classify_vuln_type,
     dataflow_oracle,
@@ -23,37 +19,27 @@ def graph_of(src):
 def test_straight_line_edges():
     g = graph_of("<?php $a = 1; echo $a;")
     assign, echo = g.root.children
-    cf = [(e.src, e.dst) for e in g.edges_of(CONTROL_FLOW)]
-    df = [(e.src, e.dst) for e in g.edges_of(DATA_FLOW)]
-    assert cf == [(assign.node_id, echo.node_id)]
-    assert df == [(assign.node_id, echo.node_id)]
+    assert g.scopes[0].succ == {g.root.node_id: [assign.node_id],
+                                assign.node_id: [echo.node_id]}
+    assert g.dataflow == [(assign.node_id, echo.node_id)]
 
 
 def test_branch_merge_two_defs_reach():
     g = graph_of("<?php if($c){$a=1;}else{$a=2;} echo $a;")
     echo = g.root.children[-1]
-    into_echo = [e for e in g.edges_of(DATA_FLOW) if e.dst == echo.node_id]
+    into_echo = [(d, u) for d, u in g.dataflow if u == echo.node_id]
     assert len(into_echo) == 2
 
 
-def test_syntax_child_edges_reproduce_tree():
-    g = graph_of("<?php $a = 1 + 2;")
-    syntax = {(e.src, e.dst) for e in g.edges_of(SYNTAX_CHILD)}
-    expected = {(n.node_id, c.node_id) for n in g.root.walk()
-                for c in n.children}
-    assert syntax == expected
-
-
-def test_no_self_loops():
-    g = graph_of("<?php $i = 0; while ($i < 9) { $i = $i + 1; } echo $i;")
-    for edge in g.edges:
-        if edge.kind in (CONTROL_FLOW, DATA_FLOW):
-            assert edge.src != edge.dst
-
-
-def test_self_loop_edge_rejected():
-    with pytest.raises(ValueError):
-        FlowEdge(3, 3, CONTROL_FLOW)
+def test_no_self_loops(corpus_units):
+    sources = [("loop.php", "<?php $i = 0; while ($i < 9) { $i = $i + 1; } "
+                "for ($j = 0; $j < 2; $j = $j + 1) { } echo $i;")]
+    sources += [(unit.path, unit.text) for unit in corpus_units]
+    for path, text in sources:
+        g = augment_flows(parse_text(path, text))
+        for scope in g.scopes:
+            assert all(src not in dests for src, dests in scope.succ.items()), path
+        assert all(d != u for d, u in g.dataflow), path
 
 
 ORACLE_PROGRAMS = [
@@ -94,12 +80,6 @@ def test_oracle_equivalence_over_corpus(corpus_units):
         assert g.dataflow_triples() == dataflow_oracle(g), unit.path
         checked += 1
     assert checked >= 50
-
-
-def test_defs_uses_maps():
-    g = graph_of("<?php $a = 1; $b = $a; echo $b;")
-    assert set(g.defs) == {"a", "b"}
-    assert set(g.uses) == {"a", "b"}
 
 
 def test_lexicon_roundtrip(tmp_path):

@@ -46,8 +46,7 @@ def test_build_ir_command_case(command_injection_unit):
     ir = build_ir(FileAnalysis(command_injection_unit))
     assert ir.finding.sink_name == "system"
     assert ir.finding.sink_span.start_line == 3
-    assert ir.window_level == 1  # top-level sink: window is the whole file
-    assert "$_GET" in ir.context["lexicon_hits"]
+    assert ir.window_owner is None  # top-level sink: window is the whole file
 
 
 def test_build_ir_sql_case(sql_auth_unit):
@@ -72,13 +71,14 @@ def test_build_ir_no_finding(clean_unit):
 
 def test_refine_widens_then_saturates():
     ir = build_ir(FileAnalysis(SourceUnit.from_text("fn.php", FN_SQL)))
-    assert ir.window_level == 0
+    assert ir.window_owner is not None
     narrow = ir.facts.window_ids
     widened = refine_context(ir, [{"kind": "x"}])
-    assert widened.window_level == 1 and not widened.saturated
+    assert widened.window_owner is None
     assert widened.facts.window_ids > narrow  # not the narrow IR's facts
+    facts = widened.facts
     again = refine_context(widened, [{"kind": "y"}])
-    assert again.saturated
+    assert again is widened and again.facts is facts  # no copy, no recompute
     assert len(again.feedback) == 2
 
 
@@ -109,9 +109,16 @@ def test_constraints_by_sink_class(command_injection_unit, sql_auth_unit):
     assert all(c.hard for c in inc.constraints)
 
 
-def test_soft_preference_recorded(command_injection_unit):
-    constraints = extract_constraints(build_ir(FileAnalysis(command_injection_unit)))
-    assert "minimize_edit_distance" in constraints.soft_preferences
+def test_soft_preference_recorded(bundle, command_injection_unit):
+    # select_best breaks utility ties by edit distance; scoring records it
+    ir = build_ir(FileAnalysis(command_injection_unit))
+    constraints = extract_constraints(ir)
+    candidates = generate_candidates(ir, constraints, TEMPLATES, BACKEND)
+    primary = next(c for c in candidates if c.variant == "primary")
+    score_candidate(primary, ir, bundle, constraints)
+    assert primary.edit_distance == pytest.approx(
+        edit_distance(command_injection_unit.text, primary.text))
+    assert 0.0 < primary.edit_distance < 1.0
 
 
 def test_wrong_class_sanitizer_fails_constraint(command_injection_unit):
@@ -201,7 +208,7 @@ def test_refusal_backend_yields_no_candidates(command_injection_unit):
 def test_narrow_window_refuses_sql_rewrite():
     ir = build_ir(FileAnalysis(SourceUnit.from_text("fn.php", FN_SQL)))
     constraints = extract_constraints(ir)
-    assert ir.window_level == 0
+    assert ir.window_owner is not None
     candidates = generate_candidates(ir, constraints, TEMPLATES, BACKEND)
     assert candidates == []
 
@@ -248,6 +255,22 @@ def test_identical_candidate_has_semantic_one(bundle, command_injection_unit):
     score_candidate(clone, ir, bundle, constraints)
     assert clone.s_sem == pytest.approx(1.0)
     assert clone.s_sec < 0.5  # still vulnerable under the frozen cascade
+
+
+def test_score_candidate_holds_built_sql_to_a_static_query(bundle, sql_auth_unit):
+    from vulnminer.localize.scoring import Candidate
+
+    ir = build_ir(FileAnalysis(sql_auth_unit))
+    assert ir.facts.query_built
+    constraints = extract_constraints(ir)
+    coerced = ("<?php\n$query = \"SELECT * FROM users WHERE username='\" . "
+               "intval($_POST['user']) . \"' AND password='\" . "
+               "intval($_POST['pass']) . \"'\";\n$result = mysql_query($query);\n")
+    candidate = Candidate(candidate_id="coerced", template_id="test",
+                          variant="primary", text=coerced, backend="test")
+    score_candidate(candidate, ir, bundle, constraints)
+    assert not any(not f.sanitized for f in candidate.analyze(ir).findings)
+    assert candidate.constraint_results["parameterized-sql"] is False
 
 
 def test_select_best_filters_and_breaks_ties(command_injection_unit):
@@ -350,8 +373,7 @@ def test_analyze_failures_names_constraints(bundle, sql_auth_unit):
     candidates = generate_candidates(ir, constraints, TEMPLATES, BACKEND)
     for c in candidates:
         if c.parse_ok:
-            score_candidate(c, ir, bundle, constraints,
-                            query_built=True)
+            score_candidate(c, ir, bundle, constraints)
     generic = [c for c in candidates if c.variant == "generic"]
     feedback = analyze_failures(generic, constraints)
     assert any(f.get("constraint") == "parameterized-sql" for f in feedback)
