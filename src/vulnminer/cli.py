@@ -65,6 +65,14 @@ def _lexicon(cfg: Config):
     return load_lexicon(cfg.lexicon) if cfg.lexicon else DEFAULT_LEXICON
 
 
+def _model_and_lexicon(cfg: Config):
+    """The model and the lexicon to scan with, which must be its own."""
+    bundle = load_model(cfg.model)
+    lex = _lexicon(cfg)
+    bundle.check_lexicon(lex)
+    return bundle, lex
+
+
 def _exit_code(findings: bool, errors, allow_errors: bool) -> int:
     """2 when a file gave an error record (unless allowed), else 1 or 0."""
     if errors and not allow_errors:
@@ -94,8 +102,7 @@ def write_jsonl(records, out: str | None = None) -> None:
 
 def cmd_scan(args) -> int:
     cfg = _load_cfg(args)
-    bundle = load_model(cfg.model)
-    lex = _lexicon(cfg)
+    bundle, lex = _model_and_lexicon(cfg)
     units, unread = _read_units(args.paths)
     verdicts, errors = run_pipeline(units, bundle, lex=lex)
     errors = unread + errors
@@ -112,8 +119,7 @@ def cmd_scan(args) -> int:
 
 def cmd_localize(args) -> int:
     cfg = _load_cfg(args)
-    bundle = load_model(cfg.model)
-    lex = _lexicon(cfg)
+    bundle, lex = _model_and_lexicon(cfg)
     templates = default_templates()
     backend = make_backend(cfg.backend, endpoint=cfg.endpoint,
                            token=cfg.endpoint_token, timeout=cfg.timeout)

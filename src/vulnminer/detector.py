@@ -5,7 +5,7 @@ from __future__ import annotations
 from .analysis import FileAnalysis
 from .corpus import CorpusManifest
 from .errors import ParseError, TrainingError
-from .lexicon import TaintLexicon
+from .lexicon import DEFAULT_LEXICON, TaintLexicon, lexicon_entries
 from .linearize import EmbeddingTable, Vocabulary, fallback_symbol
 from .model_store import FusionSettings, ModelBundle
 from .cascade import calibrate_lambda
@@ -60,6 +60,7 @@ def train_bundle(manifest: CorpusManifest, seed: int = 0,
                  lex: TaintLexicon | None = None,
                  tau: float = 0.5, tau1: float = 0.2) -> ModelBundle:
     """Train stage one (with embeddings), then stage two, then pick lambda."""
+    lex = lex or DEFAULT_LEXICON
     train_units = load_units(manifest.split("train"))
     if not train_units:
         raise TrainingError("manifest has no train entries")
@@ -79,6 +80,7 @@ def train_bundle(manifest: CorpusManifest, seed: int = 0,
         vocab=vocab, embedding=table, stage1=stage1, stage2=stage2,
         fusion=fusion, stage1_config=cfg1, stage2_config=cfg2,
         curves={"stage1": curve1, "stage2": curve2},
+        lexicon=lexicon_entries(lex),
     )
     val = [(FileAnalysis(unit, lex), label)
            for unit, label in load_units(manifest.split("val"))]

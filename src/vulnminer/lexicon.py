@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,9 +145,20 @@ def load_lexicon(path: str | Path) -> TaintLexicon:
     )
 
 
+def lexicon_entries(lex: TaintLexicon) -> list[str]:
+    """The lexicon as sorted ``kind,name[,class]`` lines, as files hold it."""
+    lines = [f"source,{name}" for name in lex.sources]
+    lines += [f"sink,{name},{cls}" for name, cls in lex.sinks.items()]
+    for name, classes in lex.sanitizers.items():
+        lines += [f"sanitizer,{name},{cls}" for cls in classes]
+    return sorted(lines)
+
+
+def lexicon_hash(entries: list[str]) -> str:
+    """sha256 of the entries, one per line: what a model records."""
+    return hashlib.sha256("\n".join(entries).encode("utf-8")).hexdigest()
+
+
 def save_lexicon(lex: TaintLexicon, path: str | Path) -> None:
-    lines = [f"source,{name}" for name in sorted(lex.sources)]
-    lines += [f"sink,{name},{cls}" for name, cls in sorted(lex.sinks.items())]
-    for name in sorted(lex.sanitizers):
-        lines += [f"sanitizer,{name},{cls}" for cls in sorted(lex.sanitizers[name])]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(lexicon_entries(lex)) + "\n",
+                          encoding="utf-8")

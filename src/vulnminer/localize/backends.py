@@ -87,13 +87,14 @@ class DeterministicBackend:
 
     def _command_plans(self, template, ir, facts) -> list[FillPlan]:
         primary = FillPlan(template_id=template.template_id, variant="primary")
+        taken = _var_names(ir)
         for text, ids, key in facts.read_groups:
             sanitizer = _path_sanitizer(key)
             stmt_id = ir.stmt_of(ids[0])
             if facts.hoist_container_of.get(stmt_id, False):
                 primary.source_wraps.append(SourceWrap(
                     node_ids=ids, sanitizer=sanitizer,
-                    hoist_var=_fresh_var(ir, key or "input"),
+                    hoist_var=_fresh_var(taken, key or "input"),
                     hoist_before=stmt_id))
             else:
                 primary.source_wraps.append(SourceWrap(ids, sanitizer))
@@ -200,7 +201,7 @@ class DeterministicBackend:
             if part == "?" and i + 1 < len(literal_parts) \
                     and literal_parts[i + 1].startswith("'"):
                 literal_parts[i + 1] = literal_parts[i + 1][1:]
-        stmt_var = _fresh_var(ir, "stmt")
+        stmt_var = _fresh_var(_var_names(ir), "stmt")
         call_stmt, call_name = _execute_site(ir, facts)
         if call_stmt is None:
             return None
@@ -237,13 +238,19 @@ def _path_sanitizer(key: str | None) -> str:
     return "escapeshellarg"
 
 
-def _fresh_var(ir: IntermediateRepresentation, base: str) -> str:
-    taken = {n.attrs["name"] for n in ir.ast.walk() if n.kind is NodeKind.VAR}
+def _var_names(ir: IntermediateRepresentation) -> set[str]:
+    return {n.attrs["name"] for n in ir.ast.walk() if n.kind is NodeKind.VAR}
+
+
+def _fresh_var(taken: set[str], base: str) -> str:
+    """A variable name not in ``taken``, which then holds it too, so one
+    plan never hoists two reads into the same variable."""
     name = base if base not in taken else f"{base}_safe"
     counter = 1
     while name in taken:
         counter += 1
         name = f"{base}_{counter}"
+    taken.add(name)
     return name
 
 

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, VulnMinerError
+from .lexicon import TaintLexicon, lexicon_entries, lexicon_hash
 from .linearize import EmbeddingTable, Vocabulary
 from .nn import AttentionParams, GruParams
 from .training import TrainConfig
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -44,6 +46,14 @@ class ModelBundle:
     stage1_config: TrainConfig
     stage2_config: TrainConfig
     curves: dict[str, list[float]]
+    lexicon: list[str]              # the training lexicon's entries
+
+    def check_lexicon(self, lex: TaintLexicon) -> None:
+        """Refuse a lexicon other than the one the model was trained with."""
+        if lexicon_entries(lex) != self.lexicon:
+            raise ConfigError(
+                "lexicon differs from the one the model was trained with; "
+                "retrain with this lexicon or scan with the training one")
 
     def validate(self) -> None:
         self.embedding.validate(self.vocab)
@@ -55,8 +65,15 @@ class ModelBundle:
             raise ConfigError("stage-two width differs from embedding width")
 
 
-def _array_out(arr: np.ndarray):
-    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+def _write_numbers(fh, arr: np.ndarray, chunk: int = 4096) -> None:
+    """``arr`` flattened as a JSON list, ``chunk`` numbers at a time; each
+    number is ``repr(float)``, as ``json`` writes it."""
+    flat = arr.ravel()
+    fh.write("[")
+    for start in range(0, flat.size, chunk):
+        fh.write(("," if start else "")
+                 + ",".join(map(repr, flat[start:start + chunk].tolist())))
+    fh.write("]")
 
 
 def _array_in(obj, what: str) -> np.ndarray:
@@ -68,10 +85,6 @@ def _array_in(obj, what: str) -> np.ndarray:
     if arr.size != expected:
         raise ConfigError(f"{what}: payload length {arr.size} != shape {shape}")
     return arr.reshape(shape)
-
-
-def _params_out(params) -> dict:
-    return {k: _array_out(v) for k, v in params.arrays().items()}
 
 
 def _number(value, what: str):
@@ -94,22 +107,54 @@ def _section(doc: dict, name: str, build, convert=None):
         raise ConfigError(f"model section {name!r}: {exc}") from None
 
 
+def _lexicon_in(section: dict) -> list[str]:
+    entries = [str(e) for e in section["entries"]]
+    if lexicon_hash(entries) != section["sha256"]:
+        raise ConfigError("lexicon hash mismatch; model file corrupted")
+    return entries
+
+
 def save_model(bundle: ModelBundle, path: str | Path) -> None:
+    """Write the bundle as compact, key-sorted JSON.
+
+    The document is encoded with each array's data as its index into
+    ``arrays``; the numbers are then streamed into the file in place of
+    those indices, so no Python list or string of all of them is built.
+    """
     bundle.validate()
+    arrays: list[np.ndarray] = []
+
+    def array_out(arr: np.ndarray) -> dict:
+        arrays.append(arr)
+        return {"shape": list(arr.shape), "data": len(arrays) - 1}
+
+    def params_out(params) -> dict:
+        return {k: array_out(v) for k, v in params.arrays().items()}
+
     doc = {
         "format_version": FORMAT_VERSION,
         "vocab": bundle.vocab.symbols,
         "vocab_hash": bundle.vocab.stable_hash(),
-        "embedding": _array_out(bundle.embedding.matrix),
-        "stage1": _params_out(bundle.stage1),
-        "stage2": _params_out(bundle.stage2),
+        "embedding": array_out(bundle.embedding.matrix),
+        "stage1": params_out(bundle.stage1),
+        "stage2": params_out(bundle.stage2),
         "fusion": asdict(bundle.fusion),
         "stage1_config": asdict(bundle.stage1_config),
         "stage2_config": asdict(bundle.stage2_config),
         "curves": bundle.curves,
+        "lexicon": {"entries": bundle.lexicon,
+                    "sha256": lexicon_hash(bundle.lexicon)},
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1),
-                          encoding="utf-8")
+    # No indent: json's C encoder writes the skeleton. A '"data":' key
+    # outside a string can only be an array's (quotes in strings are escaped).
+    pieces = re.split(r'(?<="data":)(\d+)',
+                      json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, piece in enumerate(pieces):
+            if i % 2:
+                _write_numbers(fh, arrays[int(piece)])
+            else:
+                fh.write(piece)
 
 
 def load_model(path: str | Path) -> ModelBundle:
@@ -137,6 +182,7 @@ def load_model(path: str | Path) -> ModelBundle:
         stage1_config=_section(doc, "stage1_config", TrainConfig, _number),
         stage2_config=_section(doc, "stage2_config", TrainConfig, _number),
         curves=_section(doc, "curves", dict, lambda v, _: list(v)),
+        lexicon=_section(doc, "lexicon", _lexicon_in),
     )
     bundle.validate()
     return bundle

@@ -86,30 +86,57 @@ def gru_forward(seq: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
     """Run the recurrence; returns (score, hidden_states, cache).
 
     Gates: z update, r reset, candidate h~; blend h' = (1-z)*h + z*h~,
-    sigmoid readout on the final hidden state. Training reads the cache;
-    inference uses ``gru_scores``, which this is the reference for.
+    sigmoid readout on the final hidden state. This is ``gru_batch`` on a
+    batch of one, and the reference that ``gru_scores`` is tested against.
     """
     n = seq.shape[0]
     if n and seq.shape[1] != p.dim:
         raise ConfigError(f"sequence width {seq.shape[1]} != model width {p.dim}")
-    h = np.zeros(p.hidden) if h0 is None else h0.astype(float)
-    states = []
-    steps = []
-    for t in range(n):
-        x = seq[t]
-        z = sigmoid(x @ p.wz + h @ p.uz + p.bz)
-        r = sigmoid(x @ p.wr + h @ p.ur + p.br)
-        cand = np.tanh(x @ p.wh + (r * h) @ p.uh + p.bh)
-        h_new = (1.0 - z) * h + z * cand
-        if not np.isfinite(h_new).all():
-            raise NumericError("non-finite hidden state", step=t)
-        steps.append((x, h, z, r, cand))
-        h = h_new
-        states.append(h)
-    score = float(sigmoid(h @ p.w + p.b))
-    cache = {"steps": steps, "h_last": h, "score": score, "p": p, "n": n,
-             "d": seq.shape[1] if n else p.dim}
-    return score, np.array(states) if states else np.zeros((0, p.hidden)), cache
+    x = seq[None] if n else np.zeros((1, 0, p.dim))
+    scores, cache = gru_batch(x, np.array([n]), p, h0)
+    cache["single"] = True
+    return float(scores[0]), cache["hs"][1:, 0], cache
+
+
+def gru_batch(x: np.ndarray, lengths: np.ndarray, p: GruParams,
+              h0: np.ndarray | None = None):
+    """Scores of a padded batch ``x`` (B, T, d) and the cache for backward.
+
+    Row b holds its sequence in ``x[b, :lengths[b]]``. The recurrence runs
+    time-major over all rows at once; a row past its length keeps its
+    state, so its score is that of its last real step. Non-finite states
+    raise with the first step that produced one.
+    """
+    rows, steps, width = x.shape
+    if width != p.dim:
+        raise ConfigError(f"sequence width {width} != model width {p.dim}")
+    hid = p.hidden
+    alive = np.arange(steps)[:, None, None] < np.asarray(lengths)[:, None]
+    w_in = np.concatenate([p.wz, p.wr, p.wh], axis=1)
+    u_zr = np.concatenate([p.uz, p.ur], axis=1)
+    # time-major: proj[t] is every row's input at step t, biases folded in
+    proj = (x.reshape(rows * steps, width) @ w_in
+            + np.concatenate([p.bz, p.br, p.bh])) \
+        .reshape(rows, steps, 3 * hid).transpose(1, 0, 2)
+    hs = np.zeros((steps + 1, rows, hid))
+    if h0 is not None:
+        hs[0] = h0
+    gates = np.empty((steps, rows, 3 * hid))  # z | r | candidate per step
+    for t in range(steps):
+        h = hs[t]
+        zr = sigmoid(proj[t, :, :2 * hid] + h @ u_zr)
+        z, r = zr[:, :hid], zr[:, hid:]
+        cand = np.tanh(proj[t, :, 2 * hid:] + (r * h) @ p.uh)
+        gates[t, :, :2 * hid] = zr
+        gates[t, :, 2 * hid:] = cand
+        hs[t + 1] = np.where(alive[t], (1.0 - z) * h + z * cand, h)
+    finite = np.isfinite(hs[1:]).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericError("non-finite hidden state",
+                           step=int(np.argmin(finite)))
+    scores = sigmoid(hs[-1] @ p.w + p.b)
+    return scores, {"p": p, "x": x, "alive": alive, "hs": hs,
+                    "gates": gates, "scores": scores, "single": False}
 
 
 def gru_scores(seqs, p: GruParams) -> np.ndarray:
@@ -156,48 +183,52 @@ def gru_scores(seqs, p: GruParams) -> np.ndarray:
     return scores
 
 
-def gru_backward(cache: dict, dscore: float):
-    """Gradients of all GRU params and the input sequence."""
+def gru_backward(cache: dict, dscore):
+    """Gradients of all GRU params and of the input, from one forward cache.
+
+    ``dscore`` is one loss gradient per row of the batch (a float for
+    ``gru_forward``'s cache). Parameter gradients are sums over the rows;
+    the input gradient has the input's shape. The step loop keeps only
+    the (B, h) recurrences; each weight gradient is one product after it.
+    """
     p: GruParams = cache["p"]
-    grads = {k: np.zeros_like(v) for k, v in p.arrays().items()}
-    h_last = cache["h_last"]
-    score = cache["score"]
-    ds_pre = dscore * score * (1.0 - score)
-    grads["w"] += ds_pre * h_last
-    grads["b"] += ds_pre
-    dh = ds_pre * p.w
-    dseq = np.zeros((cache["n"], cache["d"]))
-    for t in range(cache["n"] - 1, -1, -1):
-        x, h_prev, z, r, cand = cache["steps"][t]
-        dz = dh * (cand - h_prev)
-        dcand = dh * z
-        dh_prev = dh * (1.0 - z)
-
-        da_c = dcand * (1.0 - cand ** 2)
-        grads["wh"] += np.outer(x, da_c)
-        grads["uh"] += np.outer(r * h_prev, da_c)
-        grads["bh"] += da_c
-        dseq[t] += da_c @ p.wh.T
+    x, alive, hs, gates = cache["x"], cache["alive"], cache["hs"], cache["gates"]
+    rows, steps, width = x.shape
+    hid = p.hidden
+    score = cache["scores"]
+    ds_pre = np.asarray(dscore) * score * (1.0 - score)
+    u_zr_t = np.concatenate([p.uz, p.ur], axis=1).T
+    dh = ds_pre[:, None] * p.w
+    dgates = np.zeros((steps, rows, 3 * hid))  # pre-activation gradients
+    for t in range(steps - 1, -1, -1):
+        h = hs[t]
+        z, r, cand = (gates[t, :, :hid], gates[t, :, hid:2 * hid],
+                      gates[t, :, 2 * hid:])
+        dblend = dh * alive[t]
+        da_c = dblend * z * (1.0 - cand ** 2)
         tmp = da_c @ p.uh.T
-        dr = tmp * h_prev
-        dh_prev += tmp * r
-
-        da_z = dz * z * (1.0 - z)
-        grads["wz"] += np.outer(x, da_z)
-        grads["uz"] += np.outer(h_prev, da_z)
-        grads["bz"] += da_z
-        dseq[t] += da_z @ p.wz.T
-        dh_prev += da_z @ p.uz.T
-
-        da_r = dr * r * (1.0 - r)
-        grads["wr"] += np.outer(x, da_r)
-        grads["ur"] += np.outer(h_prev, da_r)
-        grads["br"] += da_r
-        dseq[t] += da_r @ p.wr.T
-        dh_prev += da_r @ p.ur.T
-
-        dh = dh_prev
-    return grads, dseq
+        dgates[t, :, :hid] = dblend * (cand - h) * z * (1.0 - z)
+        dgates[t, :, hid:2 * hid] = tmp * h * r * (1.0 - r)
+        dgates[t, :, 2 * hid:] = da_c
+        dh = (np.where(alive[t], dh * (1.0 - z), dh) + tmp * r
+              + dgates[t, :, :2 * hid] @ u_zr_t)
+    da = dgates.transpose(1, 0, 2).reshape(rows * steps, 3 * hid)
+    xs = x.reshape(rows * steps, width)
+    h_prev = hs[:-1].transpose(1, 0, 2).reshape(rows * steps, hid)
+    rh = (gates[:, :, hid:2 * hid] * hs[:-1]).transpose(1, 0, 2) \
+        .reshape(rows * steps, hid)
+    dw_in = xs.T @ da
+    du_zr = h_prev.T @ da[:, :2 * hid]
+    db = da.sum(axis=0)
+    grads = {
+        "wz": dw_in[:, :hid], "wr": dw_in[:, hid:2 * hid], "wh": dw_in[:, 2 * hid:],
+        "uz": du_zr[:, :hid], "ur": du_zr[:, hid:], "uh": rh.T @ da[:, 2 * hid:],
+        "bz": db[:hid], "br": db[hid:2 * hid], "bh": db[2 * hid:],
+        "w": hs[-1].T @ ds_pre, "b": np.asarray(ds_pre.sum()),
+    }
+    dx = (da @ np.concatenate([p.wz, p.wr, p.wh], axis=1).T) \
+        .reshape(rows, steps, width)
+    return grads, dx[0] if cache["single"] else dx
 
 
 # ---------------------------------------------------------------------------
@@ -273,82 +304,130 @@ class RiskMatrix:
         return cls(matrix=matrix, beta=beta, risky_columns=cols)
 
 
-def _softmax_rows(s: np.ndarray) -> np.ndarray:
-    shifted = s - s.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def attention_forward(emb: np.ndarray, p: AttentionParams,
                       bias: RiskMatrix | None = None):
     """Risk-biased attention, feed-forward, mean pooling, sigmoid readout.
 
-    Returns (score, pooled, attention_weights, cache).
+    Returns (score, pooled, attention_weights, cache). This is stage
+    two's per-file path: the arithmetic of ``attention_batch`` on one
+    unpadded sequence, in 2-D products. The cache keeps the inputs, and
+    ``attention_backward`` runs them through ``attention_batch`` as a
+    batch of one. An empty sequence scores ``sigmoid(b)``.
     """
     n = emb.shape[0]
-    if n == 0:
-        pooled = np.zeros(p.dim)
-        score = float(sigmoid(p.b))
-        return score, pooled, np.zeros((0, 0)), {"empty": True, "p": p,
-                                                 "score": score}
-    if emb.shape[1] != p.dim:
+    if n and emb.shape[1] != p.dim:
         raise ConfigError(f"embedding width {emb.shape[1]} != model width {p.dim}")
     if bias is not None and bias.matrix.shape != (n, n):
         raise ConfigError(
             f"risk matrix shape {bias.matrix.shape} != ({n}, {n})")
-
+    cache = {"p": p, "emb": emb, "bias": bias, "single": True}
+    if n == 0:
+        return float(sigmoid(p.b)), np.zeros(p.dim), np.zeros((0, 0)), cache
     q, k, v = emb @ p.wq, emb @ p.wk, emb @ p.wv
-    scores = q @ k.T / np.sqrt(p.dim)
+    logits = q @ k.T / np.sqrt(p.dim)
     if bias is not None:
-        scores = scores + bias.matrix
-    attn = _softmax_rows(scores)
-    ctx = attn @ v
-    pre = ctx @ p.w1 + p.b1
-    hidden = np.tanh(pre)
-    ff = hidden @ p.w2 + p.b2
-    pooled = ff.mean(axis=0)
+        logits += bias.matrix
+    attn = np.exp(logits - logits.max(axis=1, keepdims=True))
+    attn /= attn.sum(axis=1, keepdims=True)
+    hidden = np.tanh(attn @ v @ p.w1 + p.b1)
+    pooled = hidden.mean(axis=0) @ p.w2 + p.b2
     score = float(sigmoid(pooled @ p.w + p.b))
     if not np.isfinite(score):
         raise NumericError("non-finite attention score")
-    cache = {"empty": False, "p": p, "emb": emb, "q": q, "k": k, "v": v,
-             "attn": attn, "ctx": ctx, "hidden": hidden, "pooled": pooled,
-             "score": score, "n": n}
     return score, pooled, attn, cache
 
 
-def attention_backward(cache: dict, dscore: float):
-    p: AttentionParams = cache["p"]
-    grads = {k: np.zeros_like(v) for k, v in p.arrays().items()}
-    if cache.get("empty"):
-        score = cache["score"]
-        grads["b"] += dscore * score * (1.0 - score)
-        return grads, np.zeros((0, p.dim))
-    emb, q, k, v = cache["emb"], cache["q"], cache["k"], cache["v"]
-    attn, ctx, hidden = cache["attn"], cache["ctx"], cache["hidden"]
-    n, score = cache["n"], cache["score"]
+def attention_batch(emb: np.ndarray, lengths: np.ndarray, p: AttentionParams,
+                    bias: np.ndarray | None = None):
+    """Scores of a padded batch ``emb`` (B, n, d) and the cache for backward.
 
-    ds_pre = dscore * score * (1.0 - score)
-    grads["w"] += ds_pre * cache["pooled"]
-    grads["b"] += ds_pre
-    dpooled = ds_pre * p.w
-    dff = np.tile(dpooled / n, (n, 1))
-    grads["w2"] += hidden.T @ dff
-    grads["b2"] += dff.sum(axis=0)
-    dhidden = dff @ p.w2.T
-    dpre = dhidden * (1.0 - hidden ** 2)
-    grads["w1"] += ctx.T @ dpre
-    grads["b1"] += dpre.sum(axis=0)
-    dctx = dpre @ p.w1.T
-    dattn = dctx @ v.T
-    dv = attn.T @ dctx
-    dscores = attn * (dattn - (dattn * attn).sum(axis=1, keepdims=True))
-    scale = 1.0 / np.sqrt(p.dim)
-    dq = dscores @ k * scale
-    dk = dscores.T @ q * scale
-    grads["wq"] += emb.T @ dq
-    grads["wk"] += emb.T @ dk
-    grads["wv"] += emb.T @ dv
-    demb = dq @ p.wq.T + dk @ p.wk.T + dv @ p.wv.T
+    Row b holds its sequence in ``emb[b, :lengths[b]]``; ``bias`` is added
+    to the (B, n, n) pre-softmax scores by broadcasting. Padded key columns
+    are masked before the softmax. The row-wise layers (the Q/K/V
+    projections and the feed-forward block) run on the real rows only,
+    packed into one (S, .) matrix. Mean pooling commutes with the second
+    feed-forward layer, so the hidden rows are pooled first and ``w2`` is
+    applied once per sequence; an empty sequence pools to zero.
+    """
+    rows, n, width = emb.shape
+    d = p.dim
+    lengths = np.asarray(lengths)
+    if n == 0:  # every sequence is empty: one padded position keeps shapes
+        emb, n, bias = np.zeros((rows, 1, d)), 1, None
+    elif width != d:
+        raise ConfigError(f"embedding width {width} != model width {d}")
+    real = np.arange(n) < lengths[:, None]  # (B, n)
+    packed = emb[real]                      # (S, d), row-major over real
+    qkv = np.zeros((rows, n, 3 * d))
+    qkv[real] = np.concatenate(
+        [packed @ p.wq, packed @ p.wk, packed @ p.wv], axis=1)
+    q, k, v = qkv[:, :, :d], qkv[:, :, d:2 * d], qkv[:, :, 2 * d:]
+    logits = q @ k.transpose(0, 2, 1) / np.sqrt(d)
+    if bias is not None:
+        logits += bias
+    # an empty row keeps key 0, so its (unpooled) softmax stays finite
+    keys = real | (np.arange(n) == 0)
+    logits += np.where(keys, 0.0, -np.inf)[:, None, :]
+    attn = np.exp(logits - logits.max(axis=2, keepdims=True))
+    attn /= attn.sum(axis=2, keepdims=True)
+    ctx = (attn @ v)[real]
+    hidden = ctx @ p.w1
+    hidden += p.b1
+    np.tanh(hidden, out=hidden)
+    # (B, S) mean weights: row b averages its own real rows
+    pool = np.repeat(np.diag(1.0 / np.maximum(lengths, 1)), lengths, axis=1)
+    hbar = pool @ hidden
+    dtanh = np.subtract(1.0, np.square(hidden, out=hidden), out=hidden)
+    pooled = (hbar @ p.w2 + p.b2) * (lengths > 0)[:, None]
+    scores = sigmoid(pooled @ p.w + p.b)
+    if not np.isfinite(scores).all():
+        raise NumericError("non-finite attention score")
+    return scores, {"p": p, "lengths": lengths, "real": real,
+                    "packed": packed, "qkv": qkv, "attn": attn, "ctx": ctx,
+                    "dtanh": dtanh, "hbar": hbar, "pooled": pooled,
+                    "scores": scores, "single": False}
+
+
+def attention_backward(cache: dict, dscore):
+    """Gradients of all attention params, from one forward cache.
+
+    ``dscore`` is one loss gradient per row (a float for
+    ``attention_forward``'s cache); parameter gradients are sums over the
+    rows. The input gradient is returned for ``attention_forward``'s cache
+    only and is None for a batch: stage two trains on a frozen table.
+    """
+    p: AttentionParams = cache["p"]
+    single = cache["single"]
+    if single:
+        emb, bias = cache["emb"], cache["bias"]
+        _, cache = attention_batch(emb[None], [len(emb)], p,
+                                   None if bias is None else bias.matrix[None])
+    d = p.dim
+    real, lengths = cache["real"], cache["lengths"]
+    qkv, attn, ctx = cache["qkv"], cache["attn"], cache["ctx"]
+    score = cache["scores"]
+    ds_pre = np.asarray(dscore) * score * (1.0 - score)
+    dpooled = ds_pre[:, None] * p.w * (lengths > 0)[:, None]
+    dpre = np.repeat((dpooled @ p.w2.T) / np.maximum(lengths, 1)[:, None],
+                     lengths, axis=0)
+    dpre *= cache["dtanh"]
+    dctx = np.zeros(real.shape + (d,))
+    dctx[real] = dpre @ p.w1.T
+    q, k, v = qkv[:, :, :d], qkv[:, :, d:2 * d], qkv[:, :, 2 * d:]
+    dattn = dctx @ v.transpose(0, 2, 1)
+    dlogits = attn * (dattn - (dattn * attn).sum(axis=2, keepdims=True))
+    dlogits /= np.sqrt(d)
+    dqkv = np.concatenate([dlogits @ k, dlogits.transpose(0, 2, 1) @ q,
+                           attn.transpose(0, 2, 1) @ dctx], axis=2)[real]
+    dw_qkv = cache["packed"].T @ dqkv
+    grads = {
+        "wq": dw_qkv[:, :d], "wk": dw_qkv[:, d:2 * d], "wv": dw_qkv[:, 2 * d:],
+        "w1": ctx.T @ dpre, "b1": dpre.sum(axis=0),
+        "w2": cache["hbar"].T @ dpooled, "b2": dpooled.sum(axis=0),
+        "w": cache["pooled"].T @ ds_pre, "b": np.asarray(ds_pre.sum()),
+    }
+    demb = (dqkv[:, :d] @ p.wq.T + dqkv[:, d:2 * d] @ p.wk.T
+            + dqkv[:, 2 * d:] @ p.wv.T) if single else None
     return grads, demb
 
 

@@ -14,11 +14,10 @@ from .nn import (
     DEFAULT_DIM,
     DEFAULT_HIDDEN,
     GruParams,
-    RiskMatrix,
     attention_backward,
-    attention_forward,
+    attention_batch,
     gru_backward,
-    gru_forward,
+    gru_batch,
     weighted_bce_loss,
 )
 
@@ -47,6 +46,8 @@ class TrainConfig:
             raise TrainingError("class weights must be positive")
         if self.batch_size < 1:
             raise TrainingError("batch size must be >= 1")
+        if self.beta < 0:
+            raise TrainingError("risk bias beta must be >= 0")
 
 
 @dataclass
@@ -64,27 +65,39 @@ class _Adam:
         self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
 
     def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+        """One update, in place: the same arithmetic as
+        ``m = b1*m + (1-b1)*g`` etc., so the same bits, with fewer
+        temporaries."""
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         for k, arr in tensors.items():
-            g = grads[k]
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            mhat = self.m[k] / (1 - b1 ** self.t)
-            vhat = self.v[k] / (1 - b2 ** self.t)
-            arr -= self.lr * mhat / (np.sqrt(vhat) + eps)
+            g, m, v = grads[k], self.m[k], self.v[k]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            denom = np.sqrt(v / (1 - b2 ** self.t))
+            denom += eps
+            update = m / (1 - b1 ** self.t)
+            update *= self.lr
+            update /= denom
+            arr -= update
 
 
 def _fit(samples: list[Sample], vocab: Vocabulary, table: EmbeddingTable,
          cfg: TrainConfig, tensors: dict[str, np.ndarray], seed: int,
-         forward, update_table: bool = False) -> list[float]:
+         forward, backward, update_table: bool = False) -> list[float]:
     """Train ``tensors`` by seeded mini-batch Adam; returns the loss curve.
 
-    ``forward(i, x)`` scores sample ``i`` on its dropped-out embedded
-    sequence ``x`` and returns (score, backward), where ``backward(dscore)``
-    gives (param grads, input grads). Batch gradients are per-sample means.
-    With ``update_table`` the embedding table is trained too, and its PAD
-    row is reset to zero after every step.
+    Each mini-batch is one padded, masked kernel call: ``forward(batch, x,
+    lengths)`` scores the samples ``batch`` from their dropped-out embedded
+    sequences, padded into ``x`` (B, n, d), and returns (scores, cache);
+    ``backward(cache, dscores)`` gives (param grads summed over the batch,
+    input grads shaped like ``x``). Dropout masks are drawn per sample in
+    batch order, so the random stream is that of one sample at a time.
+    Batch gradients are per-sample means. With ``update_table`` the
+    embedding table is trained too, and its PAD row is reset to zero
+    after every step.
     """
     if not samples:
         raise TrainingError("training corpus is empty")
@@ -97,30 +110,38 @@ def _fit(samples: list[Sample], vocab: Vocabulary, table: EmbeddingTable,
         tensors = dict(tensors, emb=table.matrix)
     opt = _Adam(cfg.learning_rate, tensors)
     ids_per_sample = [vocab.ids(s.tokens) for s in samples]
+
+    def batch_gradients(batch):
+        """Mean gradients and per-sample losses of one mini-batch; its
+        padded arrays and cache are freed on return."""
+        lengths = np.array([len(ids_per_sample[si]) for si in batch])
+        ids = np.zeros((len(batch), lengths.max()), dtype=np.intp)
+        mask = np.zeros(ids.shape + (cfg.dim,))
+        for row, si in enumerate(batch):
+            n = lengths[row]
+            ids[row, :n] = ids_per_sample[si]
+            mask[row, :n] = 1.0 if cfg.dropout == 0.0 else (
+                rng.random((n, cfg.dim)) >= cfg.dropout) / (1.0 - cfg.dropout)
+        scores, cache = forward(batch, table.matrix[ids] * mask, lengths)
+        losses, dscores = [], np.empty(len(batch))
+        for row, si in enumerate(batch):
+            loss, dscores[row] = weighted_bce_loss(
+                float(scores[row]), samples[si].label, cfg.w_pos, cfg.w_neg)
+            losses.append(float(loss))
+        grads, dx = backward(cache, dscores)
+        if update_table:
+            grads["emb"] = np.zeros_like(table.matrix)
+            np.add.at(grads["emb"], ids, dx * mask)
+        return {k: g / len(batch) for k, g in grads.items()}, losses
+
     curve: list[float] = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(samples))
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            acc = {k: np.zeros_like(v) for k, v in tensors.items()}
-            for si in batch:
-                ids = ids_per_sample[si]
-                emb = table.matrix[ids] if ids else np.zeros((0, cfg.dim))
-                mask = np.ones(emb.shape) if cfg.dropout == 0.0 else (
-                    rng.random(emb.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
-                score, backward = forward(si, emb * mask)
-                loss, dscore = weighted_bce_loss(
-                    score, samples[si].label, cfg.w_pos, cfg.w_neg)
-                total += float(loss)
-                grads, dseq = backward(dscore)
-                for k in grads:
-                    acc[k] += grads[k]
-                if update_table and ids:
-                    np.add.at(acc["emb"], ids, dseq * mask)
-            for k in acc:
-                acc[k] /= len(batch)
-            opt.step(tensors, acc)
+            grads, losses = batch_gradients(order[start:start + cfg.batch_size])
+            total = sum(losses, total)
+            opt.step(tensors, grads)
             if update_table:
                 table.matrix[0, :] = 0.0
         curve.append(total / len(samples))
@@ -136,12 +157,11 @@ def train_structural(samples: list[Sample], vocab: Vocabulary,
     """
     params = GruParams.init(cfg.dim, cfg.hidden, seed=cfg.seed)
 
-    def forward(i, x):
-        score, _, cache = gru_forward(x, params)
-        return score, lambda dscore: gru_backward(cache, dscore)
+    def forward(batch, x, lengths):
+        return gru_batch(x, lengths, params)
 
     curve = _fit(samples, vocab, table, cfg, params.arrays(), cfg.seed,
-                 forward, update_table=True)
+                 forward, gru_backward, update_table=True)
     params.validate()
     return params, curve
 
@@ -150,15 +170,16 @@ def train_semantic(samples: list[Sample], vocab: Vocabulary,
                    table: EmbeddingTable, cfg: TrainConfig):
     """Train the risk-biased attention head on frozen embeddings."""
     params = AttentionParams.init(cfg.dim, seed=cfg.seed + 1)
-    biases = [RiskMatrix.build(len(s.tokens), s.risky_columns, cfg.beta)
-              for s in samples]
 
-    def forward(i, x):
-        score, _, _, cache = attention_forward(x, params, biases[i])
-        return score, lambda dscore: attention_backward(cache, dscore)
+    def forward(batch, x, lengths):
+        # RiskMatrix.build sets whole columns: one bias row per sample
+        bias = np.zeros((len(batch), 1, x.shape[1]))
+        for row, si in enumerate(batch):
+            bias[row, 0, list(samples[si].risky_columns)] = cfg.beta
+        return attention_batch(x, lengths, params, bias)
 
     curve = _fit(samples, vocab, table, cfg, params.arrays(), cfg.seed + 1,
-                 forward)
+                 forward, attention_backward)
     params.validate()
     return params, curve
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from vulnminer.cli import main
+from vulnminer.lexicon import DEFAULT_LEXICON, save_lexicon
 from vulnminer.model_store import save_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -137,6 +138,23 @@ def test_scan_deep_nesting_is_an_error_record(model_path, tmp_path, capsys):
     code, _, _ = run(capsys, "scan", "--model", model_path, "--allow-errors",
                      str(tmp_path))
     assert code == 1
+
+
+def test_scan_and_localize_refuse_another_lexicon(model_path, tmp_path,
+                                                  capsys):
+    same, other = tmp_path / "same.lex", tmp_path / "other.lex"
+    save_lexicon(DEFAULT_LEXICON, same)
+    other.write_text(same.read_text() + "sink,run_job,Command\n")
+    page = tmp_path / "page.php"
+    page.write_text('<?php echo "static";')
+    for command in ("scan", "localize"):
+        code, _, err = run(capsys, command, "--model", model_path,
+                           "--lexicon", str(other), str(page))
+        assert code == 2
+        assert "lexicon differs from the one the model was trained with" in err
+        code, _, _ = run(capsys, command, "--model", model_path,
+                         "--lexicon", str(same), str(page))
+        assert code == 0
 
 
 def test_localize_reports_schema(model_path, capsys):

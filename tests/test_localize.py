@@ -188,6 +188,19 @@ def test_command_candidates_match_remediation_shape(command_injection_unit):
     assert primary.parse_ok
 
 
+def test_command_plan_hoists_each_read_into_its_own_variable():
+    unit = SourceUnit.from_text(
+        "two.php",
+        "<?php $k = 'a'; system('ls ' . $_GET[$k] . ' ' . $_GET[0]);")
+    ir = build_ir(FileAnalysis(unit))
+    candidates = generate_candidates(ir, extract_constraints(ir), TEMPLATES,
+                                     BACKEND)
+    primary = next(c for c in candidates if c.variant == "primary")
+    assert "$input = escapeshellarg($_GET[$k]);" in primary.text
+    assert "$input_safe = escapeshellarg($_GET[0]);" in primary.text
+    assert "'ls ' . $input . ' ' . $input_safe" in primary.text
+
+
 def test_sql_candidate_uses_placeholder_binding(sql_auth_unit):
     ir = build_ir(FileAnalysis(sql_auth_unit))
     constraints = extract_constraints(ir)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vulnminer.errors import ConfigError
+from vulnminer.lexicon import DEFAULT_LEXICON, lexicon_entries
 from vulnminer.model_store import FusionSettings, load_model, save_model
 
 
@@ -28,6 +29,20 @@ def test_save_load_round_trip_bitexact(bundle, tmp_path):
         assert np.array_equal(arr, loaded.stage2.arrays()[key]), key
     assert loaded.fusion == bundle.fusion
     assert loaded.curves == bundle.curves
+    assert loaded.lexicon == bundle.lexicon == lexicon_entries(DEFAULT_LEXICON)
+
+
+def test_save_writes_compact_json_and_indented_files_load(bundle, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(bundle, path)
+    text = path.read_text()
+    assert "\n" not in text and ", " not in text
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(json.loads(text), sort_keys=True, indent=1))
+    loaded = load_model(indented)
+    for key, arr in bundle.stage2.arrays().items():
+        assert np.array_equal(arr, loaded.stage2.arrays()[key]), key
+    assert np.array_equal(loaded.embedding.matrix, bundle.embedding.matrix)
 
 
 def test_save_is_deterministic(bundle, tmp_path):
@@ -92,6 +107,15 @@ def test_pre_format_two_model_refused(bundle, tmp_path):
         load_model(_tampered(bundle, tmp_path, as_format_one))
 
 
+def test_format_two_model_refused(bundle, tmp_path):
+    def as_format_two(doc):
+        doc["format_version"] = 2
+        del doc["lexicon"]
+
+    with pytest.raises(ConfigError, match="unsupported model format 2"):
+        load_model(_tampered(bundle, tmp_path, as_format_two))
+
+
 @pytest.mark.parametrize("section, tamper", [
     ("stage1_config", lambda d: d["stage1_config"].update(momentum=0.9)),
     ("stage2_config", lambda d: d["stage2_config"].update(optimizer="sgd")),
@@ -105,10 +129,12 @@ def test_pre_format_two_model_refused(bundle, tmp_path):
     ("fusion", lambda d: d["fusion"].update(lam=None)),
     ("curves", lambda d: d.pop("curves")),
     ("curves", lambda d: d.update(curves=[0.5])),
+    ("lexicon", lambda d: d.pop("lexicon")),
+    ("lexicon", lambda d: d["lexicon"]["entries"].append("sink,run_job,Command")),
 ], ids=["unknown-key", "unknown-string-key", "string-number",
         "no-vocab", "no-vocab-hash", "vocab-not-a-list", "embedding-list",
         "missing-array", "unknown-array", "null-number", "no-curves",
-        "curves-list"])
+        "curves-list", "no-lexicon", "lexicon-hash-mismatch"])
 def test_malformed_section_is_a_config_error_naming_it(
         bundle, tmp_path, section, tamper):
     with pytest.raises(ConfigError, match=f"'{section}'"):

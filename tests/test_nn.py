@@ -9,9 +9,11 @@ from vulnminer.nn import (
     GruParams,
     RiskMatrix,
     attention_backward,
+    attention_batch,
     attention_forward,
     finite_diff_gradcheck,
     gru_backward,
+    gru_batch,
     gru_forward,
     gru_scores,
     risk_biased_attention,
@@ -120,6 +122,109 @@ class TestGruGradients:
         err = finite_diff_gradcheck(loss, {"b": p.b}, {"b": grads["b"]},
                                     eps=1e-4)
         assert err < 1e-8
+
+
+def _padded(seqs, width):
+    """(B, max length, width) zero-padded batch and the lengths."""
+    lengths = np.array([len(seq) for seq in seqs])
+    batch = np.zeros((len(seqs), lengths.max(), width))
+    for row, seq in enumerate(seqs):
+        batch[row, :len(seq)] = seq
+    return batch, lengths
+
+
+LABELS = (1, 0, 1)
+
+
+def _batch_loss(scores):
+    return sum(weighted_bce_loss(float(s), y, w_pos=2.0)[0]
+               for s, y in zip(scores, LABELS))
+
+
+def _batch_dscores(scores):
+    return np.array([weighted_bce_loss(float(s), y, w_pos=2.0)[1]
+                     for s, y in zip(scores, LABELS)])
+
+
+class TestGruBatch:
+    def setup_method(self):
+        rng = np.random.default_rng(17)
+        self.p = GruParams.init(4, 3, seed=8, scale=0.5)
+        self.seqs = [rng.uniform(-1, 1, (n, 4)) for n in (0, 1, 5)]
+        self.x, self.lengths = _padded(self.seqs, 4)
+
+    def test_padded_batch_gradcheck(self):
+        def loss():
+            return _batch_loss(gru_batch(self.x, self.lengths, self.p)[0])
+
+        scores, cache = gru_batch(self.x, self.lengths, self.p)
+        grads, dx = gru_backward(cache, _batch_dscores(scores))
+        assert finite_diff_gradcheck(loss, self.p.arrays(), grads) < 1e-4
+        # padding included: its gradient is zero, as its effect is
+        assert finite_diff_gradcheck(loss, {"x": self.x}, {"x": dx}) < 1e-4
+        assert not dx[0].any() and not dx[1, 1:].any()
+
+    def test_batch_gradient_is_sum_of_per_sample_gradients(self):
+        scores, cache = gru_batch(self.x, self.lengths, self.p)
+        dscores = _batch_dscores(scores)
+        grads, dx = gru_backward(cache, dscores)
+        total = {k: np.zeros_like(v) for k, v in grads.items()}
+        for row, seq in enumerate(self.seqs):
+            score, _, single = gru_forward(seq, self.p)
+            assert abs(score - scores[row]) <= 1e-12
+            one, dseq = gru_backward(single, dscores[row])
+            assert dseq.shape == seq.shape
+            assert np.abs(dseq - dx[row, :len(seq)]).max(initial=0.0) <= 1e-12
+            for k in total:
+                total[k] += one[k]
+        for k in total:
+            assert np.abs(total[k] - grads[k]).max() <= 1e-12, k
+
+
+class TestAttentionBatch:
+    def setup_method(self):
+        rng = np.random.default_rng(19)
+        self.p = AttentionParams.init(8, seed=10, scale=0.4)
+        self.embs = [rng.uniform(-1, 1, (n, 8)) for n in (0, 1, 6)]
+        self.risky = [(), (0,), (2, 4)]
+        self.emb, self.lengths = _padded(self.embs, 8)
+        self.bias = np.zeros((3, 1, 6))
+        for row, cols in enumerate(self.risky):
+            self.bias[row, 0, list(cols)] = 1.5
+
+    def test_padded_batch_gradcheck(self):
+        def loss():
+            return _batch_loss(
+                attention_batch(self.emb, self.lengths, self.p, self.bias)[0])
+
+        scores, cache = attention_batch(self.emb, self.lengths, self.p,
+                                        self.bias)
+        grads, demb = attention_backward(cache, _batch_dscores(scores))
+        assert demb is None  # stage two trains on a frozen table
+        assert finite_diff_gradcheck(loss, self.p.arrays(), grads) < 1e-4
+
+    def test_batch_gradient_is_sum_of_per_sample_gradients(self):
+        scores, cache = attention_batch(self.emb, self.lengths, self.p,
+                                        self.bias)
+        dscores = _batch_dscores(scores)
+        grads, _ = attention_backward(cache, dscores)
+        total = {k: np.zeros_like(v) for k, v in grads.items()}
+        for row, emb in enumerate(self.embs):
+            bias = RiskMatrix.build(len(emb), self.risky[row], beta=1.5)
+            score, _, _, single = attention_forward(emb, self.p, bias)
+            assert abs(score - scores[row]) <= 1e-12
+            one, demb = attention_backward(single, dscores[row])
+            assert demb.shape == emb.shape
+            for k in total:
+                total[k] += one[k]
+        for k in total:
+            assert np.abs(total[k] - grads[k]).max() <= 1e-12, k
+
+    def test_empty_batch_scores_sigmoid_bias(self):
+        self.p.b[...] = 0.3
+        scores, _ = attention_batch(np.zeros((2, 0, 8)), np.zeros(2, int),
+                                    self.p)
+        assert np.array_equal(scores, np.full(2, 1.0 / (1.0 + np.exp(-0.3))))
 
 
 class TestAttention:

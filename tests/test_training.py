@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,8 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(TrainingError):
         TrainConfig(dropout=1.0)
+    with pytest.raises(TrainingError):
+        TrainConfig(beta=-1.0)
 
 
 def test_single_class_corpus_refused():
@@ -119,7 +123,7 @@ def test_semantic_training_separates_classes():
 
 def test_backward_kernels_are_reached_through_module_globals(monkeypatch):
     # A tracer or probe that rebinds the kernels' names in this module
-    # must see every per-sample backward pass of both heads.
+    # must see every mini-batch backward pass of both heads.
     calls = {"gru_backward": 0, "attention_backward": 0}
     for name in calls:
         kernel = getattr(training, name)
@@ -134,8 +138,8 @@ def test_backward_kernels_are_reached_through_module_globals(monkeypatch):
     cfg = TrainConfig(dim=8, hidden=4, epochs=3, seed=1, batch_size=3)
     train_structural(samples, vocab, table, cfg)
     train_semantic(samples, vocab, table, cfg)
-    assert calls == {"gru_backward": 3 * len(samples),
-                     "attention_backward": 3 * len(samples)}
+    batches = 3 * math.ceil(len(samples) / cfg.batch_size)
+    assert calls == {"gru_backward": batches, "attention_backward": batches}
 
 
 def test_stage_configs_weighting():
