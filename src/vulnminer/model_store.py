@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -65,15 +64,8 @@ class ModelBundle:
             raise ConfigError("stage-two width differs from embedding width")
 
 
-def _write_numbers(fh, arr: np.ndarray, chunk: int = 4096) -> None:
-    """``arr`` flattened as a JSON list, ``chunk`` numbers at a time; each
-    number is ``repr(float)``, as ``json`` writes it."""
-    flat = arr.ravel()
-    fh.write("[")
-    for start in range(0, flat.size, chunk):
-        fh.write(("," if start else "")
-                 + ",".join(map(repr, flat[start:start + chunk].tolist())))
-    fh.write("]")
+def _array_out(arr: np.ndarray):
+    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
 
 
 def _array_in(obj, what: str) -> np.ndarray:
@@ -85,6 +77,10 @@ def _array_in(obj, what: str) -> np.ndarray:
     if arr.size != expected:
         raise ConfigError(f"{what}: payload length {arr.size} != shape {shape}")
     return arr.reshape(shape)
+
+
+def _params_out(params) -> dict:
+    return {k: _array_out(v) for k, v in params.arrays().items()}
 
 
 def _number(value, what: str):
@@ -117,27 +113,17 @@ def _lexicon_in(section: dict) -> list[str]:
 def save_model(bundle: ModelBundle, path: str | Path) -> None:
     """Write the bundle as compact, key-sorted JSON.
 
-    The document is encoded with each array's data as its index into
-    ``arrays``; the numbers are then streamed into the file in place of
-    those indices, so no Python list or string of all of them is built.
+    No indent, so ``json`` encodes with its C encoder; each float is
+    written as its ``repr``, so arrays load back bit-exactly.
     """
     bundle.validate()
-    arrays: list[np.ndarray] = []
-
-    def array_out(arr: np.ndarray) -> dict:
-        arrays.append(arr)
-        return {"shape": list(arr.shape), "data": len(arrays) - 1}
-
-    def params_out(params) -> dict:
-        return {k: array_out(v) for k, v in params.arrays().items()}
-
     doc = {
         "format_version": FORMAT_VERSION,
         "vocab": bundle.vocab.symbols,
         "vocab_hash": bundle.vocab.stable_hash(),
-        "embedding": array_out(bundle.embedding.matrix),
-        "stage1": params_out(bundle.stage1),
-        "stage2": params_out(bundle.stage2),
+        "embedding": _array_out(bundle.embedding.matrix),
+        "stage1": _params_out(bundle.stage1),
+        "stage2": _params_out(bundle.stage2),
         "fusion": asdict(bundle.fusion),
         "stage1_config": asdict(bundle.stage1_config),
         "stage2_config": asdict(bundle.stage2_config),
@@ -145,16 +131,9 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
         "lexicon": {"entries": bundle.lexicon,
                     "sha256": lexicon_hash(bundle.lexicon)},
     }
-    # No indent: json's C encoder writes the skeleton. A '"data":' key
-    # outside a string can only be an array's (quotes in strings are escaped).
-    pieces = re.split(r'(?<="data":)(\d+)',
-                      json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, piece in enumerate(pieces):
-            if i % 2:
-                _write_numbers(fh, arrays[int(piece)])
-            else:
-                fh.write(piece)
+    Path(path).write_text(
+        json.dumps(doc, sort_keys=True, separators=(",", ":")),
+        encoding="utf-8")
 
 
 def load_model(path: str | Path) -> ModelBundle:

@@ -308,11 +308,9 @@ def attention_forward(emb: np.ndarray, p: AttentionParams,
                       bias: RiskMatrix | None = None):
     """Risk-biased attention, feed-forward, mean pooling, sigmoid readout.
 
-    Returns (score, pooled, attention_weights, cache). This is stage
-    two's per-file path: the arithmetic of ``attention_batch`` on one
-    unpadded sequence, in 2-D products. The cache keeps the inputs, and
-    ``attention_backward`` runs them through ``attention_batch`` as a
-    batch of one. An empty sequence scores ``sigmoid(b)``.
+    Returns (score, pooled, attention_weights, cache). This is
+    ``attention_batch`` on a batch of one. An empty sequence scores
+    ``sigmoid(b)``.
     """
     n = emb.shape[0]
     if n and emb.shape[1] != p.dim:
@@ -320,21 +318,12 @@ def attention_forward(emb: np.ndarray, p: AttentionParams,
     if bias is not None and bias.matrix.shape != (n, n):
         raise ConfigError(
             f"risk matrix shape {bias.matrix.shape} != ({n}, {n})")
-    cache = {"p": p, "emb": emb, "bias": bias, "single": True}
-    if n == 0:
-        return float(sigmoid(p.b)), np.zeros(p.dim), np.zeros((0, 0)), cache
-    q, k, v = emb @ p.wq, emb @ p.wk, emb @ p.wv
-    logits = q @ k.T / np.sqrt(p.dim)
-    if bias is not None:
-        logits += bias.matrix
-    attn = np.exp(logits - logits.max(axis=1, keepdims=True))
-    attn /= attn.sum(axis=1, keepdims=True)
-    hidden = np.tanh(attn @ v @ p.w1 + p.b1)
-    pooled = hidden.mean(axis=0) @ p.w2 + p.b2
-    score = float(sigmoid(pooled @ p.w + p.b))
-    if not np.isfinite(score):
-        raise NumericError("non-finite attention score")
-    return score, pooled, attn, cache
+    x = emb[None] if n else np.zeros((1, 0, p.dim))
+    scores, cache = attention_batch(
+        x, np.array([n]), p, None if bias is None else bias.matrix[None])
+    cache["single"] = True
+    return (float(scores[0]), cache["pooled"][0], cache["attn"][0, :n, :n],
+            cache)
 
 
 def attention_batch(emb: np.ndarray, lengths: np.ndarray, p: AttentionParams,
@@ -343,11 +332,10 @@ def attention_batch(emb: np.ndarray, lengths: np.ndarray, p: AttentionParams,
 
     Row b holds its sequence in ``emb[b, :lengths[b]]``; ``bias`` is added
     to the (B, n, n) pre-softmax scores by broadcasting. Padded key columns
-    are masked before the softmax. The row-wise layers (the Q/K/V
-    projections and the feed-forward block) run on the real rows only,
-    packed into one (S, .) matrix. Mean pooling commutes with the second
-    feed-forward layer, so the hidden rows are pooled first and ``w2`` is
-    applied once per sequence; an empty sequence pools to zero.
+    are masked before the softmax. The feed-forward block runs on the real
+    rows only, packed into one (S, .) matrix. Mean pooling commutes with
+    the second feed-forward layer, so the hidden rows are pooled first and
+    ``w2`` is applied once per sequence; an empty sequence pools to zero.
     """
     rows, n, width = emb.shape
     d = p.dim
@@ -357,34 +345,32 @@ def attention_batch(emb: np.ndarray, lengths: np.ndarray, p: AttentionParams,
     elif width != d:
         raise ConfigError(f"embedding width {width} != model width {d}")
     real = np.arange(n) < lengths[:, None]  # (B, n)
-    packed = emb[real]                      # (S, d), row-major over real
-    qkv = np.zeros((rows, n, 3 * d))
-    qkv[real] = np.concatenate(
-        [packed @ p.wq, packed @ p.wk, packed @ p.wv], axis=1)
-    q, k, v = qkv[:, :, :d], qkv[:, :, d:2 * d], qkv[:, :, 2 * d:]
+    # the padding need only be finite: padded query rows are dropped and
+    # padded keys masked, so it never reaches a real row
+    q, k, v = emb @ p.wq, emb @ p.wk, emb @ p.wv
     logits = q @ k.transpose(0, 2, 1) / np.sqrt(d)
     if bias is not None:
         logits += bias
-    # an empty row keeps key 0, so its (unpooled) softmax stays finite
-    keys = real | (np.arange(n) == 0)
-    logits += np.where(keys, 0.0, -np.inf)[:, None, :]
+    if not real.all():
+        # an empty row keeps key 0, so its (unpooled) softmax stays finite
+        keys = real | (np.arange(n) == 0)
+        logits += np.where(keys, 0.0, -np.inf)[:, None, :]
     attn = np.exp(logits - logits.max(axis=2, keepdims=True))
     attn /= attn.sum(axis=2, keepdims=True)
-    ctx = (attn @ v)[real]
+    ctx = (attn @ v)[real]                  # (S, d), row-major over real
     hidden = ctx @ p.w1
     hidden += p.b1
     np.tanh(hidden, out=hidden)
     # (B, S) mean weights: row b averages its own real rows
     pool = np.repeat(np.diag(1.0 / np.maximum(lengths, 1)), lengths, axis=1)
     hbar = pool @ hidden
-    dtanh = np.subtract(1.0, np.square(hidden, out=hidden), out=hidden)
     pooled = (hbar @ p.w2 + p.b2) * (lengths > 0)[:, None]
     scores = sigmoid(pooled @ p.w + p.b)
     if not np.isfinite(scores).all():
         raise NumericError("non-finite attention score")
-    return scores, {"p": p, "lengths": lengths, "real": real,
-                    "packed": packed, "qkv": qkv, "attn": attn, "ctx": ctx,
-                    "dtanh": dtanh, "hbar": hbar, "pooled": pooled,
+    return scores, {"p": p, "lengths": lengths, "real": real, "emb": emb,
+                    "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx,
+                    "hidden": hidden, "hbar": hbar, "pooled": pooled,
                     "scores": scores, "single": False}
 
 
@@ -397,37 +383,33 @@ def attention_backward(cache: dict, dscore):
     only and is None for a batch: stage two trains on a frozen table.
     """
     p: AttentionParams = cache["p"]
-    single = cache["single"]
-    if single:
-        emb, bias = cache["emb"], cache["bias"]
-        _, cache = attention_batch(emb[None], [len(emb)], p,
-                                   None if bias is None else bias.matrix[None])
     d = p.dim
     real, lengths = cache["real"], cache["lengths"]
-    qkv, attn, ctx = cache["qkv"], cache["attn"], cache["ctx"]
+    q, k, v = cache["q"], cache["k"], cache["v"]
+    attn, ctx = cache["attn"], cache["ctx"]
     score = cache["scores"]
     ds_pre = np.asarray(dscore) * score * (1.0 - score)
     dpooled = ds_pre[:, None] * p.w * (lengths > 0)[:, None]
     dpre = np.repeat((dpooled @ p.w2.T) / np.maximum(lengths, 1)[:, None],
                      lengths, axis=0)
-    dpre *= cache["dtanh"]
+    dpre *= 1.0 - cache["hidden"] ** 2
     dctx = np.zeros(real.shape + (d,))
     dctx[real] = dpre @ p.w1.T
-    q, k, v = qkv[:, :, :d], qkv[:, :, d:2 * d], qkv[:, :, 2 * d:]
     dattn = dctx @ v.transpose(0, 2, 1)
     dlogits = attn * (dattn - (dattn * attn).sum(axis=2, keepdims=True))
     dlogits /= np.sqrt(d)
-    dqkv = np.concatenate([dlogits @ k, dlogits.transpose(0, 2, 1) @ q,
-                           attn.transpose(0, 2, 1) @ dctx], axis=2)[real]
-    dw_qkv = cache["packed"].T @ dqkv
+    dq = (dlogits @ k)[real]
+    dk = (dlogits.transpose(0, 2, 1) @ q)[real]
+    dv = (attn.transpose(0, 2, 1) @ dctx)[real]
+    packed = cache["emb"][real]
     grads = {
-        "wq": dw_qkv[:, :d], "wk": dw_qkv[:, d:2 * d], "wv": dw_qkv[:, 2 * d:],
+        "wq": packed.T @ dq, "wk": packed.T @ dk, "wv": packed.T @ dv,
         "w1": ctx.T @ dpre, "b1": dpre.sum(axis=0),
         "w2": cache["hbar"].T @ dpooled, "b2": dpooled.sum(axis=0),
         "w": cache["pooled"].T @ ds_pre, "b": np.asarray(ds_pre.sum()),
     }
-    demb = (dqkv[:, :d] @ p.wq.T + dqkv[:, d:2 * d] @ p.wk.T
-            + dqkv[:, 2 * d:] @ p.wv.T) if single else None
+    demb = (dq @ p.wq.T + dk @ p.wk.T + dv @ p.wv.T) if cache["single"] \
+        else None
     return grads, demb
 
 

@@ -18,8 +18,92 @@ from vulnminer.nn import (
     gru_scores,
     risk_biased_attention,
     risky_attention_mass,
+    sigmoid,
     weighted_bce_loss,
 )
+
+
+# Per-sample references, written step by step and independently of the
+# batched kernels in vulnminer.nn, which must agree with them to rounding.
+
+def randomized(p, seed, scale=0.3):
+    """``p`` with every array, biases included, drawn uniformly."""
+    rng = np.random.default_rng(seed)
+    for arr in p.arrays().values():
+        arr[...] = rng.uniform(-scale, scale, arr.shape)
+    return p
+
+
+def ref_gru(seq, p, dscore):
+    """Score, parameter gradients and input gradient of one sequence."""
+    h = np.zeros(p.hidden)
+    steps = []
+    for x in seq:
+        z = sigmoid(x @ p.wz + h @ p.uz + p.bz)
+        r = sigmoid(x @ p.wr + h @ p.ur + p.br)
+        cand = np.tanh(x @ p.wh + (r * h) @ p.uh + p.bh)
+        steps.append((x, h, z, r, cand))
+        h = (1.0 - z) * h + z * cand
+    score = float(sigmoid(h @ p.w + p.b))
+    g = {k: np.zeros_like(v) for k, v in p.arrays().items()}
+    ds = dscore * score * (1.0 - score)
+    g["w"] += ds * h
+    g["b"] += ds
+    dh = ds * p.w
+    dseq = np.zeros((len(seq), p.dim))
+    for t in range(len(seq) - 1, -1, -1):
+        x, h_prev, z, r, cand = steps[t]
+        da_c = dh * z * (1.0 - cand ** 2)
+        tmp = da_c @ p.uh.T
+        da_z = dh * (cand - h_prev) * z * (1.0 - z)
+        da_r = tmp * h_prev * r * (1.0 - r)
+        for gate, da, h_in in (("h", da_c, r * h_prev), ("z", da_z, h_prev),
+                               ("r", da_r, h_prev)):
+            g["w" + gate] += np.outer(x, da)
+            g["u" + gate] += np.outer(h_in, da)
+            g["b" + gate] += da
+            dseq[t] += da @ getattr(p, "w" + gate).T
+        dh = dh * (1.0 - z) + tmp * r + da_z @ p.uz.T + da_r @ p.ur.T
+    return score, g, dseq
+
+
+def ref_attention(emb, p, bias, dscore):
+    """Score, pooled vector, attention weights, parameter gradients and
+    input gradient of one sequence; ``bias`` is an (n, n) matrix."""
+    n = len(emb)
+    g = {k: np.zeros_like(v) for k, v in p.arrays().items()}
+    if n == 0:
+        score = float(sigmoid(p.b))
+        g["b"] += dscore * score * (1.0 - score)
+        return score, np.zeros(p.dim), np.zeros((0, 0)), g, np.zeros((0, p.dim))
+    q, k, v = emb @ p.wq, emb @ p.wk, emb @ p.wv
+    logits = q @ k.T / np.sqrt(p.dim) + bias
+    attn = np.exp(logits - logits.max(axis=1, keepdims=True))
+    attn /= attn.sum(axis=1, keepdims=True)
+    ctx = attn @ v
+    hidden = np.tanh(ctx @ p.w1 + p.b1)
+    pooled = (hidden @ p.w2 + p.b2).mean(axis=0)
+    score = float(sigmoid(pooled @ p.w + p.b))
+    ds = dscore * score * (1.0 - score)
+    g["w"] += ds * pooled
+    g["b"] += ds
+    dff = np.tile(ds * p.w / n, (n, 1))
+    g["w2"] += hidden.T @ dff
+    g["b2"] += dff.sum(axis=0)
+    dpre = dff @ p.w2.T * (1.0 - hidden ** 2)
+    g["w1"] += ctx.T @ dpre
+    g["b1"] += dpre.sum(axis=0)
+    dctx = dpre @ p.w1.T
+    dattn = dctx @ v.T
+    dlogits = attn * (dattn - (dattn * attn).sum(axis=1, keepdims=True))
+    dq = dlogits @ k / np.sqrt(p.dim)
+    dk = dlogits.T @ q / np.sqrt(p.dim)
+    dv = attn.T @ dctx
+    g["wq"] += emb.T @ dq
+    g["wk"] += emb.T @ dk
+    g["wv"] += emb.T @ dv
+    demb = dq @ p.wq.T + dk @ p.wk.T + dv @ p.wv.T
+    return score, pooled, attn, g, demb
 
 
 def zeroed_gru(dim=4, hidden=3):
@@ -73,6 +157,13 @@ class TestGruScores:
         assert scores.shape == (4,)
         for seq, score in zip(seqs, scores):
             assert abs(score - gru_forward(seq, p)[0]) <= 1e-12
+
+    def test_matches_per_step_reference(self):
+        rng = np.random.default_rng(12)
+        p = randomized(GruParams.init(64, 32, seed=6), 6)
+        seqs = [rng.uniform(-1, 1, (n, 64)) for n in (0, 1, 25, 66)]
+        for seq, score in zip(seqs, gru_scores(seqs, p)):
+            assert abs(score - ref_gru(seq, p, 0.0)[0]) <= 1e-12
 
     def test_empty_batch(self):
         assert gru_scores([], zeroed_gru()).shape == (0,)
@@ -180,6 +271,24 @@ class TestGruBatch:
         for k in total:
             assert np.abs(total[k] - grads[k]).max() <= 1e-12, k
 
+    def test_batch_matches_per_step_reference(self):
+        rng = np.random.default_rng(23)
+        p = randomized(GruParams.init(64, 32, seed=9), 9)
+        seqs = [rng.uniform(-1, 1, (n, 64)) for n in (0, 1, 30, 66)]
+        x, lengths = _padded(seqs, 64)
+        scores, cache = gru_batch(x, lengths, p)
+        dscores = rng.uniform(-2, 2, len(seqs))
+        grads, dx = gru_backward(cache, dscores)
+        total = {k: np.zeros_like(v) for k, v in grads.items()}
+        for row, seq in enumerate(seqs):
+            score, one, dseq = ref_gru(seq, p, dscores[row])
+            assert abs(score - scores[row]) <= 1e-12
+            assert np.abs(dseq - dx[row, :len(seq)]).max(initial=0.0) <= 1e-12
+            for k in total:
+                total[k] += one[k]
+        for k in total:
+            assert np.abs(total[k] - grads[k]).max() <= 1e-12, k
+
 
 class TestAttentionBatch:
     def setup_method(self):
@@ -217,6 +326,37 @@ class TestAttentionBatch:
             assert demb.shape == emb.shape
             for k in total:
                 total[k] += one[k]
+        for k in total:
+            assert np.abs(total[k] - grads[k]).max() <= 1e-12, k
+
+    def test_batch_matches_per_sample_reference(self):
+        rng = np.random.default_rng(29)
+        p = randomized(AttentionParams.init(64, seed=11), 11)
+        embs = [rng.uniform(-1, 1, (n, 64)) for n in (0, 1, 20, 45)]
+        risky = [(), (0,), (3, 7, 19), (0, 44)]
+        emb, lengths = _padded(embs, 64)
+        bias = np.zeros((len(embs), 1, emb.shape[1]))
+        for row, cols in enumerate(risky):
+            bias[row, 0, list(cols)] = 2.0
+        scores, cache = attention_batch(emb, lengths, p, bias)
+        dscores = rng.uniform(-2, 2, len(embs))
+        grads, _ = attention_backward(cache, dscores)
+        total = {k: np.zeros_like(v) for k, v in grads.items()}
+        for row, one_emb in enumerate(embs):
+            matrix = RiskMatrix.build(len(one_emb), risky[row], beta=2.0)
+            score, pooled, attn, one, demb = ref_attention(
+                one_emb, p, matrix.matrix, dscores[row])
+            assert abs(score - scores[row]) <= 1e-12
+            for k in total:
+                total[k] += one[k]
+            s1, p1, a1, single = attention_forward(one_emb, p, matrix)
+            assert abs(s1 - score) <= 1e-12
+            assert np.abs(p1 - pooled).max() <= 1e-12
+            assert a1.shape == attn.shape
+            assert np.abs(a1 - attn).max(initial=0.0) <= 1e-12
+            _, demb1 = attention_backward(single, dscores[row])
+            assert demb1.shape == demb.shape
+            assert np.abs(demb1 - demb).max(initial=0.0) <= 1e-12
         for k in total:
             assert np.abs(total[k] - grads[k]).max() <= 1e-12, k
 
