@@ -79,7 +79,7 @@ def _stage1_retrained_row(variant: str, train, analyses, labels, bundle,
     """
     samples = [Sample(tokens=stream_fn(analysis), label=label)
                for analysis, label in train]
-    _, semantic = _stage_samples(train)
+    _, semantic = _stage_samples(train, [])
     _bucket_rare_symbols(samples, semantic)
     vocab = Vocabulary.build([s.tokens for s in samples]
                              + [s.tokens for s in semantic])

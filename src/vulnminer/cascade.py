@@ -131,11 +131,12 @@ def run_pipeline(units, bundle, cfg: FusionSettings | None = None,
 
 
 def calibrate_lambda(labeled, bundle, tau: float | None = None,
-                     tau1: float | None = None):
+                     tau1: float | None = None, errors: list | None = None):
     """Grid search, in steps of 0.05, for the weight maximizing F1 at tau.
 
     ``labeled`` is a list of (FileAnalysis, label); ties prefer the
     smaller lambda so stage two wins when stages are interchangeable.
+    ``errors`` collects the files that do not parse, as in ``score_files``.
     """
     label_of = dict(labeled)
     if set(label_of.values()) != {0, 1}:
@@ -144,7 +145,8 @@ def calibrate_lambda(labeled, bundle, tau: float | None = None,
     tau1 = bundle.fusion.tau1 if tau1 is None else tau1
 
     scored: list[tuple[int, float, float | None]] = []
-    for analysis, one in score_files(label_of, bundle, tau1, []):
+    for analysis, one in score_files(label_of, bundle, tau1,
+                                     [] if errors is None else errors):
         two = verify_semantic(analysis, bundle).score if one.passed else None
         scored.append((label_of[analysis], one.score, two))
     return search_lambda(scored, tau)

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread unless set, before numpy loads: threads change trained bits.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .augment import augment_corpus, save_augment_manifest
 from .bench import ABLATIONS, rows_to_csv, run_benchmark
@@ -144,8 +149,11 @@ def cmd_localize(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     manifest = CorpusManifest.load(args.manifest)
+    skipped: list[tuple[str, str]] = []
     bundle = train_bundle(manifest, seed=cfg.seed, lex=_lexicon(cfg),
-                          tau=cfg.tau, tau1=cfg.tau1)
+                          tau=cfg.tau, tau1=cfg.tau1, skipped=skipped)
+    for path, message in skipped:
+        print(f"skipped {path}: {message}", file=sys.stderr)
     save_model(bundle, cfg.model)
     for stage, curve in sorted(bundle.curves.items()):
         print(f"{stage}: epochs={len(curve)} first_loss={curve[0]:.4f} "

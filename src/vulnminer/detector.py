@@ -17,15 +17,19 @@ def load_units(entries) -> list[tuple[SourceUnit, int]]:
     return [(SourceUnit.from_file(e.path), e.label) for e in entries]
 
 
-def _stage_samples(labeled):
-    """Stage-one and stage-two samples from (FileAnalysis, label) pairs."""
+def _stage_samples(labeled, skipped: list):
+    """Stage-one and stage-two samples from (FileAnalysis, label) pairs;
+    (path, message) of each file that does not parse goes to ``skipped``."""
     structural: list[Sample] = []
     semantic: list[Sample] = []
     for analysis, label in labeled:
         try:
-            seq1 = analysis.structural
-            seq2 = analysis.semantic
-        except ParseError:
+            seq1, seq2 = analysis.structural, analysis.semantic
+        except ParseError as exc:
+            skipped.append((analysis.path, str(exc)))
+            continue
+        except RecursionError:
+            skipped.append((analysis.path, "nesting too deep"))
             continue
         risky = analysis.lex.risky_names()
         structural.append(Sample(tokens=seq1.tokens, label=label))
@@ -58,14 +62,18 @@ def _bucket_rare_symbols(*sample_sets: list[Sample], min_count: int = 2):
 
 def train_bundle(manifest: CorpusManifest, seed: int = 0,
                  lex: TaintLexicon | None = None,
-                 tau: float = 0.5, tau1: float = 0.2) -> ModelBundle:
-    """Train stage one (with embeddings), then stage two, then pick lambda."""
+                 tau: float = 0.5, tau1: float = 0.2,
+                 skipped: list | None = None) -> ModelBundle:
+    """Train stage one (with embeddings), then stage two, then pick lambda;
+    files that do not parse are skipped and listed in ``skipped``."""
+    skipped = [] if skipped is None else skipped
     lex = lex or DEFAULT_LEXICON
     train_units = load_units(manifest.split("train"))
     if not train_units:
         raise TrainingError("manifest has no train entries")
     structural, semantic = _stage_samples(
-        (FileAnalysis(unit, lex), label) for unit, label in train_units)
+        ((FileAnalysis(unit, lex), label) for unit, label in train_units),
+        skipped)
 
     cfg1, cfg2 = stage_configs(seed)
     vocab = Vocabulary.build([s.tokens for s in structural]
@@ -85,7 +93,8 @@ def train_bundle(manifest: CorpusManifest, seed: int = 0,
     val = [(FileAnalysis(unit, lex), label)
            for unit, label in load_units(manifest.split("val"))]
     if val and {label for _, label in val} == {0, 1}:
-        lam, _ = calibrate_lambda(val, bundle, tau=tau, tau1=tau1)
+        lam, _ = calibrate_lambda(val, bundle, tau=tau, tau1=tau1,
+                                  errors=skipped)
         bundle.fusion = FusionSettings(lam=lam, tau=tau, tau1=tau1,
                                        beta=cfg2.beta)
     bundle.validate()

@@ -157,8 +157,3 @@ def lexicon_entries(lex: TaintLexicon) -> list[str]:
 def lexicon_hash(entries: list[str]) -> str:
     """sha256 of the entries, one per line: what a model records."""
     return hashlib.sha256("\n".join(entries).encode("utf-8")).hexdigest()
-
-
-def save_lexicon(lex: TaintLexicon, path: str | Path) -> None:
-    Path(path).write_text("\n".join(lexicon_entries(lex)) + "\n",
-                          encoding="utf-8")

@@ -15,7 +15,7 @@ from .backends import GenerationBackend
 from .constraints import ConstraintSet, extract_constraints
 from .ir import IntermediateRepresentation, build_ir, refine_context
 from .rewrite import Rewriter
-from .scoring import Candidate, score_candidate, select_best
+from .scoring import Candidate, score_candidates, select_best
 from .templates import MicroTemplate
 
 DEFAULT_MAX_ITERATIONS = 2
@@ -210,10 +210,8 @@ def localize(unit: SourceUnit, bundle, templates: list[MicroTemplate],
     while iteration < max_iterations:
         iteration += 1
         candidates = generate_candidates(ir, constraints, templates, backend)
-        for candidate in candidates:
-            if candidate.parse_ok:
-                score_candidate(candidate, ir, bundle, constraints,
-                                alpha=alpha)
+        if parsed := [c for c in candidates if c.parse_ok]:
+            score_candidates(parsed, ir, bundle, constraints, alpha=alpha)
         best = select_best(candidates, constraints,
                            enforce_constraints=enforce_constraints)
         if best is not None:

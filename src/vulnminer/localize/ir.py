@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-import numpy as np
-
 from ..analysis import FileAnalysis
 from ..errors import NoFindingError
 from ..flows import TaintFinding
@@ -22,9 +20,6 @@ class IntermediateRepresentation:
     finding: TaintFinding
     window_owner: int | None        # FunctionDecl node id, None = whole file
     feedback: list[dict] = field(default_factory=list)
-    # mean semantic embedding of the original file, set by the first
-    # candidate scored against it
-    origin_embedding: np.ndarray | None = None
 
     @property
     def unit(self) -> SourceUnit:

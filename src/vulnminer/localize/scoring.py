@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import difflib
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,8 +11,8 @@ import numpy as np
 from ..analysis import FileAnalysis
 from ..cascade import fuse_scores
 from ..linearize import embed_sequence
+from ..nn import gru_scores
 from ..source import SourceUnit
-from ..stage1 import score_structural
 from ..stage2 import verify_semantic
 from .constraints import CandidateContext, ConstraintSet, evaluate_constraint
 from .ir import IntermediateRepresentation
@@ -28,7 +29,7 @@ class Candidate:
     s_sec: float = 0.0
     s_sem: float = 0.0
     utility: float = 0.0
-    edit_distance: float = 1.0
+    edit_distance: float = 1.0       # computed on a utility tie only
     constraint_results: dict[str, bool] = field(default_factory=dict)
     failure: str | None = None
     analysis: FileAnalysis | None = None
@@ -47,48 +48,60 @@ class Candidate:
 
 def edit_distance(original: str, candidate: str) -> float:
     """Normalized in [0, 1]; 0 means identical text."""
-    ratio = difflib.SequenceMatcher(None, original, candidate).ratio()
-    return 1.0 - ratio
+    return 1.0 - difflib.SequenceMatcher(None, original, candidate).ratio()
+
+
+def score_candidates(candidates: list[Candidate],
+                     ir: IntermediateRepresentation, bundle,
+                     constraints: ConstraintSet,
+                     alpha: float = 0.6) -> list[Candidate]:
+    """Security score from the frozen cascade, semantic score from embeddings.
+
+    Every candidate must parse. Stage one scores the batch in one
+    ``gru_scores`` call, whose rows score the same bits alone as in any
+    batch. A SQL finding whose query the original builds by concatenation
+    holds each candidate to a static prepared query. Only candidates whose
+    utility ties get an edit distance: ``select_best`` reads it only there.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must be in [0, 1]")
+    analyses = [candidate.analyze(ir) for candidate in candidates]
+    stage_one = gru_scores(
+        [embed_sequence(a.structural, bundle.embedding, bundle.vocab)
+         for a in analyses], bundle.stage1)
+
+    # mean token embeddings; an empty sequence gives zeros, similarity 0
+    emb = embed_sequence(ir.analysis.semantic, bundle.embedding, bundle.vocab)
+    origin_vec = emb.sum(axis=0) / max(len(emb), 1)
+    query_built = ir.facts.query_built and ir.finding.sink_class == "Sql"
+    for candidate, analysis, one in zip(candidates, analyses, stage_one):
+        two = verify_semantic(analysis, bundle)
+        fused = fuse_scores(float(one), two.score, bundle.fusion.lam)
+        candidate.s_sec = 1.0 - fused
+        emb = embed_sequence(analysis.semantic, bundle.embedding, bundle.vocab)
+        cand_vec = emb.sum(axis=0) / max(len(emb), 1)
+        denom = float(np.linalg.norm(origin_vec) * np.linalg.norm(cand_vec))
+        sim = float(origin_vec @ cand_vec / denom) if denom > 0 else 0.0
+        candidate.s_sem = min(1.0, max(0.0, sim))
+        candidate.utility = (alpha * candidate.s_sec
+                             + (1 - alpha) * candidate.s_sem)
+        ctx = CandidateContext.build(analysis, ir, query_built)
+        for constraint in constraints.constraints:
+            candidate.constraint_results[constraint.cid] = evaluate_constraint(
+                constraint, ctx)
+
+    ties = Counter(c.utility for c in candidates)
+    for c in candidates:
+        if ties[c.utility] > 1:
+            c.edit_distance = edit_distance(ir.unit.text, c.text)
+    return candidates
 
 
 def score_candidate(candidate: Candidate, ir: IntermediateRepresentation,
                     bundle, constraints: ConstraintSet,
                     alpha: float = 0.6) -> Candidate:
-    """Security score from the frozen cascade, semantic score from embeddings.
-
-    The candidate must parse (``generate_candidates`` sets ``parse_ok``).
-    A SQL finding whose query the original builds by concatenation holds
-    the candidate to a static prepared query.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    analysis = candidate.analyze(ir)
-    one = score_structural(analysis, bundle)
-    two = verify_semantic(analysis, bundle)
-    fused = fuse_scores(one.score, two.score, bundle.fusion.lam)
-    candidate.s_sec = 1.0 - fused
-
-    # mean token embeddings; an empty sequence gives zeros, similarity 0
-    if ir.origin_embedding is None:
-        emb = embed_sequence(ir.analysis.semantic, bundle.embedding,
-                             bundle.vocab)
-        ir.origin_embedding = emb.sum(axis=0) / max(len(emb), 1)
-    origin_vec = ir.origin_embedding
-    emb = embed_sequence(analysis.semantic, bundle.embedding, bundle.vocab)
-    cand_vec = emb.sum(axis=0) / max(len(emb), 1)
-    denom = float(np.linalg.norm(origin_vec) * np.linalg.norm(cand_vec))
-    sim = float(origin_vec @ cand_vec / denom) if denom > 0 else 0.0
-    candidate.s_sem = min(1.0, max(0.0, sim))
-
-    candidate.utility = alpha * candidate.s_sec + (1 - alpha) * candidate.s_sem
-    candidate.edit_distance = edit_distance(ir.unit.text, candidate.text)
-
-    query_built = ir.facts.query_built and ir.finding.sink_class == "Sql"
-    ctx = CandidateContext.build(analysis, ir, query_built)
-    for constraint in constraints.constraints:
-        candidate.constraint_results[constraint.cid] = evaluate_constraint(
-            constraint, ctx)
-    return candidate
+    """``score_candidates`` on a batch of one."""
+    return score_candidates([candidate], ir, bundle, constraints, alpha)[0]
 
 
 def select_best(candidates: list[Candidate],

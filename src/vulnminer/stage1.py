@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .analysis import FileAnalysis
 from .errors import VulnMinerError
@@ -17,8 +15,6 @@ class StageOneScore:
     file_id: str
     score: float
     passed: bool
-    tokens: int = 0
-    truncated: bool = False
 
     def record(self) -> dict:
         return {"path": self.file_id, "score": self.score, "passed": self.passed}
@@ -26,10 +22,9 @@ class StageOneScore:
 
 @dataclass
 class HypothesisSet:
-    """Stage-one survivors, strongest first, plus the rejects for the log."""
+    """Stage-one survivors, strongest first, and the files that errored."""
 
     hypotheses: list[StageOneScore]
-    skip_log: list[StageOneScore] = field(default_factory=list)
     errors: list[tuple[str, str]] = field(default_factory=list)
 
     def paths(self) -> list[str]:
@@ -39,11 +34,9 @@ class HypothesisSet:
 def stage_one_score(analysis: FileAnalysis, score: float,
                     tau1: float) -> StageOneScore:
     """The stage-one record of a GRU score over ``analysis.structural``."""
-    seq = analysis.structural
     score = float(score)
     return StageOneScore(file_id=analysis.path, score=score,
-                         passed=score > tau1, tokens=seq.n,
-                         truncated=seq.truncated)
+                         passed=score > tau1)
 
 
 def score_structural(analysis: FileAnalysis, bundle,
@@ -62,21 +55,8 @@ def propose_hypotheses(units, bundle,
     tau1 = bundle.fusion.tau1 if tau1 is None else tau1
     if not 0.0 <= tau1 < 1.0:
         raise VulnMinerError("tau1 must be in [0, 1)")
-    passed: list[StageOneScore] = []
-    skipped: list[StageOneScore] = []
     errors: list[tuple[str, str]] = []
-    analyses = (FileAnalysis(unit) for unit in units)
-    for _, result in score_files(analyses, bundle, tau1, errors):
-        (passed if result.passed else skipped).append(result)
-    passed.sort(key=lambda h: (-h.score, h.file_id))
-    return HypothesisSet(hypotheses=passed, skip_log=skipped, errors=errors)
-
-
-def load_hypotheses(path: str | Path) -> list[StageOneScore]:
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            obj = json.loads(line)
-            out.append(StageOneScore(file_id=obj["path"], score=obj["score"],
-                                     passed=bool(obj["passed"])))
-    return out
+    scored = score_files(map(FileAnalysis, units), bundle, tau1, errors)
+    passed = sorted((one for _, one in scored if one.passed),
+                    key=lambda h: (-h.score, h.file_id))
+    return HypothesisSet(hypotheses=passed, errors=errors)

@@ -1,12 +1,17 @@
 """Shared fixtures: the seeded bundled corpus and a trained model."""
 
+import os
 from pathlib import Path
 
-import pytest
+# One BLAS thread, as the CLI pins it, before numpy first loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from vulnminer.corpus import generate_synthetic_corpus
-from vulnminer.detector import train_bundle
-from vulnminer.source import SourceUnit
+import pytest  # noqa: E402
+
+from vulnminer.corpus import generate_synthetic_corpus  # noqa: E402
+from vulnminer.detector import train_bundle  # noqa: E402
+from vulnminer.source import SourceUnit  # noqa: E402
 
 CORPUS_SEED = 7
 CORPUS_SIZE = 200

@@ -1,10 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from vulnminer.cli import main
-from vulnminer.lexicon import DEFAULT_LEXICON, save_lexicon
+from vulnminer.corpus import ManifestEntry, generate_synthetic_corpus
+from vulnminer.lexicon import DEFAULT_LEXICON, lexicon_entries
 from vulnminer.model_store import save_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -143,7 +148,7 @@ def test_scan_deep_nesting_is_an_error_record(model_path, tmp_path, capsys):
 def test_scan_and_localize_refuse_another_lexicon(model_path, tmp_path,
                                                   capsys):
     same, other = tmp_path / "same.lex", tmp_path / "other.lex"
-    save_lexicon(DEFAULT_LEXICON, same)
+    same.write_text("\n".join(lexicon_entries(DEFAULT_LEXICON)) + "\n")
     other.write_text(same.read_text() + "sink,run_job,Command\n")
     page = tmp_path / "page.php"
     page.write_text('<?php echo "static";')
@@ -196,6 +201,48 @@ def test_train_and_reuse(manifest, corpus_dir, tmp_path, capsys):
     code, out, _ = run(capsys, "scan", "--model", str(model),
                        str(FIXTURES / "command_injection.php"))
     assert code == 1
+
+
+def test_train_skips_and_names_files_it_cannot_parse(tmp_path, capsys):
+    manifest = generate_synthetic_corpus(tmp_path, seed=7, size=40)
+    deep = tmp_path / "deep.php"
+    deep.write_text("<?php $a = " + "(" * 3000 + "1" + ")" * 3000 + ";\n")
+    broken = tmp_path / "broken.php"
+    broken.write_text("<?php $a = (;")
+    manifest.entries += [ManifestEntry(path=str(deep), label=0),
+                         ManifestEntry(path=str(broken), label=1)]
+    manifest.save(tmp_path / "manifest.jsonl")
+    model = tmp_path / "m.json"
+    code, out, err = run(capsys, "train", str(tmp_path / "manifest.jsonl"),
+                         "--model", str(model))
+    assert code == 0 and model.exists()
+    assert f"skipped {deep}: nesting too deep" in err.splitlines()
+    assert f"skipped {broken}: " in err
+    assert len(err.splitlines()) == 2
+
+
+def test_train_pins_one_blas_thread_unless_told(tmp_path):
+    # on a host with more than one core OpenBLAS would default to one thread
+    # per core, and the 80-file corpus's trained weights differ in the last
+    # bits between one thread and two
+    generate_synthetic_corpus(tmp_path, seed=7, size=80)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    runs = {}
+    for name, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        model = tmp_path / f"{name}.json"
+        runs[model] = subprocess.Popen(
+            [sys.executable, "-m", "vulnminer.cli", "train",
+             str(tmp_path / "manifest.jsonl"), "--model", str(model),
+             "--seed", "0"],
+            env={**env, **extra}, stdout=subprocess.DEVNULL)
+    assert [proc.wait(timeout=600) for proc in runs.values()] == [0, 0]
+    digests = {hashlib.sha256(model.read_bytes()).hexdigest()
+               for model in runs}
+    assert len(digests) == 1
 
 
 def test_train_single_class_manifest_refused(tmp_path, corpus_dir, capsys):

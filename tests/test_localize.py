@@ -24,6 +24,7 @@ from vulnminer.localize import (
     verify,
 )
 from vulnminer.localize.constraints import CandidateContext, evaluate_constraint
+from vulnminer.localize.scoring import score_candidates
 from vulnminer.source import SourceUnit
 
 TEMPLATES = default_templates()
@@ -109,16 +110,31 @@ def test_constraints_by_sink_class(command_injection_unit, sql_auth_unit):
     assert all(c.hard for c in inc.constraints)
 
 
+def _copy(candidate):
+    from vulnminer.localize.scoring import Candidate
+
+    return Candidate(candidate_id=candidate.candidate_id,
+                     template_id=candidate.template_id,
+                     variant=candidate.variant, text=candidate.text,
+                     backend=candidate.backend)
+
+
 def test_soft_preference_recorded(bundle, command_injection_unit):
     # select_best breaks utility ties by edit distance; scoring records it
+    # for the candidates that tie, the only ones where select_best reads it
     ir = build_ir(FileAnalysis(command_injection_unit))
     constraints = extract_constraints(ir)
     candidates = generate_candidates(ir, constraints, TEMPLATES, BACKEND)
     primary = next(c for c in candidates if c.variant == "primary")
-    score_candidate(primary, ir, bundle, constraints)
-    assert primary.edit_distance == pytest.approx(
-        edit_distance(command_injection_unit.text, primary.text))
-    assert 0.0 < primary.edit_distance < 1.0
+    twin = _copy(primary)
+    score_candidates([primary, twin], ir, bundle, constraints)
+    assert primary.utility == twin.utility
+    for tied in (primary, twin):
+        assert tied.edit_distance == pytest.approx(
+            edit_distance(command_injection_unit.text, primary.text))
+        assert 0.0 < tied.edit_distance < 1.0
+    alone = score_candidate(_copy(primary), ir, bundle, constraints)
+    assert alone.edit_distance == 1.0  # untied: never read, never computed
 
 
 def test_wrong_class_sanitizer_fails_constraint(command_injection_unit):
@@ -286,6 +302,60 @@ def test_score_candidate_holds_built_sql_to_a_static_query(bundle, sql_auth_unit
     assert candidate.constraint_results["parameterized-sql"] is False
 
 
+def test_utility_tie_is_broken_by_edit_distance(bundle,
+                                                command_injection_unit):
+    ir = build_ir(FileAnalysis(command_injection_unit))
+    constraints = extract_constraints(ir)
+    candidates = generate_candidates(ir, constraints, TEMPLATES, BACKEND)
+    primary = next(c for c in candidates if c.variant == "primary")
+    # a comment changes the text but not one token, so the utilities tie;
+    # the farther candidate's template id sorts first
+    near, far = _copy(primary), _copy(primary)
+    near.template_id, far.template_id = "b", "a"
+    far.text = primary.text.replace(
+        "<?php\n", "<?php\n// " + "padding " * 20 + "\n", 1)
+    other = next(c for c in candidates if c.variant != "primary"
+                 and c.parse_ok)
+    score_candidates([far, near, other], ir, bundle, constraints)
+    assert far.utility == near.utility != other.utility
+    assert near.edit_distance == edit_distance(ir.unit.text, near.text)
+    assert far.edit_distance == edit_distance(ir.unit.text, far.text)
+    assert near.edit_distance < far.edit_distance
+    assert other.edit_distance == 1.0
+    assert select_best([far, near], constraints) is near
+
+
+def test_round_batch_scores_each_candidate_as_alone(bundle, corpus_units,
+                                                   monkeypatch):
+    # every round localized on the flagged files of the standard corpus
+    from vulnminer.cascade import run_pipeline
+    from vulnminer.localize import engine
+
+    rounds = []
+    batch = engine.score_candidates
+
+    def recording(candidates, ir, bundle, constraints, alpha):
+        rounds.append((list(candidates), ir, constraints, alpha))
+        return batch(candidates, ir, bundle, constraints, alpha=alpha)
+
+    monkeypatch.setattr(engine, "score_candidates", recording)
+    verdicts, _ = run_pipeline(corpus_units, bundle)
+    by_path = {unit.path: unit for unit in corpus_units}
+    flagged = [v.file_id for v in verdicts if v.vulnerable]
+    for path in flagged:
+        localize(by_path[path], bundle, TEMPLATES, BACKEND)
+    assert len(rounds) > 10
+    assert max(len(candidates) for candidates, *_ in rounds) > 1
+    for candidates, ir, constraints, alpha in rounds:
+        for candidate in candidates:
+            alone = score_candidate(_copy(candidate), ir, bundle,
+                                    constraints, alpha)
+            assert (alone.s_sec, alone.s_sem, alone.utility,
+                    alone.constraint_results) == (
+                candidate.s_sec, candidate.s_sem, candidate.utility,
+                candidate.constraint_results)
+
+
 def test_select_best_filters_and_breaks_ties(command_injection_unit):
     from vulnminer.localize.scoring import Candidate
 
@@ -317,9 +387,8 @@ def _scored_best(unit, bundle):
     ir = build_ir(FileAnalysis(unit))
     constraints = extract_constraints(ir)
     candidates = generate_candidates(ir, constraints, TEMPLATES, BACKEND)
-    for c in candidates:
-        if c.parse_ok:
-            score_candidate(c, ir, bundle, constraints)
+    score_candidates([c for c in candidates if c.parse_ok], ir, bundle,
+                     constraints)
     return ir, constraints, select_best(candidates, constraints)
 
 

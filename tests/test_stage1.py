@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from vulnminer.analysis import FileAnalysis
@@ -5,11 +7,7 @@ from vulnminer.cascade import score_files
 from vulnminer.cli import write_jsonl
 from vulnminer.errors import ParseError
 from vulnminer.source import SourceUnit
-from vulnminer.stage1 import (
-    load_hypotheses,
-    propose_hypotheses,
-    score_structural,
-)
+from vulnminer.stage1 import propose_hypotheses, score_structural
 
 
 def test_vulnerable_fixture_flagged(bundle, command_injection_unit):
@@ -34,7 +32,6 @@ def test_unparseable_file_propagates_error(bundle):
 def test_threshold_floor_passes_everything(bundle, corpus_units):
     hset = propose_hypotheses(corpus_units[:20], bundle, tau1=0.0)
     assert len(hset.hypotheses) == 20
-    assert not hset.skip_log
 
 
 def test_threshold_monotonicity(bundle, corpus_units):
@@ -87,11 +84,11 @@ def test_handoff_file_round_trip(bundle, corpus_units, tmp_path):
     hset = propose_hypotheses(corpus_units[:20], bundle, tau1=0.2)
     path = tmp_path / "hypotheses.jsonl"
     write_jsonl([h.record() for h in hset.hypotheses], path)
-    loaded = load_hypotheses(path)
-    assert [(h.file_id, h.score, h.passed) for h in loaded] \
+    loaded = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(h["path"], h["score"], h["passed"]) for h in loaded] \
         == [(h.file_id, h.score, h.passed) for h in hset.hypotheses]
 
 
 def test_empty_corpus_is_empty_set(bundle):
     hset = propose_hypotheses([], bundle, tau1=0.2)
-    assert hset.hypotheses == [] and hset.skip_log == []
+    assert hset.hypotheses == [] and hset.errors == []
