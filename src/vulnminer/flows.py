@@ -25,6 +25,7 @@ from .source import Span
 
 _ALL_CLASSES = frozenset(SINK_CLASSES)
 _MAX_CALL_DEPTH = 3
+_CHAIN_KINDS = (NodeKind.CONCAT, NodeKind.BINARY_OP)
 
 
 @dataclass
@@ -86,23 +87,25 @@ def augment_flows(root: AstNode) -> FlowGraph:
 
 def _collect_scopes(root: AstNode) -> list[_Scope]:
     scopes: list[_Scope] = []
-
-    def build(owner: AstNode, body: list[AstNode], params: list[str]):
-        scope = _Scope(owner=owner, params=params, entry=owner.node_id)
-        scopes.append(scope)
-        scope.statements.append(owner)
-        scope.defs[owner.node_id] = [(p, True) for p in params]
-        scope.uses[owner.node_id] = []
-        _link_body(scope, body, {owner.node_id}, build)
-        return scope
-
-    build(root, list(root.children), [])
+    _build_scope(scopes, root, list(root.children), [])
     return scopes
 
 
-def _link_body(scope: _Scope, stmts: list[AstNode], preds: set[int], build) -> set[int]:
+def _build_scope(scopes: list[_Scope], owner: AstNode, body: list[AstNode],
+                 params: list[str]) -> None:
+    """Append the scope of ``owner`` and, nested in its body, of each function."""
+    scope = _Scope(owner=owner, params=params, entry=owner.node_id)
+    scopes.append(scope)
+    scope.statements.append(owner)
+    scope.defs[owner.node_id] = [(p, True) for p in params]
+    scope.uses[owner.node_id] = []
+    _link_body(scope, body, {owner.node_id}, scopes)
+
+
+def _link_body(scope: _Scope, stmts: list[AstNode], preds: set[int],
+               scopes: list[_Scope]) -> set[int]:
     for stmt in stmts:
-        preds = _link_stmt(scope, stmt, preds, build)
+        preds = _link_stmt(scope, stmt, preds, scopes)
     return preds
 
 
@@ -117,7 +120,8 @@ def _connect(scope: _Scope, preds: set[int], node_id: int):
         scope.succ.setdefault(p, []).append(node_id)
 
 
-def _link_stmt(scope: _Scope, stmt: AstNode, preds: set[int], build) -> set[int]:
+def _link_stmt(scope: _Scope, stmt: AstNode, preds: set[int],
+               scopes: list[_Scope]) -> set[int]:
     k = stmt.kind
     nid = stmt.node_id
     if k is NodeKind.ASSIGN:
@@ -136,7 +140,7 @@ def _link_stmt(scope: _Scope, stmt: AstNode, preds: set[int], build) -> set[int]
         return set()
     if k is NodeKind.FUNCTION_DECL:
         _name, params, body = stmt.function_parts()
-        build(stmt, body, [p.attrs["name"] for p in params])
+        _build_scope(scopes, stmt, body, [p.attrs["name"] for p in params])
         _register(scope, stmt, [], [])
         _connect(scope, preds, nid)
         return {nid}
@@ -144,14 +148,14 @@ def _link_stmt(scope: _Scope, stmt: AstNode, preds: set[int], build) -> set[int]
         cond, then, other = stmt.if_parts()
         _register(scope, stmt, [], _expr_vars(cond))
         _connect(scope, preds, nid)
-        then_exit = _link_body(scope, then, {nid}, build)
-        else_exit = _link_body(scope, other, {nid}, build) if other else {nid}
+        then_exit = _link_body(scope, then, {nid}, scopes)
+        else_exit = _link_body(scope, other, {nid}, scopes) if other else {nid}
         return then_exit | else_exit
     if k is NodeKind.WHILE:
         cond, body = stmt.loop_parts()
         _register(scope, stmt, [], _expr_vars(cond))
         _connect(scope, preds, nid)
-        body_exit = _link_body(scope, body, {nid}, build)
+        body_exit = _link_body(scope, body, {nid}, scopes)
         _connect(scope, body_exit - {nid}, nid)
         return {nid}
     if k is NodeKind.FOR:
@@ -161,7 +165,7 @@ def _link_stmt(scope: _Scope, stmt: AstNode, preds: set[int], build) -> set[int]
         _connect(scope, preds, init.node_id)
         _register(scope, stmt, [], _expr_vars(cond))
         _connect(scope, {init.node_id}, nid)
-        body_exit = _link_body(scope, body, {nid}, build)
+        body_exit = _link_body(scope, body, {nid}, scopes)
         _register(scope, step, _assign_defs(step), _assign_uses(step))
         _connect(scope, body_exit, step.node_id)
         _connect(scope, {step.node_id}, nid)
@@ -173,7 +177,7 @@ def _link_stmt(scope: _Scope, stmt: AstNode, preds: set[int], build) -> set[int]
             defs.append((key.attrs["name"], True))
         _register(scope, stmt, defs, _expr_vars(iterable))
         _connect(scope, preds, nid)
-        body_exit = _link_body(scope, body, {nid}, build)
+        body_exit = _link_body(scope, body, {nid}, scopes)
         _connect(scope, body_exit - {nid}, nid)
         return {nid}
     raise ValueError(f"unsupported statement kind {k}")
@@ -473,7 +477,20 @@ class _Tracer:
             return dict(env.get(expr.attrs["name"], {}))
         if k in (NodeKind.STRING_LIT, NodeKind.NUMBER_LIT):
             return {}
-        if k in (NodeKind.CONCAT, NodeKind.BINARY_OP, NodeKind.INDEX):
+        if k in _CHAIN_KINDS:
+            # Walk a left-nested chain down to its first operand, then merge
+            # each level's right operands outward, as recursion would, with
+            # no Python frame per level.
+            rights = []
+            while expr.kind in _CHAIN_KINDS:
+                rights.append(expr.children[1:])
+                expr = expr.children[0]
+            taint = self._eval(expr, env, depth, record, stmt_span)
+            for level in reversed(rights):
+                taint = _merge_maps([taint] + [
+                    self._eval(c, env, depth, record, stmt_span) for c in level])
+            return taint
+        if k is NodeKind.INDEX:
             parts = [self._eval(c, env, depth, record, stmt_span) for c in expr.children]
             return _merge_maps(parts)
         if k is NodeKind.CALL:

@@ -190,7 +190,25 @@ def localize(unit: SourceUnit, bundle, templates: list[MicroTemplate],
              max_iterations: int = DEFAULT_MAX_ITERATIONS,
              lex=None, hook: str | None = None,
              enforce_constraints: bool = True) -> LocalizationReport:
-    """Full loop per Stage-confirmed file; returns a FAIL report on exhaustion."""
+    """Full loop per Stage-confirmed file; returns a FAIL report on exhaustion.
+
+    A tree too deep for the rewriter or the printer to walk, such as a
+    `.` chain of some 500 terms, gives a FAIL report `nesting too deep`
+    rather than a raise, as a scan gives such a file an error record.
+    """
+    try:
+        return _localize(unit, bundle, templates, backend, alpha,
+                         max_iterations, lex, hook, enforce_constraints)
+    except RecursionError:
+        return LocalizationReport(path=unit.path, vuln_type=None,
+                                  cause="nesting too deep", lines=[],
+                                  status="fail")
+
+
+def _localize(unit: SourceUnit, bundle, templates: list[MicroTemplate],
+              backend: GenerationBackend, alpha: float, max_iterations: int,
+              lex, hook: str | None,
+              enforce_constraints: bool) -> LocalizationReport:
     try:
         ir = build_ir(FileAnalysis(unit, lex))
     except NoFindingError:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -14,7 +15,7 @@ from .linearize import EmbeddingTable, Vocabulary
 from .nn import AttentionParams, GruParams
 from .training import TrainConfig
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass
@@ -65,18 +66,20 @@ class ModelBundle:
 
 
 def _array_out(arr: np.ndarray):
-    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+    raw = arr.astype("<f8", copy=False).tobytes()
+    return {"shape": list(arr.shape), "f8": base64.b64encode(raw).decode("ascii")}
 
 
 def _array_in(obj, what: str) -> np.ndarray:
-    if not isinstance(obj, dict) or not {"data", "shape"} <= obj.keys():
-        raise ConfigError(f"{what}: not a shape/data array")
-    arr = np.asarray(obj["data"], dtype=float)
+    if not isinstance(obj, dict) or not {"f8", "shape"} <= obj.keys():
+        raise ConfigError(f"{what}: not a shape/f8 array")
+    raw = base64.b64decode(obj["f8"], validate=True)
     shape = tuple(obj["shape"])
     expected = int(np.prod(shape)) if shape else 1
-    if arr.size != expected:
-        raise ConfigError(f"{what}: payload length {arr.size} != shape {shape}")
-    return arr.reshape(shape)
+    if len(raw) != 8 * expected:
+        raise ConfigError(
+            f"{what}: payload of {len(raw)} bytes != shape {shape} of float64")
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
 
 
 def _params_out(params) -> dict:
@@ -113,8 +116,9 @@ def _lexicon_in(section: dict) -> list[str]:
 def save_model(bundle: ModelBundle, path: str | Path) -> None:
     """Write the bundle as compact, key-sorted JSON.
 
-    No indent, so ``json`` encodes with its C encoder; each float is
-    written as its ``repr``, so arrays load back bit-exactly.
+    No indent, so ``json`` encodes with its C encoder. Each array is the
+    base64 of its little-endian float64 bytes beside its shape, so it loads
+    back bit-exactly and no Python float is made per weight.
     """
     bundle.validate()
     doc = {

@@ -1,6 +1,7 @@
 """One analysis per text: parse counts and the lexicon each stage sees."""
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -19,6 +20,8 @@ from vulnminer.localize import DeterministicBackend, default_templates, localize
 from vulnminer.source import SourceUnit
 from vulnminer.stage1 import score_structural
 from vulnminer.stage2 import build_risk_matrix, verify_semantic
+
+from conftest import FIXTURES
 
 # Default lexicon plus one extra source name. Sources only mark risky
 # attention columns (taint tracing takes sources from the tree), so this
@@ -145,3 +148,20 @@ def test_training_calibrates_with_its_lexicon(tmp_path, monkeypatch):
     train_bundle(CorpusManifest.load(tmp_path / "manifest.jsonl"),
                  lex=CUSTOM_LEXICON)
     assert seen and all(lex is CUSTOM_LEXICON for lex in seen)
+
+
+def test_analyses_leave_no_cyclic_garbage(bundle):
+    # Reference counting alone must free a dropped analysis and its tree.
+    units = [SourceUnit.from_file(p) for p in sorted(FIXTURES.glob("*.php"))]
+    gc.collect()
+    gc.disable()
+    try:
+        for unit in units:
+            analysis = FileAnalysis(unit)
+            analysis.structural, analysis.semantic, analysis.findings
+        localize(SourceUnit.from_file(FIXTURES / "command_injection.php"),
+                 bundle, default_templates(), DeterministicBackend())
+        del analysis
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

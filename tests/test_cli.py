@@ -125,7 +125,7 @@ def test_localize_skips_non_utf8_file(model_path, tmp_path, capsys):
 def test_scan_deep_nesting_is_an_error_record(model_path, tmp_path, capsys):
     (tmp_path / "deep.php").write_text(
         "<?php $a = " + "(" * 300 + "1" + ")" * 300 + ";")
-    # parses, but the taint trace recurses once per `.` term
+    # a long `.` chain is not deep nesting: the taint trace walks it
     (tmp_path / "chain.php").write_text(
         "<?php $a = $_GET['x']" + " . 'y'" * 500 + "; system($a);")
     (tmp_path / "good.php").write_text(
@@ -135,14 +135,26 @@ def test_scan_deep_nesting_is_an_error_record(model_path, tmp_path, capsys):
     records = [json.loads(line) for line in out.splitlines()]
     verdicts = [r for r in records if "error" not in r]
     errors = [r for r in records if "error" in r]
-    assert [r["path"] for r in verdicts] == [str(tmp_path / "good.php")]
-    assert verdicts[0]["vulnerable"] is True
-    assert sorted(errors, key=lambda r: r["path"]) == [
-        {"path": str(tmp_path / name), "error": "nesting too deep"}
-        for name in ("chain.php", "deep.php")]
+    assert [r["path"] for r in verdicts] == [
+        str(tmp_path / name) for name in ("chain.php", "good.php")]
+    assert [r["vulnerable"] for r in verdicts] == [True, True]
+    assert errors == [
+        {"path": str(tmp_path / "deep.php"), "error": "nesting too deep"}]
     code, _, _ = run(capsys, "scan", "--model", model_path, "--allow-errors",
                      str(tmp_path))
     assert code == 1
+    # the flagged chain reaches localization, which cannot rewrite it
+    code, out, _ = run(capsys, "localize", "--model", model_path,
+                       str(tmp_path))
+    assert code == 2
+    records = [json.loads(line) for line in out.splitlines()]
+    outcomes = {r["artifact"]["path"]: (r["artifact"]["status"],
+                                        r["cause analysis"])
+                for r in records if "error" not in r}
+    assert outcomes[str(tmp_path / "chain.php")] == ("fail",
+                                                    "nesting too deep")
+    assert outcomes[str(tmp_path / "good.php")][0] == "ok"
+    assert [r for r in records if "error" in r] == errors
 
 
 def test_scan_and_localize_refuse_another_lexicon(model_path, tmp_path,

@@ -494,6 +494,18 @@ def test_localize_without_templates_fails(bundle, command_injection_unit):
     assert report.feedback[0]["kind"] == "no_applicable_template"
 
 
+def test_localize_long_chain_is_a_fail_report(bundle):
+    # The taint trace walks a 600-term chain; rewriting and printing it
+    # recurses once per `.`, so it reports rather than raises.
+    src = ('<?php $a = $_GET["x"]'
+           + "".join(f' . "s{i}"' for i in range(1, 600))
+           + "; system($a);")
+    report = localize(SourceUnit.from_text("chain.php", src), bundle,
+                      TEMPLATES, BACKEND)
+    assert (report.status, report.cause) == ("fail", "nesting too deep")
+    assert report.to_dict()["artifact"]["path"] == "chain.php"
+
+
 # -- remote backend -------------------------------------------------------------------
 
 class _Handler(BaseHTTPRequestHandler):

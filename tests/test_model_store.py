@@ -1,4 +1,6 @@
+import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,9 +73,10 @@ def test_shape_mismatch_detected(bundle, tmp_path):
     path = tmp_path / "model.json"
     save_model(bundle, path)
     doc = json.loads(path.read_text())
-    doc["stage1"]["w"]["data"] = doc["stage1"]["w"]["data"][:-1]
+    raw = base64.b64decode(doc["stage1"]["w"]["f8"])
+    doc["stage1"]["w"]["f8"] = base64.b64encode(raw[:-8]).decode("ascii")
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="payload"):
         load_model(path)
 
 
@@ -116,6 +119,31 @@ def test_format_two_model_refused(bundle, tmp_path):
         load_model(_tampered(bundle, tmp_path, as_format_two))
 
 
+def test_format_three_model_refused(bundle, tmp_path):
+    def as_format_three(doc):
+        doc["format_version"] = 3
+        arrays = [doc["embedding"], *doc["stage1"].values(),
+                  *doc["stage2"].values()]
+        for arr in arrays:
+            arr["data"] = np.frombuffer(base64.b64decode(arr.pop("f8"))).tolist()
+
+    with pytest.raises(ConfigError, match="unsupported model format 3"):
+        load_model(_tampered(bundle, tmp_path, as_format_three))
+
+
+def test_save_and_load_make_no_object_per_weight(bundle, tmp_path):
+    # Python floats for the ~63k weights would cost several MB.
+    path = tmp_path / "model.json"
+    for step in (lambda: save_model(bundle, path), lambda: load_model(path)):
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
+
+
 @pytest.mark.parametrize("section, tamper", [
     ("stage1_config", lambda d: d["stage1_config"].update(momentum=0.9)),
     ("stage2_config", lambda d: d["stage2_config"].update(optimizer="sgd")),
@@ -125,6 +153,7 @@ def test_format_two_model_refused(bundle, tmp_path):
     ("vocab", lambda d: d.update(vocab=7)),
     ("embedding", lambda d: d.update(embedding=[0.0])),
     ("stage1", lambda d: d["stage1"].pop("uz")),
+    ("stage1", lambda d: d["stage1"]["w"].update(f8="not base64!")),
     ("stage2", lambda d: d["stage2"].update(project_qkv=True)),
     ("fusion", lambda d: d["fusion"].update(lam=None)),
     ("curves", lambda d: d.pop("curves")),
@@ -133,8 +162,8 @@ def test_format_two_model_refused(bundle, tmp_path):
     ("lexicon", lambda d: d["lexicon"]["entries"].append("sink,run_job,Command")),
 ], ids=["unknown-key", "unknown-string-key", "string-number",
         "no-vocab", "no-vocab-hash", "vocab-not-a-list", "embedding-list",
-        "missing-array", "unknown-array", "null-number", "no-curves",
-        "curves-list", "no-lexicon", "lexicon-hash-mismatch"])
+        "missing-array", "non-base64-array", "unknown-array", "null-number",
+        "no-curves", "curves-list", "no-lexicon", "lexicon-hash-mismatch"])
 def test_malformed_section_is_a_config_error_naming_it(
         bundle, tmp_path, section, tamper):
     with pytest.raises(ConfigError, match=f"'{section}'"):

@@ -1,6 +1,8 @@
+from vulnminer.analysis import FileAnalysis
 from vulnminer.flows import augment_flows, classify_vuln_type, taint_trace
 from vulnminer.frontend import parse_text
 from vulnminer.lexicon import DEFAULT_LEXICON
+from vulnminer.source import SourceUnit
 
 
 def trace(src):
@@ -148,3 +150,15 @@ def test_monotone_sanitization(corpus_units, labels):
     assert len(sanitized) == len(baseline) == 1
     assert baseline[0].sanitized is False
     assert sanitized[0].sanitized is True
+
+
+def test_long_concat_chains_trace_without_recursion():
+    # Each `.` nests the chain one level deeper on the left.
+    for terms in (600, 1200):
+        src = ('<?php $a = $_GET["x"]'
+               + "".join(f' . "s{i}"' for i in range(1, terms))
+               + "; system($a);")
+        analysis = FileAnalysis(SourceUnit.from_text("chain.php", src))
+        assert analysis.structural.tokens
+        assert [(f.sink_class, f.sanitized) for f in analysis.findings] == [
+            ("Command", False)], terms
