@@ -14,7 +14,7 @@ from .errors import ParseError, VulnMinerError
 from .frontend.lexer import tokenize
 from .linearize import EmbeddingTable, Vocabulary
 from .metrics import MetricsReport, compute_metrics, confusion_from_pairs
-from .nn import gru_scores
+from .nn import gru_input_table, gru_scores
 from .source import SourceUnit
 from .stage2 import verify_semantic
 from .training import Sample, train_structural
@@ -86,11 +86,10 @@ def _stage1_retrained_row(variant: str, train, analyses, labels, bundle,
     table = EmbeddingTable.init(len(vocab), bundle.stage1_config.dim,
                                 seed=bundle.stage1_config.seed)
     params, _ = train_structural(samples, vocab, table, bundle.stage1_config)
-    pairs = []
-    for analysis in analyses:
-        emb = table.matrix[vocab.ids(stream_fn(analysis))]
-        score = gru_scores([emb], params)[0]
-        pairs.append((labels[analysis.path], int(score > 0.5)))
+    scores = gru_scores([vocab.ids(stream_fn(a)) for a in analyses], params,
+                        gru_input_table(table.matrix, params))
+    pairs = [(labels[analysis.path], int(score > 0.5))
+             for analysis, score in zip(analyses, scores)]
     return BenchRow(variant, compute_metrics(confusion_from_pairs(pairs)))
 
 

@@ -216,11 +216,16 @@ class DeterministicBackend:
 
 
 def _concat_leaves(expr: AstNode) -> list[AstNode]:
-    """Flatten a left-nested concat chain into its ordered leaves."""
-    if expr.kind is NodeKind.CONCAT:
-        left, right = expr.children
-        return _concat_leaves(left) + _concat_leaves(right)
-    return [expr]
+    """Flatten a concat chain into its ordered leaves, without recursion:
+    a left-nested chain is as deep as it is long."""
+    leaves, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        if node.kind is NodeKind.CONCAT:
+            stack.extend(reversed(node.children))
+        else:
+            leaves.append(node)
+    return leaves
 
 
 def _is_pathish(key: str) -> bool:

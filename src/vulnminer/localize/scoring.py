@@ -11,8 +11,8 @@ import numpy as np
 from ..analysis import FileAnalysis
 from ..cascade import fuse_scores
 from ..linearize import embed_sequence
-from ..nn import gru_scores
 from ..source import SourceUnit
+from ..stage1 import stage_one_scores
 from ..stage2 import verify_semantic
 from .constraints import CandidateContext, ConstraintSet, evaluate_constraint
 from .ir import IntermediateRepresentation
@@ -58,17 +58,15 @@ def score_candidates(candidates: list[Candidate],
     """Security score from the frozen cascade, semantic score from embeddings.
 
     Every candidate must parse. Stage one scores the batch in one
-    ``gru_scores`` call, whose rows score the same bits alone as in any
-    batch. A SQL finding whose query the original builds by concatenation
+    ``stage_one_scores`` call, whose rows score the same bits alone as in
+    any batch. A SQL finding whose query the original builds by concatenation
     holds each candidate to a static prepared query. Only candidates whose
     utility ties get an edit distance: ``select_best`` reads it only there.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
     analyses = [candidate.analyze(ir) for candidate in candidates]
-    stage_one = gru_scores(
-        [embed_sequence(a.structural, bundle.embedding, bundle.vocab)
-         for a in analyses], bundle.stage1)
+    stage_one = stage_one_scores([a.structural for a in analyses], bundle)
 
     # mean token embeddings; an empty sequence gives zeros, similarity 0
     emb = embed_sequence(ir.analysis.semantic, bundle.embedding, bundle.vocab)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 from .errors import ConfigError, VulnMinerError
 from .lexicon import TaintLexicon, lexicon_entries, lexicon_hash
 from .linearize import EmbeddingTable, Vocabulary
-from .nn import AttentionParams, GruParams
+from .nn import AttentionParams, GruParams, gru_input_table
 from .training import TrainConfig
 
 FORMAT_VERSION = 4
@@ -47,6 +48,12 @@ class ModelBundle:
     stage2_config: TrainConfig
     curves: dict[str, list[float]]
     lexicon: list[str]              # the training lexicon's entries
+
+    @functools.cached_property
+    def stage1_table(self) -> np.ndarray:
+        """Stage one's input for each vocabulary id (``gru_input_table``);
+        made on first use, as ``stage1`` and ``embedding`` never change."""
+        return gru_input_table(self.embedding.matrix, self.stage1)
 
     def check_lexicon(self, lex: TaintLexicon) -> None:
         """Refuse a lexicon other than the one the model was trained with."""

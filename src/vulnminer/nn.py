@@ -139,46 +139,56 @@ def gru_batch(x: np.ndarray, lengths: np.ndarray, p: GruParams,
                     "gates": gates, "scores": scores, "single": False}
 
 
-def gru_scores(seqs, p: GruParams) -> np.ndarray:
-    """Scores of a batch of embedded sequences, one per input, in order.
+def gru_input_table(matrix: np.ndarray, p: GruParams) -> np.ndarray:
+    """Every vocabulary row's GRU input, (|V|, 3h): ``matrix`` projected
+    through ``[wz|wr|wh]`` with the biases ``[bz|br|bh]`` folded in.
+
+    An ``np.einsum``, so row v has exactly the bits that projecting a
+    sequence holding token v gives (BLAS ``@`` does not promise that).
+    """
+    if matrix.shape[1] != p.dim:
+        raise ConfigError(
+            f"sequence width {matrix.shape[1]} != model width {p.dim}")
+    w_in = np.concatenate([p.wz, p.wr, p.wh], axis=1)
+    b_in = np.concatenate([p.bz, p.br, p.bh])
+    return np.einsum("vd,dj->vj", matrix, w_in) + b_in
+
+
+def gru_scores(id_seqs, p: GruParams, table: np.ndarray) -> np.ndarray:
+    """Scores of a batch of vocabulary-id sequences, one per input, in order.
 
     The recurrence of ``gru_forward`` from a zero state, run as one masked
-    batch. Rows are sorted longest first, so step t updates only the
-    ``alive[t]`` rows still inside their sequence. The inputs of all steps
-    are projected once through ``[wz|wr|wh]`` with the biases folded in.
+    batch. ``table`` is ``gru_input_table`` of the embedding matrix, so
+    the inputs of a step are rows gathered from it by id, and no padded
+    float array of all steps is made. Rows are sorted longest first, so
+    step t updates only the ``alive[t]`` rows still inside their sequence.
     Every product is an ``np.einsum``: its per-row sums do not depend on
     how many rows there are (BLAS ``@`` does), so a sequence scores the
     same alone and in any batch. A NaN state stays NaN through the blend,
     so finiteness is checked once, after the last step.
     """
-    for seq in seqs:
-        if seq.shape[0] and seq.shape[1] != p.dim:
-            raise ConfigError(
-                f"sequence width {seq.shape[1]} != model width {p.dim}")
     hid = p.hidden
-    lengths = np.array([seq.shape[0] for seq in seqs], dtype=np.intp)
+    lengths = np.array([len(ids) for ids in id_seqs], dtype=np.intp)
     order = np.argsort(-lengths, kind="stable")
-    steps = int(lengths.max()) if len(seqs) else 0
+    steps = int(lengths.max()) if len(id_seqs) else 0
     alive = (lengths[:, None] > np.arange(steps)).sum(axis=0).tolist()
-    w_in = np.concatenate([p.wz, p.wr, p.wh], axis=1)
-    b_in = np.concatenate([p.bz, p.br, p.bh])
     u_zr = np.concatenate([p.uz, p.ur], axis=1)
-    # time-major projections: proj[t, i] is sorted row i's input at step t
-    proj = np.zeros((steps, len(seqs), 3 * hid))
+    # time-major ids: ids[t, i] is sorted row i's token at step t; cells
+    # past a row's length are never read
+    ids = np.zeros((steps, len(id_seqs)), dtype=np.intp)
     for i, k in enumerate(order):
-        if lengths[k]:
-            proj[:lengths[k], i] = np.einsum("td,dj->tj", seqs[k], w_in) + b_in
-    h = np.zeros((len(seqs), hid))
+        ids[:lengths[k], i] = id_seqs[k]
+    h = np.zeros((len(id_seqs), hid))
     for t, k in enumerate(alive):
         hk = h[:k]
-        a = proj[t, :k]
+        a = table[ids[t, :k]]
         zr = sigmoid(a[:, :2 * hid] + np.einsum("bi,ij->bj", hk, u_zr))
         z, r = zr[:, :hid], zr[:, hid:]
         cand = np.tanh(a[:, 2 * hid:] + np.einsum("bi,ij->bj", r * hk, p.uh))
         h[:k] = (1.0 - z) * hk + z * cand
     if not np.isfinite(h).all():
         raise NumericError("non-finite hidden state")
-    scores = np.empty(len(seqs))
+    scores = np.empty(len(id_seqs))
     scores[order] = sigmoid(np.einsum("bi,i->b", h, p.w) + p.b)
     return scores
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .analysis import FileAnalysis
 from .errors import VulnMinerError
-from .linearize import embed_sequence
+from .linearize import TokenSequence
 from .nn import gru_scores
 
 
@@ -39,12 +41,22 @@ def stage_one_score(analysis: FileAnalysis, score: float,
                          passed=score > tau1)
 
 
+def stage_one_scores(sequences: list[TokenSequence], bundle) -> np.ndarray:
+    """GRU scores of flow-enhanced token sequences, one per input, in order.
+
+    Stage one reads vocabulary ids: each token's input is its row of the
+    model's ``stage1_table``, and one ``gru_scores`` call scores the lot.
+    """
+    return gru_scores([bundle.vocab.ids(seq.tokens) for seq in sequences],
+                      bundle.stage1, bundle.stage1_table)
+
+
 def score_structural(analysis: FileAnalysis, bundle,
                      tau1: float | None = None) -> StageOneScore:
     """GRU score over the linearized flow-enhanced tree, a batch of one."""
     tau1 = bundle.fusion.tau1 if tau1 is None else tau1
-    emb = embed_sequence(analysis.structural, bundle.embedding, bundle.vocab)
-    return stage_one_score(analysis, gru_scores([emb], bundle.stage1)[0], tau1)
+    score = stage_one_scores([analysis.structural], bundle)[0]
+    return stage_one_score(analysis, score, tau1)
 
 
 def propose_hypotheses(units, bundle,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import sys
 
 import pytest
 
@@ -15,7 +16,7 @@ from vulnminer.detector import train_bundle
 from vulnminer.flows import augment_flows
 from vulnminer.frontend import normalize
 from vulnminer.lexicon import DEFAULT_LEXICON
-from vulnminer.linearize import linearize
+from vulnminer.linearize import embed_sequence, linearize
 from vulnminer.localize import DeterministicBackend, default_templates, localize
 from vulnminer.source import SourceUnit
 from vulnminer.stage1 import score_structural
@@ -44,6 +45,22 @@ def graph_count(monkeypatch):
 
     monkeypatch.setattr(analysis_mod, "augment_flows", counting)
     return roots
+
+
+@pytest.fixture
+def embed_count(monkeypatch):
+    """Every ``embed_sequence`` call, through any module that imports it."""
+    calls = []
+
+    def counting(seq, table, vocab):
+        calls.append(seq)
+        return embed_sequence(seq, table, vocab)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vulnminer") \
+                and getattr(module, "embed_sequence", None) is embed_sequence:
+            monkeypatch.setattr(module, "embed_sequence", counting)
+    return calls
 
 
 def test_fields_are_computed_once(command_injection_unit, parse_count):
@@ -97,6 +114,15 @@ def test_run_pipeline_parses_each_file_once(bundle, corpus_units,
     assert not errors
     assert sorted(parse_count) == sorted(u.path for u in units)
     assert len(graph_count) == len(parse_count)
+
+
+def test_run_pipeline_embeds_only_stage_two_inputs(bundle, corpus_units,
+                                                  embed_count):
+    verdicts, errors = run_pipeline(corpus_units, bundle)
+    assert not errors
+    verified = sum(v.score2 is not None for v in verdicts)
+    assert 0 < verified < len(verdicts)
+    assert len(embed_count) == verified
 
 
 def test_localize_parses_original_once_and_each_candidate_once(

@@ -6,6 +6,7 @@ import pytest
 
 from vulnminer.analysis import FileAnalysis
 from vulnminer.errors import NoFindingError
+from vulnminer.frontend.nodes import NodeKind
 from vulnminer.localize import (
     ANALYSIS_PROMPT,
     DeterministicBackend,
@@ -23,6 +24,7 @@ from vulnminer.localize import (
     select_best,
     verify,
 )
+from vulnminer.localize.backends import _concat_leaves
 from vulnminer.localize.constraints import CandidateContext, evaluate_constraint
 from vulnminer.localize.scoring import score_candidates
 from vulnminer.source import SourceUnit
@@ -504,6 +506,18 @@ def test_localize_long_chain_is_a_fail_report(bundle):
                       TEMPLATES, BACKEND)
     assert (report.status, report.cause) == ("fail", "nesting too deep")
     assert report.to_dict()["artifact"]["path"] == "chain.php"
+
+
+def test_concat_leaves_of_a_long_chain_in_source_order():
+    src = ('<?php $a = $_GET["x"]'
+           + "".join(f' . "s{i}"' for i in range(1, 1201)) + ";")
+    tree = FileAnalysis(SourceUnit.from_text("chain.php", src)).ast
+    chain = next(n for n in tree.walk() if n.kind is NodeKind.CONCAT)
+    leaves = _concat_leaves(chain)
+    assert len(leaves) == 1201
+    assert leaves[0].kind is NodeKind.INDEX
+    assert [leaf.attrs["value"] for leaf in leaves[1:]] \
+        == [f"s{i}" for i in range(1, 1201)]
 
 
 # -- remote backend -------------------------------------------------------------------

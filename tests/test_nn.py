@@ -15,6 +15,7 @@ from vulnminer.nn import (
     gru_backward,
     gru_batch,
     gru_forward,
+    gru_input_table,
     gru_scores,
     risk_biased_attention,
     risky_attention_mass,
@@ -148,37 +149,58 @@ class TestGruForward:
         assert 0.0 < score < 1.0
 
 
+def _embedded_ids(seed, vocab=30, dim=64, lengths=(0, 1, 25, 66)):
+    """A random embedding matrix and id sequences of the given lengths."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.uniform(-1, 1, (vocab, dim))
+    return matrix, [rng.integers(0, vocab, n).tolist() for n in lengths]
+
+
 class TestGruScores:
     def test_batch_matches_forward_reference(self):
-        rng = np.random.default_rng(11)
+        matrix, id_seqs = _embedded_ids(11)
         p = GruParams.init(64, 32, seed=4)
-        seqs = [rng.uniform(-1, 1, (n, 64)) for n in (0, 1, 25, 66)]
-        scores = gru_scores(seqs, p)
+        scores = gru_scores(id_seqs, p, gru_input_table(matrix, p))
         assert scores.shape == (4,)
-        for seq, score in zip(seqs, scores):
-            assert abs(score - gru_forward(seq, p)[0]) <= 1e-12
+        for ids, score in zip(id_seqs, scores):
+            assert abs(score - gru_forward(matrix[ids], p)[0]) <= 1e-12
 
     def test_matches_per_step_reference(self):
-        rng = np.random.default_rng(12)
+        matrix, id_seqs = _embedded_ids(12)
         p = randomized(GruParams.init(64, 32, seed=6), 6)
-        seqs = [rng.uniform(-1, 1, (n, 64)) for n in (0, 1, 25, 66)]
-        for seq, score in zip(seqs, gru_scores(seqs, p)):
-            assert abs(score - ref_gru(seq, p, 0.0)[0]) <= 1e-12
+        scores = gru_scores(id_seqs, p, gru_input_table(matrix, p))
+        for ids, score in zip(id_seqs, scores):
+            assert abs(score - ref_gru(matrix[ids], p, 0.0)[0]) <= 1e-12
+
+    def test_table_rows_are_the_sequence_projection_bits(self):
+        # verdict bytes stay unchanged only if a gathered row is exactly a
+        # per-sequence projection of the embedded tokens, biases included
+        matrix, id_seqs = _embedded_ids(13)
+        p = randomized(GruParams.init(64, 32, seed=8), 8)
+        table = gru_input_table(matrix, p)
+        w_in = np.concatenate([p.wz, p.wr, p.wh], axis=1)
+        b_in = np.concatenate([p.bz, p.br, p.bh])
+        for ids in id_seqs:
+            projected = np.einsum("td,dj->tj", matrix[ids], w_in) + b_in
+            assert np.array_equal(table[ids], projected)
 
     def test_empty_batch(self):
-        assert gru_scores([], zeroed_gru()).shape == (0,)
+        p = zeroed_gru()
+        table = gru_input_table(np.zeros((2, 4)), p)
+        assert gru_scores([], p, table).shape == (0,)
 
     def test_width_mismatch_raises(self):
         p = zeroed_gru(dim=4)
         with pytest.raises(ConfigError):
-            gru_scores([np.zeros((2, 4)), np.zeros((2, 5))], p)
+            gru_input_table(np.zeros((3, 5)), p)
 
     def test_non_finite_state_raises(self):
         p = GruParams.init(2, 2, seed=1)
-        seq = np.zeros((3, 2))
-        seq[1, 0] = np.nan
+        matrix = np.zeros((3, 2))
+        matrix[2, 0] = np.nan
         with pytest.raises(NumericError):
-            gru_scores([np.zeros((4, 2)), seq], p)
+            gru_scores([[1, 1, 1, 1], [1, 2, 1]], p,
+                       gru_input_table(matrix, p))
 
 
 class TestGruGradients:
