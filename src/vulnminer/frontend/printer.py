@@ -124,24 +124,38 @@ def _expr(node: AstNode, parent_prec: int) -> str:
     if k is NodeKind.INDEX:
         base, idx = node.children
         return f"{_expr(base, _ATOM_PREC)}[{_expr(idx, 0)}]"
-    if k is NodeKind.CONCAT:
-        return _binary_text(node, ".", parent_prec)
-    if k is NodeKind.BINARY_OP:
-        op = node.attrs["op"]
-        if len(node.children) == 1:
-            inner = _expr(node.children[0], _UNARY_PREC)
-            text = f"{op}{inner}"
-            return f"({text})" if parent_prec > _UNARY_PREC else text
+    if (op := _binary_op(node)) is not None:
         return _binary_text(node, op, parent_prec)
+    if k is NodeKind.BINARY_OP:  # prefix unary
+        text = f"{node.attrs['op']}{_expr(node.children[0], _UNARY_PREC)}"
+        return f"({text})" if parent_prec > _UNARY_PREC else text
     raise ValueError(f"not an expression kind: {k}")
 
 
+def _binary_op(node: AstNode) -> str | None:
+    """The operator of a two-operand node, else None."""
+    if node.kind is NodeKind.CONCAT:
+        return "."
+    if node.kind is NodeKind.BINARY_OP and len(node.children) != 1:
+        return node.attrs["op"]
+    return None
+
+
 def _binary_text(node: AstNode, op: str, parent_prec: int) -> str:
-    prec = _PREC[op]
-    left = _expr(node.children[0], prec)
-    right = _expr(node.children[1], prec + 1)
-    text = f"{left} {op} {right}"
-    return f"({text})" if parent_prec > prec else text
+    # A left-nested chain is as deep as it is long: walk down its left
+    # operands in a loop, then print each level's right operand outward.
+    levels = []
+    while op is not None:
+        prec = _PREC[op]
+        levels.append((node, op, prec, parent_prec))
+        node, parent_prec = node.children[0], prec
+        op = _binary_op(node)
+    text = _expr(node, parent_prec)
+    for node, op, prec, parent_prec in reversed(levels):
+        text = f"{text} {op} {_expr(node.children[1], prec + 1)}"
+        if parent_prec > prec:
+            text = f"({text})"
+    return text
 
 
 def _string_literal(value: str) -> str:

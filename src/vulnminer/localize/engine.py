@@ -192,9 +192,10 @@ def localize(unit: SourceUnit, bundle, templates: list[MicroTemplate],
              enforce_constraints: bool = True) -> LocalizationReport:
     """Full loop per Stage-confirmed file; returns a FAIL report on exhaustion.
 
-    A tree too deep for the rewriter or the printer to walk, such as a
-    `.` chain of some 500 terms, gives a FAIL report `nesting too deep`
-    rather than a raise, as a scan gives such a file an error record.
+    A tree too deep for the rewriter or the printer to walk gives a FAIL
+    report `nesting too deep` rather than a raise, as a scan gives such a
+    file an error record. Both walk a left-nested `.` or operator chain in
+    a loop, so a long chain is not deep.
     """
     try:
         return _localize(unit, bundle, templates, backend, alpha,

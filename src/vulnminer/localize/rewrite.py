@@ -11,6 +11,7 @@ from .constraints import ACCEPTED_SANITIZERS
 from .ir import IntermediateRepresentation
 
 _SPAN = Span(1, 1, 1, 1)
+_CHAIN_KINDS = (NodeKind.CONCAT, NodeKind.BINARY_OP)
 
 
 def _node(kind: NodeKind, children=None, **attrs) -> AstNode:
@@ -135,7 +136,30 @@ class Rewriter:
         if nid in plan.sink_head:
             inner = self._rebuild_children(node)
             return self._with_head(inner, plan.sink_head[nid])
+        if node.kind in _CHAIN_KINDS:
+            return self._rebuild_chain(node)
         return self._rebuild_children(node)
+
+    def _plain_chain(self, node: AstNode) -> bool:
+        """A `.`/operator node that the plan copies unchanged."""
+        nid = node.node_id
+        return (node.kind in _CHAIN_KINDS and nid not in self.replace_with_var
+                and nid not in self.wrap_nodes and nid not in self.plan.sink_head)
+
+    def _rebuild_chain(self, node: AstNode) -> AstNode:
+        # A left-nested chain is as deep as it is long: walk down its plain
+        # left operands in a loop, then copy each level outward, rebuilding
+        # the nodes in the order that recursion would.
+        levels = [node]
+        while self._plain_chain(levels[-1].children[0]):
+            levels.append(levels[-1].children[0])
+        new = self._rebuild(levels[-1].children[0])
+        for level in reversed(levels):
+            new = AstNode(level.kind,
+                          children=[new] + [self._rebuild(c)
+                                            for c in level.children[1:]],
+                          attrs=dict(level.attrs), span=_SPAN)
+        return new
 
     def _rebuild_children(self, node: AstNode) -> AstNode:
         if node.kind in (NodeKind.PROGRAM,):

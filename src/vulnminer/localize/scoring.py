@@ -57,26 +57,31 @@ def score_candidates(candidates: list[Candidate],
                      alpha: float = 0.6) -> list[Candidate]:
     """Security score from the frozen cascade, semantic score from embeddings.
 
-    Every candidate must parse. Stage one scores the batch in one
-    ``stage_one_scores`` call, whose rows score the same bits alone as in
-    any batch. A SQL finding whose query the original builds by concatenation
-    holds each candidate to a static prepared query. Only candidates whose
-    utility ties get an edit distance: ``select_best`` reads it only there.
+    Every candidate must parse. When fusion weighs stage one (λ > 0), stage
+    one scores the batch in one ``stage_one_scores`` call, whose rows score
+    the same bits alone as in any batch; at λ = 0 it is not run. Each
+    candidate's stage-two sequence is embedded once, for its attention
+    score and its mean. A SQL finding whose query the original builds by
+    concatenation holds each candidate to a static prepared query. Only
+    candidates whose utility ties get an edit distance: ``select_best``
+    reads it only there.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
     analyses = [candidate.analyze(ir) for candidate in candidates]
-    stage_one = stage_one_scores([a.structural for a in analyses], bundle)
+    lam = bundle.fusion.lam
+    # fusion multiplies s1 by λ, so at λ = 0 a zero stands in for stage one
+    stage_one = (stage_one_scores([a.structural for a in analyses], bundle)
+                 if lam > 0 else [0.0] * len(analyses))
 
     # mean token embeddings; an empty sequence gives zeros, similarity 0
     emb = embed_sequence(ir.analysis.semantic, bundle.embedding, bundle.vocab)
     origin_vec = emb.sum(axis=0) / max(len(emb), 1)
     query_built = ir.facts.query_built and ir.finding.sink_class == "Sql"
     for candidate, analysis, one in zip(candidates, analyses, stage_one):
-        two = verify_semantic(analysis, bundle)
-        fused = fuse_scores(float(one), two.score, bundle.fusion.lam)
-        candidate.s_sec = 1.0 - fused
         emb = embed_sequence(analysis.semantic, bundle.embedding, bundle.vocab)
+        two = verify_semantic(analysis, bundle, emb=emb)
+        candidate.s_sec = 1.0 - fuse_scores(float(one), two.score, lam)
         cand_vec = emb.sum(axis=0) / max(len(emb), 1)
         denom = float(np.linalg.norm(origin_vec) * np.linalg.norm(cand_vec))
         sim = float(origin_vec @ cand_vec / denom) if denom > 0 else 0.0

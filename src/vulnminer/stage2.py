@@ -30,18 +30,20 @@ def build_risk_matrix(seq: TokenSequence, lex: TaintLexicon,
 
 
 def verify_semantic(analysis: FileAnalysis, bundle, beta: float | None = None,
-                    normalized: bool = True) -> StageTwoScore:
+                    normalized: bool = True, emb=None) -> StageTwoScore:
     """Attention score for one stage-one hypothesis.
 
     ``normalized=False`` scores the raw-identifier sequence instead, for
-    the normalization ablation.
+    the normalization ablation. ``emb`` is the scored sequence's
+    ``embed_sequence`` when the caller already holds it.
     """
     beta = bundle.fusion.beta if beta is None else beta
     seq = analysis.semantic if normalized else linearize(
         analysis.graph, canonical=False, flow_markers=False,
         keep=analysis.keep)
     bias = build_risk_matrix(seq, analysis.lex, beta)
-    emb = embed_sequence(seq, bundle.embedding, bundle.vocab)
+    if emb is None:
+        emb = embed_sequence(seq, bundle.embedding, bundle.vocab)
     score, _, attn, _ = attention_forward(emb, bundle.stage2, bias)
     return StageTwoScore(
         file_id=analysis.path,

@@ -1,5 +1,6 @@
 """Property tests: odd, long and deep inputs end in a ParseError or in a
-per-file error record, never in another exception."""
+per-file error record, never in another exception; a long chain also
+localizes to a fix."""
 
 import tempfile
 from pathlib import Path
@@ -7,10 +8,12 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vulnminer.analysis import FileAnalysis
 from vulnminer.cascade import run_pipeline
 from vulnminer.cli import _read_units
 from vulnminer.errors import ParseError
 from vulnminer.frontend import ast_equal, parse, parse_text, tokenize
+from vulnminer.localize import DeterministicBackend, default_templates, localize
 from vulnminer.source import SourceUnit
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -59,6 +62,21 @@ def test_concat_chain_gives_one_record_per_file(bundle, terms):
     text = "<?php $a = $_GET['x']" + " . 'y'" * (terms - 1) + "; system($a);"
     _one_record_per_unit([SourceUnit.from_text("chain.php", text),
                           _good_unit()], bundle)
+
+
+@given(st.integers(1, 2000))
+@example(1)
+@example(2000)
+@settings(max_examples=8, deadline=None)
+def test_concat_chain_localizes_to_a_fix(bundle, terms):
+    text = "<?php $a = $_GET['x']" + " . 'y'" * (terms - 1) + "; system($a);"
+    report = localize(SourceUnit.from_text("chain.php", text), bundle,
+                      default_templates(), DeterministicBackend())
+    assert report.status == "ok"
+    fixed = FileAnalysis(SourceUnit.from_text("fixed.php",
+                                              report.candidate_text))
+    assert not any(not f.sanitized and f.sink_class == "Command"
+                   for f in fixed.findings)
 
 
 @given(st.integers(1, 400))

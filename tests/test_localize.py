@@ -1,12 +1,18 @@
+import dataclasses
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+import vulnminer.localize.engine as engine_mod
+import vulnminer.localize.scoring as scoring_mod
 from vulnminer.analysis import FileAnalysis
+from vulnminer.cascade import fuse_scores
 from vulnminer.errors import NoFindingError
 from vulnminer.frontend.nodes import NodeKind
+from vulnminer.linearize import embed_sequence
 from vulnminer.localize import (
     ANALYSIS_PROMPT,
     DeterministicBackend,
@@ -27,7 +33,10 @@ from vulnminer.localize import (
 from vulnminer.localize.backends import _concat_leaves
 from vulnminer.localize.constraints import CandidateContext, evaluate_constraint
 from vulnminer.localize.scoring import score_candidates
+from vulnminer.nn import gru_scores
 from vulnminer.source import SourceUnit
+from vulnminer.stage1 import score_structural
+from vulnminer.stage2 import verify_semantic
 
 TEMPLATES = default_templates()
 BACKEND = DeterministicBackend()
@@ -358,6 +367,71 @@ def test_round_batch_scores_each_candidate_as_alone(bundle, corpus_units,
                 candidate.constraint_results)
 
 
+def _count_calls(monkeypatch, fn):
+    """Each call of ``fn`` made through any vulnminer module that binds it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vulnminer") \
+                and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+    return calls
+
+
+def _localize_fixtures(bundle, monkeypatch, *units):
+    """Localize each unit; return every round's scored candidates and the
+    stage-one, GRU and embedding calls made meanwhile."""
+    rounds = []
+    batch = engine_mod.score_candidates
+
+    def recording(candidates, ir, bundle, constraints, alpha):
+        rounds.append(list(candidates))
+        return batch(candidates, ir, bundle, constraints, alpha=alpha)
+
+    monkeypatch.setattr(engine_mod, "score_candidates", recording)
+    stage_one = _count_calls(monkeypatch, scoring_mod.stage_one_scores)
+    gru = _count_calls(monkeypatch, gru_scores)
+    embeds = _count_calls(monkeypatch, embed_sequence)
+    for unit in units:
+        assert localize(unit, bundle, TEMPLATES, BACKEND).succeeded
+    monkeypatch.undo()
+    assert rounds
+    return rounds, stage_one, gru, embeds
+
+
+def test_lambda_zero_scores_candidates_without_stage_one(
+        bundle, command_injection_unit, sql_auth_unit, monkeypatch):
+    assert bundle.fusion.lam == 0.0
+    rounds, stage_one, gru, embeds = _localize_fixtures(
+        bundle, monkeypatch, command_injection_unit, sql_auth_unit)
+    assert stage_one == [] and gru == []
+    scored = [c for candidates in rounds for c in candidates]
+    assert len(embeds) == len(scored) + len(rounds)
+    for c in scored:
+        assert "structural" not in vars(c.analysis)
+        assert c.s_sec == 1.0 - verify_semantic(c.analysis, bundle).score
+
+
+def test_positive_lambda_runs_stage_one_once_per_round(
+        bundle, command_injection_unit, sql_auth_unit, monkeypatch):
+    half = dataclasses.replace(
+        bundle, fusion=dataclasses.replace(bundle.fusion, lam=0.5))
+    rounds, stage_one, gru, embeds = _localize_fixtures(
+        half, monkeypatch, command_injection_unit, sql_auth_unit)
+    assert [len(seqs) for seqs, _ in stage_one] == [len(c) for c in rounds]
+    assert len(gru) == len(rounds)
+    scored = [c for candidates in rounds for c in candidates]
+    assert len(embeds) == len(scored) + len(rounds)
+    for c in scored:
+        s1 = score_structural(c.analysis, half).score
+        s2 = verify_semantic(c.analysis, half).score
+        assert c.s_sec == 1.0 - fuse_scores(s1, s2, 0.5)
+
+
 def test_select_best_filters_and_breaks_ties(command_injection_unit):
     from vulnminer.localize.scoring import Candidate
 
@@ -496,16 +570,20 @@ def test_localize_without_templates_fails(bundle, command_injection_unit):
     assert report.feedback[0]["kind"] == "no_applicable_template"
 
 
-def test_localize_long_chain_is_a_fail_report(bundle):
-    # The taint trace walks a 600-term chain; rewriting and printing it
-    # recurses once per `.`, so it reports rather than raises.
-    src = ('<?php $a = $_GET["x"]'
-           + "".join(f' . "s{i}"' for i in range(1, 600))
-           + "; system($a);")
-    report = localize(SourceUnit.from_text("chain.php", src), bundle,
-                      TEMPLATES, BACKEND)
-    assert (report.status, report.cause) == ("fail", "nesting too deep")
-    assert report.to_dict()["artifact"]["path"] == "chain.php"
+def test_localize_long_chain_gives_a_candidate(bundle):
+    # The rewriter and the printer walk a left-nested `.` chain in a loop,
+    # so a chain far deeper than the recursion limit is rewritten.
+    for terms in (600, 1200):
+        src = ('<?php $a = $_GET["x"]'
+               + "".join(f' . "s{i}"' for i in range(1, terms))
+               + "; system($a);")
+        report = localize(SourceUnit.from_text("chain.php", src), bundle,
+                          TEMPLATES, BACKEND)
+        assert report.status == "ok"
+        assert report.to_dict()["artifact"]["path"] == "chain.php"
+        fixed = FileAnalysis(SourceUnit.from_text("fixed.php",
+                                                  report.candidate_text))
+        assert not any(not f.sanitized for f in fixed.findings)
 
 
 def test_concat_leaves_of_a_long_chain_in_source_order():
