@@ -418,7 +418,11 @@ def augment_corpus(entries, target_ratio: float, seed: int,
     while len(samples) < needed and attempts < max_attempts:
         entry = positives[i % len(positives)]
         plan = _OP_PLANS[(i + attempts) % len(_OP_PLANS)]
-        text = Path(entry.path).read_text(encoding="utf-8")
+        try:
+            text = Path(entry.path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise VulnMinerError(
+                f"{entry.path}: not valid UTF-8: {exc}") from exc
         result = augment_sample(text, entry.path, plan,
                                 seed + 31 * attempts, lex=lex)
         attempts += 1

@@ -15,7 +15,7 @@ from .frontend.lexer import tokenize
 from .linearize import EmbeddingTable, Vocabulary
 from .metrics import MetricsReport, compute_metrics, confusion_from_pairs
 from .nn import gru_input_table, gru_scores
-from .source import SourceUnit
+from .source import SourceUnit, read_unit
 from .stage2 import verify_semantic
 from .training import Sample, train_structural
 
@@ -56,8 +56,9 @@ class BenchRow:
                                  (m.acc, m.pre, m.rec, m.f1, m.fpr, m.fnr)]
 
 
-def _cascade_row(variant: str, units, labels, bundle, cfg=None) -> BenchRow:
-    verdicts, _ = run_pipeline(units, bundle, cfg=cfg)
+def _cascade_row(variant: str, units, labels, bundle, cfg=None,
+                 lex=None) -> BenchRow:
+    verdicts, _ = run_pipeline(units, bundle, cfg=cfg, lex=lex)
     pairs = [(labels[v.file_id], int(v.vulnerable)) for v in verdicts]
     return BenchRow(variant, compute_metrics(confusion_from_pairs(pairs)))
 
@@ -102,17 +103,21 @@ def _raw_stream(analysis: FileAnalysis) -> list[str]:
 
 
 def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
-                  split: str = "test") -> list[BenchRow]:
-    """Cascade metrics on a split, one extra labeled row per ablation."""
+                  split: str = "test", lex=None) -> list[BenchRow]:
+    """Cascade metrics on a split, one extra labeled row per ablation;
+    every file is analyzed with ``lex`` (default: the built-in lexicon)."""
     entries = manifest.split(split) if split != "all" else manifest.entries
     if not entries:
         raise VulnMinerError(f"manifest has no {split} entries")
-    units = [SourceUnit.from_file(e.path) for e in entries]
+    unread: list[tuple[str, str]] = []
+    units = [unit for e in entries
+             if (unit := read_unit(e.path, unread)) is not None]
     labels = {e.path: e.label for e in entries}
-    analyses = [FileAnalysis(unit) for unit in units]
-    # Every row must cover the same files, so a file that any stage or the
-    # advisory finding could not analyze stops the bench before any row.
-    errors = []
+    analyses = [FileAnalysis(unit, lex) for unit in units]
+    # Every row must cover the same files, so a file that could not be read,
+    # or that any stage or the advisory finding could not analyze, stops the
+    # bench before any row.
+    errors = [f"{path}: {message}" for path, message in unread]
     for analysis in analyses:
         try:
             analysis.structural, analysis.findings
@@ -125,7 +130,7 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
                              f"scored: {'; '.join(errors)}")
     train: list[tuple[FileAnalysis, int]] = []
 
-    rows = [_cascade_row("full", units, labels, bundle)]
+    rows = [_cascade_row("full", units, labels, bundle, lex=lex)]
 
     def add_stage2_reference():
         if all(row.variant != "stage2-full" for row in rows):
@@ -133,7 +138,7 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
 
     def retrained(variant: str, stream_fn) -> BenchRow:
         if not train:
-            train.extend((FileAnalysis(unit), label) for unit, label
+            train.extend((FileAnalysis(unit, lex), label) for unit, label
                          in load_units(manifest.split("train")))
         return _stage1_retrained_row(variant, train, analyses, labels,
                                      bundle, stream_fn)
@@ -156,12 +161,10 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
             rows.append(_stage2_row("stage2-no-norm-no-bias", analyses,
                                     labels, bundle, normalized=False,
                                     beta=0.0))
-        elif ablation == "lambda0":
-            cfg = replace(bundle.fusion, lam=0.0)
-            rows.append(_cascade_row(ablation, units, labels, bundle, cfg=cfg))
-        elif ablation == "lambda1":
-            cfg = replace(bundle.fusion, lam=1.0)
-            rows.append(_cascade_row(ablation, units, labels, bundle, cfg=cfg))
+        elif ablation in ("lambda0", "lambda1"):
+            cfg = replace(bundle.fusion, lam=float(ablation == "lambda1"))
+            rows.append(_cascade_row(ablation, units, labels, bundle,
+                                     cfg=cfg, lex=lex))
         elif ablation == "no-flow-edges":
             add_stage1_reference()
             rows.append(retrained("stage1-no-flow-edges",

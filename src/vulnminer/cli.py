@@ -24,7 +24,7 @@ from .localize import default_templates, localize, make_backend
 from .metrics import localization_rate
 from .model_store import load_model, save_model
 from .sarif import verdicts_to_sarif
-from .source import SourceUnit
+from .source import read_unit
 
 EXIT_CLEAN, EXIT_FINDINGS, EXIT_ERROR = 0, 1, 2
 
@@ -44,13 +44,9 @@ def _collect_php_files(paths: list[str]) -> list[Path]:
 
 def _read_units(paths: list[str]):
     """(units, errors); a non-UTF-8 file is a (path, message) error record."""
-    units: list[SourceUnit] = []
     errors: list[tuple[str, str]] = []
-    for path in _collect_php_files(paths):
-        try:
-            units.append(SourceUnit.from_file(path))
-        except UnicodeDecodeError as exc:
-            errors.append((str(path), f"not valid UTF-8: {exc}"))
+    units = [unit for path in _collect_php_files(paths)
+             if (unit := read_unit(path, errors)) is not None]
     return units, errors
 
 
@@ -167,7 +163,7 @@ def cmd_train(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _load_cfg(args)
     manifest = CorpusManifest.load(args.manifest)
-    bundle = load_model(cfg.model)
+    bundle, lex = _model_and_lexicon(cfg)
     ablations = []
     for item in args.ablate or []:
         ablations.extend(part for part in item.split(",") if part)
@@ -176,7 +172,7 @@ def cmd_bench(args) -> int:
         raise VulnMinerError(
             f"unknown ablation(s) {sorted(unknown)}; choose from {ABLATIONS}")
     rows = run_benchmark(manifest, bundle, ablations=ablations,
-                         split=args.split)
+                         split=args.split, lex=lex)
     if args.format == "jsonl":
         write_jsonl([dict(variant=r.variant, **r.metrics.as_dict())
                      for r in rows], args.out)
@@ -209,13 +205,23 @@ def cmd_gen_corpus(args) -> int:
 
 
 def cmd_localization_rate(args) -> int:
+    """Rate over the report stream; an error record is a file without a
+    verdict, not a localization outcome, so it is skipped."""
     outcomes = []
-    for line in Path(args.reports).read_text(encoding="utf-8").splitlines():
+    lines = Path(args.reports).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        outcomes.append((obj["vulnerability type"],
-                         obj["artifact"]["status"] == "ok"))
+        try:
+            obj = json.loads(line)
+            if obj.keys() == {"path", "error"}:
+                continue
+            outcomes.append((obj["vulnerability type"],
+                             obj["artifact"]["status"] == "ok"))
+        except (ValueError, AttributeError, TypeError, KeyError) as exc:
+            raise VulnMinerError(
+                f"{args.reports}:{lineno}: neither a localization report "
+                f"nor an error record") from exc
     rate, breakdown = localization_rate(outcomes)
     print(json.dumps({"rate": rate, "breakdown": breakdown}, sort_keys=True))
     return EXIT_CLEAN

@@ -9,12 +9,17 @@ from .lexicon import DEFAULT_LEXICON, TaintLexicon, lexicon_entries
 from .linearize import EmbeddingTable, Vocabulary, fallback_symbol
 from .model_store import FusionSettings, ModelBundle
 from .cascade import calibrate_lambda
-from .source import SourceUnit
+from .source import SourceUnit, read_unit
 from .training import Sample, stage_configs, train_semantic, train_structural
 
 
-def load_units(entries) -> list[tuple[SourceUnit, int]]:
-    return [(SourceUnit.from_file(e.path), e.label) for e in entries]
+def load_units(entries, skipped: list | None = None
+               ) -> list[tuple[SourceUnit, int]]:
+    """(unit, label) of each entry whose file is UTF-8; the (path, message)
+    of each other file goes to ``skipped``."""
+    skipped = [] if skipped is None else skipped
+    return [(unit, e.label) for e in entries
+            if (unit := read_unit(e.path, skipped)) is not None]
 
 
 def _stage_samples(labeled, skipped: list):
@@ -65,10 +70,11 @@ def train_bundle(manifest: CorpusManifest, seed: int = 0,
                  tau: float = 0.5, tau1: float = 0.2,
                  skipped: list | None = None) -> ModelBundle:
     """Train stage one (with embeddings), then stage two, then pick lambda;
-    files that do not parse are skipped and listed in ``skipped``."""
+    files that are not UTF-8 or do not parse are skipped and listed in
+    ``skipped``."""
     skipped = [] if skipped is None else skipped
     lex = lex or DEFAULT_LEXICON
-    train_units = load_units(manifest.split("train"))
+    train_units = load_units(manifest.split("train"), skipped)
     if not train_units:
         raise TrainingError("manifest has no train entries")
     structural, semantic = _stage_samples(
@@ -91,7 +97,7 @@ def train_bundle(manifest: CorpusManifest, seed: int = 0,
         lexicon=lexicon_entries(lex),
     )
     val = [(FileAnalysis(unit, lex), label)
-           for unit, label in load_units(manifest.split("val"))]
+           for unit, label in load_units(manifest.split("val"), skipped)]
     if val and {label for _, label in val} == {0, 1}:
         lam, _ = calibrate_lambda(val, bundle, tau=tau, tau1=tau1,
                                   errors=skipped)

@@ -13,7 +13,7 @@ from .nodes import (
 )
 from .normalizer import normalize
 from .parser import parse, parse_text
-from .printer import print_expression, print_source, print_statement
+from .printer import print_expression, print_source
 
 __all__ = [
     "AstNode",
@@ -30,6 +30,5 @@ __all__ = [
     "parse_text",
     "print_expression",
     "print_source",
-    "print_statement",
     "tokenize",
 ]

@@ -30,7 +30,6 @@ class NodeKind(str, Enum):
     SUPERGLOBAL = "Superglobal"
     STRING_LIT = "StringLit"
     NUMBER_LIT = "NumberLit"
-    INTERP_STRING = "InterpString"
 
 
 STATEMENT_KINDS = frozenset({

@@ -344,20 +344,9 @@ class _Parser:
     # -- interpolation desugaring ---------------------------------------------
 
     def _interp(self, tok: Token) -> AstNode:
-        """Desugar "a $x b" into an explicit concat chain."""
-        interp = self._interp_node(tok)
-        pieces = interp.children
-        if not pieces:
-            return AstNode(NodeKind.STRING_LIT, attrs={"value": ""}, span=tok.span)
-        node = pieces[0]
-        for piece in pieces[1:]:
-            node = AstNode(NodeKind.CONCAT, children=[node, piece],
-                           span=tok.span, attrs={"from_interp": True})
-        return node
-
-    def _interp_node(self, tok: Token) -> AstNode:
-        """Intermediate node whose children alternate literal/expression parts."""
-        children: list[AstNode] = []
+        """Desugar "a $x b" into an explicit concat chain of its parts,
+        which alternate literal and expression."""
+        pieces: list[AstNode] = []
         for part in tok.parts:
             span = self.unit.span_between(part.start, part.end)
             if part.kind == "lit":
@@ -368,12 +357,18 @@ class _Parser:
                                span=span)
             else:
                 node = self._interp_expr(part, span)
-            if (children and children[-1].kind is NodeKind.STRING_LIT
+            if (pieces and pieces[-1].kind is NodeKind.STRING_LIT
                     and node.kind is NodeKind.STRING_LIT):
                 raise ParseError("interpolation parts must alternate",
                                  span=span, path=self.unit.path)
-            children.append(node)
-        return AstNode(NodeKind.INTERP_STRING, children=children, span=tok.span)
+            pieces.append(node)
+        if not pieces:
+            return AstNode(NodeKind.STRING_LIT, attrs={"value": ""}, span=tok.span)
+        node = pieces[0]
+        for piece in pieces[1:]:
+            node = AstNode(NodeKind.CONCAT, children=[node, piece],
+                           span=tok.span, attrs={"from_interp": True})
+        return node
 
     def _interp_expr(self, part, span: Span) -> AstNode:
         if part.var in SUPERGLOBAL_NAMES:

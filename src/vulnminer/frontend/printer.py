@@ -27,10 +27,6 @@ def print_source(root: AstNode) -> str:
     return "\n".join(lines) + "\n"
 
 
-def print_statement(stmt: AstNode) -> str:
-    return "\n".join(_stmt_lines(stmt, 0))
-
-
 def print_expression(expr: AstNode) -> str:
     return _expr(expr, 0)
 

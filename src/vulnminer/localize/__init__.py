@@ -4,8 +4,10 @@ from .backends import (
     ANALYSIS_PROMPT,
     DeterministicBackend,
     GenerationBackend,
+    MicroTemplate,
     RefusalBackend,
     RemoteBackend,
+    default_templates,
     make_backend,
 )
 from .constraints import (
@@ -26,7 +28,6 @@ from .engine import (
 from .ir import IntermediateRepresentation, build_ir, refine_context
 from .rewrite import FillPlan, Rewriter, SourceWrap
 from .scoring import Candidate, edit_distance, score_candidate, select_best
-from .templates import MicroTemplate, default_templates
 
 __all__ = [
     "ANALYSIS_PROMPT",

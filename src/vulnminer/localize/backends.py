@@ -10,7 +10,6 @@ from ..frontend.nodes import AstNode, NodeKind
 from .constraints import ConstraintSet
 from .ir import IntermediateRepresentation, enclosing_function
 from .rewrite import FillPlan, PreparedRewrite, SourceWrap
-from .templates import MicroTemplate
 
 # Wrong-class guard proposed as an exploratory variant; the constraint set
 # exists precisely to filter these out.
@@ -43,6 +42,17 @@ Finally, output in the following JSON format:
 _RESPONSE_KEYS = ("vulnerability type", "cause analysis", "involved line numbers")
 
 
+@dataclass(frozen=True)
+class MicroTemplate:
+    """Names a plan maker of ``_TEMPLATES`` and the sink classes it guards."""
+
+    template_id: str
+    sink_classes: tuple[str, ...]
+
+    def applicable(self, sink_class: str) -> bool:
+        return sink_class in self.sink_classes
+
+
 class GenerationBackend(Protocol):
     name: str
 
@@ -62,157 +72,149 @@ class RefusalBackend:
 class DeterministicBackend:
     """Derives guard plans from the IR; no generation model involved.
 
-    A template's id names the plan maker; the plan itself comes from the
-    IR's slice facts.
+    The template's maker in ``_TEMPLATES`` fills the primary plan from the
+    IR's slice facts or refuses; the generic plan guards the same reads.
     """
 
     name = "deterministic"
 
     def fill(self, template: MicroTemplate, ir: IntermediateRepresentation,
              constraints: ConstraintSet) -> list[FillPlan]:
-        if not template.applicable(ir.finding.sink_class):
+        entry = _TEMPLATES.get(template.template_id)
+        if entry is None or not template.applicable(ir.finding.sink_class):
             return []
-        maker = {
-            "validation_wrapper": self._command_plans,
-            "prepared_statement": self._sql_plans,
-            "output_escape": self._output_plans,
-            "include_guard": self._include_plans,
-            "redirect_guard": self._redirect_plans,
-        }.get(template.template_id)
-        if maker is None:
+        primary = FillPlan(template_id=template.template_id, variant="primary")
+        if not entry[1](primary, ir, ir.facts):
             return []
-        return maker(template, ir, ir.facts)
-
-    # -- per-template plan construction ------------------------------------
-
-    def _command_plans(self, template, ir, facts) -> list[FillPlan]:
-        primary = FillPlan(template_id=template.template_id, variant="primary")
-        taken = _var_names(ir)
-        for text, ids, key in facts.read_groups:
-            sanitizer = _path_sanitizer(key)
-            stmt_id = ir.stmt_of(ids[0])
-            if facts.hoist_container_of.get(stmt_id, False):
-                primary.source_wraps.append(SourceWrap(
-                    node_ids=ids, sanitizer=sanitizer,
-                    hoist_var=_fresh_var(taken, key or "input"),
-                    hoist_before=stmt_id))
-            else:
-                primary.source_wraps.append(SourceWrap(ids, sanitizer))
-        if facts.build_stmt is not None and facts.build_in_window:
-            primary.rhs_wrap[facts.build_stmt.node_id] = "escapeshellcmd"
-        elif facts.sink_arg is not None:
-            primary.source_wraps.append(SourceWrap(
-                (facts.sink_arg.node_id,), "escapeshellcmd"))
-        generic = self._generic_plan(template, ir, facts)
+        generic = FillPlan(template_id=template.template_id, variant="generic")
+        _wrap_reads_or_sink(generic, ir.facts,
+                            _GENERIC_GUARD[ir.finding.sink_class])
         return [primary, generic]
 
-    def _sql_plans(self, template, ir, facts) -> list[FillPlan]:
-        finding = ir.finding
-        generic = self._generic_plan(template, ir, facts)
-        if finding.source_kind == "secret_literal":
-            assign_id = _secret_assign(ir)
-            if assign_id is None or assign_id not in facts.window_ids:
-                return []
-            var = finding.source_label.split(":", 1)[1]
-            primary = FillPlan(template_id=template.template_id,
-                               variant="primary")
-            primary.credential_env[assign_id] = var.upper()
-            return [primary, generic]
-        if facts.query_built:
-            prepared = self._prepared_rewrite(ir, facts)
-            if prepared is None:
-                return []  # build site invisible: ask for wider context
-            primary = FillPlan(template_id=template.template_id,
-                               variant="primary", prepared=prepared)
-            return [primary, generic]
-        primary = FillPlan(template_id=template.template_id, variant="primary")
-        if not facts.read_groups:
-            return []
-        for _, ids, _key in facts.read_groups:
-            primary.source_wraps.append(SourceWrap(ids, "intval"))
-        return [primary, generic]
 
-    def _output_plans(self, template, ir, facts) -> list[FillPlan]:
-        primary = FillPlan(template_id=template.template_id, variant="primary")
-        self._wrap_reads_or_sink(primary, ir, facts, "htmlspecialchars")
-        generic = self._generic_plan(template, ir, facts)
-        return [primary, generic]
+# -- per-template plan makers: fill the primary plan, False to refuse --------
 
-    def _include_plans(self, template, ir, facts) -> list[FillPlan]:
-        primary = FillPlan(template_id=template.template_id, variant="primary")
-        for text, ids, key in facts.read_groups:
-            sanitizer = "sanitize_path" if key and _is_pathish(key) else "basename"
-            primary.source_wraps.append(SourceWrap(ids, sanitizer))
-        if not primary.source_wraps:
-            self._wrap_reads_or_sink(primary, ir, facts, "basename")
-        if facts.sink_arg is not None:
-            primary.sink_head[facts.sink_arg.node_id] = "./"
-        generic = self._generic_plan(template, ir, facts)
-        return [primary, generic]
-
-    def _redirect_plans(self, template, ir, facts) -> list[FillPlan]:
-        primary = FillPlan(template_id=template.template_id, variant="primary")
-        self._wrap_reads_or_sink(primary, ir, facts, "sanitize_url")
-        if facts.sink_arg is not None:
-            primary.sink_head[facts.sink_arg.node_id] = "Location: "
-        generic = self._generic_plan(template, ir, facts)
-        return [primary, generic]
-
-    # -- shared pieces -------------------------------------------------------
-
-    def _wrap_reads_or_sink(self, plan: FillPlan, ir, facts, sanitizer: str):
-        if facts.read_groups:
-            for _, ids, _key in facts.read_groups:
-                plan.source_wraps.append(SourceWrap(ids, sanitizer))
-            return
-        # reads live outside the window (or the source is a literal):
-        # guard the tainted leaves inside the sink argument instead
-        for leaf in _tainted_leaves(facts.sink_arg, facts.tainted_vars):
-            plan.source_wraps.append(SourceWrap((leaf.node_id,), sanitizer))
-
-    def _generic_plan(self, template, ir, facts) -> FillPlan:
-        guard = _GENERIC_GUARD[ir.finding.sink_class]
-        plan = FillPlan(template_id=template.template_id, variant="generic")
-        if facts.read_groups:
-            for _, ids, _key in facts.read_groups:
-                plan.source_wraps.append(SourceWrap(ids, guard))
+def _command_plan(plan: FillPlan, ir, facts) -> bool:
+    taken = _var_names(ir)
+    for text, ids, key in facts.read_groups:
+        sanitizer = _path_sanitizer(key)
+        stmt_id = ir.stmt_of(ids[0])
+        if facts.hoist_container_of.get(stmt_id, False):
+            plan.source_wraps.append(SourceWrap(
+                node_ids=ids, sanitizer=sanitizer,
+                hoist_var=_fresh_var(taken, key or "input"),
+                hoist_before=stmt_id))
         else:
-            for leaf in _tainted_leaves(facts.sink_arg, facts.tainted_vars):
-                plan.source_wraps.append(SourceWrap((leaf.node_id,), guard))
-        return plan
+            plan.source_wraps.append(SourceWrap(ids, sanitizer))
+    if facts.build_stmt is not None and facts.build_in_window:
+        plan.rhs_wrap[facts.build_stmt.node_id] = "escapeshellcmd"
+    elif facts.sink_arg is not None:
+        plan.source_wraps.append(SourceWrap(
+            (facts.sink_arg.node_id,), "escapeshellcmd"))
+    return True
 
-    def _prepared_rewrite(self, ir, facts) -> PreparedRewrite | None:
-        build = facts.build_stmt
-        if build is None or not facts.build_in_window:
-            return None
-        literal_parts: list[str] = []
-        binds: list[int] = []
-        for leaf in _concat_leaves(build.children[1]):
-            if leaf.kind is NodeKind.STRING_LIT:
-                literal_parts.append(leaf.attrs["value"])
-            else:
-                # bound parameters are unquoted: drop quotes the original
-                # string interpolation placed around the spliced value
-                if literal_parts and literal_parts[-1].endswith("'"):
-                    literal_parts[-1] = literal_parts[-1][:-1]
-                literal_parts.append("?")
-                binds.append(leaf.node_id)
-        for i, part in enumerate(literal_parts):
-            if part == "?" and i + 1 < len(literal_parts) \
-                    and literal_parts[i + 1].startswith("'"):
-                literal_parts[i + 1] = literal_parts[i + 1][1:]
-        stmt_var = _fresh_var(_var_names(ir), "stmt")
-        call_stmt, call_name = _execute_site(ir, facts)
-        if call_stmt is None:
-            return None
-        return PreparedRewrite(
-            build_stmt_id=build.node_id,
-            replace_call_stmt_id=call_stmt,
-            replace_call_name=call_name,
-            stmt_var=stmt_var,
-            query_literal="".join(literal_parts),
-            bind_exprs=tuple(binds),
-        )
+
+def _sql_plan(plan: FillPlan, ir, facts) -> bool:
+    finding = ir.finding
+    if finding.source_kind == "secret_literal":
+        var = finding.source_label.split(":", 1)[1]
+        assign_id = _secret_assign(ir, var)
+        if assign_id is None or assign_id not in facts.window_ids:
+            return False
+        plan.credential_env[assign_id] = var.upper()
+        return True
+    if facts.query_built:
+        # None when the build site is invisible: ask for wider context
+        plan.prepared = _prepared_rewrite(ir, facts)
+        return plan.prepared is not None
+    for _, ids, _key in facts.read_groups:
+        plan.source_wraps.append(SourceWrap(ids, "intval"))
+    return bool(facts.read_groups)
+
+
+def _output_plan(plan: FillPlan, ir, facts) -> bool:
+    _wrap_reads_or_sink(plan, facts, "htmlspecialchars")
+    return True
+
+
+def _include_plan(plan: FillPlan, ir, facts) -> bool:
+    for text, ids, key in facts.read_groups:
+        sanitizer = "sanitize_path" if key and _is_pathish(key) else "basename"
+        plan.source_wraps.append(SourceWrap(ids, sanitizer))
+    if not plan.source_wraps:
+        _wrap_reads_or_sink(plan, facts, "basename")
+    if facts.sink_arg is not None:
+        plan.sink_head[facts.sink_arg.node_id] = "./"
+    return True
+
+
+def _redirect_plan(plan: FillPlan, ir, facts) -> bool:
+    _wrap_reads_or_sink(plan, facts, "sanitize_url")
+    if facts.sink_arg is not None:
+        plan.sink_head[facts.sink_arg.node_id] = "Location: "
+    return True
+
+
+# Each micro-template: the sink classes it guards and its plan maker.
+_TEMPLATES = {
+    "validation_wrapper": (("Command",), _command_plan),
+    "prepared_statement": (("Sql",), _sql_plan),
+    "output_escape": (("Output",), _output_plan),
+    "include_guard": (("Include",), _include_plan),
+    "redirect_guard": (("Redirect",), _redirect_plan),
+}
+
+
+def default_templates() -> list[MicroTemplate]:
+    return [MicroTemplate(template_id, sink_classes)
+            for template_id, (sink_classes, _) in _TEMPLATES.items()]
+
+
+# -- shared pieces -------------------------------------------------------------
+
+def _wrap_reads_or_sink(plan: FillPlan, facts, sanitizer: str):
+    if facts.read_groups:
+        for _, ids, _key in facts.read_groups:
+            plan.source_wraps.append(SourceWrap(ids, sanitizer))
+        return
+    # reads live outside the window (or the source is a literal):
+    # guard the tainted leaves inside the sink argument instead
+    for leaf in _tainted_leaves(facts.sink_arg, facts.tainted_vars):
+        plan.source_wraps.append(SourceWrap((leaf.node_id,), sanitizer))
+
+
+def _prepared_rewrite(ir, facts) -> PreparedRewrite | None:
+    build = facts.build_stmt
+    if build is None or not facts.build_in_window:
+        return None
+    literal_parts: list[str] = []
+    binds: list[int] = []
+    for leaf in _concat_leaves(build.children[1]):
+        if leaf.kind is NodeKind.STRING_LIT:
+            literal_parts.append(leaf.attrs["value"])
+        else:
+            # bound parameters are unquoted: drop quotes the original
+            # string interpolation placed around the spliced value
+            if literal_parts and literal_parts[-1].endswith("'"):
+                literal_parts[-1] = literal_parts[-1][:-1]
+            literal_parts.append("?")
+            binds.append(leaf.node_id)
+    for i, part in enumerate(literal_parts):
+        if part == "?" and i + 1 < len(literal_parts) \
+                and literal_parts[i + 1].startswith("'"):
+            literal_parts[i + 1] = literal_parts[i + 1][1:]
+    stmt_var = _fresh_var(_var_names(ir), "stmt")
+    call_stmt, call_name = _execute_site(ir, facts)
+    if call_stmt is None:
+        return None
+    return PreparedRewrite(
+        build_stmt_id=build.node_id,
+        replace_call_stmt_id=call_stmt,
+        replace_call_name=call_name,
+        stmt_var=stmt_var,
+        query_literal="".join(literal_parts),
+        bind_exprs=tuple(binds),
+    )
 
 
 def _concat_leaves(expr: AstNode) -> list[AstNode]:
@@ -271,14 +273,14 @@ def _tainted_leaves(arg: AstNode | None, tainted_vars: set[str]):
     return out
 
 
-def _secret_assign(ir) -> int | None:
+def _secret_assign(ir, var: str) -> int | None:
+    """Statement on the finding's path that assigns the secret ``var``."""
     for nid in ir.finding.path:
         sid = ir.stmt_of(nid)
         stmt = ir.analysis.nodes[sid]
         if (stmt.kind is NodeKind.ASSIGN
                 and stmt.children[0].kind is NodeKind.VAR
-                and stmt.children[0].attrs["name"]
-                == ir.finding.source_label.split(":", 1)[1]):
+                and stmt.children[0].attrs["name"] == var):
             return sid
     return None
 

@@ -147,11 +147,11 @@ def _has_static_prepare(ast: AstNode) -> bool:
     return False
 
 
-def _leftmost_leaf(expr: AstNode) -> AstNode:
-    node = expr
-    while node.kind is NodeKind.CONCAT:
-        node = node.children[0]
-    return node
+def leftmost_operand(expr: AstNode) -> AstNode:
+    """The first operand of a `.` chain, or the expression itself."""
+    while expr.kind is NodeKind.CONCAT:
+        expr = expr.children[0]
+    return expr
 
 
 def _sinks_bounded(ctx: CandidateContext) -> bool:
@@ -168,7 +168,7 @@ def _sinks_bounded(ctx: CandidateContext) -> bool:
               and node.children):
             args.append(node.children[0])
     for arg in args:
-        head = _leftmost_leaf(arg)
+        head = leftmost_operand(arg)
         if head.kind is NodeKind.STRING_LIT and head.attrs["value"]:
             continue
         if head.kind is NodeKind.CALL and head.attrs["name"] in accepted:

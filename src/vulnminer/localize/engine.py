@@ -11,12 +11,11 @@ from ..analysis import FileAnalysis
 from ..errors import NoFindingError, ParseError, VulnMinerError
 from ..flows import classify_vuln_type
 from ..source import SourceUnit
-from .backends import GenerationBackend
+from .backends import GenerationBackend, MicroTemplate
 from .constraints import ConstraintSet, extract_constraints
 from .ir import IntermediateRepresentation, build_ir, refine_context
 from .rewrite import Rewriter
 from .scoring import Candidate, score_candidates, select_best
-from .templates import MicroTemplate
 
 DEFAULT_MAX_ITERATIONS = 2
 DEFAULT_ALPHA = 0.6
@@ -83,34 +82,30 @@ def generate_candidates(ir: IntermediateRepresentation,
                         constraints: ConstraintSet,
                         templates: list[MicroTemplate],
                         backend: GenerationBackend) -> list[Candidate]:
-    """One candidate per backend fill, each analyzed once; non-parsing
-    output is kept as a recorded failure, never silently dropped."""
+    """One candidate per plan, each analyzed once; a plan that does not
+    rewrite or a text that does not parse is kept as a recorded failure,
+    never silently dropped."""
     out: list[Candidate] = []
     rewriter = Rewriter(ir)
     for template in templates:
         if not template.applicable(ir.finding.sink_class):
             continue
-        plans = backend.fill(template, ir, constraints)
-        for i, plan in enumerate(plans):
-            try:
-                text = rewriter.apply(plan)
-            except (VulnMinerError, ValueError, KeyError) as exc:
-                out.append(Candidate(
-                    candidate_id=f"{template.template_id}:{i}",
-                    template_id=template.template_id, variant=plan.variant,
-                    text="", backend=backend.name, parse_ok=False,
-                    failure=f"rewrite failed: {exc}"))
-                continue
+        for i, plan in enumerate(backend.fill(template, ir, constraints)):
             candidate = Candidate(
                 candidate_id=f"{template.template_id}:{i}",
                 template_id=template.template_id, variant=plan.variant,
-                text=text, backend=backend.name)
-            try:
-                candidate.analyze(ir).ast
-            except ParseError as exc:
-                candidate.parse_ok = False
-                candidate.failure = f"candidate does not parse: {exc}"
+                text="", backend=backend.name)
             out.append(candidate)
+            try:
+                candidate.text = rewriter.apply(plan)
+            except (VulnMinerError, ValueError, KeyError) as exc:
+                candidate.failure = f"rewrite failed: {exc}"
+            else:
+                try:
+                    candidate.analyze(ir).ast
+                except ParseError as exc:
+                    candidate.failure = f"candidate does not parse: {exc}"
+            candidate.parse_ok = candidate.failure is None
     return out
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from ..frontend.nodes import AstNode, NodeKind, copy_tree
 from ..frontend.printer import print_source
 from ..source import Span
-from .constraints import ACCEPTED_SANITIZERS
+from .constraints import ACCEPTED_SANITIZERS, leftmost_operand
 from .ir import IntermediateRepresentation
 
 _SPAN = Span(1, 1, 1, 1)
@@ -217,9 +217,7 @@ class Rewriter:
         return mk_call(sanitizer, [expr])
 
     def _with_head(self, expr: AstNode, literal: str) -> AstNode:
-        head = expr
-        while head.kind is NodeKind.CONCAT:
-            head = head.children[0]
+        head = leftmost_operand(expr)
         if head.kind is NodeKind.STRING_LIT and head.attrs["value"]:
             return expr
         return _node(NodeKind.CONCAT, children=[mk_str(literal), expr])

@@ -32,18 +32,11 @@ class MetricsReport:
     fpr: float
     fnr: float
     undefined: tuple[str, ...] = field(default_factory=tuple)
-    localization_rate: float | None = None
-    per_type: dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {"ACC": self.acc, "PRE": self.pre, "REC": self.rec,
-               "F1": self.f1, "FPR": self.fpr, "FNR": self.fnr,
-               "undefined": list(self.undefined)}
-        if self.localization_rate is not None:
-            out["localization_rate"] = self.localization_rate
-        if self.per_type:
-            out["per_type"] = dict(self.per_type)
-        return out
+        return {"ACC": self.acc, "PRE": self.pre, "REC": self.rec,
+                "F1": self.f1, "FPR": self.fpr, "FNR": self.fnr,
+                "undefined": list(self.undefined)}
 
 
 def _ratio(num: int, den: int, name: str, undefined: list[str]) -> float:

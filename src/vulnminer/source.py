@@ -78,3 +78,12 @@ class SourceUnit:
         el, ec = self.position(max(start, end - 1))
         return Span(sl, sc, el, ec)
 
+
+def read_unit(path: str | Path, errors: list) -> SourceUnit | None:
+    """The file's unit, or None when it is not UTF-8: then its
+    (path, message) error record goes to ``errors``."""
+    try:
+        return SourceUnit.from_file(path)
+    except UnicodeDecodeError as exc:
+        errors.append((str(path), f"not valid UTF-8: {exc}"))
+        return None

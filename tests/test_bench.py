@@ -87,3 +87,33 @@ def test_ablation_names_stable():
     assert set(ABLATIONS) == {"no-flow-edges", "raw-code", "no-bias",
                               "no-normalization", "no-norm-no-bias",
                               "lambda0", "lambda1"}
+
+
+def test_every_analysis_and_pipeline_uses_the_given_lexicon(
+        manifest, bundle, monkeypatch, tmp_path):
+    from vulnminer import bench
+    from vulnminer.lexicon import DEFAULT_LEXICON, lexicon_entries, load_lexicon
+
+    path = tmp_path / "same.lex"
+    path.write_text("\n".join(lexicon_entries(DEFAULT_LEXICON)) + "\n")
+    lex = load_lexicon(path)
+    seen = []
+    analysis, pipeline = bench.FileAnalysis, bench.run_pipeline
+
+    def seen_analysis(unit, lex=None):
+        seen.append(("analysis", lex))
+        return analysis(unit, lex)
+
+    def seen_pipeline(units, bundle, cfg=None, lex=None):
+        seen.append(("pipeline", lex))
+        return pipeline(units, bundle, cfg=cfg, lex=lex)
+
+    monkeypatch.setattr(bench, "FileAnalysis", seen_analysis)
+    monkeypatch.setattr(bench, "run_pipeline", seen_pipeline)
+    run_benchmark(manifest, bundle, ablations=("lambda0", "no-bias",
+                                               "raw-code"), lex=lex)
+    kinds = {kind for kind, _ in seen}
+    assert kinds == {"analysis", "pipeline"}
+    n_train = len(manifest.split("train"))
+    assert len(seen) == 2 + len(manifest.split("test")) + n_train
+    assert all(used is lex for _, used in seen)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 from vulnminer.cli import main
 from vulnminer.corpus import ManifestEntry, generate_synthetic_corpus
-from vulnminer.lexicon import DEFAULT_LEXICON, lexicon_entries
+from vulnminer.lexicon import DEFAULT_LEXICON, lexicon_entries, load_lexicon
 from vulnminer.model_store import save_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -232,6 +233,25 @@ def test_train_skips_and_names_files_it_cannot_parse(tmp_path, capsys):
     assert len(err.splitlines()) == 2
 
 
+def test_train_skips_and_names_files_that_are_not_utf8(tmp_path, capsys):
+    manifest = generate_synthetic_corpus(tmp_path, seed=7, size=40)
+    bad_train, bad_val = tmp_path / "train.php", tmp_path / "val.php"
+    for bad in (bad_train, bad_val):
+        bad.write_bytes('<?php echo "café";'.encode("latin-1"))
+    manifest.entries += [ManifestEntry(path=str(bad_train), label=0),
+                         ManifestEntry(path=str(bad_val), label=1,
+                                       split="val")]
+    manifest.save(tmp_path / "manifest.jsonl")
+    model = tmp_path / "m.json"
+    code, _, err = run(capsys, "train", str(tmp_path / "manifest.jsonl"),
+                       "--model", str(model))
+    assert code == 0 and model.exists()
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(f"skipped {bad_train}: not valid UTF-8")
+    assert lines[1].startswith(f"skipped {bad_val}: not valid UTF-8")
+
+
 def test_train_pins_one_blas_thread_unless_told(tmp_path):
     # on a host with more than one core OpenBLAS would default to one thread
     # per core, and the 80-file corpus's trained weights differ in the last
@@ -298,6 +318,42 @@ def test_bench_refuses_labeled_file_that_does_not_parse(model_path, tmp_path,
         assert str(bad) in err
 
 
+def test_bench_refuses_labeled_file_that_is_not_utf8(model_path, tmp_path,
+                                                     capsys):
+    bad = tmp_path / "bad.php"
+    bad.write_bytes('<?php echo "café";'.encode("latin-1"))
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(
+        json.dumps({"path": str(path), "label": label, "split": "test"}) + "\n"
+        for path, label in ((FIXTURES / "command_injection.php", 1),
+                            (bad, 0), (FIXTURES / "clean_page.php", 0))))
+    code, out, err = run(capsys, "bench", str(manifest), "--model",
+                         model_path)
+    assert code == 2
+    assert out == ""
+    assert "1 labeled file(s) cannot be scored" in err
+    assert f"{bad}: not valid UTF-8" in err
+
+
+def test_bench_checks_the_model_lexicon(bundle, corpus_dir, tmp_path, capsys):
+    same, custom = tmp_path / "same.lex", tmp_path / "custom.lex"
+    same.write_text("\n".join(lexicon_entries(DEFAULT_LEXICON)) + "\n")
+    custom.write_text(same.read_text() + "sink,run_job,Command\n")
+    model = tmp_path / "custom-lexicon-model.json"
+    save_model(dataclasses.replace(
+        bundle, lexicon=lexicon_entries(load_lexicon(custom))), model)
+    bench = ("bench", str(corpus_dir / "manifest.jsonl"), "--model",
+             str(model))
+    for extra in ((), ("--lexicon", str(same))):
+        code, out, err = run(capsys, *bench, *extra)
+        assert code == 2
+        assert out == ""
+        assert "lexicon differs from the one the model was trained with" in err
+    code, out, err = run(capsys, *bench, "--lexicon", str(custom))
+    assert code == 0, err
+    assert out.startswith("variant,")
+
+
 def test_scan_only_unparseable_file_exits_two(model_path, tmp_path, capsys):
     (tmp_path / "handler.php").write_text(
         '<?php\nclass Handler {\n    public function run() {\n'
@@ -331,6 +387,20 @@ def test_augment_command(model_path, corpus_dir, tmp_path, capsys):
     assert rows
     for row in rows:
         assert Path(row["output"]).exists()
+
+
+def test_augment_stops_on_a_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.php"
+    bad.write_bytes('<?php system("café " . $_GET["c"]);'.encode("latin-1"))
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(
+        json.dumps({"path": str(path), "label": label}) + "\n"
+        for path, label in ((bad, 1), (FIXTURES / "clean_page.php", 0))))
+    code, out, err = run(capsys, "augment", str(manifest), "--ratio", "0.8",
+                         "--out-dir", str(tmp_path / "aug"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}: not valid UTF-8")
 
 
 def test_scan_determinism(model_path, corpus_dir, capsys):
@@ -371,3 +441,28 @@ def test_localization_rate_command(model_path, capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["rate"] == 1.0
+
+
+def test_localization_rate_skips_error_records(model_path, capsys, tmp_path):
+    scanned = tmp_path / "scanned"
+    scanned.mkdir()
+    (scanned / "bad.php").write_bytes(b"<?php echo '\xff';")
+    (scanned / "good.php").write_text(
+        (FIXTURES / "command_injection.php").read_text())
+    reports = tmp_path / "reports.jsonl"
+    code, _, _ = run(capsys, "localize", "--model", model_path, "--out",
+                     str(reports), str(scanned))
+    assert code == 2
+    records = [json.loads(line) for line in reports.read_text().splitlines()]
+    assert [sorted(r) for r in records][-1] == ["error", "path"]
+    code, out, err = run(capsys, "localization-rate", str(reports))
+    assert code == 0, err
+    assert json.loads(out)["rate"] == 1.0
+    for stray in ('{"path": "x.php"}', "[1, 2]", "not json"):
+        reports.write_text(reports.read_text() + stray + "\n")
+        code, out, err = run(capsys, "localization-rate", str(reports))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {reports}:{len(records) + 1}: ")
+        reports.write_text("".join(
+            json.dumps(r) + "\n" for r in records))
