@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from .errors import ParseError
 from .flows import augment_flows, file_is_vulnerable, file_vuln_types, taint_trace
 from .frontend import parse
 from .lexicon import BUILTIN_FUNCTIONS, DEFAULT_LEXICON, TaintLexicon
@@ -71,3 +72,18 @@ class FileAnalysis:
     def oracle_label(self) -> tuple[bool, tuple[str, ...]]:
         """Whether the taint oracle finds an unsanitized flow, and its types."""
         return file_is_vulnerable(self.findings), file_vuln_types(self.findings)
+
+
+def analyzed(analysis: FileAnalysis, errors: list, *fields: str) -> bool:
+    """Whether the named fields compute; if not, the file's (path, message)
+    error record, the parse error or ``nesting too deep``, goes to
+    ``errors``, as ``source.read_unit`` does for a file it cannot read."""
+    try:
+        for field in fields:
+            getattr(analysis, field)
+        return True
+    except ParseError as exc:
+        errors.append((analysis.path, str(exc)))
+    except RecursionError:
+        errors.append((analysis.path, "nesting too deep"))
+    return False

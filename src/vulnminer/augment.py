@@ -14,7 +14,7 @@ from .errors import VulnMinerError
 from .frontend import print_source
 from .frontend.nodes import AstNode, NodeKind, copy_tree
 from .lexicon import RESERVED_FUNCTION_NAMES
-from .source import SourceUnit
+from .source import SourceUnit, read_unit
 
 OP_KINDS = ("Rename", "LoopToRecursion", "SyntaxTransform")
 
@@ -397,6 +397,7 @@ def augment_corpus(entries, target_ratio: float, seed: int,
 
     Every emitted sample passed the taint-oracle label recheck and differs
     from its origin in normalized token stream. Returns (samples, reached).
+    A vulnerable file that cannot be read, parsed or walked stops the run.
     """
     if not 0.0 < target_ratio < 1.0:
         raise VulnMinerError("target ratio must be inside (0, 1)")
@@ -418,13 +419,14 @@ def augment_corpus(entries, target_ratio: float, seed: int,
     while len(samples) < needed and attempts < max_attempts:
         entry = positives[i % len(positives)]
         plan = _OP_PLANS[(i + attempts) % len(_OP_PLANS)]
+        unread: list[tuple[str, str]] = []
+        if (unit := read_unit(entry.path, unread)) is None:
+            raise VulnMinerError(f"{entry.path}: {unread[0][1]}")
         try:
-            text = Path(entry.path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise VulnMinerError(
-                f"{entry.path}: not valid UTF-8: {exc}") from exc
-        result = augment_sample(text, entry.path, plan,
-                                seed + 31 * attempts, lex=lex)
+            result = augment_sample(unit.text, entry.path, plan,
+                                    seed + 31 * attempts, lex=lex)
+        except RecursionError:
+            raise VulnMinerError(f"{entry.path}: nesting too deep") from None
         attempts += 1
         i += 1
         if result is None:

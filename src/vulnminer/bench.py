@@ -6,11 +6,11 @@ import csv
 import io
 from dataclasses import dataclass, replace
 
-from .analysis import FileAnalysis
+from .analysis import FileAnalysis, analyzed
 from .cascade import run_pipeline
 from .corpus import CorpusManifest
 from .detector import _bucket_rare_symbols, _stage_samples, load_units
-from .errors import ParseError, VulnMinerError
+from .errors import VulnMinerError
 from .frontend.lexer import tokenize
 from .linearize import EmbeddingTable, Vocabulary
 from .metrics import MetricsReport, compute_metrics, confusion_from_pairs
@@ -94,41 +94,39 @@ def _stage1_retrained_row(variant: str, train, analyses, labels, bundle,
     return BenchRow(variant, compute_metrics(confusion_from_pairs(pairs)))
 
 
-def _full_stream(analysis: FileAnalysis) -> list[str]:
-    return analysis.structural.tokens
-
-
-def _raw_stream(analysis: FileAnalysis) -> list[str]:
-    return raw_token_stream(analysis.unit)
+# Ablations that retrain stage one on another stream of each file, and
+# those that score stage two alone with other settings.
+_STAGE1_STREAMS = {"no-flow-edges": lambda a: a.semantic.tokens,
+                   "raw-code": lambda a: raw_token_stream(a.unit)}
+_STAGE2_SETTINGS = {"no-bias": {"beta": 0.0},
+                    "no-normalization": {"normalized": False},
+                    "no-norm-no-bias": {"normalized": False, "beta": 0.0}}
 
 
 def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
-                  split: str = "test", lex=None) -> list[BenchRow]:
+                  split: str = "test", lex=None,
+                  skipped: list | None = None) -> list[BenchRow]:
     """Cascade metrics on a split, one extra labeled row per ablation;
-    every file is analyzed with ``lex`` (default: the built-in lexicon)."""
+    every file is analyzed with ``lex`` (default: the built-in lexicon).
+    A train file the stage-one rows cannot use goes to ``skipped``."""
+    skipped = [] if skipped is None else skipped
     entries = manifest.split(split) if split != "all" else manifest.entries
     if not entries:
         raise VulnMinerError(f"manifest has no {split} entries")
-    unread: list[tuple[str, str]] = []
+    errors: list[tuple[str, str]] = []
     units = [unit for e in entries
-             if (unit := read_unit(e.path, unread)) is not None]
+             if (unit := read_unit(e.path, errors)) is not None]
     labels = {e.path: e.label for e in entries}
     analyses = [FileAnalysis(unit, lex) for unit in units]
     # Every row must cover the same files, so a file that could not be read,
     # or that any stage or the advisory finding could not analyze, stops the
     # bench before any row.
-    errors = [f"{path}: {message}" for path, message in unread]
     for analysis in analyses:
-        try:
-            analysis.structural, analysis.findings
-        except ParseError as exc:
-            errors.append(f"{analysis.path}: {exc}")
-        except RecursionError:
-            errors.append(f"{analysis.path}: nesting too deep")
+        analyzed(analysis, errors, "structural", "findings")
     if errors:
-        raise VulnMinerError(f"{len(errors)} labeled file(s) cannot be "
-                             f"scored: {'; '.join(errors)}")
-    train: list[tuple[FileAnalysis, int]] = []
+        raise VulnMinerError(
+            f"{len(errors)} labeled file(s) cannot be scored (split: "
+            f"{split}): {'; '.join(f'{p}: {m}' for p, m in errors)}")
 
     rows = [_cascade_row("full", units, labels, bundle, lex=lex)]
 
@@ -136,42 +134,35 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
         if all(row.variant != "stage2-full" for row in rows):
             rows.append(_stage2_row("stage2-full", analyses, labels, bundle))
 
+    train: list[tuple[FileAnalysis, int]] = []
+    if _STAGE1_STREAMS.keys() & set(ablations):
+        pairs = ((FileAnalysis(unit, lex), label) for unit, label
+                 in load_units(manifest.split("train"), skipped))
+        train = [(analysis, label) for analysis, label in pairs
+                 if analyzed(analysis, skipped, "structural", "semantic")]
+
     def retrained(variant: str, stream_fn) -> BenchRow:
-        if not train:
-            train.extend((FileAnalysis(unit, lex), label) for unit, label
-                         in load_units(manifest.split("train")))
         return _stage1_retrained_row(variant, train, analyses, labels,
                                      bundle, stream_fn)
 
     def add_stage1_reference():
         if all(row.variant != "stage1-full" for row in rows):
-            rows.append(retrained("stage1-full", _full_stream))
+            rows.append(retrained("stage1-full",
+                                  lambda a: a.structural.tokens))
 
     for ablation in ablations:
-        if ablation == "no-bias":
+        if ablation in _STAGE2_SETTINGS:
             add_stage2_reference()
-            rows.append(_stage2_row("stage2-no-bias", analyses, labels, bundle,
-                                    beta=0.0))
-        elif ablation == "no-normalization":
-            add_stage2_reference()
-            rows.append(_stage2_row("stage2-no-normalization", analyses,
-                                    labels, bundle, normalized=False))
-        elif ablation == "no-norm-no-bias":
-            add_stage2_reference()
-            rows.append(_stage2_row("stage2-no-norm-no-bias", analyses,
-                                    labels, bundle, normalized=False,
-                                    beta=0.0))
+            rows.append(_stage2_row(f"stage2-{ablation}", analyses, labels,
+                                    bundle, **_STAGE2_SETTINGS[ablation]))
         elif ablation in ("lambda0", "lambda1"):
             cfg = replace(bundle.fusion, lam=float(ablation == "lambda1"))
             rows.append(_cascade_row(ablation, units, labels, bundle,
                                      cfg=cfg, lex=lex))
-        elif ablation == "no-flow-edges":
+        elif ablation in _STAGE1_STREAMS:
             add_stage1_reference()
-            rows.append(retrained("stage1-no-flow-edges",
-                                  lambda analysis: analysis.semantic.tokens))
-        elif ablation == "raw-code":
-            add_stage1_reference()
-            rows.append(retrained("stage1-raw-code", _raw_stream))
+            rows.append(retrained(f"stage1-{ablation}",
+                                  _STAGE1_STREAMS[ablation]))
         else:
             raise VulnMinerError(f"unknown ablation {ablation!r}")
     return rows

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .analysis import FileAnalysis
-from .errors import ParseError, TrainingError, VulnMinerError
+from .analysis import FileAnalysis, analyzed
+from .errors import TrainingError, VulnMinerError
 from .flows import classify_vuln_type
 from .lexicon import TaintLexicon
 from .metrics import compute_metrics, confusion_from_pairs
@@ -77,17 +77,8 @@ def score_files(analyses, bundle, tau1: float, errors: list):
     """
     analyses = iter(analyses)
     while chunk := list(islice(analyses, SCORE_CHUNK)):
-        parsed, seqs = [], []
-        for analysis in chunk:
-            try:
-                seq = analysis.structural
-            except ParseError as exc:
-                errors.append((analysis.path, str(exc)))
-            except RecursionError:
-                errors.append((analysis.path, "nesting too deep"))
-            else:
-                parsed.append(analysis)
-                seqs.append(seq)
+        parsed = [a for a in chunk if analyzed(a, errors, "structural")]
+        seqs = [analysis.structural for analysis in parsed]
         for analysis, score in zip(parsed, stage_one_scores(seqs, bundle)):
             yield analysis, stage_one_score(analysis, score, tau1)
 
@@ -112,15 +103,15 @@ def run_pipeline(units, bundle, cfg: FusionSettings | None = None,
                 file_id=one.file_id, score1=one.score, score2=None,
                 score_final=None, vulnerable=False))
             continue
-        try:
-            two = verify_semantic(analysis, bundle)
-            final = fuse_scores(one.score, two.score, fusion.lam)
-            vulnerable = final > fusion.tau
-            vuln_type, sink_line = (_advisory_finding(analysis) if vulnerable
-                                    else (None, None))
-        except RecursionError:
-            errors.append((one.file_id, "nesting too deep"))
+        if not analyzed(analysis, errors, "semantic"):
             continue
+        two = verify_semantic(analysis, bundle)
+        final = fuse_scores(one.score, two.score, fusion.lam)
+        vulnerable = final > fusion.tau
+        if vulnerable and not analyzed(analysis, errors, "findings"):
+            continue
+        vuln_type, sink_line = (_advisory_finding(analysis) if vulnerable
+                                else (None, None))
         verdicts.append(DetectionVerdict(
             file_id=one.file_id, score1=one.score, score2=two.score,
             score_final=final, vulnerable=vulnerable,

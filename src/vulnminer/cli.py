@@ -34,7 +34,7 @@ def _collect_php_files(paths: list[str]) -> list[Path]:
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            out.extend(sorted(path.rglob("*.php")))
+            out.extend(p for p in path.rglob("*.php") if not p.is_dir())
         elif path.exists():
             out.append(path)
         else:
@@ -43,7 +43,7 @@ def _collect_php_files(paths: list[str]) -> list[Path]:
 
 
 def _read_units(paths: list[str]):
-    """(units, errors); a non-UTF-8 file is a (path, message) error record."""
+    """(units, errors); an unreadable file gives a (path, message) record."""
     errors: list[tuple[str, str]] = []
     units = [unit for path in _collect_php_files(paths)
              if (unit := read_unit(path, errors)) is not None]
@@ -171,8 +171,11 @@ def cmd_bench(args) -> int:
     if unknown:
         raise VulnMinerError(
             f"unknown ablation(s) {sorted(unknown)}; choose from {ABLATIONS}")
+    skipped: list[tuple[str, str]] = []
     rows = run_benchmark(manifest, bundle, ablations=ablations,
-                         split=args.split, lex=lex)
+                         split=args.split, lex=lex, skipped=skipped)
+    for path, message in skipped:
+        print(f"skipped {path} (split: train): {message}", file=sys.stderr)
     if args.format == "jsonl":
         write_jsonl([dict(variant=r.variant, **r.metrics.as_dict())
                      for r in rows], args.out)
@@ -206,8 +209,8 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_localization_rate(args) -> int:
     """Rate over the report stream; an error record is a file without a
-    verdict, not a localization outcome, so it is skipped."""
-    outcomes = []
+    verdict, not a localization outcome, so it is skipped and named."""
+    outcomes, skipped = [], []
     lines = Path(args.reports).read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
@@ -215,6 +218,7 @@ def cmd_localization_rate(args) -> int:
         try:
             obj = json.loads(line)
             if obj.keys() == {"path", "error"}:
+                skipped.append(obj)
                 continue
             outcomes.append((obj["vulnerability type"],
                              obj["artifact"]["status"] == "ok"))
@@ -223,6 +227,8 @@ def cmd_localization_rate(args) -> int:
                 f"{args.reports}:{lineno}: neither a localization report "
                 f"nor an error record") from exc
     rate, breakdown = localization_rate(outcomes)
+    for obj in skipped:
+        print(f"skipped {obj['path']}: {obj['error']}", file=sys.stderr)
     print(json.dumps({"rate": rate, "breakdown": breakdown}, sort_keys=True))
     return EXIT_CLEAN
 
@@ -311,10 +317,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except VulnMinerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except (VulnMinerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from .analysis import FileAnalysis
+from .analysis import FileAnalysis, analyzed
 from .corpus import CorpusManifest
-from .errors import ParseError, TrainingError
+from .errors import TrainingError
 from .lexicon import DEFAULT_LEXICON, TaintLexicon, lexicon_entries
 from .linearize import EmbeddingTable, Vocabulary, fallback_symbol
 from .model_store import FusionSettings, ModelBundle
@@ -15,8 +15,8 @@ from .training import Sample, stage_configs, train_semantic, train_structural
 
 def load_units(entries, skipped: list | None = None
                ) -> list[tuple[SourceUnit, int]]:
-    """(unit, label) of each entry whose file is UTF-8; the (path, message)
-    of each other file goes to ``skipped``."""
+    """(unit, label) of each entry whose file reads as UTF-8; the
+    (path, message) of each other file goes to ``skipped``."""
     skipped = [] if skipped is None else skipped
     return [(unit, e.label) for e in entries
             if (unit := read_unit(e.path, skipped)) is not None]
@@ -28,14 +28,9 @@ def _stage_samples(labeled, skipped: list):
     structural: list[Sample] = []
     semantic: list[Sample] = []
     for analysis, label in labeled:
-        try:
-            seq1, seq2 = analysis.structural, analysis.semantic
-        except ParseError as exc:
-            skipped.append((analysis.path, str(exc)))
+        if not analyzed(analysis, skipped, "structural", "semantic"):
             continue
-        except RecursionError:
-            skipped.append((analysis.path, "nesting too deep"))
-            continue
+        seq1, seq2 = analysis.structural, analysis.semantic
         risky = analysis.lex.risky_names()
         structural.append(Sample(tokens=seq1.tokens, label=label))
         cols = tuple(i for i, t in enumerate(seq2.tokens) if t in risky)

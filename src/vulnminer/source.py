@@ -80,10 +80,12 @@ class SourceUnit:
 
 
 def read_unit(path: str | Path, errors: list) -> SourceUnit | None:
-    """The file's unit, or None when it is not UTF-8: then its
-    (path, message) error record goes to ``errors``."""
+    """The file's unit, or None when it is not UTF-8 or cannot be read:
+    then its (path, message) error record goes to ``errors``."""
     try:
         return SourceUnit.from_file(path)
     except UnicodeDecodeError as exc:
         errors.append((str(path), f"not valid UTF-8: {exc}"))
-        return None
+    except OSError as exc:
+        errors.append((str(path), f"cannot read: {exc}"))
+    return None

@@ -50,6 +50,15 @@ def bundle(manifest):
 
 
 @pytest.fixture(scope="session")
+def model_path(bundle, tmp_path_factory):
+    from vulnminer.model_store import save_model
+
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(bundle, path)
+    return str(path)
+
+
+@pytest.fixture(scope="session")
 def train_elapsed(bundle):
     return _train_seconds["value"]
 

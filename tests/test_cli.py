@@ -16,13 +16,6 @@ from vulnminer.model_store import save_model
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-@pytest.fixture(scope="module")
-def model_path(bundle, tmp_path_factory):
-    path = tmp_path_factory.mktemp("model") / "model.json"
-    save_model(bundle, path)
-    return str(path)
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -81,6 +74,22 @@ def test_scan_missing_path_exits_two(model_path, capsys):
     code, _, err = run(capsys, "scan", "--model", model_path,
                        "/no/such/dir-anywhere")
     assert code == 2
+
+
+def test_scan_model_directory_exits_two(tmp_path, capsys):
+    code, out, err = run(capsys, "scan", "--model", str(tmp_path),
+                         str(FIXTURES / "clean_page.php"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: [Errno 21] Is a directory: '{tmp_path}'")
+
+
+def test_scan_out_directory_exits_two(model_path, tmp_path, capsys):
+    code, out, err = run(capsys, "scan", "--model", model_path, "--out",
+                         str(tmp_path), str(FIXTURES / "clean_page.php"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: [Errno 21] Is a directory: '{tmp_path}'")
 
 
 def test_scan_non_utf8_file_is_an_error_record(model_path, tmp_path,
