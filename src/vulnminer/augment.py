@@ -220,7 +220,7 @@ def _flip_if_else(ast: AstNode, rng) -> tuple[AstNode, bool]:
                                attrs={"then_len": len(new_then),
                                       "else_len": len(new_else)})
         out = AstNode(node.kind, children=[rebuild(c) for c in node.children],
-                      attrs=dict(node.attrs), span=node.span)
+                      attrs=dict(node.attrs))
         return out
 
     return rebuild(ast), applied[0]
@@ -308,7 +308,7 @@ def _wrap_constant_if(ast: AstNode, rng) -> tuple[AstNode, bool]:
         cond = AstNode(NodeKind.NUMBER_LIT, attrs={"text": "1", "value": 1})
         children[-1] = AstNode(NodeKind.IF, children=[cond, children[-1]],
                                attrs={"then_len": 1, "else_len": 0})
-    return AstNode(NodeKind.PROGRAM, children=children, span=ast.span), applied
+    return AstNode(NodeKind.PROGRAM, children=children), applied
 
 
 def _rebuild_bodies(ast: AstNode, rebuild_body) -> AstNode:
@@ -328,12 +328,11 @@ def _rebuild_bodies(ast: AstNode, rebuild_body) -> AstNode:
             new_children.append(AstNode(
                 NodeKind.FUNCTION_DECL,
                 children=[copy_tree(p) for p in params] + rebuild_body(body),
-                attrs={"name": name, "n_params": len(params)},
-                span=child.span))
+                attrs={"name": name, "n_params": len(params)}))
         else:
             pending.append(child)
     flush()
-    return AstNode(NodeKind.PROGRAM, children=new_children, span=ast.span)
+    return AstNode(NodeKind.PROGRAM, children=new_children)
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +348,19 @@ _OP_PLANS = (
 )
 
 
-def augment_sample(text: str, path: str, plan: tuple[str, ...], seed: int,
-                   lex=None) -> tuple[str, list[str]] | None:
+def augment_sample(origin: FileAnalysis, plan: tuple[str, ...],
+                   seed: int) -> tuple[str, list[str]] | None:
     """Apply an op plan; None when nothing structural applied or a gate failed.
 
-    The origin and the result are each analyzed once: the label gate
-    compares their taint-oracle labels, the novelty gate their stage-two
-    sequences. Every op copies the tree before it writes. An op name not
-    in ``OP_KINDS`` raises ``VulnMinerError``.
+    The result is analyzed once, and the label gate compares its
+    taint-oracle label with the origin's, the novelty gate its stage-two
+    sequence. Every op copies the tree before it writes, so one origin
+    analysis serves every plan tried on it. An op name not in ``OP_KINDS``
+    raises ``VulnMinerError``.
     """
     for op in plan:
         if op not in OP_KINDS:
             raise VulnMinerError(f"unknown augmentation op {op!r}")
-    origin = FileAnalysis(SourceUnit.from_text(path, text), lex)
     ast = origin.ast
     applied_ops: list[str] = []
     structural = False
@@ -383,7 +382,7 @@ def augment_sample(text: str, path: str, plan: tuple[str, ...], seed: int,
     if not structural:
         return None
     new_text = print_source(ast)
-    result = FileAnalysis(SourceUnit.from_text(path, new_text), origin.lex)
+    result = FileAnalysis(SourceUnit.from_text(origin.path, new_text), origin.lex)
     if result.oracle_label != origin.oracle_label:
         return None
     if result.semantic.tokens == origin.semantic.tokens:
@@ -397,7 +396,8 @@ def augment_corpus(entries, target_ratio: float, seed: int,
 
     Every emitted sample passed the taint-oracle label recheck and differs
     from its origin in normalized token stream. Returns (samples, reached).
-    A vulnerable file that cannot be read, parsed or walked stops the run.
+    Each vulnerable file is read and analyzed once, when an attempt first
+    picks it; one that cannot be read, parsed or walked stops the run.
     """
     if not 0.0 < target_ratio < 1.0:
         raise VulnMinerError("target ratio must be inside (0, 1)")
@@ -412,19 +412,22 @@ def augment_corpus(entries, target_ratio: float, seed: int,
     needed = max(0, math.ceil((target_ratio * total - n_pos)
                               / (1.0 - target_ratio)))
 
+    origins: dict[int, FileAnalysis] = {}
     samples: list[AugmentedSample] = []
     attempts = 0
     max_attempts = max(20 * needed, 100)
     i = 0
     while len(samples) < needed and attempts < max_attempts:
-        entry = positives[i % len(positives)]
+        k = i % len(positives)
+        entry = positives[k]
         plan = _OP_PLANS[(i + attempts) % len(_OP_PLANS)]
-        unread: list[tuple[str, str]] = []
-        if (unit := read_unit(entry.path, unread)) is None:
-            raise VulnMinerError(f"{entry.path}: {unread[0][1]}")
+        if k not in origins:
+            unread: list[tuple[str, str]] = []
+            if (unit := read_unit(entry.path, unread)) is None:
+                raise VulnMinerError(f"{entry.path}: {unread[0][1]}")
+            origins[k] = FileAnalysis(unit, lex)
         try:
-            result = augment_sample(unit.text, entry.path, plan,
-                                    seed + 31 * attempts, lex=lex)
+            result = augment_sample(origins[k], plan, seed + 31 * attempts)
         except RecursionError:
             raise VulnMinerError(f"{entry.path}: nesting too deep") from None
         attempts += 1

@@ -63,8 +63,12 @@ def _advisory_finding(analysis: FileAnalysis):
     live = [f for f in findings if not f.sanitized] or findings
     if not live:
         return None, None
-    best = max(live, key=lambda f: (f.severity, -f.sink_span.start_line))
-    return classify_vuln_type(best), best.sink_span.start_line
+
+    def line(f):
+        return analysis.unit.position(f.sink_start)[0]
+
+    best = max(live, key=lambda f: (f.severity, -line(f)))
+    return classify_vuln_type(best), line(best)
 
 
 def score_files(analyses, bundle, tau1: float, errors: list):

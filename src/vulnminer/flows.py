@@ -21,7 +21,6 @@ from .lexicon import (
     SINK_CLASSES,
     TaintLexicon,
 )
-from .source import Span
 
 _ALL_CLASSES = frozenset(SINK_CLASSES)
 _MAX_CALL_DEPTH = 3
@@ -308,7 +307,8 @@ class TaintFinding:
     sink_class: str
     path: tuple[int, ...]
     sanitized: bool
-    sink_span: Span
+    sink_start: int           # offsets of the sink statement or call
+    sink_end: int
     sink_name: str
     source_label: str
     source_kind: str          # "superglobal" | "secret_literal"
@@ -369,7 +369,7 @@ class _Tracer:
         self._analyze_scope(top, {}, depth=0)
         return sorted(
             self.findings.values(),
-            key=lambda f: (f.sink_span, f.source_label),
+            key=lambda f: (f.sink_start, f.sink_end, f.source_label),
         )
 
     def _analyze_scope(self, scope: _Scope, param_taint: dict[str, _TaintMap],
@@ -424,19 +424,19 @@ class _Tracer:
             changed = self._update(def_taint, (stmt.node_id, var), taint)
         elif k is NodeKind.ECHO:
             taint = self._eval(stmt.children[0], env, depth)
-            self._record_sink(stmt, "echo", taint, stmt.span)
+            self._record_sink(stmt, "echo", taint)
         elif k is NodeKind.INCLUDE_STMT:
             taint = self._eval(stmt.children[0], env, depth)
-            self._record_sink(stmt, stmt.attrs["flavor"], taint, stmt.span)
+            self._record_sink(stmt, stmt.attrs["flavor"], taint)
         elif k in (NodeKind.EXPR_STMT, NodeKind.RETURN):
             if stmt.children:
-                self._eval(stmt.children[0], env, depth, stmt_span=stmt.span)
+                self._eval(stmt.children[0], env, depth, stmt=stmt)
         elif k in (NodeKind.IF, NodeKind.WHILE, NodeKind.FOR):
             cond = stmt.children[1] if k is NodeKind.FOR else stmt.children[0]
-            self._eval(cond, env, depth, stmt_span=stmt.span)
+            self._eval(cond, env, depth, stmt=stmt)
         elif k is NodeKind.FOREACH:
             iterable, key, value, _body = stmt.foreach_parts()
-            taint = self._eval(iterable, env, depth, stmt_span=stmt.span)
+            taint = self._eval(iterable, env, depth, stmt=stmt)
             changed = self._update(def_taint, (stmt.node_id, value.attrs["name"]), taint)
             if key is not None:
                 changed |= self._update(
@@ -465,7 +465,7 @@ class _Tracer:
     # -- expression evaluation -------------------------------------------------
 
     def _eval(self, expr: AstNode, env: dict[str, _TaintMap], depth: int,
-              record: bool = True, stmt_span: Span | None = None) -> _TaintMap:
+              record: bool = True, stmt: AstNode | None = None) -> _TaintMap:
         k = expr.kind
         if k is NodeKind.SUPERGLOBAL:
             label = f"$_{expr.attrs['sg']}"
@@ -485,27 +485,27 @@ class _Tracer:
             while expr.kind in _CHAIN_KINDS:
                 rights.append(expr.children[1:])
                 expr = expr.children[0]
-            taint = self._eval(expr, env, depth, record, stmt_span)
+            taint = self._eval(expr, env, depth, record, stmt)
             for level in reversed(rights):
                 taint = _merge_maps([taint] + [
-                    self._eval(c, env, depth, record, stmt_span) for c in level])
+                    self._eval(c, env, depth, record, stmt) for c in level])
             return taint
         if k is NodeKind.INDEX:
-            parts = [self._eval(c, env, depth, record, stmt_span) for c in expr.children]
+            parts = [self._eval(c, env, depth, record, stmt) for c in expr.children]
             return _merge_maps(parts)
         if k is NodeKind.CALL:
-            return self._eval_call(expr, env, depth, record, stmt_span)
+            return self._eval_call(expr, env, depth, record, stmt)
         raise ValueError(f"unexpected expression kind {k}")
 
-    def _eval_call(self, call: AstNode, env, depth, record, stmt_span) -> _TaintMap:
+    def _eval_call(self, call: AstNode, env, depth, record, stmt) -> _TaintMap:
         name = call.attrs["name"]
-        arg_maps = [self._eval(a, env, depth, record, stmt_span) for a in call.children]
+        arg_maps = [self._eval(a, env, depth, record, stmt) for a in call.children]
         merged = _merge_maps(arg_maps)
         if name in self.lex.sanitizers:
             classes = self.lex.sanitizers[name]
             return {lbl: e.sanitized_for(classes) for lbl, e in merged.items()}
         if name in self.lex.sinks and record:
-            self._record_sink(call, name, merged, stmt_span or call.span)
+            self._record_sink(call, name, merged, stmt)
         if name in self.functions:
             result = self._call_function(name, arg_maps, depth)
             return _merge_maps([merged, result])
@@ -534,7 +534,10 @@ class _Tracer:
     # -- findings ----------------------------------------------------------------
 
     def _record_sink(self, sink_node: AstNode, sink_name: str, taint: _TaintMap,
-                     span: Span | None):
+                     stmt: AstNode | None = None):
+        """Findings at ``sink_node``, placed at the offsets of the statement
+        that holds it when one is given."""
+        site = stmt or sink_node
         sink_class = self.lex.sinks.get(sink_name)
         if sink_class is None or not taint:
             return
@@ -553,7 +556,8 @@ class _Tracer:
                 sink_class=sink_class,
                 path=entry.path + (sink_node.node_id,),
                 sanitized=sanitized,
-                sink_span=span or sink_node.span,
+                sink_start=site.start,
+                sink_end=site.end,
                 sink_name=sink_name,
                 source_label=label,
                 source_kind=entry.source_kind,

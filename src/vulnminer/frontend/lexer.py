@@ -1,4 +1,4 @@
-"""Lexer for the PHP subset: one compiled regex, lines tracked forward."""
+"""Lexer for the PHP subset: one compiled regex, tokens carry offsets."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import ParseError
-from ..source import SourceUnit, Span
+from ..source import SourceUnit
 
 KEYWORDS = frozenset({
     "if", "else", "while", "for", "foreach", "as", "function", "return",
@@ -56,7 +56,8 @@ _DIGITS = re.compile(r"[0-9]+")
 class Token:
     kind: str          # open_tag close_tag var ident keyword string interp_string number op comment eof
     text: str
-    span: Span
+    start: int         # offsets into the source text, end exclusive
+    end: int
     value: Any = None  # decoded payload (string value, numeric value, var name)
     parts: list = field(default_factory=list)  # interp_string only
 
@@ -79,19 +80,16 @@ class InterpPart:
 def tokenize(unit: SourceUnit) -> list[Token]:
     """Lex a source unit; comments are kept as tokens of kind ``comment``.
 
-    The scan tracks its line as it moves forward: ``line`` is the line of
-    ``pos`` and ``line_start`` that line's first offset, updated from the
-    newlines of each match, so no offset is looked up in a line index.
+    Each token carries its offsets into ``unit.text``. The ``eof`` token
+    has no text and sits one past the text, so a span that reaches it ends
+    at ``len(text)``, as an inclusive (line, col) end does.
     """
     text = unit.text
     n = len(text)
     pos = n - len(text.lstrip(" \t\r\n"))
     if not text.startswith("<?php", pos):
         raise _error(unit, "missing opening <?php tag", pos, expected="<?php")
-    line = text.count("\n", 0, pos) + 1
-    line_start = text.rfind("\n", 0, pos) + 1
-    col = pos - line_start + 1
-    tokens = [Token("open_tag", "<?php", Span(line, col, line, col + 4))]
+    tokens = [Token("open_tag", "<?php", pos, pos + 5)]
     pos += 5
     match = _TOKEN.match
     while True:
@@ -120,24 +118,11 @@ def tokenize(unit: SourceUnit) -> list[Token]:
                 value = float(m[kind]) if "." in m[kind] else int(m[kind])
             elif kind == "close_tag" and text[end:].strip():
                 raise _error(unit, "content after closing tag is not supported", end)
-        if text.find("\n", pos, end) < 0:
-            col = start - line_start + 1
-            span = Span(line, col, line, col + end - start - 1)
-        else:
-            line += text.count("\n", pos, start)
-            line_start = text.rfind("\n", 0, start) + 1
-            first = line, start - line_start + 1
-            if breaks := text.count("\n", start, end):
-                line += breaks
-                line_start = text.rfind("\n", start, end) + 1
-            span = Span(*first, line, end - line_start)
-        tokens.append(Token(kind, text[start:end], span, value, parts))
+        tokens.append(Token(kind, text[start:end], start, end, value, parts))
         pos = end
         if kind == "close_tag":
             break
-    line += text.count("\n", pos, n)
-    col = n - text.rfind("\n")
-    tokens.append(Token("eof", "", Span(line, col, line, col)))
+    tokens.append(Token("eof", "", n, n + 1))
     return tokens
 
 

@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterator
 
-from ..source import Span
-
 
 class NodeKind(str, Enum):
     PROGRAM = "Program"
@@ -79,7 +77,8 @@ class AstNode:
     kind: NodeKind
     children: list["AstNode"] = field(default_factory=list)
     attrs: dict[str, Any] = field(default_factory=dict)
-    span: Span | None = None
+    start: int = 0     # offsets into the parsed text, end exclusive
+    end: int = 0
     node_id: int = field(default_factory=_next_id)
 
     def walk(self) -> Iterator["AstNode"]:
@@ -143,7 +142,7 @@ _EQUALITY_ATTRS = {
 
 
 def ast_equal(a: AstNode, b: AstNode) -> bool:
-    """Structural equality; node ids and spans are ignored."""
+    """Structural equality; node ids and offsets are ignored."""
     if a.kind is not b.kind or len(a.children) != len(b.children):
         return False
     for key in _EQUALITY_ATTRS.get(a.kind, ()):
@@ -178,5 +177,6 @@ def copy_tree(node: AstNode) -> AstNode:
         kind=node.kind,
         children=[copy_tree(c) for c in node.children],
         attrs=dict(node.attrs),
-        span=node.span,
+        start=node.start,
+        end=node.end,
     )

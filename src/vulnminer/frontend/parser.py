@@ -9,7 +9,7 @@ number of tiers.
 from __future__ import annotations
 
 from ..errors import ParseError
-from ..source import SourceUnit, Span
+from ..source import SourceUnit
 from .lexer import Token, tokenize
 from .nodes import AstNode, NodeKind, SUPERGLOBAL_NAMES, INCLUDE_FLAVORS
 
@@ -75,7 +75,8 @@ class _Parser:
         return tok
 
     def fail(self, message: str, expected=None):
-        raise ParseError(message, span=self.tokens[self.i].span,
+        tok = self.tokens[self.i]
+        raise ParseError(message, span=self.unit.span_between(tok.start, tok.end),
                          expected=expected, path=self.unit.path)
 
     # -- grammar ------------------------------------------------------------
@@ -87,9 +88,8 @@ class _Parser:
             body.append(self.statement())
         if self.at("close_tag"):
             self.advance()
-        end = self.tokens[self.i].span if self.tokens else open_tok.span
-        span = open_tok.span.cover(body[-1].span if body else end)
-        return AstNode(NodeKind.PROGRAM, children=body, span=span)
+        end = body[-1].end if body else self.tokens[self.i].end
+        return AstNode(NodeKind.PROGRAM, children=body, start=open_tok.start, end=end)
 
     def statement(self) -> AstNode:
         tok = self.tokens[self.i]
@@ -121,7 +121,7 @@ class _Parser:
         return [self.statement()]
 
     def _if_stmt(self) -> AstNode:
-        start = self.advance().span
+        start = self.advance().start
         self.expect("op", "(")
         cond = self.expression()
         self.expect("op", ")")
@@ -130,22 +130,21 @@ class _Parser:
         if self.at("keyword", "else"):
             self.advance()
             other = self._block_or_stmt()
-        last = (other or then)[-1].span
         return AstNode(NodeKind.IF, children=[cond] + then + other,
                        attrs={"then_len": len(then), "else_len": len(other)},
-                       span=start.cover(last))
+                       start=start, end=(other or then or [cond])[-1].end)
 
     def _while_stmt(self) -> AstNode:
-        start = self.advance().span
+        start = self.advance().start
         self.expect("op", "(")
         cond = self.expression()
         self.expect("op", ")")
         body = self._block_or_stmt()
-        return AstNode(NodeKind.WHILE, children=[cond] + body,
-                       span=start.cover(body[-1].span if body else cond.span))
+        return AstNode(NodeKind.WHILE, children=[cond] + body, start=start,
+                       end=body[-1].end if body else cond.end)
 
     def _for_stmt(self) -> AstNode:
-        start = self.advance().span
+        start = self.advance().start
         self.expect("op", "(")
         init = self._assignment_core()
         self.expect("op", ";")
@@ -155,10 +154,10 @@ class _Parser:
         self.expect("op", ")")
         body = self._block_or_stmt()
         return AstNode(NodeKind.FOR, children=[init, cond, step] + body,
-                       span=start.cover(body[-1].span if body else step.span))
+                       start=start, end=body[-1].end if body else step.end)
 
     def _foreach_stmt(self) -> AstNode:
-        start = self.advance().span
+        start = self.advance().start
         self.expect("op", "(")
         iterable = self.expression()
         self.expect("keyword", "as")
@@ -175,10 +174,10 @@ class _Parser:
         children = [iterable] + ([key] if key is not None else []) + [value] + body
         return AstNode(NodeKind.FOREACH, children=children,
                        attrs={"has_key": key is not None},
-                       span=start.cover(body[-1].span if body else value.span))
+                       start=start, end=body[-1].end if body else value.end)
 
     def _function_decl(self) -> AstNode:
-        start = self.advance().span
+        start = self.advance()
         name = self.expect("ident", what="function name").value
         self.expect("op", "(")
         params: list[AstNode] = []
@@ -193,36 +192,34 @@ class _Parser:
         body = self._block_or_stmt()
         return AstNode(NodeKind.FUNCTION_DECL, children=params + body,
                        attrs={"name": name, "n_params": len(params)},
-                       span=start.cover(body[-1].span if body else start))
+                       start=start.start, end=(body[-1] if body else start).end)
 
     def _return_stmt(self) -> AstNode:
-        start = self.advance().span
+        start = self.advance().start
         if self.at("op", ";"):
-            end = self.advance().span
             return AstNode(NodeKind.RETURN, attrs={"has_value": False},
-                           span=start.cover(end))
+                           start=start, end=self.advance().end)
         value = self.expression()
-        end = self.expect("op", ";").span
+        end = self.expect("op", ";").end
         return AstNode(NodeKind.RETURN, children=[value],
-                       attrs={"has_value": True}, span=start.cover(end))
+                       attrs={"has_value": True}, start=start, end=end)
 
     def _echo_stmt(self) -> AstNode:
-        start = self.advance().span
+        start = self.advance().start
         value = self.expression()
-        end = self.expect("op", ";").span
-        return AstNode(NodeKind.ECHO, children=[value], span=start.cover(end))
+        end = self.expect("op", ";").end
+        return AstNode(NodeKind.ECHO, children=[value], start=start, end=end)
 
     def _include_stmt(self) -> AstNode:
         tok = self.advance()
         value = self.expression()
-        end = self.expect("op", ";").span
+        end = self.expect("op", ";").end
         return AstNode(NodeKind.INCLUDE_STMT, children=[value],
-                       attrs={"flavor": tok.value}, span=tok.span.cover(end))
+                       attrs={"flavor": tok.value}, start=tok.start, end=end)
 
     def _assignment(self) -> AstNode:
         node = self._assignment_core()
-        end = self.expect("op", ";").span
-        node.span = node.span.cover(end)
+        node.end = self.expect("op", ";").end
         return node
 
     def _assignment_core(self) -> AstNode:
@@ -230,7 +227,7 @@ class _Parser:
         self.expect("op", "=")
         value = self.expression()
         return AstNode(NodeKind.ASSIGN, children=[target, value],
-                       span=target.span.cover(value.span))
+                       start=target.start, end=value.end)
 
     def _lvalue(self) -> AstNode:
         tok = self.expect("var")
@@ -240,16 +237,16 @@ class _Parser:
         while self.at("op", "["):
             self.advance()
             idx = self.expression()
-            end = self.expect("op", "]").span
+            end = self.expect("op", "]").end
             node = AstNode(NodeKind.INDEX, children=[node, idx],
-                           span=node.span.cover(end))
+                           start=node.start, end=end)
         return node
 
     def _expr_statement(self) -> AstNode:
         expr = self.expression()
-        end = self.expect("op", ";").span
+        end = self.expect("op", ";").end
         return AstNode(NodeKind.EXPR_STMT, children=[expr],
-                       span=expr.span.cover(end))
+                       start=expr.start, end=end)
 
     # -- expressions ----------------------------------------------------------
 
@@ -270,7 +267,7 @@ class _Parser:
             kind = NodeKind.CONCAT if tok.value == "." else NodeKind.BINARY_OP
             attrs = {} if tok.value == "." else {"op": tok.value}
             node = AstNode(kind, children=[node, rhs], attrs=attrs,
-                           span=node.span.cover(rhs.span))
+                           start=node.start, end=rhs.end)
 
     def _unary(self) -> AstNode:
         tok = self.tokens[self.i]
@@ -281,10 +278,10 @@ class _Parser:
                 return AstNode(NodeKind.NUMBER_LIT,
                                attrs={"text": "-" + operand.attrs["text"],
                                       "value": -operand.attrs["value"]},
-                               span=tok.span.cover(operand.span))
+                               start=tok.start, end=operand.end)
             return AstNode(NodeKind.BINARY_OP, children=[operand],
                            attrs={"op": tok.value},
-                           span=tok.span.cover(operand.span))
+                           start=tok.start, end=operand.end)
         return self._postfix()
 
     def _postfix(self) -> AstNode:
@@ -292,9 +289,9 @@ class _Parser:
         while self.at("op", "["):
             self.advance()
             idx = self.expression()
-            end = self.expect("op", "]").span
+            end = self.expect("op", "]").end
             node = AstNode(NodeKind.INDEX, children=[node, idx],
-                           span=node.span.cover(end))
+                           start=node.start, end=end)
         return node
 
     def _primary(self) -> AstNode:
@@ -305,11 +302,11 @@ class _Parser:
             self.advance()
             return AstNode(NodeKind.NUMBER_LIT,
                            attrs={"text": tok.text, "value": tok.value},
-                           span=tok.span)
+                           start=tok.start, end=tok.end)
         if tok.kind == "string":
             self.advance()
             return AstNode(NodeKind.STRING_LIT, attrs={"value": tok.value},
-                           span=tok.span)
+                           start=tok.start, end=tok.end)
         if tok.kind == "interp_string":
             return self._interp(self.advance())
         if tok.kind == "ident":
@@ -329,17 +326,18 @@ class _Parser:
             while self.at("op", ","):
                 self.advance()
                 args.append(self.expression())
-        end = self.expect("op", ")").span
+        end = self.expect("op", ")").end
         return AstNode(NodeKind.CALL, children=args,
                        attrs={"name": name_tok.value},
-                       span=name_tok.span.cover(end))
+                       start=name_tok.start, end=end)
 
     def _var_node(self, tok: Token) -> AstNode:
         if tok.value in SUPERGLOBAL_NAMES:
             return AstNode(NodeKind.SUPERGLOBAL,
                            attrs={"sg": SUPERGLOBAL_NAMES[tok.value]},
-                           span=tok.span)
-        return AstNode(NodeKind.VAR, attrs={"name": tok.value}, span=tok.span)
+                           start=tok.start, end=tok.end)
+        return AstNode(NodeKind.VAR, attrs={"name": tok.value},
+                       start=tok.start, end=tok.end)
 
     # -- interpolation desugaring ---------------------------------------------
 
@@ -348,49 +346,47 @@ class _Parser:
         which alternate literal and expression."""
         pieces: list[AstNode] = []
         for part in tok.parts:
-            span = self.unit.span_between(part.start, part.end)
             if part.kind == "lit":
                 if part.text == "":
                     continue
                 node = AstNode(NodeKind.STRING_LIT,
                                attrs={"value": part.text, "from_interp": True},
-                               span=span)
+                               start=part.start, end=part.end)
             else:
-                node = self._interp_expr(part, span)
+                node = self._interp_expr(part)
             if (pieces and pieces[-1].kind is NodeKind.STRING_LIT
                     and node.kind is NodeKind.STRING_LIT):
                 raise ParseError("interpolation parts must alternate",
-                                 span=span, path=self.unit.path)
+                                 span=self.unit.span_between(part.start, part.end),
+                                 path=self.unit.path)
             pieces.append(node)
         if not pieces:
-            return AstNode(NodeKind.STRING_LIT, attrs={"value": ""}, span=tok.span)
+            return AstNode(NodeKind.STRING_LIT, attrs={"value": ""},
+                           start=tok.start, end=tok.end)
         node = pieces[0]
         for piece in pieces[1:]:
             node = AstNode(NodeKind.CONCAT, children=[node, piece],
-                           span=tok.span, attrs={"from_interp": True})
+                           attrs={"from_interp": True}, start=tok.start, end=tok.end)
         return node
 
-    def _interp_expr(self, part, span: Span) -> AstNode:
+    def _interp_expr(self, part) -> AstNode:
+        at = {"start": part.start, "end": part.end}
         if part.var in SUPERGLOBAL_NAMES:
             base = AstNode(NodeKind.SUPERGLOBAL,
                            attrs={"sg": SUPERGLOBAL_NAMES[part.var],
-                                  "from_interp": True},
-                           span=span)
+                                  "from_interp": True}, **at)
         else:
             base = AstNode(NodeKind.VAR,
-                           attrs={"name": part.var, "from_interp": True},
-                           span=span)
+                           attrs={"name": part.var, "from_interp": True}, **at)
         if part.index is None:
             return base
         idx_kind, idx_text = part.index
         if idx_kind == "num":
             idx = AstNode(NodeKind.NUMBER_LIT,
                           attrs={"text": idx_text, "value": int(idx_text),
-                                 "from_interp": True},
-                          span=span)
+                                 "from_interp": True}, **at)
         else:
             idx = AstNode(NodeKind.STRING_LIT,
-                          attrs={"value": idx_text, "from_interp": True},
-                          span=span)
+                          attrs={"value": idx_text, "from_interp": True}, **at)
         return AstNode(NodeKind.INDEX, children=[base, idx],
-                       attrs={"from_interp": True}, span=span)
+                       attrs={"from_interp": True}, **at)

@@ -332,7 +332,7 @@ class RemoteBackend:
             "prompt": ANALYSIS_PROMPT,
             "input": {
                 "php_code": ir.unit.text,
-                "line": ir.finding.sink_span.start_line,
+                "line": ir.unit.position(ir.finding.sink_start)[0],
             },
             "constraints": [c.cid for c in constraints.constraints],
             "feedback": ir.feedback,

@@ -66,15 +66,16 @@ def _cause_text(ir: IntermediateRepresentation, vuln_type: str) -> str:
     hops = len(f.path) - 2
     via = f" through {hops} assignment{'s' if hops != 1 else ''}" if hops > 0 else ""
     return (f"untrusted data from {f.source_label} reaches the "
-            f"{f.sink_name} sink at line {f.sink_span.start_line}{via} "
+            f"{f.sink_name} sink at line {ir.unit.position(f.sink_start)[0]}{via} "
             f"without {f.sink_class}-class sanitization ({vuln_type})")
 
 
 def _involved_lines(ir: IntermediateRepresentation) -> list[int]:
-    lines = set(ir.finding.sink_span.lines)
-    source = ir.analysis.nodes.get(ir.finding.source_id)
-    if source is not None and source.span is not None:
-        lines.add(source.span.start_line)
+    f = ir.finding
+    lines = set(ir.unit.span_between(f.sink_start, f.sink_end).lines)
+    source = ir.analysis.nodes.get(f.source_id)
+    if source is not None:
+        lines.add(ir.unit.position(source.start)[0])
     return sorted(lines)
 
 

@@ -85,8 +85,7 @@ def build_ir(analysis: FileAnalysis) -> IntermediateRepresentation:
     live = [f for f in analysis.findings if not f.sanitized]
     if not live:
         raise NoFindingError(f"{analysis.path}: no unsanitized taint finding")
-    finding = max(live, key=lambda f: (
-        f.severity, (-f.sink_span.start_line, -f.sink_span.start_col)))
+    finding = max(live, key=lambda f: (f.severity, -f.sink_start))
 
     return IntermediateRepresentation(
         analysis=analysis, finding=finding,

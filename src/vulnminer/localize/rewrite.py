@@ -6,16 +6,14 @@ from dataclasses import dataclass, field
 
 from ..frontend.nodes import AstNode, NodeKind, copy_tree
 from ..frontend.printer import print_source
-from ..source import Span
 from .constraints import ACCEPTED_SANITIZERS, leftmost_operand
 from .ir import IntermediateRepresentation
 
-_SPAN = Span(1, 1, 1, 1)
 _CHAIN_KINDS = (NodeKind.CONCAT, NodeKind.BINARY_OP)
 
 
 def _node(kind: NodeKind, children=None, **attrs) -> AstNode:
-    return AstNode(kind, children=list(children or []), attrs=attrs, span=_SPAN)
+    return AstNode(kind, children=list(children or []), attrs=attrs)
 
 
 def mk_var(name: str) -> AstNode:
@@ -158,7 +156,7 @@ class Rewriter:
             new = AstNode(level.kind,
                           children=[new] + [self._rebuild(c)
                                             for c in level.children[1:]],
-                          attrs=dict(level.attrs), span=_SPAN)
+                          attrs=dict(level.attrs))
         return new
 
     def _rebuild_children(self, node: AstNode) -> AstNode:
@@ -202,7 +200,7 @@ class Rewriter:
                          has_key=key is not None)
         return AstNode(node.kind,
                        children=[self._rebuild(c) for c in node.children],
-                       attrs=dict(node.attrs), span=_SPAN)
+                       attrs=dict(node.attrs))
 
     # -- guard construction ----------------------------------------------------
 

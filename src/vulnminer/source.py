@@ -11,9 +11,10 @@ from pathlib import Path
 _BOM = "﻿"
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class Span:
-    """1-based inclusive source region."""
+    """1-based inclusive source region, made by ``SourceUnit.span_between``
+    where a position is printed or compared."""
 
     start_line: int
     start_col: int
@@ -24,15 +25,6 @@ class Span:
         if self.start_line > self.end_line or (
                 self.start_line == self.end_line and self.start_col > self.end_col):
             raise ValueError(f"span start after end: {self}")
-
-    def cover(self, other: "Span") -> "Span":
-        first = self if (self.start_line, self.start_col) <= (
-            other.start_line, other.start_col) else other
-        last = self if (self.end_line, self.end_col) >= (
-            other.end_line, other.end_col) else other
-        if first is last:
-            return first
-        return Span(first.start_line, first.start_col, last.end_line, last.end_col)
 
     @property
     def lines(self) -> list[int]:
@@ -73,7 +65,11 @@ class SourceUnit:
         return (0, *(m.end() for m in re.finditer("\n", self.text)))
 
     def span_between(self, start: int, end: int) -> Span:
-        """Span covering offsets [start, end); end is exclusive."""
+        """Span covering offsets [start, end); end is exclusive.
+
+        Tokens and tree nodes carry such offset pairs; this and
+        ``position`` are the one place they become lines and columns.
+        """
         sl, sc = self.position(start)
         el, ec = self.position(max(start, end - 1))
         return Span(sl, sc, el, ec)

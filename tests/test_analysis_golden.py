@@ -30,7 +30,8 @@ def _record(analysis: FileAnalysis) -> tuple:
     dataflow = [(pos[d], pos[u]) for d, u in analysis.graph.dataflow]
     findings = [(pos[f.source_id], pos[f.sink_id], f.sink_class,
                  tuple(pos[n] for n in f.path), f.sanitized,
-                 _span(f.sink_span), f.sink_name, f.source_label,
+                 _span(analysis.unit.span_between(f.sink_start, f.sink_end)),
+                 f.sink_name, f.source_label,
                  f.source_kind) for f in analysis.findings]
     return sequences, dataflow, findings
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from vulnminer.analysis import FileAnalysis
 from vulnminer.augment import (
     augment_corpus,
     augment_sample,
@@ -16,15 +17,20 @@ from vulnminer.frontend import normalize, parse_text, print_source
 from vulnminer.frontend.nodes import NodeKind
 from vulnminer.lexicon import DEFAULT_LEXICON
 from vulnminer.linearize import linearize
+from vulnminer.source import SourceUnit
 
 
 def types_of(text, path="t.php"):
     return file_vuln_types(taint_trace(augment_flows(parse_text(path, text))))
 
 
+def origin(text, lex=None):
+    return FileAnalysis(SourceUnit.from_text("t.php", text), lex)
+
+
 def test_op_kind_validation():
     with pytest.raises(VulnMinerError):
-        augment_sample("<?php echo 1;", "t.php", plan=("Obfuscate",), seed=1)
+        augment_sample(origin("<?php echo 1;"), plan=("Obfuscate",), seed=1)
 
 
 class TestRename:
@@ -151,7 +157,7 @@ class TestSyntaxTransforms:
 class TestAugmentSample:
     def test_gates_enforced(self):
         src = "<?php $x = $_GET['q'];\necho $x;\n"
-        result = augment_sample(src, "t.php", ("Rename", "SyntaxTransform"), 5)
+        result = augment_sample(origin(src), ("Rename", "SyntaxTransform"), 5)
         assert result is not None
         text, ops = result
         assert "SyntaxTransform" in ops
@@ -166,7 +172,7 @@ class TestAugmentSample:
         src = "<?php $x = $_GET['q'];\necho $x;\n"
         for seed in range(3):
             parse_count.clear()
-            assert augment_sample(src, "t.php", ("Rename", "SyntaxTransform"),
+            assert augment_sample(origin(src), ("Rename", "SyntaxTransform"),
                                   seed) is not None
             assert parse_count == ["t.php", "t.php"]
 
@@ -177,8 +183,8 @@ class TestAugmentSample:
         src = ('<?php function helper($x){return $x;} $c = $_GET["c"]; '
                '$d = "a" . $c; run_job(helper($d));')
         for seed in range(10):
-            result = augment_sample(src, "t.php", ("Rename", "SyntaxTransform"),
-                                    seed, lex=lex)
+            result = augment_sample(origin(src, lex), ("Rename", "SyntaxTransform"),
+                                    seed)
             assert result is not None, seed
             text, ops = result
             assert "run_job(" in text and "run_job(helper(" not in text
@@ -188,7 +194,7 @@ class TestAugmentSample:
         # renaming cannot change the normalized stream, so no plan without
         # a structural op can pass the novelty gate
         src = "<?php $x = $_GET['q']; echo $x;"
-        result = augment_sample(src, "t.php", ("Rename",), 5)
+        result = augment_sample(origin(src), ("Rename",), 5)
         assert result is None
 
 
@@ -224,6 +230,28 @@ class TestCorpusAugmentation:
 
             assert stream(sample.text, sample.output_path) \
                 != stream(origin_text, sample.origin)
+
+    def test_parses_each_origin_once(self, manifest, tmp_path, monkeypatch):
+        from vulnminer.frontend import parser
+
+        parsed = []
+        program = parser._Parser.program
+
+        def counting(self):
+            parsed.append((self.unit.path, self.unit.text))
+            return program(self)
+
+        monkeypatch.setattr(parser._Parser, "program", counting)
+        positives = [e for e in manifest.entries if e.label == 1][:12]
+        negatives = [e for e in manifest.entries if e.label == 0][:28]
+        samples, _ = augment_corpus(positives + negatives, 0.6, seed=7,
+                                    out_dir=tmp_path)
+        origins = {s.origin for s in samples}
+        assert len(samples) > len(origins)  # some origin gave several samples
+        for path in origins:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            assert parsed.count((path, text)) == 1, path
 
     def test_seeded_reruns_byte_identical(self, manifest, tmp_path):
         a, _ = augment_corpus(manifest.entries, 0.35, seed=9,

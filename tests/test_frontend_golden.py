@@ -89,6 +89,10 @@ def _span(span):
         span.start_line, span.start_col, span.end_line, span.end_col)
 
 
+def _offsets_span(unit: SourceUnit, item):
+    return _span(unit.span_between(item.start, item.end))
+
+
 def _error(exc: ParseError):
     return ("ParseError", exc.message, _span(exc.span))
 
@@ -99,7 +103,7 @@ def _records(unit: SourceUnit) -> list:
         for tok in tokenize(unit):
             parts = [(p.kind, p.text, p.var, p.index, p.start, p.end)
                      for p in tok.parts]
-            out.append((tok.kind, tok.text, _span(tok.span),
+            out.append((tok.kind, tok.text, _offsets_span(unit, tok),
                         type(tok.value).__name__, tok.value, parts))
     except ParseError as exc:
         out.append(_error(exc))
@@ -109,7 +113,7 @@ def _records(unit: SourceUnit) -> list:
         out.append(_error(exc))
     else:
         out.append(print_source(tree))
-        out.extend((node.kind.value, _span(node.span),
+        out.extend((node.kind.value, _offsets_span(unit, node),
                     sorted(node.attrs.items())) for node in tree.walk())
     return out
 

@@ -14,7 +14,7 @@ from vulnminer.cli import _read_units
 from vulnminer.errors import ParseError
 from vulnminer.frontend import ast_equal, parse, parse_text, tokenize
 from vulnminer.localize import DeterministicBackend, default_templates, localize
-from vulnminer.source import SourceUnit
+from vulnminer.source import SourceUnit, Span
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -27,8 +27,23 @@ phpish = st.builds(
     lambda tagged, pieces: ("<?php " if tagged else "") + "".join(pieces),
     st.booleans(), st.lists(st.sampled_from(_PIECES), max_size=40))
 
+# Programs of the subset, statements joined by whitespace and comments.
+_STATEMENTS = (
+    "$a = 1;", "$b = 'p\nq' . $a;", 'echo "x $a y\n";', "include $a;",
+    "if ($a) { echo $a; } else { $a = -2; }", "if ($a) {}",
+    "while ($a < 3) { $a = $a + 1; }", "foreach ($_GET as $k => $v) { echo $v; }",
+    "function f($x) {\n  return $x;\n}", "system($_GET['c']);",
+    "$c[0] = f($a, \"{$b['k']}\");", "for ($i = 0; $i < 2; $i = $i + 1) echo $i;",
+)
+_SEPARATORS = (" ", "\n", "\n\n", "\t", " /* c\n */ ", " // x\n", " # y\n")
+programs = st.builds(
+    lambda body, close, tail: "<?php" + "".join(body) + close + tail,
+    st.lists(st.tuples(st.sampled_from(_SEPARATORS), st.sampled_from(_STATEMENTS))
+             .map("".join), max_size=8),
+    st.sampled_from(("", " ?>", "\n?>")), st.sampled_from(("", "\n", " \n\n")))
 
-@given(phpish)
+
+@given(st.one_of(phpish, programs))
 @settings(max_examples=300, deadline=None)
 def test_any_text_parses_or_raises_parse_error(text):
     unit = SourceUnit.from_text("p.php", text)
@@ -42,6 +57,49 @@ def test_any_text_parses_or_raises_parse_error(text):
         parse(unit)
     except ParseError:
         pass
+
+
+def _forward_positions(text):
+    """(line, col) of every offset up to one past the end, found by
+    walking the text forward and counting newlines."""
+    out, line, col = [], 1, 1
+    for ch in text:
+        out.append((line, col))
+        line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+    out.append((line, col))
+    return out
+
+
+@given(st.one_of(phpish, programs))
+@example("<?php")
+@example("<?php\n")
+@example("<?php ?>")
+@example("<?php /* a\nb */ $x = 'p\nq';\n")
+@example('<?php echo "a\n$b[1] {$c[\'k\']}\n";\n?>\n')
+@example("<?php\nfunction f($a) {\n}\nif ($a) { echo $a; }\n")
+@settings(max_examples=300, deadline=None)
+def test_offset_spans_match_forward_newline_count(text):
+    unit = SourceUnit.from_text("p.php", text)
+    forward = _forward_positions(unit.text)
+
+    def check(item):
+        # the inclusive end is the last character; eof's is one past the text
+        assert item.start < item.end <= len(unit.text) + 1
+        assert unit.span_between(item.start, item.end) == Span(
+            *forward[item.start], *forward[item.end - 1])
+
+    try:
+        tokens = tokenize(unit)
+    except ParseError:
+        return
+    for tok in tokens:
+        check(tok)
+    try:
+        tree = parse(unit)
+    except ParseError:
+        return
+    for node in tree.walk():
+        check(node)
 
 
 def _one_record_per_unit(units, bundle):

@@ -55,10 +55,11 @@ def test_bom_and_leading_whitespace_tolerated():
 
 
 def test_every_token_carries_a_span():
-    tokens = lex("<?php $total = $price * 3; echo $total;")
-    for token in tokens:
-        assert token.span.start_line >= 1
-        assert token.span.start_col >= 1
+    unit = SourceUnit.from_text("t.php", "<?php $total = $price * 3; echo $total;")
+    for token in tokenize(unit):
+        span = unit.span_between(token.start, token.end)
+        assert span.start_line >= 1
+        assert span.start_col >= 1
 
 
 def test_tokens_cover_non_whitespace_bytes():

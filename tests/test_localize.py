@@ -57,7 +57,7 @@ $rows = run_query($q);
 def test_build_ir_command_case(command_injection_unit):
     ir = build_ir(FileAnalysis(command_injection_unit))
     assert ir.finding.sink_name == "system"
-    assert ir.finding.sink_span.start_line == 3
+    assert command_injection_unit.position(ir.finding.sink_start)[0] == 3
     assert ir.window_owner is None  # top-level sink: window is the whole file
 
 

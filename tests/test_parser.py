@@ -1,7 +1,8 @@
 import pytest
 
 from vulnminer.errors import ParseError
-from vulnminer.frontend import NodeKind, ast_equal, check_tree, parse_text
+from vulnminer.frontend import NodeKind, ast_equal, check_tree, parse, parse_text
+from vulnminer.source import SourceUnit
 
 
 def kinds_of(node):
@@ -151,14 +152,15 @@ def test_unique_ids_and_single_parents():
 
 
 def test_spans_cover_source():
-    ast = parse_text("t.php", "<?php\n$a = 1;\necho $a;\n")
-    assign, echo = ast.children
-    assert assign.span.start_line == 2
-    assert echo.span.start_line == 3
+    unit = SourceUnit.from_text("t.php", "<?php\n$a = 1;\necho $a;\n")
+    assign, echo = parse(unit).children
+    assert unit.position(assign.start)[0] == 2
+    assert unit.position(echo.start)[0] == 3
 
 
 def test_span_containment():
-    ast = parse_text("t.php", "<?php if ($a) { $b = $a + 1; }")
+    unit = SourceUnit.from_text("t.php", "<?php if ($a) { $b = $a + 1; }")
+    ast = parse(unit)
 
     def contains(outer, inner):
         return ((outer.start_line, outer.start_col)
@@ -168,7 +170,8 @@ def test_span_containment():
 
     for node in ast.walk():
         for child in node.children:
-            assert contains(node.span, child.span)
+            assert contains(unit.span_between(node.start, node.end),
+                            unit.span_between(child.start, child.end))
 
 
 def test_structural_equality_ignores_ids():
@@ -182,3 +185,30 @@ def test_structural_equality_ignores_ids():
 def test_empty_program():
     ast = parse_text("t.php", "<?php")
     assert ast.kind is NodeKind.PROGRAM and ast.children == []
+
+
+def test_corpus_tokens_and_trees_carry_offsets_not_spans(corpus_units, monkeypatch):
+    from vulnminer.frontend import tokenize
+    from vulnminer.source import Span
+
+    built = []
+    post_init = Span.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Span, "__post_init__", counting)
+    for unit in corpus_units:
+        for tok in tokenize(unit):
+            assert unit.text[tok.start:tok.end] == tok.text
+        parse(unit)
+    assert built == []
+
+
+def test_if_with_empty_blocks_parses():
+    # like an empty loop body, empty branches end the statement at its condition
+    unit = SourceUnit.from_text("t.php", "<?php if ($a) {} else {}")
+    (stmt,) = parse(unit).children
+    assert stmt.kind is NodeKind.IF and len(stmt.children) == 1
+    assert unit.text[stmt.start:stmt.end] == "if ($a"

@@ -117,8 +117,8 @@ def test_findings_sorted_by_sink_span():
 echo $_GET['a'];
 header('Location: ' . $_GET['b']);
 """)
-    lines = [f.sink_span.start_line for f in findings]
-    assert lines == sorted(lines)
+    starts = [f.sink_start for f in findings]
+    assert starts == sorted(starts)
 
 
 def test_finding_path_endpoints():
@@ -136,10 +136,10 @@ def test_determinism():
     second = [(f.source_label, f.sink_id, f.path) for f in taint_trace(graph)]
     assert first == second
     # across fresh parses only node identities change
-    stable = [(f.source_label, f.sink_name, f.sink_span, f.sanitized)
+    stable = [(f.source_label, f.sink_name, f.sink_start, f.sink_end, f.sanitized)
               for f in trace(src)]
-    assert stable == [(f.source_label, f.sink_name, f.sink_span, f.sanitized)
-                      for f in trace(src)]
+    assert stable == [(f.source_label, f.sink_name, f.sink_start, f.sink_end,
+                       f.sanitized) for f in trace(src)]
 
 
 def test_monotone_sanitization(corpus_units, labels):
