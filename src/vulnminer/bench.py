@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .analysis import FileAnalysis, analyzed
-from .cascade import run_pipeline
+from .cascade import cascade_metrics, score_cascade
 from .corpus import CorpusManifest
 from .detector import _bucket_rare_symbols, _stage_samples, load_units
 from .errors import VulnMinerError
@@ -54,13 +54,6 @@ class BenchRow:
         m = self.metrics
         return [self.variant] + [f"{v:.4f}" for v in
                                  (m.acc, m.pre, m.rec, m.f1, m.fpr, m.fnr)]
-
-
-def _cascade_row(variant: str, units, labels, bundle, cfg=None,
-                 lex=None) -> BenchRow:
-    verdicts, _ = run_pipeline(units, bundle, cfg=cfg, lex=lex)
-    pairs = [(labels[v.file_id], int(v.vulnerable)) for v in verdicts]
-    return BenchRow(variant, compute_metrics(confusion_from_pairs(pairs)))
 
 
 def _stage2_row(variant: str, analyses, labels, bundle, **kw) -> BenchRow:
@@ -114,21 +107,21 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
     if not entries:
         raise VulnMinerError(f"manifest has no {split} entries")
     errors: list[tuple[str, str]] = []
-    units = [unit for e in entries
-             if (unit := read_unit(e.path, errors)) is not None]
+    analyses = [FileAnalysis(unit, lex) for e in entries
+                if (unit := read_unit(e.path, errors)) is not None]
     labels = {e.path: e.label for e in entries}
-    analyses = [FileAnalysis(unit, lex) for unit in units]
+    fusion = bundle.fusion
+    # One cascade pass scores the split; the full and lambda rows read it.
+    table = [(labels[analysis.path], s1, s2) for analysis, s1, s2
+             in score_cascade(analyses, bundle, fusion.tau1, errors)]
     # Every row must cover the same files, so a file that could not be read,
-    # or that any stage or the advisory finding could not analyze, stops the
-    # bench before any row.
-    for analysis in analyses:
-        analyzed(analysis, errors, "structural", "findings")
+    # or that the cascade could not score, stops the bench before any row.
     if errors:
         raise VulnMinerError(
             f"{len(errors)} labeled file(s) cannot be scored (split: "
             f"{split}): {'; '.join(f'{p}: {m}' for p, m in errors)}")
 
-    rows = [_cascade_row("full", units, labels, bundle, lex=lex)]
+    rows = [BenchRow("full", cascade_metrics(table, fusion.lam, fusion.tau))]
 
     def add_stage2_reference():
         if all(row.variant != "stage2-full" for row in rows):
@@ -156,9 +149,8 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
             rows.append(_stage2_row(f"stage2-{ablation}", analyses, labels,
                                     bundle, **_STAGE2_SETTINGS[ablation]))
         elif ablation in ("lambda0", "lambda1"):
-            cfg = replace(bundle.fusion, lam=float(ablation == "lambda1"))
-            rows.append(_cascade_row(ablation, units, labels, bundle,
-                                     cfg=cfg, lex=lex))
+            rows.append(BenchRow(ablation, cascade_metrics(
+                table, float(ablation == "lambda1"), fusion.tau)))
         elif ablation in _STAGE1_STREAMS:
             add_stage1_reference()
             rows.append(retrained(f"stage1-{ablation}",

@@ -7,9 +7,9 @@ from itertools import islice
 
 from .analysis import FileAnalysis, analyzed
 from .errors import TrainingError, VulnMinerError
-from .flows import classify_vuln_type
+from .flows import classify_vuln_type, primary_finding
 from .lexicon import TaintLexicon
-from .metrics import compute_metrics, confusion_from_pairs
+from .metrics import MetricsReport, compute_metrics, confusion_from_pairs
 from .model_store import FusionSettings
 from .stage1 import stage_one_score, stage_one_scores
 from .stage2 import verify_semantic
@@ -60,15 +60,12 @@ def fuse_scores(s1: float, s2: float, lam: float) -> float:
 
 def _advisory_finding(analysis: FileAnalysis):
     findings = analysis.findings
-    live = [f for f in findings if not f.sanitized] or findings
-    if not live:
+    best = primary_finding([f for f in findings if not f.sanitized]
+                           or findings)
+    if best is None:
         return None, None
-
-    def line(f):
-        return analysis.unit.position(f.sink_start)[0]
-
-    best = max(live, key=lambda f: (f.severity, -line(f)))
-    return classify_vuln_type(best), line(best)
+    return (classify_vuln_type(best),
+            analysis.unit.position(best.sink_start)[0])
 
 
 def score_files(analyses, bundle, tau1: float, errors: list):
@@ -87,6 +84,41 @@ def score_files(analyses, bundle, tau1: float, errors: list):
             yield analysis, stage_one_score(analysis, score, tau1)
 
 
+def score_cascade(analyses, bundle, tau1: float, errors: list):
+    """Yield (analysis, stage-one score, stage-two score or None) per file.
+
+    The one cascade pass of scan, calibration and bench, built on
+    ``score_files``: stage two runs only on files whose stage-one score
+    passes ``tau1`` and is None for the rest. A file whose stage-two input
+    cannot be computed is appended to ``errors`` as (path, message).
+    """
+    for analysis, one in score_files(analyses, bundle, tau1, errors):
+        if not one.passed:
+            yield analysis, one.score, None
+        elif analyzed(analysis, errors, "semantic"):
+            yield analysis, one.score, verify_semantic(analysis, bundle).score
+
+
+def cascade_verdict(s1: float, s2: float | None, lam: float,
+                    tau: float) -> tuple[float | None, bool]:
+    """(fused score, vulnerable): the cascade's one verdict rule.
+
+    A stage-one reject (``s2`` None) is a negative with no fused score;
+    any other file is positive when its fused score exceeds ``tau``.
+    """
+    if s2 is None:
+        return None, False
+    final = fuse_scores(s1, s2, lam)
+    return final, final > tau
+
+
+def cascade_metrics(scored, lam: float, tau: float) -> MetricsReport:
+    """Metrics of the verdicts at (lam, tau) over (label, s1, s2) triples."""
+    return compute_metrics(confusion_from_pairs(
+        (label, int(cascade_verdict(s1, s2, lam, tau)[1]))
+        for label, s1, s2 in scored))
+
+
 def run_pipeline(units, bundle, cfg: FusionSettings | None = None,
                  lex: TaintLexicon | None = None):
     """Stage two runs only on stage-one passers; rejects are final negatives.
@@ -101,25 +133,16 @@ def run_pipeline(units, bundle, cfg: FusionSettings | None = None,
     verdicts: list[DetectionVerdict] = []
     errors: list[tuple[str, str]] = []
     analyses = (FileAnalysis(unit, lex) for unit in units)
-    for analysis, one in score_files(analyses, bundle, fusion.tau1, errors):
-        if not one.passed:
-            verdicts.append(DetectionVerdict(
-                file_id=one.file_id, score1=one.score, score2=None,
-                score_final=None, vulnerable=False))
-            continue
-        if not analyzed(analysis, errors, "semantic"):
-            continue
-        two = verify_semantic(analysis, bundle)
-        final = fuse_scores(one.score, two.score, fusion.lam)
-        vulnerable = final > fusion.tau
+    for analysis, s1, s2 in score_cascade(analyses, bundle, fusion.tau1,
+                                          errors):
+        final, vulnerable = cascade_verdict(s1, s2, fusion.lam, fusion.tau)
         if vulnerable and not analyzed(analysis, errors, "findings"):
             continue
         vuln_type, sink_line = (_advisory_finding(analysis) if vulnerable
                                 else (None, None))
         verdicts.append(DetectionVerdict(
-            file_id=one.file_id, score1=one.score, score2=two.score,
-            score_final=final, vulnerable=vulnerable,
-            vuln_type=vuln_type, sink_line=sink_line))
+            file_id=analysis.path, score1=s1, score2=s2, score_final=final,
+            vulnerable=vulnerable, vuln_type=vuln_type, sink_line=sink_line))
     verdicts.sort(key=lambda v: v.file_id)
     return verdicts, errors
 
@@ -130,19 +153,17 @@ def calibrate_lambda(labeled, bundle, tau: float | None = None,
 
     ``labeled`` is a list of (FileAnalysis, label); ties prefer the
     smaller lambda so stage two wins when stages are interchangeable.
-    ``errors`` collects the files that do not parse, as in ``score_files``.
+    ``errors`` collects the files the cascade cannot score, as in
+    ``score_cascade``.
     """
     label_of = dict(labeled)
     if set(label_of.values()) != {0, 1}:
         raise TrainingError("calibration requires both classes present")
     tau = bundle.fusion.tau if tau is None else tau
     tau1 = bundle.fusion.tau1 if tau1 is None else tau1
-
-    scored: list[tuple[int, float, float | None]] = []
-    for analysis, one in score_files(label_of, bundle, tau1,
-                                     [] if errors is None else errors):
-        two = verify_semantic(analysis, bundle).score if one.passed else None
-        scored.append((label_of[analysis], one.score, two))
+    scored = [(label_of[analysis], s1, s2) for analysis, s1, s2
+              in score_cascade(label_of, bundle, tau1,
+                               [] if errors is None else errors)]
     return search_lambda(scored, tau)
 
 
@@ -157,13 +178,7 @@ def search_lambda(scored, tau: float) -> tuple[float, float]:
     best_lam, best_f1 = 0.0, -1.0
     for k in range(steps + 1):
         lam = min(1.0, k * _LAMBDA_STEP)
-        pairs = []
-        for label, s1, s2 in scored:
-            pred = 0
-            if s2 is not None and fuse_scores(s1, s2, lam) > tau:
-                pred = 1
-            pairs.append((label, pred))
-        f1 = compute_metrics(confusion_from_pairs(pairs)).f1
+        f1 = cascade_metrics(scored, lam, tau).f1
         if f1 > best_f1 + 1e-12:
             best_lam, best_f1 = lam, f1
     return best_lam, best_f1

@@ -287,9 +287,7 @@ def _render(rng: np.random.Generator, body: list[str]) -> str:
 
 
 def generate_synthetic_corpus(out_dir: str | Path, seed: int, size: int = 200,
-                              positive_ratio: float = 0.3,
-                              type_mix: dict[str, float] | None = None,
-                              ) -> CorpusManifest:
+                              positive_ratio: float = 0.3) -> CorpusManifest:
     """Write a labeled corpus of pattern-instantiated PHP files.
 
     Every emitted label is re-derived with the taint oracle before the file
@@ -304,11 +302,9 @@ def generate_synthetic_corpus(out_dir: str | Path, seed: int, size: int = 200,
     rng = np.random.default_rng(seed)
 
     types = list(_TYPES)
-    weights = np.array([type_mix.get(t, 0.0) for t in types]) if type_mix \
-        else np.ones(len(types))
-    if weights.sum() <= 0:
-        raise VulnMinerError("type mix has no positive weight")
-    weights = weights / weights.sum()
+    # Uniform, yet passed to rng.choice as p: numpy draws other indices
+    # without p, and the seeded corpora must not change.
+    weights = np.full(len(types), 1.0 / len(types))
 
     n_pos = int(round(size * positive_ratio))
     n_neg = size - n_pos

@@ -10,6 +10,7 @@ from .linearize import EmbeddingTable, Vocabulary, fallback_symbol
 from .model_store import FusionSettings, ModelBundle
 from .cascade import calibrate_lambda
 from .source import SourceUnit, read_unit
+from .stage2 import risky_columns
 from .training import Sample, stage_configs, train_semantic, train_structural
 
 
@@ -31,11 +32,10 @@ def _stage_samples(labeled, skipped: list):
         if not analyzed(analysis, skipped, "structural", "semantic"):
             continue
         seq1, seq2 = analysis.structural, analysis.semantic
-        risky = analysis.lex.risky_names()
         structural.append(Sample(tokens=seq1.tokens, label=label))
-        cols = tuple(i for i, t in enumerate(seq2.tokens) if t in risky)
-        semantic.append(Sample(tokens=seq2.tokens, label=label,
-                               risky_columns=cols))
+        semantic.append(Sample(
+            tokens=seq2.tokens, label=label,
+            risky_columns=risky_columns(seq2, analysis.lex)))
     _bucket_rare_symbols(structural, semantic)
     return structural, semantic
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import LexiconError
-from .frontend.nodes import AstNode, NodeKind
+from .frontend.nodes import CHAIN_KINDS, AstNode, NodeKind
 from .lexicon import (
     DEFAULT_LEXICON,
     IDOR_FETCH_SINKS,
@@ -24,7 +24,6 @@ from .lexicon import (
 
 _ALL_CLASSES = frozenset(SINK_CLASSES)
 _MAX_CALL_DEPTH = 3
-_CHAIN_KINDS = (NodeKind.CONCAT, NodeKind.BINARY_OP)
 
 
 @dataclass
@@ -477,12 +476,12 @@ class _Tracer:
             return dict(env.get(expr.attrs["name"], {}))
         if k in (NodeKind.STRING_LIT, NodeKind.NUMBER_LIT):
             return {}
-        if k in _CHAIN_KINDS:
+        if k in CHAIN_KINDS:
             # Walk a left-nested chain down to its first operand, then merge
             # each level's right operands outward, as recursion would, with
             # no Python frame per level.
             rights = []
-            while expr.kind in _CHAIN_KINDS:
+            while expr.kind in CHAIN_KINDS:
                 rights.append(expr.children[1:])
                 expr = expr.children[0]
             taint = self._eval(expr, env, depth, record, stmt)
@@ -589,6 +588,13 @@ def classify_vuln_type(finding: TaintFinding) -> str:
         "Redirect": "URF",
         "Include": "FileInclusion",
     }[finding.sink_class]
+
+
+def primary_finding(findings: list[TaintFinding]) -> TaintFinding | None:
+    """The most severe of ``findings``, the first by sink position among
+    equals; None when there are none."""
+    return max(findings, key=lambda f: (f.severity, -f.sink_start),
+               default=None)
 
 
 def file_is_vulnerable(findings: list[TaintFinding]) -> bool:

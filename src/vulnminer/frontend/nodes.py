@@ -48,6 +48,22 @@ SUPERGLOBAL_NAMES = {f"_{cls}": cls for cls in SUPERGLOBAL_CLASSES}
 
 INCLUDE_FLAVORS = ("include", "include_once", "require", "require_once")
 
+# Binary operator -> precedence, loosest first; the parser and the printer
+# both read it. Concatenation binds looser than arithmetic, so tainted
+# fragments stay visible at the top of a chain.
+BINARY_PRECEDENCE = {op: prec for prec, ops in enumerate((
+    ("||",),
+    ("&&",),
+    ("==", "!=", "===", "!=="),
+    ("<", "<=", ">", ">="),
+    (".",),
+    ("+", "-"),
+    ("*", "/", "%"),
+), start=1) for op in ops}
+
+# Kinds of two-operand nodes that nest leftward into chains.
+CHAIN_KINDS = (NodeKind.CONCAT, NodeKind.BINARY_OP)
+
 _node_ids = itertools.count(1)
 
 

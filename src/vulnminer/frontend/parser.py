@@ -11,20 +11,8 @@ from __future__ import annotations
 from ..errors import ParseError
 from ..source import SourceUnit
 from .lexer import Token, tokenize
-from .nodes import AstNode, NodeKind, SUPERGLOBAL_NAMES, INCLUDE_FLAVORS
-
-# Binary operator -> precedence tier, loosest first. Concatenation binds
-# looser than arithmetic, so tainted fragments stay visible at the top of a
-# chain.
-_TIER = {op: tier for tier, ops in enumerate((
-    ("||",),
-    ("&&",),
-    ("==", "!=", "===", "!=="),
-    ("<", "<=", ">", ">="),
-    (".",),
-    ("+", "-"),
-    ("*", "/", "%"),
-)) for op in ops}
+from .nodes import (AstNode, BINARY_PRECEDENCE, INCLUDE_FLAVORS, NodeKind,
+                    SUPERGLOBAL_NAMES)
 
 _KEYWORD_STATEMENTS = {
     "if": "_if_stmt",
@@ -259,7 +247,7 @@ class _Parser:
         node = self._unary()
         while True:
             tok = self.tokens[self.i]
-            tier = _TIER.get(tok.value) if tok.kind == "op" else None
+            tier = BINARY_PRECEDENCE.get(tok.value) if tok.kind == "op" else None
             if tier is None or tier < min_tier:
                 return node
             self.i += 1

@@ -2,16 +2,8 @@
 
 from __future__ import annotations
 
-from .nodes import AstNode, NodeKind
+from .nodes import AstNode, BINARY_PRECEDENCE, NodeKind
 
-_PREC = {
-    "||": 1, "&&": 2,
-    "==": 3, "!=": 3, "===": 3, "!==": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    ".": 5,
-    "+": 6, "-": 6,
-    "*": 7, "/": 7, "%": 7,
-}
 _UNARY_PREC = 8
 _ATOM_PREC = 9
 
@@ -142,7 +134,7 @@ def _binary_text(node: AstNode, op: str, parent_prec: int) -> str:
     # operands in a loop, then print each level's right operand outward.
     levels = []
     while op is not None:
-        prec = _PREC[op]
+        prec = BINARY_PRECEDENCE[op]
         levels.append((node, op, prec, parent_prec))
         node, parent_prec = node.children[0], prec
         op = _binary_op(node)

@@ -38,10 +38,6 @@ class TokenSequence:
     origin: dict[int, int]        # token index -> AST node id (structural only)
     truncated: bool = False
 
-    @property
-    def n(self) -> int:
-        return len(self.tokens)
-
 
 def linearize(graph: FlowGraph, canonical: bool = True,
               flow_markers: bool = True, max_len: int = MAX_SEQUENCE,

@@ -31,7 +31,6 @@ _PREPARE_CALLS = ("db_prepare", "mysqli_prepare", "prepare")
 class Constraint:
     cid: str
     kind: str
-    hard: bool
     sink_class: str
     sanitizers: tuple[str, ...] = ()
     description: str = ""
@@ -45,11 +44,6 @@ class ConstraintSet:
         ids = [c.cid for c in self.constraints]
         if len(ids) != len(set(ids)):
             raise ValueError("constraint ids must be unique")
-        if self.constraints and not any(c.hard for c in self.constraints):
-            raise ValueError("at least one hard constraint required")
-
-    def hard(self) -> list[Constraint]:
-        return [c for c in self.constraints if c.hard]
 
     def by_id(self, cid: str) -> Constraint:
         for c in self.constraints:
@@ -65,7 +59,7 @@ def extract_constraints(ir: IntermediateRepresentation) -> ConstraintSet:
         accepted = ACCEPTED_SANITIZERS[sink_class]
         out.append(Constraint(
             cid=f"sanitize-{sink_class.lower()}",
-            kind=SANITIZE_BEFORE_USE, hard=True, sink_class=sink_class,
+            kind=SANITIZE_BEFORE_USE, sink_class=sink_class,
             sanitizers=accepted,
             description=(f"every {sink_class} flow must pass one of "
                          f"{', '.join(accepted)} before the sink"),
@@ -73,7 +67,7 @@ def extract_constraints(ir: IntermediateRepresentation) -> ConstraintSet:
     if sink_class == "Sql":
         out.append(Constraint(
             cid="parameterized-sql",
-            kind=PARAMETERIZED_SQL, hard=True, sink_class="Sql",
+            kind=PARAMETERIZED_SQL, sink_class="Sql",
             sanitizers=ACCEPTED_SANITIZERS["Sql"],
             description=("query text must be static; dynamic values enter "
                          "through bound parameters or integer coercion"),
@@ -81,7 +75,7 @@ def extract_constraints(ir: IntermediateRepresentation) -> ConstraintSet:
     if sink_class in ("Include", "Redirect"):
         out.append(Constraint(
             cid=f"bounded-{sink_class.lower()}",
-            kind=BOUNDED_OPERATION, hard=True, sink_class=sink_class,
+            kind=BOUNDED_OPERATION, sink_class=sink_class,
             sanitizers=ACCEPTED_SANITIZERS[sink_class],
             description=(f"the {sink_class} target must keep a literal "
                          "prefix bounding where it can point"),

@@ -124,7 +124,7 @@ def verify(candidate: Candidate, ir: IntermediateRepresentation,
     if any(not f.sanitized and f.sink_class == klass for f in findings):
         reasons.append(f"taint: unsanitized {klass} flow remains")
     if enforce_constraints:
-        for constraint in constraints.hard():
+        for constraint in constraints.constraints:
             if not candidate.constraint_results.get(constraint.cid, False):
                 reasons.append(f"constraint: {constraint.cid}")
     if hook:

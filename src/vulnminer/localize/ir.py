@@ -7,7 +7,7 @@ from functools import cached_property
 
 from ..analysis import FileAnalysis
 from ..errors import NoFindingError
-from ..flows import TaintFinding
+from ..flows import TaintFinding, primary_finding
 from ..frontend.nodes import AstNode, NodeKind, STATEMENT_KINDS
 from ..frontend.printer import print_expression
 from ..lexicon import TaintLexicon
@@ -82,10 +82,10 @@ def build_ir(analysis: FileAnalysis) -> IntermediateRepresentation:
     Raises NoFindingError when the detector verdict was a false positive
     (no unsanitized flow exists).
     """
-    live = [f for f in analysis.findings if not f.sanitized]
-    if not live:
+    finding = primary_finding([f for f in analysis.findings
+                               if not f.sanitized])
+    if finding is None:
         raise NoFindingError(f"{analysis.path}: no unsanitized taint finding")
-    finding = max(live, key=lambda f: (f.severity, -f.sink_start))
 
     return IntermediateRepresentation(
         analysis=analysis, finding=finding,

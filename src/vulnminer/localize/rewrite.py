@@ -4,12 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..frontend.nodes import AstNode, NodeKind, copy_tree
+from ..frontend.nodes import CHAIN_KINDS, AstNode, NodeKind, copy_tree
 from ..frontend.printer import print_source
 from .constraints import ACCEPTED_SANITIZERS, leftmost_operand
 from .ir import IntermediateRepresentation
-
-_CHAIN_KINDS = (NodeKind.CONCAT, NodeKind.BINARY_OP)
 
 
 def _node(kind: NodeKind, children=None, **attrs) -> AstNode:
@@ -134,14 +132,14 @@ class Rewriter:
         if nid in plan.sink_head:
             inner = self._rebuild_children(node)
             return self._with_head(inner, plan.sink_head[nid])
-        if node.kind in _CHAIN_KINDS:
+        if node.kind in CHAIN_KINDS:
             return self._rebuild_chain(node)
         return self._rebuild_children(node)
 
     def _plain_chain(self, node: AstNode) -> bool:
         """A `.`/operator node that the plan copies unchanged."""
         nid = node.node_id
-        return (node.kind in _CHAIN_KINDS and nid not in self.replace_with_var
+        return (node.kind in CHAIN_KINDS and nid not in self.replace_with_var
                 and nid not in self.wrap_nodes and nid not in self.plan.sink_head)
 
     def _rebuild_chain(self, node: AstNode) -> AstNode:

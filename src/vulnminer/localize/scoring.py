@@ -36,7 +36,7 @@ class Candidate:
 
     def passes_hard(self, constraints: ConstraintSet) -> bool:
         return all(self.constraint_results.get(c.cid, False)
-                   for c in constraints.hard())
+                   for c in constraints.constraints)
 
     def analyze(self, ir: IntermediateRepresentation) -> FileAnalysis:
         """The candidate text's analysis, made on first use and kept."""

@@ -21,12 +21,16 @@ class StageTwoScore:
         return {"path": self.file_id, "stage2_score": self.score}
 
 
+def risky_columns(seq: TokenSequence, lex: TaintLexicon) -> tuple[int, ...]:
+    """Positions of ``seq`` whose symbol is a known source or sink."""
+    risky = lex.risky_names()
+    return tuple(i for i, tok in enumerate(seq.tokens) if tok in risky)
+
+
 def build_risk_matrix(seq: TokenSequence, lex: TaintLexicon,
                       beta: float) -> RiskMatrix:
     """Bias every row toward columns whose symbol is a known source or sink."""
-    risky = lex.risky_names()
-    columns = tuple(i for i, tok in enumerate(seq.tokens) if tok in risky)
-    return RiskMatrix.build(len(seq.tokens), columns, beta)
+    return RiskMatrix.build(len(seq.tokens), risky_columns(seq, lex), beta)
 
 
 def verify_semantic(analysis: FileAnalysis, bundle, beta: float | None = None,

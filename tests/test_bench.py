@@ -18,18 +18,27 @@ def test_full_row_present_and_strong(rows):
     assert by_variant["full"].f1 >= 0.90
 
 
-def test_lambda_rows_are_fusion_endpoints(rows, manifest, bundle, corpus_units,
-                                          labels):
-    from vulnminer.cascade import FusionConfig, run_pipeline
+def test_lambda_rows_are_fusion_endpoints(rows, bundle, corpus_units, labels):
+    from dataclasses import replace
+
+    from vulnminer.cascade import run_pipeline
     from vulnminer.metrics import compute_metrics, confusion_from_pairs
 
-    by_variant = {r.variant: r.metrics for r in rows}
-    cfg = FusionConfig(1.0, bundle.fusion.tau, bundle.fusion.tau1)
-    verdicts, _ = run_pipeline(corpus_units, bundle, cfg=cfg)
-    pairs = [(labels[v.file_id], int(v.vulnerable)) for v in verdicts]
-    stage1_only = compute_metrics(confusion_from_pairs(pairs))
-    assert by_variant["lambda1"].f1 == pytest.approx(stage1_only.f1)
-    assert by_variant["lambda1"].fnr == pytest.approx(stage1_only.fnr)
+    by_variant = {r.variant: r.metrics.as_dict() for r in rows}
+    for variant, lam in (("full", bundle.fusion.lam), ("lambda0", 0.0),
+                         ("lambda1", 1.0)):
+        cfg = replace(bundle.fusion, lam=lam)
+        verdicts, errors = run_pipeline(corpus_units, bundle, cfg=cfg)
+        assert not errors
+        pairs = [(labels[v.file_id], int(v.vulnerable)) for v in verdicts]
+        expected = compute_metrics(confusion_from_pairs(pairs)).as_dict()
+        assert by_variant[variant] == expected, variant
+
+
+def test_bench_parses_each_benched_file_once(manifest, bundle, parse_count):
+    run_benchmark(manifest, bundle, split="all",
+                  ablations=("lambda0", "lambda1"))
+    assert sorted(parse_count) == sorted(e.path for e in manifest.entries)
 
 
 def test_bias_and_normalization_ablations_direction(rows):
@@ -89,8 +98,8 @@ def test_ablation_names_stable():
                               "lambda0", "lambda1"}
 
 
-def test_every_analysis_and_pipeline_uses_the_given_lexicon(
-        manifest, bundle, monkeypatch, tmp_path):
+def test_every_analysis_uses_the_given_lexicon(manifest, bundle, monkeypatch,
+                                               tmp_path):
     from vulnminer import bench
     from vulnminer.lexicon import DEFAULT_LEXICON, lexicon_entries, load_lexicon
 
@@ -98,22 +107,15 @@ def test_every_analysis_and_pipeline_uses_the_given_lexicon(
     path.write_text("\n".join(lexicon_entries(DEFAULT_LEXICON)) + "\n")
     lex = load_lexicon(path)
     seen = []
-    analysis, pipeline = bench.FileAnalysis, bench.run_pipeline
+    analysis = bench.FileAnalysis
 
     def seen_analysis(unit, lex=None):
-        seen.append(("analysis", lex))
+        seen.append((unit.path, lex))
         return analysis(unit, lex)
 
-    def seen_pipeline(units, bundle, cfg=None, lex=None):
-        seen.append(("pipeline", lex))
-        return pipeline(units, bundle, cfg=cfg, lex=lex)
-
     monkeypatch.setattr(bench, "FileAnalysis", seen_analysis)
-    monkeypatch.setattr(bench, "run_pipeline", seen_pipeline)
     run_benchmark(manifest, bundle, ablations=("lambda0", "no-bias",
                                                "raw-code"), lex=lex)
-    kinds = {kind for kind, _ in seen}
-    assert kinds == {"analysis", "pipeline"}
-    n_train = len(manifest.split("train"))
-    assert len(seen) == 2 + len(manifest.split("test")) + n_train
+    expected = manifest.split("test") + manifest.split("train")
+    assert sorted(p for p, _ in seen) == sorted(e.path for e in expected)
     assert all(used is lex for _, used in seen)

@@ -150,3 +150,24 @@ def test_recall_dominance(bundle, corpus_units, labels):
         1 for v in verdicts if v.vulnerable and v.file_id in positives
     ) / len(positives)
     assert hyp_recall >= cascade_recall
+
+
+def test_advisory_finding_is_the_most_severe_first_sink(corpus_units):
+    from vulnminer.cascade import _advisory_finding
+    from vulnminer.flows import classify_vuln_type
+
+    def reference(analysis):
+        findings = analysis.findings
+        live = [f for f in findings if not f.sanitized] or findings
+        if not live:
+            return None, None
+
+        def line(f):
+            return analysis.unit.position(f.sink_start)[0]
+
+        best = max(live, key=lambda f: (f.severity, -line(f)))
+        return classify_vuln_type(best), line(best)
+
+    for unit in corpus_units:
+        analysis = FileAnalysis(unit)
+        assert _advisory_finding(analysis) == reference(analysis), unit.path

@@ -63,13 +63,6 @@ def test_different_seed_differs(tmp_path):
     assert texts1 != texts2
 
 
-def test_type_mix_respected(tmp_path):
-    m = generate_synthetic_corpus(tmp_path, seed=5, size=40,
-                                  positive_ratio=0.4,
-                                  type_mix={"XSS": 1.0})
-    assert {e.vuln_type for e in m.positives()} == {"XSS"}
-
-
 def test_too_small_corpus_rejected(tmp_path):
     with pytest.raises(VulnMinerError):
         generate_synthetic_corpus(tmp_path, seed=0, size=10,

@@ -10,7 +10,7 @@ def test_no_risky_tokens_zero_matrix():
     unit = SourceUnit.from_text("t.php", "<?php $a = 1;")
     seq = FileAnalysis(unit).semantic
     bias = build_risk_matrix(seq, DEFAULT_LEXICON, beta=2.0)
-    assert np.array_equal(bias.matrix, np.zeros((seq.n, seq.n)))
+    assert np.array_equal(bias.matrix, np.zeros((len(seq.tokens), len(seq.tokens))))
 
 
 def test_risky_column_for_sink_token():
@@ -80,7 +80,7 @@ def test_risky_positions_within_sequence(bundle, corpus_units):
     for unit in corpus_units[:20]:
         result = verify_semantic(FileAnalysis(unit), bundle)
         seq = FileAnalysis(unit).semantic
-        assert all(0 <= i < seq.n for i in result.risky_positions)
+        assert all(0 <= i < len(seq.tokens) for i in result.risky_positions)
 
 
 def test_handoff_records(bundle, corpus_units, tmp_path):
