@@ -56,11 +56,16 @@ class BenchRow:
                                  (m.acc, m.pre, m.rec, m.f1, m.fpr, m.fnr)]
 
 
-def _stage2_row(variant: str, analyses, labels, bundle, **kw) -> BenchRow:
-    """Semantic verifier alone; bias/normalization ablations act here."""
+def _stage2_row(variant: str, scored, labels, bundle, **kw) -> BenchRow:
+    """Semantic verifier alone; bias/normalization ablations act here.
+
+    ``scored`` holds (analysis, stage-two score or None) pairs; a None is
+    scored here with ``kw``.
+    """
     pairs = []
-    for analysis in analyses:
-        score = verify_semantic(analysis, bundle, **kw).score
+    for analysis, score in scored:
+        if score is None:
+            score = verify_semantic(analysis, bundle, **kw).score
         pairs.append((labels[analysis.path], int(score > 0.5)))
     return BenchRow(variant, compute_metrics(confusion_from_pairs(pairs)))
 
@@ -111,9 +116,10 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
                 if (unit := read_unit(e.path, errors)) is not None]
     labels = {e.path: e.label for e in entries}
     fusion = bundle.fusion
-    # One cascade pass scores the split; the full and lambda rows read it.
-    table = [(labels[analysis.path], s1, s2) for analysis, s1, s2
-             in score_cascade(analyses, bundle, fusion.tau1, errors)]
+    # One cascade pass scores the split; the full and lambda rows read it,
+    # and the stage-two reference row reuses its stage-two scores.
+    scored = list(score_cascade(analyses, bundle, fusion.tau1, errors))
+    table = [(labels[analysis.path], s1, s2) for analysis, s1, s2 in scored]
     # Every row must cover the same files, so a file that could not be read,
     # or that the cascade could not score, stops the bench before any row.
     if errors:
@@ -125,7 +131,9 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
 
     def add_stage2_reference():
         if all(row.variant != "stage2-full" for row in rows):
-            rows.append(_stage2_row("stage2-full", analyses, labels, bundle))
+            rows.append(_stage2_row(
+                "stage2-full", [(a, s2) for a, _, s2 in scored], labels,
+                bundle))
 
     train: list[tuple[FileAnalysis, int]] = []
     if _STAGE1_STREAMS.keys() & set(ablations):
@@ -146,8 +154,9 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
     for ablation in ablations:
         if ablation in _STAGE2_SETTINGS:
             add_stage2_reference()
-            rows.append(_stage2_row(f"stage2-{ablation}", analyses, labels,
-                                    bundle, **_STAGE2_SETTINGS[ablation]))
+            rows.append(_stage2_row(
+                f"stage2-{ablation}", [(a, None) for a in analyses], labels,
+                bundle, **_STAGE2_SETTINGS[ablation]))
         elif ablation in ("lambda0", "lambda1"):
             rows.append(BenchRow(ablation, cascade_metrics(
                 table, float(ablation == "lambda1"), fusion.tau)))

@@ -39,6 +39,7 @@ class _Scope:
     uses: dict[int, list[str]] = field(default_factory=dict)
     reach_in: dict[int, dict[str, set[int]]] = field(default_factory=dict)
     returns: list[AstNode] = field(default_factory=list)
+    loop_free: bool = False             # see _loop_free
 
 
 @dataclass
@@ -57,10 +58,12 @@ class FlowGraph:
         return set(self.dataflow)
 
     def functions(self) -> dict[str, AstNode]:
+        """Each function name's first declaration in tree order.
+
+        Function scopes follow the top level in the tree's pre-order."""
         table: dict[str, AstNode] = {}
-        for node in self.root.walk():
-            if node.kind is NodeKind.FUNCTION_DECL:
-                table.setdefault(node.attrs["name"], node)
+        for scope in self.scopes[1:]:
+            table.setdefault(scope.owner.attrs["name"], scope.owner)
         return table
 
 
@@ -212,14 +215,23 @@ def _expr_vars(expr: AstNode) -> list[str]:
     return out
 
 
-def _solve_reaching(scope: _Scope) -> None:
-    """Iterative worklist reaching-definitions over one scope's CFG."""
-    defs_of: dict[str, set[int]] = {}
-    for node_id, pairs in scope.defs.items():
-        for var, _ in pairs:
-            defs_of.setdefault(var, set()).add(node_id)
+def _loop_free(scope: _Scope) -> bool:
+    """True when no CFG edge goes to a statement registered at or before
+    its source, so that registration order is a topological order."""
+    position = {s.node_id: i for i, s in enumerate(scope.statements)}
+    return all(position[dst] > position[src]
+               for src, dests in scope.succ.items() for dst in dests)
 
-    preds: dict[int, list[int]] = {s.node_id: [] for s in scope.statements}
+
+def _solve_reaching(scope: _Scope) -> None:
+    """Iterative worklist reaching-definitions over one scope's CFG.
+
+    A loop-free scope is solved in one sweep: each statement's
+    predecessors are final before it is reached.
+    """
+    scope.loop_free = _loop_free(scope)
+    order = [s.node_id for s in scope.statements]
+    preds: dict[int, list[int]] = {nid: [] for nid in order}
     for src, dests in scope.succ.items():
         for dst in dests:
             preds[dst].append(src)
@@ -229,7 +241,6 @@ def _solve_reaching(scope: _Scope) -> None:
     in_sets: dict[int, dict[str, set[int]]] = {
         s.node_id: {} for s in scope.statements}
 
-    order = [s.node_id for s in scope.statements]
     changed = True
     while changed:
         changed = False
@@ -248,6 +259,8 @@ def _solve_reaching(scope: _Scope) -> None:
                 in_sets[nid] = new_in
                 out_sets[nid] = new_out
                 changed = True
+        if scope.loop_free:
+            break
     scope.reach_in = in_sets
 
 
@@ -360,6 +373,7 @@ class _Tracer:
         self.findings: dict[tuple[str, int], TaintFinding] = {}
         self._active: set[tuple[str, str]] = set()
         self._summaries: dict[tuple[str, str], _TaintMap] = {}
+        self._calls = 0                 # user-function calls evaluated
 
     # -- driver --------------------------------------------------------------
 
@@ -373,17 +387,24 @@ class _Tracer:
 
     def _analyze_scope(self, scope: _Scope, param_taint: dict[str, _TaintMap],
                        depth: int) -> _TaintMap:
-        """Fixpoint taint propagation over one scope; returns return-value taint."""
+        """Fixpoint taint propagation over one scope; returns return-value taint.
+
+        A loop-free scope whose sweep called no user function is at its
+        fixpoint after that sweep: each statement saw final taint for
+        every definition reaching it. A call reads ``_summaries`` and
+        ``_active``, which can differ in a second sweep.
+        """
         def_taint: dict[tuple[int, str], _TaintMap] = {}
         for var in scope.params:
             def_taint[(scope.entry, var)] = dict(param_taint.get(var, {}))
 
         order = [s for s in scope.statements if s.node_id != scope.entry]
         for _ in range(len(order) + 2):
+            calls = self._calls
             changed = False
             for stmt in order:
                 changed |= self._transfer(scope, stmt, def_taint, depth)
-            if not changed:
+            if not changed or (scope.loop_free and self._calls == calls):
                 break
 
         ret: list[_TaintMap] = []
@@ -394,10 +415,14 @@ class _Tracer:
         return _merge_maps(ret)
 
     def _env_at(self, scope, node_id, def_taint) -> dict[str, _TaintMap]:
+        """Taint of each variable the statement reads, over the
+        definitions reaching it."""
+        reach = scope.reach_in.get(node_id, {})
         env: dict[str, _TaintMap] = {}
-        for var, def_ids in scope.reach_in.get(node_id, {}).items():
-            maps = [def_taint.get((d, var), {}) for d in sorted(def_ids)]
-            env[var] = _merge_maps(maps)
+        for var in scope.uses[node_id]:
+            if var in reach and var not in env:
+                env[var] = _merge_maps(
+                    [def_taint.get((d, var), {}) for d in sorted(reach[var])])
         return env
 
     def _transfer(self, scope, stmt, def_taint, depth) -> bool:
@@ -444,12 +469,10 @@ class _Tracer:
 
     @staticmethod
     def _update(def_taint, key, new: _TaintMap) -> bool:
-        old = def_taint.get(key)
-        merged = _merge_maps([old or {}, new])
-        signature = {k: v.key() for k, v in merged.items()}
-        old_sig = {k: v.key() for k, v in (old or {}).items()}
+        old = def_taint.get(key) or {}
+        merged = _merge_maps([old, new])
         def_taint[key] = merged
-        return signature != old_sig
+        return merged != old
 
     def _secret_entry(self, var: str, value: AstNode) -> _TaintMap:
         if (SECRET_NAME_RE.search(var) and value.kind is NodeKind.STRING_LIT
@@ -506,6 +529,7 @@ class _Tracer:
         if name in self.lex.sinks and record:
             self._record_sink(call, name, merged, stmt)
         if name in self.functions:
+            self._calls += 1
             result = self._call_function(name, arg_maps, depth)
             return _merge_maps([merged, result])
         return merged

@@ -318,8 +318,11 @@ def attention_forward(emb: np.ndarray, p: AttentionParams,
                       bias: RiskMatrix | None = None):
     """Risk-biased attention, feed-forward, mean pooling, sigmoid readout.
 
-    Returns (score, pooled, attention_weights, cache). This is
-    ``attention_batch`` on a batch of one. An empty sequence scores
+    Returns (score, pooled, attention_weights, cache). The one sequence
+    is scored with 2-D products of the shapes ``attention_batch`` uses for
+    a batch of one (pooling too is a (1, n) product), so the bits are
+    that batch's. The cache is 2-D; ``attention_backward`` adds the batch
+    axis. An empty sequence goes through ``attention_batch`` and scores
     ``sigmoid(b)``.
     """
     n = emb.shape[0]
@@ -328,12 +331,31 @@ def attention_forward(emb: np.ndarray, p: AttentionParams,
     if bias is not None and bias.matrix.shape != (n, n):
         raise ConfigError(
             f"risk matrix shape {bias.matrix.shape} != ({n}, {n})")
-    x = emb[None] if n else np.zeros((1, 0, p.dim))
-    scores, cache = attention_batch(
-        x, np.array([n]), p, None if bias is None else bias.matrix[None])
-    cache["single"] = True
-    return (float(scores[0]), cache["pooled"][0], cache["attn"][0, :n, :n],
-            cache)
+    if not n:
+        scores, cache = attention_batch(np.zeros((1, 0, p.dim)),
+                                        np.array([0]), p)
+        cache["single"] = True
+        return (float(scores[0]), cache["pooled"][0],
+                cache["attn"][0, :0, :0], cache)
+    q, k, v = emb @ p.wq, emb @ p.wk, emb @ p.wv
+    logits = q @ k.T / np.sqrt(p.dim)
+    if bias is not None:
+        logits += bias.matrix
+    attn = np.exp(logits - logits.max(axis=1, keepdims=True))
+    attn /= attn.sum(axis=1, keepdims=True)
+    ctx = attn @ v
+    hidden = ctx @ p.w1
+    hidden += p.b1
+    np.tanh(hidden, out=hidden)
+    hbar = np.full((1, n), 1.0 / n) @ hidden
+    pooled = hbar @ p.w2 + p.b2
+    scores = sigmoid(pooled @ p.w + p.b)
+    if not np.isfinite(scores).all():
+        raise NumericError("non-finite attention score")
+    return float(scores[0]), pooled[0], attn, {
+        "p": p, "emb": emb, "q": q, "k": k, "v": v, "attn": attn,
+        "ctx": ctx, "hidden": hidden, "hbar": hbar, "pooled": pooled,
+        "scores": scores, "single": True}
 
 
 def attention_batch(emb: np.ndarray, lengths: np.ndarray, p: AttentionParams,
@@ -392,6 +414,11 @@ def attention_backward(cache: dict, dscore):
     rows. The input gradient is returned for ``attention_forward``'s cache
     only and is None for a batch: stage two trains on a frozen table.
     """
+    if "real" not in cache:  # attention_forward's 2-D cache
+        n = cache["emb"].shape[0]
+        cache = dict(cache, lengths=np.array([n]), real=np.ones((1, n), bool),
+                     **{key: cache[key][None]
+                        for key in ("emb", "q", "k", "v", "attn")})
     p: AttentionParams = cache["p"]
     d = p.dim
     real, lengths = cache["real"], cache["lengths"]

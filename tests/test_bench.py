@@ -41,6 +41,30 @@ def test_bench_parses_each_benched_file_once(manifest, bundle, parse_count):
     assert sorted(parse_count) == sorted(e.path for e in manifest.entries)
 
 
+def test_stage_two_reference_reuses_cascade_scores(manifest, bundle,
+                                                   monkeypatch):
+    from vulnminer import bench, cascade
+
+    calls = []
+
+    def count_in(module):
+        verify = module.verify_semantic
+
+        def counting(analysis, bundle, **kw):
+            calls.append((analysis.path, tuple(sorted(kw.items()))))
+            return verify(analysis, bundle, **kw)
+
+        monkeypatch.setattr(module, "verify_semantic", counting)
+
+    count_in(bench)
+    count_in(cascade)
+    run_benchmark(manifest, bundle, split="all", ablations=("no-bias",))
+    paths = sorted(e.path for e in manifest.entries)
+    # each file once at the model's settings and once for the ablation
+    assert sorted(path for path, kw in calls if not kw) == paths
+    assert sorted(path for path, kw in calls if kw) == paths
+
+
 def test_bias_and_normalization_ablations_direction(rows):
     by_variant = {r.variant: r.metrics for r in rows}
     assert by_variant["stage2-full"].acc > by_variant["stage2-no-bias"].acc

@@ -1,6 +1,11 @@
-import pytest
+from pathlib import Path
 
-from vulnminer.errors import LexiconError
+import pytest
+from hypothesis import given, settings
+from test_frontend_properties import programs
+
+from vulnminer import flows
+from vulnminer.errors import LexiconError, ParseError
 from vulnminer.flows import (
     augment_flows,
     classify_vuln_type,
@@ -80,6 +85,62 @@ def test_oracle_equivalence_over_corpus(corpus_units):
         assert g.dataflow_triples() == dataflow_oracle(g), unit.path
         checked += 1
     assert checked >= 50
+
+
+@given(programs)
+@settings(max_examples=200, deadline=None)
+def test_reaching_definitions_match_path_oracle_on_generated_programs(text):
+    try:
+        ast = parse_text("p.php", text)
+    except ParseError:
+        return
+    g = augment_flows(ast)
+    assert g.dataflow_triples() == dataflow_oracle(g)
+
+
+# A recursive function, a function called twice, a while that reassigns.
+SHORTCUT_PROGRAMS = [
+    "<?php function spin($acc, $n) { if ($n < 4) { $acc = $acc . $_GET['x'];"
+    " return spin($acc, $n + 1); } return $acc; } echo spin('', 0);",
+    "<?php function wrap($v) { $w = '<b>' . $v; return $w; }"
+    " echo wrap('x'); $y = wrap($_GET['y']); mysql_query($y);",
+    "<?php $s = ''; $i = 0; while ($i < 3) { system($s);"
+    " $s = $s . $_COOKIE['c']; $s = htmlspecialchars($s); $i = $i + 1; }"
+    " echo $s;",
+]
+
+
+def _flows_and_findings(root):
+    g = augment_flows(root)
+    return g.dataflow, [s.reach_in for s in g.scopes], taint_trace(g)
+
+
+def test_loop_free_shortcut_changes_no_result(corpus_units, monkeypatch):
+    fixtures = Path(__file__).parent / "fixtures"
+    texts = (SHORTCUT_PROGRAMS + ORACLE_PROGRAMS
+             + [path.read_text() for path in sorted(fixtures.glob("*.php"))]
+             + [unit.text for unit in corpus_units])
+    roots = [parse_text("t.php", text) for text in texts]
+    shortcut = [_flows_and_findings(root) for root in roots]
+    monkeypatch.setattr(flows, "_loop_free", lambda scope: False)
+    assert [_flows_and_findings(root) for root in roots] == shortcut
+
+
+def test_loop_free_scope_takes_one_taint_sweep(monkeypatch):
+    g = graph_of("<?php $a = $_GET['x']; if ($a) { $b = $a . 'y'; }"
+                 " else { $b = 2; } echo $b; system($a);")
+    (scope,) = g.scopes
+    assert scope.loop_free
+    seen = []
+    transfer = flows._Tracer._transfer
+
+    def counting(self, scope, stmt, def_taint, depth):
+        seen.append(stmt.node_id)
+        return transfer(self, scope, stmt, def_taint, depth)
+
+    monkeypatch.setattr(flows._Tracer, "_transfer", counting)
+    assert [f.sink_name for f in taint_trace(g)] == ["echo", "system"]
+    assert sorted(seen) == sorted(s.node_id for s in scope.statements[1:])
 
 
 def test_lexicon_roundtrip(tmp_path):

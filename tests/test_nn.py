@@ -382,6 +382,22 @@ class TestAttentionBatch:
         for k in total:
             assert np.abs(total[k] - grads[k]).max() <= 1e-12, k
 
+    def test_forward_is_the_batch_of_one_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        p = randomized(AttentionParams.init(64, seed=12), 12)
+        for n in range(65):
+            emb = rng.uniform(-1, 1, (n, 64))
+            cols = sorted(set(rng.integers(0, n, 3).tolist())) if n else []
+            for risky in ([], cols):
+                bias = RiskMatrix.build(n, risky, beta=2.0)
+                score, pooled, attn, _ = attention_forward(emb, p, bias)
+                x = emb[None] if n else np.zeros((1, 0, 64))
+                scores, cache = attention_batch(x, np.array([n]), p,
+                                                bias.matrix[None])
+                assert score == scores[0], (n, risky)
+                assert np.array_equal(pooled, cache["pooled"][0]), (n, risky)
+                assert np.array_equal(attn, cache["attn"][0, :n, :n]), (n, risky)
+
     def test_empty_batch_scores_sigmoid_bias(self):
         self.p.b[...] = 0.3
         scores, _ = attention_batch(np.zeros((2, 0, 8)), np.zeros(2, int),
