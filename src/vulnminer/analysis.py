@@ -7,8 +7,8 @@ from functools import cached_property
 from .errors import ParseError
 from .flows import augment_flows, file_is_vulnerable, file_vuln_types, taint_trace
 from .frontend import parse
-from .lexicon import BUILTIN_FUNCTIONS, DEFAULT_LEXICON, TaintLexicon
-from .linearize import linearize
+from .lexicon import DEFAULT_LEXICON, TaintLexicon
+from .linearize import linearize, with_flow_markers
 from .source import SourceUnit
 
 
@@ -18,18 +18,19 @@ class FileAnalysis:
     Each field is computed on first use and kept, so stage one, stage two,
     the advisory finding and localization share one parse and one flow
     graph. The tree indexes ``nodes`` and ``parents`` live here, not on
-    the flow graph, and only localization reads them. Both sequences
-    linearize the graph, which renames variables and user functions
-    canonically: that is stage two's normalization. A parse failure is
-    not kept: each field that needs the tree raises the ``ParseError``
-    again. Function names in ``keep`` (built-ins and every name of the
-    lexicon) are never renamed.
+    the flow graph, and only localization reads them. One walk of the
+    graph feeds both stage sequences: ``semantic`` linearizes it,
+    renaming variables and user functions canonically (stage two's
+    normalization), and ``structural`` is that sequence with the def-use
+    markers appended. A parse failure is not kept: each field that needs
+    the tree raises the ``ParseError`` again. Function names in ``keep``
+    (built-ins and every name of the lexicon) are never renamed.
     """
 
     def __init__(self, unit: SourceUnit, lex: TaintLexicon | None = None):
         self.unit = unit
         self.lex = lex or DEFAULT_LEXICON
-        self.keep = BUILTIN_FUNCTIONS | self.lex.names
+        self.keep = self.lex.keep
 
     @property
     def path(self) -> str:
@@ -56,12 +57,12 @@ class FileAnalysis:
 
     @cached_property
     def structural(self):
-        """Stage-one input: the flow graph linearized with flow markers."""
-        return linearize(self.graph, flow_markers=True, keep=self.keep)
+        """Stage-one input: ``semantic`` with the flow markers appended."""
+        return with_flow_markers(self.semantic, self.graph)
 
     @cached_property
     def semantic(self):
-        """Stage-two input: the same graph linearized without flow markers."""
+        """Stage-two input: the flow graph linearized without flow markers."""
         return linearize(self.graph, flow_markers=False, keep=self.keep)
 
     @cached_property

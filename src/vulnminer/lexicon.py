@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import LexiconError
@@ -60,14 +61,26 @@ class TaintLexicon:
                 raise LexiconError(
                     f"sanitizer {name} covers undeclared sink classes {sorted(extra)}")
 
-    @property
+    # The name sets below are built on first use and kept on the instance:
+    # the fields are never rebound, and ``dataclasses.replace`` makes a new
+    # instance with an empty cache.
+    @cached_property
     def names(self) -> frozenset[str]:
         """Every name the lexicon knows; these survive renaming."""
         return frozenset(self.sinks) | frozenset(self.sanitizers) | self.sources
 
+    @cached_property
+    def keep(self) -> frozenset[str]:
+        """Function names never renamed: built-ins and every lexicon name."""
+        return BUILTIN_FUNCTIONS | self.names
+
+    @cached_property
+    def _risky(self) -> frozenset[str]:
+        return self.sources | frozenset(self.sinks)
+
     def risky_names(self) -> frozenset[str]:
         """Source and sink symbols used to build attention risk columns."""
-        return self.sources | frozenset(self.sinks)
+        return self._risky
 
 
 DEFAULT_LEXICON = TaintLexicon(
@@ -116,7 +129,7 @@ DEFAULT_LEXICON = TaintLexicon(
 )
 
 # Names that must survive identifier normalization.
-RESERVED_FUNCTION_NAMES = BUILTIN_FUNCTIONS | DEFAULT_LEXICON.names
+RESERVED_FUNCTION_NAMES = DEFAULT_LEXICON.keep
 
 
 def load_lexicon(path: str | Path) -> TaintLexicon:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -35,8 +36,9 @@ _KIND_TOKENS = {
 @dataclass
 class TokenSequence:
     tokens: list[str]
-    origin: dict[int, int]        # token index -> AST node id (structural only)
+    origin: dict[int, int]        # token index -> AST node id
     truncated: bool = False
+    statements: tuple[int, ...] = ()   # kept statement node ids, in order
 
 
 def linearize(graph: FlowGraph, canonical: bool = True,
@@ -45,9 +47,10 @@ def linearize(graph: FlowGraph, canonical: bool = True,
     """Pre-order DFS token stream plus def/use markers for data-flow pairs.
 
     Structural tokens take priority under the length budget; markers whose
-    endpoints survive are appended afterwards, statement ordinals 1-based.
-    Function names in ``keep`` (default: built-ins and the default
-    lexicon) stay as they are; other function names are renamed.
+    endpoints survive are appended afterwards by ``with_flow_markers``,
+    statement ordinals 1-based. Function names in ``keep`` (default:
+    built-ins and the default lexicon) stay as they are; other function
+    names are renamed.
     """
     keep = RESERVED_FUNCTION_NAMES if keep is None else keep
     var_names: dict[str, str] = {}
@@ -79,37 +82,49 @@ def linearize(graph: FlowGraph, canonical: bool = True,
 
     tokens: list[str] = []
     origin: dict[int, int] = {}
-    stmt_ordinal: dict[int, int] = {}
+    statements: list[int] = []
     truncated = False
 
     for node in graph.root.walk():
-        if node.kind in STATEMENT_KINDS:
-            stmt_ordinal[node.node_id] = len(stmt_ordinal) + 1
         if len(tokens) >= max_len:
             truncated = True
             break
+        if node.kind in STATEMENT_KINDS:
+            statements.append(node.node_id)
         origin[len(tokens)] = node.node_id
         tokens.append(_node_symbol(node, var_symbol, fn_symbol))
 
-    kept = set(origin.values())
-    if flow_markers:
-        markers = []
-        for src, dst in graph.dataflow:
-            if src not in kept or dst not in kept:
-                truncated = True
-                continue
-            src_ord = stmt_ordinal.get(src)
-            dst_ord = stmt_ordinal.get(dst)
-            if src_ord is None or dst_ord is None:
-                continue
-            markers.append((src_ord, dst_ord))
-        for src_ord, dst_ord in sorted(markers):
-            if len(tokens) + 3 > max_len:
-                truncated = True
-                break
-            tokens.extend((FLOW_MARK, f"@{src_ord}", f"@{dst_ord}"))
+    seq = TokenSequence(tokens=tokens, origin=origin, truncated=truncated,
+                        statements=tuple(statements))
+    return with_flow_markers(seq, graph, max_len) if flow_markers else seq
 
-    return TokenSequence(tokens=tokens, origin=origin, truncated=truncated)
+
+def with_flow_markers(seq: TokenSequence, graph: FlowGraph,
+                      max_len: int = MAX_SEQUENCE) -> TokenSequence:
+    """``seq`` with a ``DF @i @j`` triple appended per data-flow pair.
+
+    ``seq`` is ``graph`` linearized without markers at the same ``max_len``;
+    the result shares its ``origin``. A pair with an endpoint cut by the
+    budget, or a marker past it, marks the result truncated.
+    """
+    kept = set(seq.origin.values())
+    ordinal = {node_id: k for k, node_id in enumerate(seq.statements, 1)}
+    truncated = seq.truncated
+    markers = []
+    for src, dst in graph.dataflow:
+        if src not in kept or dst not in kept:
+            truncated = True
+            continue
+        if src in ordinal and dst in ordinal:
+            markers.append((ordinal[src], ordinal[dst]))
+    tokens = list(seq.tokens)
+    for src_ord, dst_ord in sorted(markers):
+        if len(tokens) + 3 > max_len:
+            truncated = True
+            break
+        tokens.extend((FLOW_MARK, f"@{src_ord}", f"@{dst_ord}"))
+    return TokenSequence(tokens=tokens, origin=seq.origin,
+                         truncated=truncated, statements=seq.statements)
 
 
 def _node_symbol(node: AstNode, var_symbol, fn_symbol) -> str:
@@ -139,6 +154,8 @@ def _node_symbol(node: AstNode, var_symbol, fn_symbol) -> str:
 _CRED_RE = re.compile(r"^(?=.*[A-Za-z])(?=.*\d)[A-Za-z0-9_]{6,}$")
 
 
+# a corpus repeats few distinct literals, and each costs a sha256
+@functools.lru_cache(maxsize=4096)
 def _string_symbol(value: str) -> str:
     if value == "":
         return "str:empty"

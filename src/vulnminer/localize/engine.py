@@ -1,4 +1,4 @@
-"""Localization driver: generate, select, verify, refine."""
+"""Localization driver: generate, check, score, select, verify, refine."""
 
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ from .backends import GenerationBackend, MicroTemplate
 from .constraints import ConstraintSet, extract_constraints
 from .ir import IntermediateRepresentation, build_ir, refine_context
 from .rewrite import Rewriter
-from .scoring import Candidate, score_candidates, select_best
+from .scoring import (Candidate, check_constraints, score_candidates,
+                      select_best)
 
 DEFAULT_MAX_ITERATIONS = 2
 DEFAULT_ALPHA = 0.6
@@ -225,8 +226,14 @@ def _localize(unit: SourceUnit, bundle, templates: list[MicroTemplate],
     while iteration < max_iterations:
         iteration += 1
         candidates = generate_candidates(ir, constraints, templates, backend)
-        if parsed := [c for c in candidates if c.parse_ok]:
-            score_candidates(parsed, ir, bundle, constraints, alpha=alpha)
+        parsed = check_constraints([c for c in candidates if c.parse_ok],
+                                   ir, constraints)
+        # select_best chooses only among hard-constraint survivors, so only
+        # they are scored, unless constraints are off
+        scored = ([c for c in parsed if c.passes_hard(constraints)]
+                  if enforce_constraints else parsed)
+        if scored:
+            score_candidates(scored, ir, bundle, constraints, alpha=alpha)
         best = select_best(candidates, constraints,
                            enforce_constraints=enforce_constraints)
         if best is not None:

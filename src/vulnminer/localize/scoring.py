@@ -51,6 +51,23 @@ def edit_distance(original: str, candidate: str) -> float:
     return 1.0 - difflib.SequenceMatcher(None, original, candidate).ratio()
 
 
+def check_constraints(candidates: list[Candidate],
+                      ir: IntermediateRepresentation,
+                      constraints: ConstraintSet) -> list[Candidate]:
+    """Record each candidate's result on every constraint.
+
+    A SQL finding whose query the original builds by concatenation holds
+    each candidate to a static prepared query.
+    """
+    query_built = ir.facts.query_built and ir.finding.sink_class == "Sql"
+    for candidate in candidates:
+        ctx = CandidateContext.build(candidate.analyze(ir), ir, query_built)
+        for constraint in constraints.constraints:
+            candidate.constraint_results[constraint.cid] = evaluate_constraint(
+                constraint, ctx)
+    return candidates
+
+
 def score_candidates(candidates: list[Candidate],
                      ir: IntermediateRepresentation, bundle,
                      constraints: ConstraintSet,
@@ -61,13 +78,14 @@ def score_candidates(candidates: list[Candidate],
     one scores the batch in one ``stage_one_scores`` call, whose rows score
     the same bits alone as in any batch; at λ = 0 it is not run. Each
     candidate's stage-two sequence is embedded once, for its attention
-    score and its mean. A SQL finding whose query the original builds by
-    concatenation holds each candidate to a static prepared query. Only
-    candidates whose utility ties get an edit distance: ``select_best``
-    reads it only there.
+    score and its mean. A candidate with no constraint results yet gets
+    them from ``check_constraints``. Only candidates whose utility ties
+    get an edit distance: ``select_best`` reads it only there.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
+    check_constraints([c for c in candidates if not c.constraint_results],
+                      ir, constraints)
     analyses = [candidate.analyze(ir) for candidate in candidates]
     lam = bundle.fusion.lam
     # fusion multiplies s1 by λ, so at λ = 0 a zero stands in for stage one
@@ -77,7 +95,6 @@ def score_candidates(candidates: list[Candidate],
     # mean token embeddings; an empty sequence gives zeros, similarity 0
     emb = embed_sequence(ir.analysis.semantic, bundle.embedding, bundle.vocab)
     origin_vec = emb.sum(axis=0) / max(len(emb), 1)
-    query_built = ir.facts.query_built and ir.finding.sink_class == "Sql"
     for candidate, analysis, one in zip(candidates, analyses, stage_one):
         emb = embed_sequence(analysis.semantic, bundle.embedding, bundle.vocab)
         two = verify_semantic(analysis, bundle, emb=emb)
@@ -88,10 +105,6 @@ def score_candidates(candidates: list[Candidate],
         candidate.s_sem = min(1.0, max(0.0, sim))
         candidate.utility = (alpha * candidate.s_sec
                              + (1 - alpha) * candidate.s_sem)
-        ctx = CandidateContext.build(analysis, ir, query_built)
-        for constraint in constraints.constraints:
-            candidate.constraint_results[constraint.cid] = evaluate_constraint(
-                constraint, ctx)
 
     ties = Counter(c.utility for c in candidates)
     for c in candidates:

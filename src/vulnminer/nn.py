@@ -19,8 +19,9 @@ DEFAULT_BETA = 2.0
 
 def sigmoid(x):
     # |x| <= 36 keeps the output strictly inside (0, 1) in float64, so
-    # downstream log-loss terms never hit log(0).
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -36.0, 36.0)))
+    # downstream log-loss terms never hit log(0). The two ufuncs give
+    # np.clip's bits without its Python wrapper.
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -36.0), 36.0)))
 
 
 # ---------------------------------------------------------------------------

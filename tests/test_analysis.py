@@ -104,6 +104,41 @@ def test_semantic_sequence_matches_the_normalized_tree(corpus_units):
     assert "$sec1" in analysis.semantic.tokens
 
 
+def test_one_walk_feeds_both_sequences(corpus_units, monkeypatch):
+    walks = []
+
+    def counting(graph, **kwargs):
+        walks.append(graph)
+        return linearize(graph, **kwargs)
+
+    monkeypatch.setattr(analysis_mod, "linearize", counting)
+    units = corpus_units + [SourceUnit.from_file(p)
+                            for p in sorted(FIXTURES.glob("*.php"))]
+    # a chain of assignments past the length budget: markers are cut
+    units.append(SourceUnit.from_text("long.php", "<?php $a0 = $_GET['x'];"
+                                      + "".join(f" $a{i} = $a{i - 1};"
+                                                for i in range(1, 200))))
+    truncated = 0
+    for unit in units:
+        walks.clear()
+        analysis = FileAnalysis(unit)
+        structural, semantic = analysis.structural, analysis.semantic
+        assert walks == [analysis.graph], unit.path
+        n = len(semantic.tokens)
+        markers = structural.tokens[n:]
+        assert structural.tokens[:n] == semantic.tokens
+        assert len(markers) % 3 == 0
+        assert all(markers[i] == "DF" and markers[i + 1][0] == "@"
+                   and markers[i + 2][0] == "@"
+                   for i in range(0, len(markers), 3))
+        assert structural.origin == semantic.origin
+        reference = linearize(analysis.graph, keep=analysis.keep)
+        assert (structural.tokens, structural.origin, structural.truncated) \
+            == (reference.tokens, reference.origin, reference.truncated)
+        truncated += structural.truncated
+    assert truncated >= 1
+
+
 def test_run_pipeline_parses_each_file_once(bundle, corpus_units,
                                             command_injection_unit,
                                             parse_count, graph_count):

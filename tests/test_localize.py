@@ -336,33 +336,106 @@ def test_utility_tie_is_broken_by_edit_distance(bundle,
 
 def test_round_batch_scores_each_candidate_as_alone(bundle, corpus_units,
                                                    monkeypatch):
-    # every round localized on the flagged files of the standard corpus
+    # every round localized on the flagged files of the standard corpus;
+    # each round's parsed candidates are scored here as one batch
     from vulnminer.cascade import run_pipeline
     from vulnminer.localize import engine
 
     rounds = []
-    batch = engine.score_candidates
+    generate = engine.generate_candidates
 
-    def recording(candidates, ir, bundle, constraints, alpha):
-        rounds.append((list(candidates), ir, constraints, alpha))
-        return batch(candidates, ir, bundle, constraints, alpha=alpha)
+    def recording(ir, constraints, templates, backend):
+        candidates = generate(ir, constraints, templates, backend)
+        rounds.append(([c for c in candidates if c.parse_ok], ir,
+                       constraints))
+        return candidates
 
-    monkeypatch.setattr(engine, "score_candidates", recording)
+    monkeypatch.setattr(engine, "generate_candidates", recording)
     verdicts, _ = run_pipeline(corpus_units, bundle)
     by_path = {unit.path: unit for unit in corpus_units}
     flagged = [v.file_id for v in verdicts if v.vulnerable]
     for path in flagged:
         localize(by_path[path], bundle, TEMPLATES, BACKEND)
     assert len(rounds) > 10
-    assert max(len(candidates) for candidates, *_ in rounds) > 1
-    for candidates, ir, constraints, alpha in rounds:
-        for candidate in candidates:
+    assert max(len(parsed) for parsed, *_ in rounds) > 1
+    alpha = engine.DEFAULT_ALPHA
+    for parsed, ir, constraints in rounds:
+        for candidate in score_candidates(parsed, ir, bundle, constraints,
+                                          alpha):
             alone = score_candidate(_copy(candidate), ir, bundle,
                                     constraints, alpha)
             assert (alone.s_sec, alone.s_sem, alone.utility,
                     alone.constraint_results) == (
                 candidate.s_sec, candidate.s_sem, candidate.utility,
                 candidate.constraint_results)
+
+
+def _scored_rounds(bundle, monkeypatch, unit, **kwargs):
+    """Localize ``unit``; return its report, each round's parsed
+    candidates with the candidates scored in that round, and the analyses
+    stage two verified."""
+    rounds, verified = [], []
+    generate, batch = engine_mod.generate_candidates, engine_mod.score_candidates
+    verify = scoring_mod.verify_semantic
+
+    def generating(*args):
+        candidates = generate(*args)
+        rounds.append(([c for c in candidates if c.parse_ok], []))
+        return candidates
+
+    def scoring(candidates, ir, bundle, constraints, alpha):
+        rounds[-1][1].extend(candidates)
+        return batch(candidates, ir, bundle, constraints, alpha=alpha)
+
+    def verifying(analysis, bundle, **kwargs):
+        verified.append(analysis)
+        return verify(analysis, bundle, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "generate_candidates", generating)
+    monkeypatch.setattr(engine_mod, "score_candidates", scoring)
+    monkeypatch.setattr(scoring_mod, "verify_semantic", verifying)
+    report = localize(unit, bundle, TEMPLATES, BACKEND, **kwargs)
+    monkeypatch.undo()
+    return report, rounds, verified
+
+
+@pytest.mark.parametrize("unit_name", ["command_injection_unit",
+                                       "sql_auth_unit"])
+def test_round_scores_only_hard_constraint_survivors(bundle, monkeypatch,
+                                                     request, unit_name):
+    unit = request.getfixturevalue(unit_name)
+    report, rounds, verified = _scored_rounds(bundle, monkeypatch, unit)
+    assert report.succeeded
+    for parsed, scored in rounds:
+        assert all(c.constraint_results for c in parsed)
+        assert scored == [c for c in parsed
+                          if all(c.constraint_results.values())]
+    rejected = [c for parsed, scored in rounds for c in parsed
+                if c not in scored]
+    assert [c.variant for c in rejected] == ["generic"]
+    assert not any(a is rejected[0].analysis for a in verified)
+
+    # the report equals the one got by scoring every parsed candidate
+    check = engine_mod.check_constraints
+
+    def check_and_score_all(candidates, ir, constraints):
+        check(candidates, ir, constraints)
+        return score_candidates(candidates, ir, bundle, constraints,
+                                alpha=engine_mod.DEFAULT_ALPHA)
+
+    monkeypatch.setattr(engine_mod, "check_constraints", check_and_score_all)
+    every = localize(unit, bundle, TEMPLATES, BACKEND)
+    assert report.to_dict() == every.to_dict()
+
+
+def test_unenforced_constraints_score_every_parsed_candidate(
+        bundle, command_injection_unit, monkeypatch):
+    _, rounds, verified = _scored_rounds(bundle, monkeypatch,
+                                         command_injection_unit,
+                                         enforce_constraints=False)
+    for parsed, scored in rounds:
+        assert len(parsed) > 1 and scored == parsed
+    assert len(verified) == sum(len(parsed) for parsed, _ in rounds)
 
 
 def _count_calls(monkeypatch, fn):

@@ -499,6 +499,24 @@ class TestRiskMatrix:
             RiskMatrix.build(3, [4], beta=1.0)
 
 
+def _clip_sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -36.0, 36.0)))
+
+
+def test_sigmoid_matches_the_np_clip_form_bit_for_bit():
+    special = np.array([np.inf, -np.inf, np.nan, 36.0, -36.0, 0.0, -0.0,
+                        36.0000001, -36.0000001, 1e308, -1e308])
+    rng = np.random.default_rng(0)
+    inputs = [special, rng.normal(0.0, 40.0, size=(7, 13)),
+              rng.uniform(-50.0, 50.0, size=1000), np.zeros((0, 3))]
+    inputs += [float(v) for v in special] + [np.float64(-0.0)]
+    for x in inputs:
+        ours, ref = sigmoid(x), _clip_sigmoid(x)
+        assert type(ours) is type(ref)
+        assert np.shape(ours) == np.shape(ref)
+        assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
+
+
 class TestLoss:
     def test_symmetric_point_is_ln2(self):
         loss, _ = weighted_bce_loss(0.5, 1, w_pos=1.0)
