@@ -12,7 +12,8 @@ import numpy as np
 from .analysis import FileAnalysis
 from .errors import VulnMinerError
 from .frontend import print_source
-from .frontend.nodes import AstNode, NodeKind, copy_tree
+from .frontend.nodes import (AstNode, NodeKind, compound, copy_tree, mk_assign,
+                             mk_call, mk_expr_stmt, mk_var, parts)
 from .lexicon import RESERVED_FUNCTION_NAMES
 from .source import SourceUnit, read_unit
 
@@ -89,14 +90,13 @@ def _loop_vars(loop: AstNode) -> tuple[set[str], set[str]]:
     """(modified, used) variable names of a while/for loop."""
     modified: set[str] = set()
     used: set[str] = set()
+    heads, (body,) = parts(loop)
     if loop.kind is NodeKind.FOR:
-        _init, cond, step = loop.children[:3]
-        body = loop.children[3:]
+        _init, cond, step = heads
         segments = [cond, step] + body
         modified.add(step.children[0].attrs["name"])
     else:
-        cond, body = loop.loop_parts()
-        segments = [cond] + list(body)
+        segments = heads + body
     for seg in segments:
         for node in seg.walk():
             if node.kind is NodeKind.VAR:
@@ -142,7 +142,7 @@ def _eligible(loop: AstNode) -> bool:
     modified, _ = _loop_vars(loop)
     if len(modified) > 1:
         return False
-    body = loop.children[3:] if loop.kind is NodeKind.FOR else loop.children[1:]
+    _heads, (body,) = parts(loop)
     for stmt in body:
         for node in stmt.walk():
             if node.kind in (NodeKind.RETURN, NodeKind.FUNCTION_DECL):
@@ -151,19 +151,18 @@ def _eligible(loop: AstNode) -> bool:
 
 
 def _recursive_form(loop: AstNode, fn_name: str) -> list[AstNode]:
-    from .localize.rewrite import mk_assign, mk_call, mk_expr_stmt, mk_var
-
     modified, used = _loop_vars(loop)
     params = sorted(used | modified)
     carry = next(iter(modified)) if modified else None
 
+    heads, (body_nodes,) = parts(loop)
+    body = [copy_tree(s) for s in body_nodes]
     if loop.kind is NodeKind.FOR:
-        init, cond, step = loop.children[:3]
-        body = [copy_tree(s) for s in loop.children[3:]] + [copy_tree(step)]
+        init, cond, step = heads
+        body.append(copy_tree(step))
         prelude = [copy_tree(init)]
     else:
-        cond, body_nodes = loop.loop_parts()
-        body = [copy_tree(s) for s in body_nodes]
+        (cond,) = heads
         prelude = []
 
     recurse = mk_call(fn_name, [mk_var(p) for p in params])
@@ -173,14 +172,12 @@ def _recursive_form(loop: AstNode, fn_name: str) -> list[AstNode]:
                   else AstNode(NodeKind.NUMBER_LIT,
                                attrs={"text": "0", "value": 0}))
     fn_body = [
-        AstNode(NodeKind.IF, children=[copy_tree(cond)] + then_body,
-                attrs={"then_len": len(then_body), "else_len": 0}),
+        compound(NodeKind.IF, [copy_tree(cond)], [then_body, []]),
         AstNode(NodeKind.RETURN, children=[base_value],
                 attrs={"has_value": True}),
     ]
-    decl = AstNode(NodeKind.FUNCTION_DECL,
-                   children=[mk_var(p) for p in params] + fn_body,
-                   attrs={"name": fn_name, "n_params": len(params)})
+    decl = compound(NodeKind.FUNCTION_DECL, [mk_var(p) for p in params],
+                    [fn_body], name=fn_name)
     call = mk_call(fn_name, [mk_var(p) for p in params])
     call_stmt = (mk_assign(mk_var(carry), call) if carry
                  else mk_expr_stmt(call))
@@ -213,12 +210,9 @@ def _flip_if_else(ast: AstNode, rng) -> tuple[AstNode, bool]:
                 applied[0] = True
                 negated = AstNode(NodeKind.BINARY_OP,
                                   children=[rebuild(cond)], attrs={"op": "!"})
-                new_then = [rebuild(s) for s in other]
-                new_else = [rebuild(s) for s in then]
-                return AstNode(NodeKind.IF,
-                               children=[negated] + new_then + new_else,
-                               attrs={"then_len": len(new_then),
-                                      "else_len": len(new_else)})
+                return compound(NodeKind.IF, [negated],
+                                [[rebuild(s) for s in other],
+                                 [rebuild(s) for s in then]])
         out = AstNode(node.kind, children=[rebuild(c) for c in node.children],
                       attrs=dict(node.attrs))
         return out
@@ -270,8 +264,6 @@ def _swap_independent(ast: AstNode, rng) -> tuple[AstNode, bool]:
 
 
 def _split_concat(ast: AstNode, rng) -> tuple[AstNode, bool]:
-    from .localize.rewrite import mk_assign, mk_var
-
     applied = [False]
     temp = f"part_{int(rng.integers(1, 1000))}"
 
@@ -302,13 +294,13 @@ def _wrap_constant_if(ast: AstNode, rng) -> tuple[AstNode, bool]:
     Only at the top level, so function bodies keep their returns; a
     program that ends in a function declaration is left as it is.
     """
-    children = [copy_tree(c) for c in ast.children]
-    applied = bool(children) and children[-1].kind is not NodeKind.FUNCTION_DECL
+    _heads, (body,) = parts(ast)
+    stmts = [copy_tree(s) for s in body]
+    applied = bool(stmts) and stmts[-1].kind is not NodeKind.FUNCTION_DECL
     if applied:
         cond = AstNode(NodeKind.NUMBER_LIT, attrs={"text": "1", "value": 1})
-        children[-1] = AstNode(NodeKind.IF, children=[cond, children[-1]],
-                               attrs={"then_len": 1, "else_len": 0})
-    return AstNode(NodeKind.PROGRAM, children=children), applied
+        stmts[-1] = compound(NodeKind.IF, [cond], [[stmts[-1]], []])
+    return compound(NodeKind.PROGRAM, [], [stmts]), applied
 
 
 def _rebuild_bodies(ast: AstNode, rebuild_body) -> AstNode:
@@ -321,18 +313,18 @@ def _rebuild_bodies(ast: AstNode, rebuild_body) -> AstNode:
             new_children.extend(rebuild_body(pending))
             pending.clear()
 
-    for child in ast.children:
+    _heads, (stmts,) = parts(ast)
+    for child in stmts:
         if child.kind is NodeKind.FUNCTION_DECL:
             flush()
             name, params, body = child.function_parts()
-            new_children.append(AstNode(
-                NodeKind.FUNCTION_DECL,
-                children=[copy_tree(p) for p in params] + rebuild_body(body),
-                attrs={"name": name, "n_params": len(params)}))
+            new_children.append(compound(
+                NodeKind.FUNCTION_DECL, [copy_tree(p) for p in params],
+                [rebuild_body(body)], name=name))
         else:
             pending.append(child)
     flush()
-    return AstNode(NodeKind.PROGRAM, children=new_children)
+    return compound(NodeKind.PROGRAM, [], [new_children])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import LexiconError
-from .frontend.nodes import CHAIN_KINDS, AstNode, NodeKind
+from .frontend.nodes import CHAIN_KINDS, AstNode, NodeKind, parts
 from .lexicon import (
     DEFAULT_LEXICON,
     IDOR_FETCH_SINKS,
@@ -160,8 +160,7 @@ def _link_stmt(scope: _Scope, stmt: AstNode, preds: set[int],
         _connect(scope, body_exit - {nid}, nid)
         return {nid}
     if k is NodeKind.FOR:
-        init, cond, step = stmt.children[0], stmt.children[1], stmt.children[2]
-        body = stmt.children[3:]
+        (init, cond, step), (body,) = parts(stmt)
         _register(scope, init, _assign_defs(init), _assign_uses(init))
         _connect(scope, preds, init.node_id)
         _register(scope, stmt, [], _expr_vars(cond))
@@ -455,9 +454,10 @@ class _Tracer:
         elif k in (NodeKind.EXPR_STMT, NodeKind.RETURN):
             if stmt.children:
                 self._eval(stmt.children[0], env, depth, stmt=stmt)
-        elif k in (NodeKind.IF, NodeKind.WHILE, NodeKind.FOR):
-            cond = stmt.children[1] if k is NodeKind.FOR else stmt.children[0]
-            self._eval(cond, env, depth, stmt=stmt)
+        elif k is NodeKind.IF:
+            self._eval(stmt.if_parts()[0], env, depth, stmt=stmt)
+        elif k in (NodeKind.WHILE, NodeKind.FOR):
+            self._eval(stmt.loop_parts()[0], env, depth, stmt=stmt)
         elif k is NodeKind.FOREACH:
             iterable, key, value, _body = stmt.foreach_parts()
             taint = self._eval(iterable, env, depth, stmt=stmt)

@@ -75,11 +75,15 @@ def _next_id() -> int:
 class AstNode:
     """One tree node; ``attrs`` holds the kind-specific payload.
 
-    Attr conventions:
-      FunctionDecl: name, n_params (params are the first n_params Var children)
-      If: then_len, else_len (children = [cond, *then, *else])
-      For: children = [init, cond, step, *body]
-      Foreach: has_key (children = [iterable, key?, value, *body])
+    A compound node's children are its heads, then its statement lists
+    end to end. ``parts`` below reads that layout and ``compound`` builds
+    it; no other module indexes it:
+      Program: [*body]            While: [cond, *body]
+      If: [cond, *then, *else]    For: [init, cond, step, *body]
+      FunctionDecl: name; [*params, *body]
+      Foreach: [iterable, key?, value, *body]
+
+    Other attr conventions:
       Return: has_value
       IncludeStmt: flavor
       Call: name
@@ -109,27 +113,25 @@ class AstNode:
 
     def if_parts(self):
         assert self.kind is NodeKind.IF
-        t, e = self.attrs["then_len"], self.attrs["else_len"]
-        cond = self.children[0]
-        return cond, self.children[1:1 + t], self.children[1 + t:1 + t + e]
+        (cond,), (then, other) = parts(self)
+        return cond, then, other
 
     def loop_parts(self):
-        if self.kind is NodeKind.WHILE:
-            return self.children[0], self.children[1:]
-        if self.kind is NodeKind.FOR:
-            return self.children[1], self.children[3:]
-        raise ValueError(f"not a while/for loop: {self.kind}")
+        if self.kind not in (NodeKind.WHILE, NodeKind.FOR):
+            raise ValueError(f"not a while/for loop: {self.kind}")
+        heads, (body,) = parts(self)
+        return heads[1] if self.kind is NodeKind.FOR else heads[0], body
 
     def foreach_parts(self):
         assert self.kind is NodeKind.FOREACH
-        if self.attrs["has_key"]:
-            return self.children[0], self.children[1], self.children[2], self.children[3:]
-        return self.children[0], None, self.children[1], self.children[2:]
+        heads, (body,) = parts(self)
+        key = heads[1] if len(heads) == 3 else None
+        return heads[0], key, heads[-1], body
 
     def function_parts(self):
         assert self.kind is NodeKind.FUNCTION_DECL
-        n = self.attrs["n_params"]
-        return self.attrs["name"], self.children[:n], self.children[n:]
+        params, (body,) = parts(self)
+        return self.attrs["name"], params, body
 
     def __repr__(self):
         tag = self.kind.value
@@ -140,6 +142,67 @@ class AstNode:
         if self.kind is NodeKind.VAR:
             tag = f"Var:{self.attrs['name']}"
         return f"<{tag} #{self.node_id} ({len(self.children)} children)>"
+
+
+# Kinds whose children end in statement lists -> the number of heads (the
+# children before the lists); None where the node's attrs say it.
+_HEADS = {NodeKind.PROGRAM: 0, NodeKind.FUNCTION_DECL: None, NodeKind.IF: 1,
+          NodeKind.WHILE: 1, NodeKind.FOR: 3, NodeKind.FOREACH: None}
+COMPOUND_KINDS = frozenset(_HEADS)
+
+
+def parts(node: AstNode) -> tuple[list[AstNode], list[list[AstNode]]]:
+    """(heads, bodies): the children before the statement lists, then the
+    lists in order. A node with no statement list is all heads."""
+    kind = node.kind
+    if kind not in _HEADS:
+        return list(node.children), []
+    n = _HEADS[kind]
+    if kind is NodeKind.FUNCTION_DECL:
+        n = node.attrs["n_params"]
+    elif kind is NodeKind.FOREACH:
+        n = 3 if node.attrs["has_key"] else 2
+    heads, rest = node.children[:n], node.children[n:]
+    if kind is NodeKind.IF:
+        t = node.attrs["then_len"]
+        return heads, [rest[:t], rest[t:]]
+    return heads, [rest]
+
+
+def compound(kind: NodeKind, heads: list[AstNode], bodies: list[list[AstNode]],
+             start: int = 0, end: int = 0, **attrs) -> AstNode:
+    """The node ``parts`` reads back: the layout attrs (then_len, else_len,
+    n_params, has_key) are set from the lengths of heads and bodies."""
+    if kind is NodeKind.IF:
+        attrs["then_len"], attrs["else_len"] = map(len, bodies)
+    elif kind is NodeKind.FUNCTION_DECL:
+        attrs["n_params"] = len(heads)
+    elif kind is NodeKind.FOREACH:
+        attrs["has_key"] = len(heads) == 3
+    children = list(heads)
+    for body in bodies:
+        children.extend(body)
+    return AstNode(kind, children=children, attrs=attrs, start=start, end=end)
+
+
+def mk_var(name: str) -> AstNode:
+    return AstNode(NodeKind.VAR, attrs={"name": name})
+
+
+def mk_str(value: str) -> AstNode:
+    return AstNode(NodeKind.STRING_LIT, attrs={"value": value})
+
+
+def mk_call(name: str, args) -> AstNode:
+    return AstNode(NodeKind.CALL, children=list(args), attrs={"name": name})
+
+
+def mk_assign(target: AstNode, value: AstNode) -> AstNode:
+    return AstNode(NodeKind.ASSIGN, children=[target, value])
+
+
+def mk_expr_stmt(expr: AstNode) -> AstNode:
+    return AstNode(NodeKind.EXPR_STMT, children=[expr])
 
 
 _EQUALITY_ATTRS = {

@@ -12,7 +12,7 @@ from ..errors import ParseError
 from ..source import SourceUnit
 from .lexer import Token, tokenize
 from .nodes import (AstNode, BINARY_PRECEDENCE, INCLUDE_FLAVORS, NodeKind,
-                    SUPERGLOBAL_NAMES)
+                    SUPERGLOBAL_NAMES, compound)
 
 _KEYWORD_STATEMENTS = {
     "if": "_if_stmt",
@@ -77,7 +77,7 @@ class _Parser:
         if self.at("close_tag"):
             self.advance()
         end = body[-1].end if body else self.tokens[self.i].end
-        return AstNode(NodeKind.PROGRAM, children=body, start=open_tok.start, end=end)
+        return compound(NodeKind.PROGRAM, [], [body], start=open_tok.start, end=end)
 
     def statement(self) -> AstNode:
         tok = self.tokens[self.i]
@@ -118,9 +118,8 @@ class _Parser:
         if self.at("keyword", "else"):
             self.advance()
             other = self._block_or_stmt()
-        return AstNode(NodeKind.IF, children=[cond] + then + other,
-                       attrs={"then_len": len(then), "else_len": len(other)},
-                       start=start, end=(other or then or [cond])[-1].end)
+        return compound(NodeKind.IF, [cond], [then, other],
+                        start=start, end=(other or then or [cond])[-1].end)
 
     def _while_stmt(self) -> AstNode:
         start = self.advance().start
@@ -128,8 +127,8 @@ class _Parser:
         cond = self.expression()
         self.expect("op", ")")
         body = self._block_or_stmt()
-        return AstNode(NodeKind.WHILE, children=[cond] + body, start=start,
-                       end=body[-1].end if body else cond.end)
+        return compound(NodeKind.WHILE, [cond], [body], start=start,
+                        end=body[-1].end if body else cond.end)
 
     def _for_stmt(self) -> AstNode:
         start = self.advance().start
@@ -141,8 +140,8 @@ class _Parser:
         step = self._assignment_core()
         self.expect("op", ")")
         body = self._block_or_stmt()
-        return AstNode(NodeKind.FOR, children=[init, cond, step] + body,
-                       start=start, end=body[-1].end if body else step.end)
+        return compound(NodeKind.FOR, [init, cond, step], [body],
+                        start=start, end=body[-1].end if body else step.end)
 
     def _foreach_stmt(self) -> AstNode:
         start = self.advance().start
@@ -159,10 +158,9 @@ class _Parser:
             value = first
         self.expect("op", ")")
         body = self._block_or_stmt()
-        children = [iterable] + ([key] if key is not None else []) + [value] + body
-        return AstNode(NodeKind.FOREACH, children=children,
-                       attrs={"has_key": key is not None},
-                       start=start, end=body[-1].end if body else value.end)
+        heads = [iterable] + ([key] if key is not None else []) + [value]
+        return compound(NodeKind.FOREACH, heads, [body],
+                        start=start, end=body[-1].end if body else value.end)
 
     def _function_decl(self) -> AstNode:
         start = self.advance()
@@ -178,9 +176,8 @@ class _Parser:
         if not self.at("op", "{"):
             self.fail("expected statement or block", expected="{")
         body = self._block_or_stmt()
-        return AstNode(NodeKind.FUNCTION_DECL, children=params + body,
-                       attrs={"name": name, "n_params": len(params)},
-                       start=start.start, end=(body[-1] if body else start).end)
+        return compound(NodeKind.FUNCTION_DECL, params, [body], name=name,
+                        start=start.start, end=(body[-1] if body else start).end)
 
     def _return_stmt(self) -> AstNode:
         start = self.advance().start

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .nodes import AstNode, BINARY_PRECEDENCE, NodeKind
+from .nodes import AstNode, BINARY_PRECEDENCE, NodeKind, parts
 
 _UNARY_PREC = 8
 _ATOM_PREC = 9
@@ -50,38 +50,23 @@ def _stmt_lines(node: AstNode, depth: int) -> list[str]:
         return lines
     if k is NodeKind.WHILE:
         cond, body = node.loop_parts()
-        lines = [f"{pad}while ({_expr(cond, 0)}) {{"]
-        lines += _body_lines(body, depth + 1)
-        lines.append(f"{pad}}}")
-        return lines
-    if k is NodeKind.FOR:
-        init, cond, step = node.children[0], node.children[1], node.children[2]
-        body = node.children[3:]
-        head = (f"{pad}for ({_assign_inline(init)}; {_expr(cond, 0)}; "
-                f"{_assign_inline(step)}) {{")
-        lines = [head]
-        lines += _body_lines(body, depth + 1)
-        lines.append(f"{pad}}}")
-        return lines
-    if k is NodeKind.FOREACH:
+        head = f"while ({_expr(cond, 0)})"
+    elif k is NodeKind.FOR:
+        (init, cond, step), (body,) = parts(node)
+        head = (f"for ({_assign_inline(init)}; {_expr(cond, 0)}; "
+                f"{_assign_inline(step)})")
+    elif k is NodeKind.FOREACH:
         iterable, key, value, body = node.foreach_parts()
+        pair = _expr(value, 0)
         if key is not None:
-            head = (f"{pad}foreach ({_expr(iterable, 0)} as {_expr(key, 0)} => "
-                    f"{_expr(value, 0)}) {{")
-        else:
-            head = f"{pad}foreach ({_expr(iterable, 0)} as {_expr(value, 0)}) {{"
-        lines = [head]
-        lines += _body_lines(body, depth + 1)
-        lines.append(f"{pad}}}")
-        return lines
-    if k is NodeKind.FUNCTION_DECL:
+            pair = f"{_expr(key, 0)} => {pair}"
+        head = f"foreach ({_expr(iterable, 0)} as {pair})"
+    elif k is NodeKind.FUNCTION_DECL:
         name, params, body = node.function_parts()
-        args = ", ".join(_expr(p, 0) for p in params)
-        lines = [f"{pad}function {name}({args}) {{"]
-        lines += _body_lines(body, depth + 1)
-        lines.append(f"{pad}}}")
-        return lines
-    raise ValueError(f"not a statement kind: {k}")
+        head = f"function {name}({', '.join(_expr(p, 0) for p in params)})"
+    else:
+        raise ValueError(f"not a statement kind: {k}")
+    return [f"{pad}{head} {{", *_body_lines(body, depth + 1), f"{pad}}}"]
 
 
 def _body_lines(stmts: list[AstNode], depth: int) -> list[str]:

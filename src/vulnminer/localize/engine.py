@@ -107,7 +107,6 @@ def generate_candidates(ir: IntermediateRepresentation,
                     candidate.analyze(ir).ast
                 except ParseError as exc:
                     candidate.failure = f"candidate does not parse: {exc}"
-            candidate.parse_ok = candidate.failure is None
     return out
 
 

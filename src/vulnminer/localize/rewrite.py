@@ -4,34 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..frontend.nodes import CHAIN_KINDS, AstNode, NodeKind, copy_tree
+from ..frontend.nodes import (CHAIN_KINDS, COMPOUND_KINDS, AstNode, NodeKind,
+                              compound, copy_tree, mk_assign, mk_call,
+                              mk_expr_stmt, mk_str, mk_var, parts)
 from ..frontend.printer import print_source
 from .constraints import ACCEPTED_SANITIZERS, leftmost_operand
 from .ir import IntermediateRepresentation
-
-
-def _node(kind: NodeKind, children=None, **attrs) -> AstNode:
-    return AstNode(kind, children=list(children or []), attrs=attrs)
-
-
-def mk_var(name: str) -> AstNode:
-    return _node(NodeKind.VAR, name=name)
-
-
-def mk_str(value: str) -> AstNode:
-    return _node(NodeKind.STRING_LIT, value=value)
-
-
-def mk_call(name: str, args) -> AstNode:
-    return _node(NodeKind.CALL, children=args, name=name)
-
-
-def mk_assign(target: AstNode, value: AstNode) -> AstNode:
-    return _node(NodeKind.ASSIGN, children=[target, value])
-
-
-def mk_expr_stmt(expr: AstNode) -> AstNode:
-    return _node(NodeKind.EXPR_STMT, children=[expr])
 
 
 @dataclass
@@ -158,44 +136,11 @@ class Rewriter:
         return new
 
     def _rebuild_children(self, node: AstNode) -> AstNode:
-        if node.kind in (NodeKind.PROGRAM,):
-            return _node(NodeKind.PROGRAM,
-                         children=self._rebuild_body(node.children))
-        if node.kind is NodeKind.FUNCTION_DECL:
-            name, params, body = node.function_parts()
-            new = _node(NodeKind.FUNCTION_DECL,
-                        children=[self._rebuild(p) for p in params]
-                        + self._rebuild_body(body),
-                        name=name, n_params=len(params))
-            return new
-        if node.kind is NodeKind.IF:
-            cond, then, other = node.if_parts()
-            new_then = self._rebuild_body(then)
-            new_else = self._rebuild_body(other)
-            return _node(NodeKind.IF,
-                         children=[self._rebuild(cond)] + new_then + new_else,
-                         then_len=len(new_then), else_len=len(new_else))
-        if node.kind is NodeKind.WHILE:
-            cond, body = node.loop_parts()
-            return _node(NodeKind.WHILE,
-                         children=[self._rebuild(cond)]
-                         + self._rebuild_body(body))
-        if node.kind is NodeKind.FOR:
-            init, cond, step = node.children[:3]
-            body = node.children[3:]
-            return _node(NodeKind.FOR,
-                         children=[self._rebuild(init), self._rebuild(cond),
-                                   self._rebuild(step)]
-                         + self._rebuild_body(body))
-        if node.kind is NodeKind.FOREACH:
-            iterable, key, value, body = node.foreach_parts()
-            children = [self._rebuild(iterable)]
-            if key is not None:
-                children.append(self._rebuild(key))
-            children.append(self._rebuild(value))
-            return _node(NodeKind.FOREACH,
-                         children=children + self._rebuild_body(body),
-                         has_key=key is not None)
+        if node.kind in COMPOUND_KINDS:
+            heads, bodies = parts(node)
+            return compound(node.kind, [self._rebuild(h) for h in heads],
+                            [self._rebuild_body(b) for b in bodies],
+                            **node.attrs)
         return AstNode(node.kind,
                        children=[self._rebuild(c) for c in node.children],
                        attrs=dict(node.attrs))
@@ -216,7 +161,7 @@ class Rewriter:
         head = leftmost_operand(expr)
         if head.kind is NodeKind.STRING_LIT and head.attrs["value"]:
             return expr
-        return _node(NodeKind.CONCAT, children=[mk_str(literal), expr])
+        return AstNode(NodeKind.CONCAT, children=[mk_str(literal), expr])
 
     def _prepared_statements(self, stmt: AstNode,
                              prep: PreparedRewrite) -> list[AstNode]:

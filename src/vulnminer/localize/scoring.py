@@ -25,7 +25,6 @@ class Candidate:
     variant: str
     text: str
     backend: str
-    parse_ok: bool = True
     s_sec: float = 0.0
     s_sem: float = 0.0
     utility: float = 0.0
@@ -33,6 +32,11 @@ class Candidate:
     constraint_results: dict[str, bool] = field(default_factory=dict)
     failure: str | None = None
     analysis: FileAnalysis | None = None
+
+    @property
+    def parse_ok(self) -> bool:
+        """The plan rewrote and the text parses."""
+        return self.failure is None
 
     def passes_hard(self, constraints: ConstraintSet) -> bool:
         return all(self.constraint_results.get(c.cid, False)

@@ -1,6 +1,6 @@
 """Property tests: odd, long and deep inputs end in a ParseError or in a
 per-file error record, never in another exception; a long chain also
-localizes to a fix."""
+localizes to a fix; every parsed node rebuilds from its layout parts."""
 
 import tempfile
 from pathlib import Path
@@ -13,6 +13,7 @@ from vulnminer.cascade import run_pipeline
 from vulnminer.cli import _read_units
 from vulnminer.errors import ParseError
 from vulnminer.frontend import ast_equal, parse, parse_text, tokenize
+from vulnminer.frontend.nodes import compound, parts
 from vulnminer.localize import DeterministicBackend, default_templates, localize
 from vulnminer.source import SourceUnit, Span
 
@@ -100,6 +101,34 @@ def test_offset_spans_match_forward_newline_count(text):
         return
     for node in tree.walk():
         check(node)
+
+
+_LAYOUT_ATTRS = ("then_len", "else_len", "n_params", "has_key")
+
+
+def _assert_nodes_rebuild_from_parts(tree):
+    """compound(kind, *parts(node)) gives back every node, and sets the
+    layout attrs from the lengths it is given."""
+    for node in tree.walk():
+        payload = {k: v for k, v in node.attrs.items()
+                   if k not in _LAYOUT_ATTRS}
+        rebuilt = compound(node.kind, *parts(node), **payload)
+        assert ast_equal(rebuilt, node)
+        assert rebuilt.attrs == node.attrs
+
+
+@given(programs)
+@example("<?php if ($a) {} else { echo 1; } foreach ($b as $v) {} function f() {}")
+@settings(max_examples=200, deadline=None)
+def test_program_nodes_rebuild_from_parts(text):
+    _assert_nodes_rebuild_from_parts(parse_text("p.php", text))
+
+
+def test_corpus_and_fixture_nodes_rebuild_from_parts(corpus_units):
+    units = corpus_units + [SourceUnit.from_file(p)
+                            for p in sorted(FIXTURES.glob("*.php"))]
+    for unit in units:
+        _assert_nodes_rebuild_from_parts(parse(unit))
 
 
 def _one_record_per_unit(units, bundle):

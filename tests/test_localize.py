@@ -237,6 +237,142 @@ def test_sql_candidate_uses_placeholder_binding(sql_auth_unit):
     assert "db_execute(" in primary.text
 
 
+_BRANCHES = """<?php
+$name = 'guest';
+if ($mode) {
+    foreach ($list as $k => $v) {
+        echo $k;
+    }
+} else {
+    while ($n < 3) {
+        $name = $_GET['name'];
+        $n = $n + 1;
+    }
+}
+echo 'Hello ' . $name;
+"""
+
+_LOOPS = """<?php
+function run($cmd, $times) {
+    for ($i = 0; $i < $times; $i = $i + 1) {
+        $cmd = $cmd . ' -v';
+    }
+    foreach ($times as $t) {
+        echo $t;
+    }
+    system($cmd);
+}
+run($_GET['c'], 2);
+"""
+
+_NESTED_QUERY = """<?php
+foreach ($rows as $row) {
+    if ($row) {
+        $id = $_POST['id'];
+        $q = "SELECT * FROM t WHERE id='" . $id . "'";
+        mysql_query($q);
+    }
+}
+"""
+
+# (source, candidate texts in the finding's window, texts in the whole-file
+# window when they differ), as the deterministic backend writes them.
+_COMPOUND_CASES = [
+    (_BRANCHES, [
+        _BRANCHES.replace("$_GET['name']", "htmlspecialchars($_GET['name'])"),
+        _BRANCHES.replace("$_GET['name']", "addslashes($_GET['name'])"),
+    ], None),
+    (_LOOPS, [
+        """<?php
+function run($cmd, $times) {
+    for ($i = 0; $i < $times; $i = $i + 1) {
+        $cmd = escapeshellcmd($cmd . ' -v');
+    }
+    foreach ($times as $t) {
+        echo $t;
+    }
+    system($cmd);
+}
+run($_GET['c'], 2);
+""",
+        """<?php
+function run($cmd, $times) {
+    for ($i = 0; $i < $times; $i = $i + 1) {
+        $cmd = $cmd . ' -v';
+    }
+    foreach ($times as $t) {
+        echo $t;
+    }
+    system(htmlspecialchars($cmd));
+}
+run($_GET['c'], 2);
+""",
+    ], [
+        """<?php
+function run($cmd, $times) {
+    for ($i = 0; $i < $times; $i = $i + 1) {
+        $cmd = escapeshellcmd($cmd . ' -v');
+    }
+    foreach ($times as $t) {
+        echo $t;
+    }
+    system($cmd);
+}
+$c = escapeshellarg($_GET['c']);
+run($c, 2);
+""",
+        """<?php
+function run($cmd, $times) {
+    for ($i = 0; $i < $times; $i = $i + 1) {
+        $cmd = $cmd . ' -v';
+    }
+    foreach ($times as $t) {
+        echo $t;
+    }
+    system($cmd);
+}
+run(htmlspecialchars($_GET['c']), 2);
+""",
+    ]),
+    (_NESTED_QUERY, [
+        """<?php
+foreach ($rows as $row) {
+    if ($row) {
+        $id = $_POST['id'];
+        $stmt = db_prepare('SELECT * FROM t WHERE id=?');
+        db_bind($stmt, $id);
+        db_execute($stmt);
+    }
+}
+""",
+        """<?php
+foreach ($rows as $row) {
+    if ($row) {
+        $id = htmlspecialchars($_POST['id']);
+        $q = 'SELECT * FROM t WHERE id=\\'' . $id . '\\'';
+        mysql_query($q);
+    }
+}
+""",
+    ], None),
+]
+
+
+@pytest.mark.parametrize("source,in_window,in_file", _COMPOUND_CASES,
+                         ids=["if-else-while-foreach-key", "function-for-foreach",
+                              "foreach-if-prepared"])
+def test_rewrites_inside_compound_statements(source, in_window, in_file):
+    ir = build_ir(FileAnalysis(SourceUnit.from_text("c.php", source)))
+    for window_ir, expected in (
+            (ir, in_window),
+            (refine_context(ir, [{"kind": "test", "detail": "widen"}]),
+             in_file or in_window)):
+        candidates = generate_candidates(window_ir, extract_constraints(window_ir),
+                                         TEMPLATES, BACKEND)
+        assert [c.failure for c in candidates] == [None] * len(expected)
+        assert [c.text for c in candidates] == expected
+
+
 def test_refusal_backend_yields_no_candidates(command_injection_unit):
     ir = build_ir(FileAnalysis(command_injection_unit))
     constraints = extract_constraints(ir)

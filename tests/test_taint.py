@@ -102,6 +102,22 @@ echo spin('', 0);
     assert any(f.sink_name == "echo" and not f.sanitized for f in findings)
 
 
+def test_loop_free_scope_sweeps_again_after_a_call():
+    # The top-level scope is loop-free. Its first sweep analyzes g while
+    # g's recursive call still reads an empty summary, so `echo $r` sees no
+    # taint yet. A sweep that called a user function is not final: the
+    # second top-level sweep reads g's summary and finds the flow. Without
+    # the $t definition the first sweep changes no definition and the loop
+    # stops before that second sweep.
+    findings = trace("""<?php
+function g($x) { $r = g($x); echo $r; return $_GET['a']; }
+$t = $_GET['q'];
+g(1);
+""")
+    assert [(f.sink_name, f.source_label, f.sanitized) for f in findings] == [
+        ("echo", "$_GET", False)]
+
+
 def test_loop_carried_taint():
     findings = trace("""<?php
 $s = '';
