@@ -12,8 +12,9 @@ import numpy as np
 from .analysis import FileAnalysis
 from .errors import VulnMinerError
 from .frontend import print_source
-from .frontend.nodes import (AstNode, NodeKind, compound, copy_tree, mk_assign,
-                             mk_call, mk_expr_stmt, mk_var, parts)
+from .frontend.nodes import (AstNode, NodeKind, assigned_var, compound,
+                             copy_tree, mk_assign, mk_call, mk_expr_stmt,
+                             mk_var, parts)
 from .lexicon import RESERVED_FUNCTION_NAMES
 from .source import SourceUnit, read_unit
 
@@ -87,23 +88,19 @@ def rename_variables(ast: AstNode, seed: int,
 
 
 def _loop_vars(loop: AstNode) -> tuple[set[str], set[str]]:
-    """(modified, used) variable names of a while/for loop."""
+    """(modified, used) variable names of a while/for loop; an indexed
+    write modifies its base variable."""
     modified: set[str] = set()
     used: set[str] = set()
     heads, (body,) = parts(loop)
-    if loop.kind is NodeKind.FOR:
-        _init, cond, step = heads
-        segments = [cond, step] + body
-        modified.add(step.children[0].attrs["name"])
-    else:
-        segments = heads + body
+    # a for loop's init runs once, before the loop
+    segments = (heads[1:] if loop.kind is NodeKind.FOR else heads) + body
     for seg in segments:
         for node in seg.walk():
             if node.kind is NodeKind.VAR:
                 used.add(node.attrs["name"])
-            if (node.kind is NodeKind.ASSIGN
-                    and node.children[0].kind is NodeKind.VAR):
-                modified.add(node.children[0].attrs["name"])
+            elif node.kind is NodeKind.ASSIGN:
+                modified.add(assigned_var(node))
     return modified, used
 
 

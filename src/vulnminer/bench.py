@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .analysis import FileAnalysis, analyzed
 from .cascade import cascade_metrics, score_cascade
 from .corpus import CorpusManifest
-from .detector import _bucket_rare_symbols, _stage_samples, load_units
+from .detector import bucket_rare_symbols, stage_samples, load_units
 from .errors import VulnMinerError
 from .frontend.lexer import tokenize
 from .linearize import EmbeddingTable, Vocabulary
@@ -78,8 +78,8 @@ def _stage1_retrained_row(variant: str, train, analyses, labels, bundle,
     """
     samples = [Sample(tokens=stream_fn(analysis), label=label)
                for analysis, label in train]
-    _, semantic = _stage_samples(train, [])
-    _bucket_rare_symbols(samples, semantic)
+    _, semantic = stage_samples(train, [])
+    bucket_rare_symbols(samples, semantic)
     vocab = Vocabulary.build([s.tokens for s in samples]
                              + [s.tokens for s in semantic])
     table = EmbeddingTable.init(len(vocab), bundle.stage1_config.dim,

@@ -23,7 +23,7 @@ def load_units(entries, skipped: list | None = None
             if (unit := read_unit(e.path, skipped)) is not None]
 
 
-def _stage_samples(labeled, skipped: list):
+def stage_samples(labeled, skipped: list):
     """Stage-one and stage-two samples from (FileAnalysis, label) pairs;
     (path, message) of each file that does not parse goes to ``skipped``."""
     structural: list[Sample] = []
@@ -36,11 +36,11 @@ def _stage_samples(labeled, skipped: list):
         semantic.append(Sample(
             tokens=seq2.tokens, label=label,
             risky_columns=risky_columns(seq2, analysis.lex)))
-    _bucket_rare_symbols(structural, semantic)
+    bucket_rare_symbols(structural, semantic)
     return structural, semantic
 
 
-def _bucket_rare_symbols(*sample_sets: list[Sample], min_count: int = 2):
+def bucket_rare_symbols(*sample_sets: list[Sample], min_count: int = 2):
     """Replace one-off literal/ordinal symbols with their class bucket.
 
     Buckets therefore get trained, and unseen symbols at inference time
@@ -72,7 +72,7 @@ def train_bundle(manifest: CorpusManifest, seed: int = 0,
     train_units = load_units(manifest.split("train"), skipped)
     if not train_units:
         raise TrainingError("manifest has no train entries")
-    structural, semantic = _stage_samples(
+    structural, semantic = stage_samples(
         ((FileAnalysis(unit, lex), label) for unit, label in train_units),
         skipped)
 

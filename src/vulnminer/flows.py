@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import LexiconError
-from .frontend.nodes import CHAIN_KINDS, AstNode, NodeKind, parts
+from .frontend.nodes import CHAIN_KINDS, AstNode, NodeKind, assigned_var, parts
 from .lexicon import (
     DEFAULT_LEXICON,
     IDOR_FETCH_SINKS,
@@ -33,12 +33,10 @@ class _Scope:
     owner: AstNode                      # Program or FunctionDecl node
     statements: list[AstNode] = field(default_factory=list)
     succ: dict[int, list[int]] = field(default_factory=dict)
-    entry: int = 0
     params: list[str] = field(default_factory=list)
     defs: dict[int, list[tuple[str, bool]]] = field(default_factory=dict)  # node -> [(var, kills)]
     uses: dict[int, list[str]] = field(default_factory=dict)
     reach_in: dict[int, dict[str, set[int]]] = field(default_factory=dict)
-    returns: list[AstNode] = field(default_factory=list)
     loop_free: bool = False             # see _loop_free
 
 
@@ -57,13 +55,13 @@ class FlowGraph:
     def dataflow_triples(self) -> set[tuple[int, int]]:
         return set(self.dataflow)
 
-    def functions(self) -> dict[str, AstNode]:
-        """Each function name's first declaration in tree order.
+    def functions(self) -> dict[str, _Scope]:
+        """The scope of each function name's first declaration in tree order.
 
         Function scopes follow the top level in the tree's pre-order."""
-        table: dict[str, AstNode] = {}
+        table: dict[str, _Scope] = {}
         for scope in self.scopes[1:]:
-            table.setdefault(scope.owner.attrs["name"], scope.owner)
+            table.setdefault(scope.owner.attrs["name"], scope)
         return table
 
 
@@ -95,7 +93,7 @@ def _collect_scopes(root: AstNode) -> list[_Scope]:
 def _build_scope(scopes: list[_Scope], owner: AstNode, body: list[AstNode],
                  params: list[str]) -> None:
     """Append the scope of ``owner`` and, nested in its body, of each function."""
-    scope = _Scope(owner=owner, params=params, entry=owner.node_id)
+    scope = _Scope(owner=owner, params=params)
     scopes.append(scope)
     scope.statements.append(owner)
     scope.defs[owner.node_id] = [(p, True) for p in params]
@@ -137,7 +135,6 @@ def _link_stmt(scope: _Scope, stmt: AstNode, preds: set[int],
         used = _expr_vars(stmt.children[0]) if stmt.attrs.get("has_value") else []
         _register(scope, stmt, [], used)
         _connect(scope, preds, nid)
-        scope.returns.append(stmt)
         return set()
     if k is NodeKind.FUNCTION_DECL:
         _name, params, body = stmt.function_parts()
@@ -184,14 +181,8 @@ def _link_stmt(scope: _Scope, stmt: AstNode, preds: set[int],
 
 
 def _assign_defs(assign: AstNode) -> list[tuple[str, bool]]:
-    target = assign.children[0]
-    if target.kind is NodeKind.VAR:
-        return [(target.attrs["name"], True)]
-    base = target
-    while base.kind is NodeKind.INDEX:
-        base = base.children[0]
     # Partial (indexed) writes never kill previous definitions.
-    return [(base.attrs["name"], False)]
+    return [(assigned_var(assign), assign.children[0].kind is NodeKind.VAR)]
 
 
 def _assign_uses(assign: AstNode) -> list[str]:
@@ -303,7 +294,7 @@ def _oracle_scope(scope: _Scope) -> set[tuple[int, int]]:
         live.clear()
         live.update(saved)
 
-    visit(scope.entry, {})
+    visit(scope.owner.node_id, {})
     return pairs
 
 
@@ -355,6 +346,11 @@ class _Entry:
 _TaintMap = dict[str, _Entry]
 
 
+def _signature(taint: _TaintMap) -> tuple:
+    """The labels and classes of ``taint``."""
+    return tuple(sorted(entry.key() for entry in taint.values()))
+
+
 def _merge_maps(maps: list[_TaintMap]) -> _TaintMap:
     out: _TaintMap = {}
     for m in maps:
@@ -368,17 +364,15 @@ class _Tracer:
         self.graph = graph
         self.lex = lex
         self.functions = graph.functions()
-        self.scope_of_owner = {s.owner.node_id: s for s in graph.scopes}
         self.findings: dict[tuple[str, int], TaintFinding] = {}
-        self._active: set[tuple[str, str]] = set()
-        self._summaries: dict[tuple[str, str], _TaintMap] = {}
-        self._calls = 0                 # user-function calls evaluated
+        self._active: set[tuple] = set()
+        self._summaries: dict[tuple, _TaintMap] = {}
+        self._reread: set[tuple] = set()    # active keys a recursive call read
 
     # -- driver --------------------------------------------------------------
 
     def run(self) -> list[TaintFinding]:
-        top = self.scope_of_owner[self.graph.root.node_id]
-        self._analyze_scope(top, {}, depth=0)
+        self._analyze_scope(self.graph.scopes[0], {}, depth=0)
         return sorted(
             self.findings.values(),
             key=lambda f: (f.sink_start, f.sink_end, f.source_label),
@@ -388,30 +382,24 @@ class _Tracer:
                        depth: int) -> _TaintMap:
         """Fixpoint taint propagation over one scope; returns return-value taint.
 
-        A loop-free scope whose sweep called no user function is at its
-        fixpoint after that sweep: each statement saw final taint for
-        every definition reaching it. A call reads ``_summaries`` and
-        ``_active``, which can differ in a second sweep.
+        A loop-free scope is at its fixpoint after one sweep: each statement
+        sees final taint for every definition reaching it, and a call returns
+        its settled summary (``_call_function``). Each ``return`` records its
+        value's taint under ``(node_id, "")``.
         """
         def_taint: dict[tuple[int, str], _TaintMap] = {}
         for var in scope.params:
-            def_taint[(scope.entry, var)] = dict(param_taint.get(var, {}))
+            def_taint[(scope.owner.node_id, var)] = dict(param_taint.get(var, {}))
 
-        order = [s for s in scope.statements if s.node_id != scope.entry]
+        order = scope.statements[1:]
         for _ in range(len(order) + 2):
-            calls = self._calls
             changed = False
             for stmt in order:
                 changed |= self._transfer(scope, stmt, def_taint, depth)
-            if not changed or (scope.loop_free and self._calls == calls):
+            if not changed or scope.loop_free:
                 break
-
-        ret: list[_TaintMap] = []
-        for stmt in scope.returns:
-            if stmt.attrs.get("has_value"):
-                env = self._env_at(scope, stmt.node_id, def_taint)
-                ret.append(self._eval(stmt.children[0], env, depth, record=False))
-        return _merge_maps(ret)
+        return _merge_maps([taint for (_, var), taint in def_taint.items()
+                            if var == ""])
 
     def _env_at(self, scope, node_id, def_taint) -> dict[str, _TaintMap]:
         """Taint of each variable the statement reads, over the
@@ -451,9 +439,11 @@ class _Tracer:
         elif k is NodeKind.INCLUDE_STMT:
             taint = self._eval(stmt.children[0], env, depth)
             self._record_sink(stmt, stmt.attrs["flavor"], taint)
-        elif k in (NodeKind.EXPR_STMT, NodeKind.RETURN):
-            if stmt.children:
-                self._eval(stmt.children[0], env, depth, stmt=stmt)
+        elif k is NodeKind.EXPR_STMT:
+            self._eval(stmt.children[0], env, depth, stmt=stmt)
+        elif k is NodeKind.RETURN and stmt.children:
+            self._update(def_taint, (stmt.node_id, ""),
+                         self._eval(stmt.children[0], env, depth, stmt=stmt))
         elif k is NodeKind.IF:
             self._eval(stmt.if_parts()[0], env, depth, stmt=stmt)
         elif k in (NodeKind.WHILE, NodeKind.FOR):
@@ -487,10 +477,12 @@ class _Tracer:
     # -- expression evaluation -------------------------------------------------
 
     def _eval(self, expr: AstNode, env: dict[str, _TaintMap], depth: int,
-              record: bool = True, stmt: AstNode | None = None) -> _TaintMap:
+              stmt: AstNode | None = None) -> _TaintMap:
         k = expr.kind
         if k is NodeKind.SUPERGLOBAL:
             label = f"$_{expr.attrs['sg']}"
+            if label not in self.lex.sources:
+                return {}
             return {label: _Entry(label=label, source_id=expr.node_id,
                                   source_kind="superglobal",
                                   unsan=_ALL_CLASSES, san=frozenset(),
@@ -507,49 +499,54 @@ class _Tracer:
             while expr.kind in CHAIN_KINDS:
                 rights.append(expr.children[1:])
                 expr = expr.children[0]
-            taint = self._eval(expr, env, depth, record, stmt)
+            taint = self._eval(expr, env, depth, stmt)
             for level in reversed(rights):
                 taint = _merge_maps([taint] + [
-                    self._eval(c, env, depth, record, stmt) for c in level])
+                    self._eval(c, env, depth, stmt) for c in level])
             return taint
         if k is NodeKind.INDEX:
-            parts = [self._eval(c, env, depth, record, stmt) for c in expr.children]
+            parts = [self._eval(c, env, depth, stmt) for c in expr.children]
             return _merge_maps(parts)
         if k is NodeKind.CALL:
-            return self._eval_call(expr, env, depth, record, stmt)
+            return self._eval_call(expr, env, depth, stmt)
         raise ValueError(f"unexpected expression kind {k}")
 
-    def _eval_call(self, call: AstNode, env, depth, record, stmt) -> _TaintMap:
+    def _eval_call(self, call: AstNode, env, depth, stmt) -> _TaintMap:
         name = call.attrs["name"]
-        arg_maps = [self._eval(a, env, depth, record, stmt) for a in call.children]
+        arg_maps = [self._eval(a, env, depth, stmt) for a in call.children]
         merged = _merge_maps(arg_maps)
         if name in self.lex.sanitizers:
             classes = self.lex.sanitizers[name]
             return {lbl: e.sanitized_for(classes) for lbl, e in merged.items()}
-        if name in self.lex.sinks and record:
+        if name in self.lex.sinks:
             self._record_sink(call, name, merged, stmt)
         if name in self.functions:
-            self._calls += 1
             result = self._call_function(name, arg_maps, depth)
             return _merge_maps([merged, result])
         return merged
 
     def _call_function(self, name: str, arg_maps: list[_TaintMap], depth: int) -> _TaintMap:
+        """Return taint of a call of the file's function ``name``. A
+        recursive call reads the summary so far, and the call runs again
+        until its labels and classes settle; taint only grows, so it ends."""
         if depth >= _MAX_CALL_DEPTH:
             return {}
-        decl = self.functions[name]
-        scope = self.scope_of_owner[decl.node_id]
+        scope = self.functions[name]
         bound = {param: arg_maps[i] if i < len(arg_maps) else {}
                  for i, param in enumerate(scope.params)}
-        sig = repr(sorted((p, sorted(m and {k: e.key() for k, e in m.items()} or {}))
-                          for p, m in bound.items()))
-        key = (name, sig)
+        key = (name, tuple(sorted((p, _signature(m)) for p, m in bound.items())))
         if key in self._active:
+            self._reread.add(key)
             return self._summaries.get(key, {})
         self._active.add(key)
         try:
-            result = self._analyze_scope(scope, bound, depth + 1)
-            self._summaries[key] = result
+            while True:
+                self._reread.discard(key)
+                result = self._analyze_scope(scope, bound, depth + 1)
+                prior = self._summaries.get(key, {})
+                self._summaries[key] = result
+                if key not in self._reread or _signature(result) == _signature(prior):
+                    break
         finally:
             self._active.discard(key)
         return result

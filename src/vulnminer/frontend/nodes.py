@@ -185,6 +185,14 @@ def compound(kind: NodeKind, heads: list[AstNode], bodies: list[list[AstNode]],
     return AstNode(kind, children=children, attrs=attrs, start=start, end=end)
 
 
+def assigned_var(assign: AstNode) -> str:
+    """The variable an assignment writes (the base of an indexed target)."""
+    node = assign.children[0]
+    while node.kind is NodeKind.INDEX:
+        node = node.children[0]
+    return node.attrs["name"]
+
+
 def mk_var(name: str) -> AstNode:
     return AstNode(NodeKind.VAR, attrs={"name": name})
 

@@ -75,12 +75,9 @@ class TaintLexicon:
         return BUILTIN_FUNCTIONS | self.names
 
     @cached_property
-    def _risky(self) -> frozenset[str]:
-        return self.sources | frozenset(self.sinks)
-
-    def risky_names(self) -> frozenset[str]:
+    def risky(self) -> frozenset[str]:
         """Source and sink symbols used to build attention risk columns."""
-        return self._risky
+        return self.sources | frozenset(self.sinks)
 
 
 DEFAULT_LEXICON = TaintLexicon(

@@ -36,7 +36,6 @@ _KIND_TOKENS = {
 @dataclass
 class TokenSequence:
     tokens: list[str]
-    origin: dict[int, int]        # token index -> AST node id
     truncated: bool = False
     statements: tuple[int, ...] = ()   # kept statement node ids, in order
 
@@ -81,7 +80,6 @@ def linearize(graph: FlowGraph, canonical: bool = True,
         return fn_names[name]
 
     tokens: list[str] = []
-    origin: dict[int, int] = {}
     statements: list[int] = []
     truncated = False
 
@@ -91,10 +89,9 @@ def linearize(graph: FlowGraph, canonical: bool = True,
             break
         if node.kind in STATEMENT_KINDS:
             statements.append(node.node_id)
-        origin[len(tokens)] = node.node_id
         tokens.append(_node_symbol(node, var_symbol, fn_symbol))
 
-    seq = TokenSequence(tokens=tokens, origin=origin, truncated=truncated,
+    seq = TokenSequence(tokens=tokens, truncated=truncated,
                         statements=tuple(statements))
     return with_flow_markers(seq, graph, max_len) if flow_markers else seq
 
@@ -103,28 +100,23 @@ def with_flow_markers(seq: TokenSequence, graph: FlowGraph,
                       max_len: int = MAX_SEQUENCE) -> TokenSequence:
     """``seq`` with a ``DF @i @j`` triple appended per data-flow pair.
 
-    ``seq`` is ``graph`` linearized without markers at the same ``max_len``;
-    the result shares its ``origin``. A pair with an endpoint cut by the
-    budget, or a marker past it, marks the result truncated.
+    ``seq`` is ``graph`` linearized without markers at the same ``max_len``.
+    Both ends of a pair are statements, so it survives the budget when both
+    have an ordinal; a pair that does not, or a marker past the budget,
+    marks the result truncated.
     """
-    kept = set(seq.origin.values())
     ordinal = {node_id: k for k, node_id in enumerate(seq.statements, 1)}
-    truncated = seq.truncated
-    markers = []
-    for src, dst in graph.dataflow:
-        if src not in kept or dst not in kept:
-            truncated = True
-            continue
-        if src in ordinal and dst in ordinal:
-            markers.append((ordinal[src], ordinal[dst]))
+    markers = sorted((ordinal[src], ordinal[dst]) for src, dst in graph.dataflow
+                     if src in ordinal and dst in ordinal)
+    truncated = seq.truncated or len(markers) < len(graph.dataflow)
     tokens = list(seq.tokens)
-    for src_ord, dst_ord in sorted(markers):
+    for src_ord, dst_ord in markers:
         if len(tokens) + 3 > max_len:
             truncated = True
             break
         tokens.extend((FLOW_MARK, f"@{src_ord}", f"@{dst_ord}"))
-    return TokenSequence(tokens=tokens, origin=seq.origin,
-                         truncated=truncated, statements=seq.statements)
+    return TokenSequence(tokens=tokens, truncated=truncated,
+                         statements=seq.statements)
 
 
 def _node_symbol(node: AstNode, var_symbol, fn_symbol) -> str:

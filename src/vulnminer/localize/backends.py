@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Callable, Protocol
 
 from ..frontend.nodes import AstNode, NodeKind
 from .constraints import ConstraintSet
@@ -44,10 +44,12 @@ _RESPONSE_KEYS = ("vulnerability type", "cause analysis", "involved line numbers
 
 @dataclass(frozen=True)
 class MicroTemplate:
-    """Names a plan maker of ``_TEMPLATES`` and the sink classes it guards."""
+    """A plan maker and the sink classes it guards: ``make(plan, ir,
+    facts)`` fills the primary plan, or returns False to refuse."""
 
     template_id: str
     sink_classes: tuple[str, ...]
+    make: Callable[..., bool]
 
     def applicable(self, sink_class: str) -> bool:
         return sink_class in self.sink_classes
@@ -72,19 +74,18 @@ class RefusalBackend:
 class DeterministicBackend:
     """Derives guard plans from the IR; no generation model involved.
 
-    The template's maker in ``_TEMPLATES`` fills the primary plan from the
-    IR's slice facts or refuses; the generic plan guards the same reads.
+    The template's maker fills the primary plan from the IR's slice facts
+    or refuses; the generic plan guards the same reads.
     """
 
     name = "deterministic"
 
     def fill(self, template: MicroTemplate, ir: IntermediateRepresentation,
              constraints: ConstraintSet) -> list[FillPlan]:
-        entry = _TEMPLATES.get(template.template_id)
-        if entry is None or not template.applicable(ir.finding.sink_class):
+        if not template.applicable(ir.finding.sink_class):
             return []
         primary = FillPlan(template_id=template.template_id, variant="primary")
-        if not entry[1](primary, ir, ir.facts):
+        if not template.make(primary, ir, ir.facts):
             return []
         generic = FillPlan(template_id=template.template_id, variant="generic")
         _wrap_reads_or_sink(generic, ir.facts,
@@ -155,19 +156,17 @@ def _redirect_plan(plan: FillPlan, ir, facts) -> bool:
     return True
 
 
-# Each micro-template: the sink classes it guards and its plan maker.
-_TEMPLATES = {
-    "validation_wrapper": (("Command",), _command_plan),
-    "prepared_statement": (("Sql",), _sql_plan),
-    "output_escape": (("Output",), _output_plan),
-    "include_guard": (("Include",), _include_plan),
-    "redirect_guard": (("Redirect",), _redirect_plan),
-}
+_TEMPLATES = (
+    MicroTemplate("validation_wrapper", ("Command",), _command_plan),
+    MicroTemplate("prepared_statement", ("Sql",), _sql_plan),
+    MicroTemplate("output_escape", ("Output",), _output_plan),
+    MicroTemplate("include_guard", ("Include",), _include_plan),
+    MicroTemplate("redirect_guard", ("Redirect",), _redirect_plan),
+)
 
 
 def default_templates() -> list[MicroTemplate]:
-    return [MicroTemplate(template_id, sink_classes)
-            for template_id, (sink_classes, _) in _TEMPLATES.items()]
+    return list(_TEMPLATES)
 
 
 # -- shared pieces -------------------------------------------------------------

@@ -83,8 +83,8 @@ class GruParams:
                 raise ConfigError(f"GRU param {name} has non-finite entries")
 
 
-def gru_forward(seq: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
-    """Run the recurrence; returns (score, hidden_states, cache).
+def gru_forward(seq: np.ndarray, p: GruParams):
+    """Run the recurrence from zero; returns (score, hidden_states, cache).
 
     Gates: z update, r reset, candidate h~; blend h' = (1-z)*h + z*h~,
     sigmoid readout on the final hidden state. This is ``gru_batch`` on a
@@ -94,19 +94,17 @@ def gru_forward(seq: np.ndarray, p: GruParams, h0: np.ndarray | None = None):
     if n and seq.shape[1] != p.dim:
         raise ConfigError(f"sequence width {seq.shape[1]} != model width {p.dim}")
     x = seq[None] if n else np.zeros((1, 0, p.dim))
-    scores, cache = gru_batch(x, np.array([n]), p, h0)
-    cache["single"] = True
+    scores, cache = gru_batch(x, np.array([n]), p)
     return float(scores[0]), cache["hs"][1:, 0], cache
 
 
-def gru_batch(x: np.ndarray, lengths: np.ndarray, p: GruParams,
-              h0: np.ndarray | None = None):
+def gru_batch(x: np.ndarray, lengths: np.ndarray, p: GruParams):
     """Scores of a padded batch ``x`` (B, T, d) and the cache for backward.
 
     Row b holds its sequence in ``x[b, :lengths[b]]``. The recurrence runs
-    time-major over all rows at once; a row past its length keeps its
-    state, so its score is that of its last real step. Non-finite states
-    raise with the first step that produced one.
+    time-major over all rows at once from a zero state; a row past its
+    length keeps its state, so its score is that of its last real step.
+    Non-finite states raise with the first step that produced one.
     """
     rows, steps, width = x.shape
     if width != p.dim:
@@ -120,8 +118,6 @@ def gru_batch(x: np.ndarray, lengths: np.ndarray, p: GruParams,
             + np.concatenate([p.bz, p.br, p.bh])) \
         .reshape(rows, steps, 3 * hid).transpose(1, 0, 2)
     hs = np.zeros((steps + 1, rows, hid))
-    if h0 is not None:
-        hs[0] = h0
     gates = np.empty((steps, rows, 3 * hid))  # z | r | candidate per step
     for t in range(steps):
         h = hs[t]
@@ -137,7 +133,7 @@ def gru_batch(x: np.ndarray, lengths: np.ndarray, p: GruParams,
                            step=int(np.argmin(finite)))
     scores = sigmoid(hs[-1] @ p.w + p.b)
     return scores, {"p": p, "x": x, "alive": alive, "hs": hs,
-                    "gates": gates, "scores": scores, "single": False}
+                    "gates": gates, "scores": scores}
 
 
 def gru_input_table(matrix: np.ndarray, p: GruParams) -> np.ndarray:
@@ -199,8 +195,9 @@ def gru_backward(cache: dict, dscore):
 
     ``dscore`` is one loss gradient per row of the batch (a float for
     ``gru_forward``'s cache). Parameter gradients are sums over the rows;
-    the input gradient has the input's shape. The step loop keeps only
-    the (B, h) recurrences; each weight gradient is one product after it.
+    the input gradient has the batch's shape (B, T, d). The step loop
+    keeps only the (B, h) recurrences; each weight gradient is one
+    product after it.
     """
     p: GruParams = cache["p"]
     x, alive, hs, gates = cache["x"], cache["alive"], cache["hs"], cache["gates"]
@@ -239,7 +236,7 @@ def gru_backward(cache: dict, dscore):
     }
     dx = (da @ np.concatenate([p.wz, p.wr, p.wh], axis=1).T) \
         .reshape(rows, steps, width)
-    return grads, dx[0] if cache["single"] else dx
+    return grads, dx
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +293,9 @@ class AttentionParams:
 
 @dataclass
 class RiskMatrix:
-    """Additive pre-softmax bias: column j is beta when token j is risky."""
+    """Additive pre-softmax bias: ``row`` (beta at risky columns) for every row."""
 
-    matrix: np.ndarray
+    row: np.ndarray
     beta: float
     risky_columns: tuple[int, ...] = field(default_factory=tuple)
 
@@ -307,12 +304,12 @@ class RiskMatrix:
         if beta < 0:
             raise ConfigError("risk bias beta must be >= 0")
         cols = tuple(sorted(set(risky_columns)))
-        matrix = np.zeros((n, n))
+        row = np.zeros(n)
         for j in cols:
             if not 0 <= j < n:
                 raise ConfigError(f"risky column {j} outside sequence of length {n}")
-            matrix[:, j] = beta
-        return cls(matrix=matrix, beta=beta, risky_columns=cols)
+            row[j] = beta
+        return cls(row=row, beta=beta, risky_columns=cols)
 
 
 def attention_forward(emb: np.ndarray, p: AttentionParams,
@@ -329,19 +326,18 @@ def attention_forward(emb: np.ndarray, p: AttentionParams,
     n = emb.shape[0]
     if n and emb.shape[1] != p.dim:
         raise ConfigError(f"embedding width {emb.shape[1]} != model width {p.dim}")
-    if bias is not None and bias.matrix.shape != (n, n):
+    if bias is not None and bias.row.shape != (n,):
         raise ConfigError(
-            f"risk matrix shape {bias.matrix.shape} != ({n}, {n})")
+            f"risk row shape {bias.row.shape} != ({n},)")
     if not n:
         scores, cache = attention_batch(np.zeros((1, 0, p.dim)),
                                         np.array([0]), p)
-        cache["single"] = True
         return (float(scores[0]), cache["pooled"][0],
                 cache["attn"][0, :0, :0], cache)
     q, k, v = emb @ p.wq, emb @ p.wk, emb @ p.wv
     logits = q @ k.T / np.sqrt(p.dim)
     if bias is not None:
-        logits += bias.matrix
+        logits += bias.row
     attn = np.exp(logits - logits.max(axis=1, keepdims=True))
     attn /= attn.sum(axis=1, keepdims=True)
     ctx = attn @ v
@@ -356,7 +352,7 @@ def attention_forward(emb: np.ndarray, p: AttentionParams,
     return float(scores[0]), pooled[0], attn, {
         "p": p, "emb": emb, "q": q, "k": k, "v": v, "attn": attn,
         "ctx": ctx, "hidden": hidden, "hbar": hbar, "pooled": pooled,
-        "scores": scores, "single": True}
+        "scores": scores}
 
 
 def attention_batch(emb: np.ndarray, lengths: np.ndarray, p: AttentionParams,
@@ -404,7 +400,7 @@ def attention_batch(emb: np.ndarray, lengths: np.ndarray, p: AttentionParams,
     return scores, {"p": p, "lengths": lengths, "real": real, "emb": emb,
                     "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx,
                     "hidden": hidden, "hbar": hbar, "pooled": pooled,
-                    "scores": scores, "single": False}
+                    "scores": scores}
 
 
 def attention_backward(cache: dict, dscore):
@@ -412,8 +408,8 @@ def attention_backward(cache: dict, dscore):
 
     ``dscore`` is one loss gradient per row (a float for
     ``attention_forward``'s cache); parameter gradients are sums over the
-    rows. The input gradient is returned for ``attention_forward``'s cache
-    only and is None for a batch: stage two trains on a frozen table.
+    rows. Returns (grads, None): stage two trains on a frozen table, so
+    no input gradient is formed.
     """
     if "real" not in cache:  # attention_forward's 2-D cache
         n = cache["emb"].shape[0]
@@ -446,9 +442,7 @@ def attention_backward(cache: dict, dscore):
         "w2": cache["hbar"].T @ dpooled, "b2": dpooled.sum(axis=0),
         "w": cache["pooled"].T @ ds_pre, "b": np.asarray(ds_pre.sum()),
     }
-    demb = (dq @ p.wq.T + dk @ p.wk.T + dv @ p.wv.T) if cache["single"] \
-        else None
-    return grads, demb
+    return grads, None
 
 
 def risk_biased_attention(emb: np.ndarray, p: AttentionParams,

@@ -23,7 +23,7 @@ class StageTwoScore:
 
 def risky_columns(seq: TokenSequence, lex: TaintLexicon) -> tuple[int, ...]:
     """Positions of ``seq`` whose symbol is a known source or sink."""
-    risky = lex.risky_names()
+    risky = lex.risky
     return tuple(i for i, tok in enumerate(seq.tokens) if tok in risky)
 
 

@@ -14,6 +14,7 @@ from .nn import (
     DEFAULT_DIM,
     DEFAULT_HIDDEN,
     GruParams,
+    RiskMatrix,
     attention_backward,
     attention_batch,
     gru_backward,
@@ -170,12 +171,13 @@ def train_semantic(samples: list[Sample], vocab: Vocabulary,
                    table: EmbeddingTable, cfg: TrainConfig):
     """Train the risk-biased attention head on frozen embeddings."""
     params = AttentionParams.init(cfg.dim, seed=cfg.seed + 1)
+    risk = [RiskMatrix.build(len(s.tokens), s.risky_columns, cfg.beta).row
+            for s in samples]
 
     def forward(batch, x, lengths):
-        # RiskMatrix.build sets whole columns: one bias row per sample
         bias = np.zeros((len(batch), 1, x.shape[1]))
         for row, si in enumerate(batch):
-            bias[row, 0, list(samples[si].risky_columns)] = cfg.beta
+            bias[row, 0, :lengths[row]] = risk[si]
         return attention_batch(x, lengths, params, bias)
 
     curve = _fit(samples, vocab, table, cfg, params.arrays(), cfg.seed + 1,

@@ -131,10 +131,10 @@ def test_one_walk_feeds_both_sequences(corpus_units, monkeypatch):
         assert all(markers[i] == "DF" and markers[i + 1][0] == "@"
                    and markers[i + 2][0] == "@"
                    for i in range(0, len(markers), 3))
-        assert structural.origin == semantic.origin
+        assert structural.statements == semantic.statements
         reference = linearize(analysis.graph, keep=analysis.keep)
-        assert (structural.tokens, structural.origin, structural.truncated) \
-            == (reference.tokens, reference.origin, reference.truncated)
+        assert (structural.tokens, structural.statements, structural.truncated) \
+            == (reference.tokens, reference.statements, reference.truncated)
         truncated += structural.truncated
     assert truncated >= 1
 

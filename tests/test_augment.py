@@ -104,6 +104,17 @@ class TestLoopToRecursion:
         _, applied = loop_to_recursion(parse_text("t.php", src), seed=1)
         assert not applied
 
+    def test_indexed_for_step_modifies_its_base_variable(self):
+        src = "<?php for ($i = 0; $i < 2; $b[$i] = 1) { echo $_GET['x']; }"
+        out, applied = loop_to_recursion(parse_text("t.php", src), seed=1)
+        assert applied
+        assert types_of(src) == types_of(print_source(out)) == ("XSS",)
+
+    def test_indexed_write_counts_as_a_modified_variable(self):
+        src = "<?php $i = 0; while ($i < 2) { $b[$i] = 1; $i = $i + 1; }"
+        _, applied = loop_to_recursion(parse_text("t.php", src), seed=1)
+        assert not applied
+
 
 class TestSyntaxTransforms:
     def test_if_else_flip(self):

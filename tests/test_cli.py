@@ -398,6 +398,20 @@ def test_augment_command(model_path, corpus_dir, tmp_path, capsys):
         assert Path(row["output"]).exists()
 
 
+def test_augment_rewrites_a_for_loop_with_an_indexed_step(tmp_path, capsys):
+    loop = tmp_path / "loop.php"
+    loop.write_text(
+        "<?php for ($i = 0; $i < 2; $b[$i] = 1) { echo $_GET['x']; }\n")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(
+        json.dumps({"path": str(path), "label": label}) + "\n"
+        for path, label in ((loop, 1),) + ((FIXTURES / "clean_page.php", 0),) * 3))
+    code, out, _ = run(capsys, "augment", str(manifest), "--ratio", "0.8",
+                       "--out-dir", str(tmp_path / "aug"))
+    assert code == 0
+    assert out.startswith("emitted ")
+
+
 def test_augment_stops_on_a_file_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "bad.php"
     bad.write_bytes('<?php system("café " . $_GET["c"]);'.encode("latin-1"))

@@ -2,7 +2,8 @@
 
 The frontend is the bottom layer: it imports nothing of the package beyond
 itself, the error types, source units and the lexicon. Localization is the
-top layer: only the command line imports it.
+top layer: only the command line imports it. No module imports an
+underscore name of another.
 """
 
 import ast
@@ -44,3 +45,15 @@ def test_frontend_imports_only_the_layers_below_it():
     for path in _files(PACKAGE / "frontend"):
         for name in _imports(path):
             assert name.split(".")[1] in allowed, (path.name, name)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = []
+    for path in _files(PACKAGE):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("vulnminer")):
+                private += [(str(path.relative_to(PACKAGE)), a.name)
+                            for a in node.names if a.name.startswith("_")
+                            and not a.name.endswith("__")]
+    assert private == []

@@ -32,12 +32,6 @@ def test_flow_marker_after_structural_stream():
                           "DF", "@1", "@2"]
 
 
-def test_origin_covers_structural_tokens():
-    seq = seq_of("<?php $a = 1; echo $a;")
-    structural = len(seq.tokens) - 3
-    assert sorted(seq.origin) == list(range(structural))
-
-
 def test_node_count_equals_structural_tokens():
     src = "<?php if ($a) { $b = $a . 'x'; } echo $b;"
     ast = parse_text("t.php", src)
@@ -103,7 +97,7 @@ def test_pad_row_stays_zero_and_lookup_linear():
     vocab = Vocabulary.build([["a", "b"]])
     table = EmbeddingTable.init(len(vocab), 8, seed=1)
     assert np.allclose(table.matrix[0], 0.0)
-    seq = TokenSequence(tokens=[PAD, PAD], origin={})
+    seq = TokenSequence(tokens=[PAD, PAD])
     out = embed_sequence(seq, table, vocab)
     assert np.allclose(out, 0.0)
 
@@ -111,7 +105,7 @@ def test_pad_row_stays_zero_and_lookup_linear():
 def test_identity_embedding_with_one_hot():
     vocab = Vocabulary.build([["a", "b"]])
     table = EmbeddingTable(matrix=np.eye(len(vocab)))
-    seq = TokenSequence(tokens=["a", "b"], origin={})
+    seq = TokenSequence(tokens=["a", "b"])
     out = embed_sequence(seq, table, vocab)
     for i, token in enumerate(seq.tokens):
         expected = np.zeros(len(vocab))
@@ -131,6 +125,6 @@ def test_determinism():
 def test_size_mismatch_raises():
     vocab = Vocabulary.build([["a"]])
     table = EmbeddingTable.init(len(vocab) + 2, 4, seed=0)
-    seq = TokenSequence(tokens=["a"], origin={})
+    seq = TokenSequence(tokens=["a"])
     with pytest.raises(ConfigError):
         embed_sequence(seq, table, vocab)

@@ -10,7 +10,7 @@ def test_no_risky_tokens_zero_matrix():
     unit = SourceUnit.from_text("t.php", "<?php $a = 1;")
     seq = FileAnalysis(unit).semantic
     bias = build_risk_matrix(seq, DEFAULT_LEXICON, beta=2.0)
-    assert np.array_equal(bias.matrix, np.zeros((len(seq.tokens), len(seq.tokens))))
+    assert np.array_equal(bias.row, np.zeros(len(seq.tokens)))
 
 
 def test_risky_column_for_sink_token():
@@ -19,7 +19,7 @@ def test_risky_column_for_sink_token():
     position = seq.tokens.index("system")
     bias = build_risk_matrix(seq, DEFAULT_LEXICON, beta=1.5)
     assert position in bias.risky_columns
-    assert np.allclose(bias.matrix[:, position], 1.5)
+    assert bias.row[position] == 1.5
 
 
 def test_appendix_case_risky_columns(command_injection_unit):

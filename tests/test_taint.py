@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 from vulnminer.analysis import FileAnalysis
 from vulnminer.flows import augment_flows, classify_vuln_type, taint_trace
 from vulnminer.frontend import parse_text
@@ -103,12 +105,11 @@ echo spin('', 0);
 
 
 def test_loop_free_scope_sweeps_again_after_a_call():
-    # The top-level scope is loop-free. Its first sweep analyzes g while
-    # g's recursive call still reads an empty summary, so `echo $r` sees no
-    # taint yet. A sweep that called a user function is not final: the
-    # second top-level sweep reads g's summary and finds the flow. Without
-    # the $t definition the first sweep changes no definition and the loop
-    # stops before that second sweep.
+    # The top-level scope is loop-free and takes one sweep. In g's first
+    # run its recursive call reads g's summary while it is still empty, so
+    # `echo $r` sees no taint; g then runs again until its summary stops
+    # changing, and the second run finds the flow. The $t definition
+    # before the call changes none of this.
     findings = trace("""<?php
 function g($x) { $r = g($x); echo $r; return $_GET['a']; }
 $t = $_GET['q'];
@@ -116,6 +117,46 @@ g(1);
 """)
     assert [(f.sink_name, f.source_label, f.sanitized) for f in findings] == [
         ("echo", "$_GET", False)]
+
+
+def test_recursive_call_reads_the_converged_summary():
+    findings = trace("""<?php
+function g($x) { $r = g($x); echo $r; return $_GET['a']; }
+g(1);
+""")
+    assert [(f.sink_name, f.source_label, f.sanitized) for f in findings] == [
+        ("echo", "$_GET", False)]
+
+
+def test_mutual_recursion_converges():
+    findings = trace("""<?php
+function a($x) { $r = b($x); echo $r; return $_GET['a']; }
+function b($y) { return a($y); }
+a(1);
+""")
+    assert [(f.sink_name, f.source_label, f.sanitized) for f in findings] == [
+        ("echo", "$_GET", False)]
+
+
+def test_sinks_are_followed_through_three_nested_calls():
+    chain = """<?php
+function d($x) { system($x); }
+function c($x) { %s($x); }
+function b($x) { c($x); }
+function a($x) { b($x); }
+a($_GET['x']);
+"""
+    assert [f.sink_name for f in trace(chain % "system")] == ["system"]
+    assert trace(chain % "d") == []
+
+
+def test_only_lexicon_sources_carry_taint():
+    lex = replace(DEFAULT_LEXICON, sources=frozenset({"$_GET"}))
+    graph = augment_flows(parse_text("t.php", """<?php
+$a = $_COOKIE['x']; echo $a;
+$b = $_GET['y']; echo $b;
+"""))
+    assert [f.source_label for f in taint_trace(graph, lex)] == ["$_GET"]
 
 
 def test_loop_carried_taint():

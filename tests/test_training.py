@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,10 @@ from vulnminer.training import (
 
 TOKENS_POS = ["prog", "=", "$v1", "$_GET", "echo", "$v1"]
 TOKENS_NEG = ["prog", "=", "$v1", "htmlspecialchars", "$_GET", "echo", "$v1"]
+
+
+STRUCTURAL_DIGEST = "1700457f3ba9313c612ed0cc41b479aad65825c171c6e6a1759eee06dceed7a9"
+SEMANTIC_DIGEST = "eabbb67f9db5a56b8f81b5837f9394147653f7d272dfb7790869083ed535eb36"
 
 
 def tiny_corpus(n_each=4):
@@ -79,6 +84,31 @@ def test_seeded_training_is_bit_reproducible():
     for k, arr in p1.arrays().items():
         assert np.array_equal(arr, p2.arrays()[k]), k
     assert np.array_equal(table1.matrix, table2.matrix)
+
+
+def _digest(arrays: dict) -> str:
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        h.update(name.encode("utf-8"))
+        h.update(np.ascontiguousarray(arrays[name]).tobytes())
+    return h.hexdigest()
+
+
+def test_trained_arrays_match_the_recorded_digests():
+    # Recorded with numpy 2.4 and one BLAS thread on x86-64. A change that
+    # moves a trained bit, on purpose or not, shows here.
+    samples = []
+    for i in range(12):
+        tokens = (TOKENS_POS if i % 2 else TOKENS_NEG) + [
+            f"@{k + 1}" for k in range(i % 3)]
+        samples.append(Sample(tokens=tokens, label=i % 2, risky_columns=tuple(
+            j for j, t in enumerate(tokens) if t in ("$_GET", "echo"))))
+    vocab, table = build_tables(samples)
+    cfg = TrainConfig(dim=8, hidden=4, epochs=2, seed=0)
+    gru, _ = train_structural(samples, vocab, table, cfg)
+    attention, _ = train_semantic(samples, vocab, table, cfg)
+    assert _digest(dict(gru.arrays(), emb=table.matrix)) == STRUCTURAL_DIGEST
+    assert _digest(attention.arrays()) == SEMANTIC_DIGEST
 
 
 def test_pad_row_stays_zero_through_training():
