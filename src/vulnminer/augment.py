@@ -15,6 +15,7 @@ from .frontend import print_source
 from .frontend.nodes import (AstNode, NodeKind, assigned_var, compound,
                              copy_tree, mk_assign, mk_call, mk_expr_stmt,
                              mk_var, parts)
+from .frontend.normalizer import renamed, user_names
 from .lexicon import RESERVED_FUNCTION_NAMES
 from .source import SourceUnit, read_unit
 
@@ -49,16 +50,7 @@ def rename_variables(ast: AstNode, seed: int,
     Function names in ``keep`` (built-ins and lexicon names) are not renamed.
     """
     rng = np.random.default_rng(seed)
-    var_names: list[str] = []
-    fn_names: list[str] = []
-    for node in ast.walk():
-        if node.kind is NodeKind.VAR and node.attrs["name"] not in var_names:
-            var_names.append(node.attrs["name"])
-        elif node.kind in (NodeKind.FUNCTION_DECL, NodeKind.CALL):
-            name = node.attrs["name"]
-            if name not in keep and name not in fn_names:
-                fn_names.append(name)
-
+    var_names, fn_names = user_names(ast, keep)
     taken = set(var_names) | set(fn_names) | set(keep)
 
     def variant(name: str) -> str:
@@ -76,15 +68,7 @@ def rename_variables(ast: AstNode, seed: int,
 
     var_map = {n: variant(n) for n in var_names}
     fn_map = {n: variant(n) for n in fn_names}
-
-    out = copy_tree(ast)
-    for node in out.walk():
-        if node.kind is NodeKind.VAR:
-            node.attrs["name"] = var_map[node.attrs["name"]]
-        elif node.kind in (NodeKind.FUNCTION_DECL, NodeKind.CALL):
-            if node.attrs["name"] in fn_map:
-                node.attrs["name"] = fn_map[node.attrs["name"]]
-    return out
+    return renamed(ast, var_map, fn_map)
 
 
 def _loop_vars(loop: AstNode) -> tuple[set[str], set[str]]:
@@ -111,28 +95,22 @@ def loop_to_recursion(ast: AstNode, seed: int) -> tuple[AstNode, bool]:
     most one variable. Returns (tree, applied).
     """
     rng = np.random.default_rng(seed)
-    fn_name = f"loop_step_{int(rng.integers(1, 1000))}"
+    name = f"loop_step_{int(rng.integers(1, 1000))}"
     existing = {n.attrs["name"] for n in ast.walk()
                 if n.kind is NodeKind.FUNCTION_DECL}
-    while fn_name in existing:
-        fn_name += "x"
+    while name in existing:
+        name += "x"
 
     if ast.kind is not NodeKind.PROGRAM:
         raise VulnMinerError("loop_to_recursion expects a Program")
-    applied = [False]
 
-    def rebuild_body(stmts: list[AstNode]) -> list[AstNode]:
-        out: list[AstNode] = []
-        for stmt in stmts:
-            if (not applied[0] and stmt.kind in (NodeKind.WHILE, NodeKind.FOR)
-                    and _eligible(stmt)):
-                out.extend(_recursive_form(stmt, fn_name))
-                applied[0] = True
-            else:
-                out.append(copy_tree(stmt))
-        return out
+    def edit(stmts: list[AstNode]) -> list[AstNode] | None:
+        for i, stmt in enumerate(stmts):
+            if stmt.kind in (NodeKind.WHILE, NodeKind.FOR) and _eligible(stmt):
+                return stmts[:i] + _recursive_form(stmt, name) + stmts[i + 1:]
+        return None
 
-    return _rebuild_bodies(ast, rebuild_body), applied[0]
+    return _edit_first_body(ast, edit)
 
 
 def _eligible(loop: AstNode) -> bool:
@@ -148,16 +126,16 @@ def _eligible(loop: AstNode) -> bool:
 
 
 def _recursive_form(loop: AstNode, fn_name: str) -> list[AstNode]:
+    """The declaration, prelude and call that take over a loop's nodes."""
     modified, used = _loop_vars(loop)
     params = sorted(used | modified)
     carry = next(iter(modified)) if modified else None
 
-    heads, (body_nodes,) = parts(loop)
-    body = [copy_tree(s) for s in body_nodes]
+    heads, (body,) = parts(loop)
     if loop.kind is NodeKind.FOR:
         init, cond, step = heads
-        body.append(copy_tree(step))
-        prelude = [copy_tree(init)]
+        body.append(step)
+        prelude = [init]
     else:
         (cond,) = heads
         prelude = []
@@ -169,7 +147,7 @@ def _recursive_form(loop: AstNode, fn_name: str) -> list[AstNode]:
                   else AstNode(NodeKind.NUMBER_LIT,
                                attrs={"text": "0", "value": 0}))
     fn_body = [
-        compound(NodeKind.IF, [copy_tree(cond)], [then_body, []]),
+        compound(NodeKind.IF, [cond], [then_body, []]),
         AstNode(NodeKind.RETURN, children=[base_value],
                 attrs={"has_value": True}),
     ]
@@ -198,23 +176,18 @@ def transform_syntax_tree(ast: AstNode, seed: int) -> tuple[AstNode, bool]:
 
 
 def _flip_if_else(ast: AstNode, rng) -> tuple[AstNode, bool]:
-    applied = [False]
-
-    def rebuild(node: AstNode) -> AstNode:
-        if node.kind is NodeKind.IF and not applied[0]:
-            cond, then, other = node.if_parts()
-            if other:
-                applied[0] = True
-                negated = AstNode(NodeKind.BINARY_OP,
-                                  children=[rebuild(cond)], attrs={"op": "!"})
-                return compound(NodeKind.IF, [negated],
-                                [[rebuild(s) for s in other],
-                                 [rebuild(s) for s in then]])
-        out = AstNode(node.kind, children=[rebuild(c) for c in node.children],
-                      attrs=dict(node.attrs))
-        return out
-
-    return rebuild(ast), applied[0]
+    """Negate the condition of the first if/else, in pre-order, and swap
+    its branches."""
+    out = copy_tree(ast)
+    for node in out.walk():
+        if node.kind is NodeKind.IF and (branches := node.if_parts())[2]:
+            cond, then, other = branches
+            negated = AstNode(NodeKind.BINARY_OP, children=[cond],
+                              attrs={"op": "!"})
+            flipped = compound(NodeKind.IF, [negated], [other, then])
+            node.children, node.attrs = flipped.children, flipped.attrs
+            return out, True
+    return out, False
 
 
 def _stmt_defs_uses(stmt: AstNode) -> tuple[set[str], set[str], bool]:
@@ -237,52 +210,34 @@ def _stmt_defs_uses(stmt: AstNode) -> tuple[set[str], set[str], bool]:
 
 
 def _swap_independent(ast: AstNode, rng) -> tuple[AstNode, bool]:
-    applied = [False]
-
-    def rebuild_body(stmts: list[AstNode]) -> list[AstNode]:
-        out = [copy_tree(s) for s in stmts]
-        if applied[0]:
-            return out
-        for i in range(len(out) - 1):
+    def edit(stmts: list[AstNode]) -> list[AstNode] | None:
+        for i in range(len(stmts) - 1):
             a, b = stmts[i], stmts[i + 1]
             d1, u1, p1 = _stmt_defs_uses(a)
             d2, u2, p2 = _stmt_defs_uses(b)
-            if not (p1 and p2):
-                continue
-            if (d1 & (d2 | u2)) or (d2 & (d1 | u1)):
-                continue
-            out[i], out[i + 1] = out[i + 1], out[i]
-            applied[0] = True
-            break
-        return out
+            if p1 and p2 and not (d1 & (d2 | u2)) and not (d2 & (d1 | u1)):
+                stmts[i], stmts[i + 1] = b, a
+                return stmts
+        return None
 
-    tree = _rebuild_bodies(ast, rebuild_body)
-    return tree, applied[0]
+    return _edit_first_body(ast, edit)
 
 
 def _split_concat(ast: AstNode, rng) -> tuple[AstNode, bool]:
-    applied = [False]
     temp = f"part_{int(rng.integers(1, 1000))}"
 
-    def rebuild_body(stmts: list[AstNode]) -> list[AstNode]:
-        out: list[AstNode] = []
-        for stmt in stmts:
-            if (not applied[0] and stmt.kind is NodeKind.ASSIGN
+    def edit(stmts: list[AstNode]) -> list[AstNode] | None:
+        for i, stmt in enumerate(stmts):
+            if (stmt.kind is NodeKind.ASSIGN
                     and stmt.children[0].kind is NodeKind.VAR
                     and stmt.children[1].kind is NodeKind.CONCAT):
-                left, right = stmt.children[1].children
-                applied[0] = True
-                out.append(mk_assign(mk_var(temp), copy_tree(left)))
-                out.append(mk_assign(
-                    copy_tree(stmt.children[0]),
-                    AstNode(NodeKind.CONCAT,
-                            children=[mk_var(temp), copy_tree(right)])))
-            else:
-                out.append(copy_tree(stmt))
-        return out
+                concat = stmt.children[1]
+                left, concat.children[0] = concat.children[0], mk_var(temp)
+                return (stmts[:i] + [mk_assign(mk_var(temp), left)]
+                        + stmts[i:])
+        return None
 
-    tree = _rebuild_bodies(ast, rebuild_body)
-    return tree, applied[0]
+    return _edit_first_body(ast, edit)
 
 
 def _wrap_constant_if(ast: AstNode, rng) -> tuple[AstNode, bool]:
@@ -291,37 +246,36 @@ def _wrap_constant_if(ast: AstNode, rng) -> tuple[AstNode, bool]:
     Only at the top level, so function bodies keep their returns; a
     program that ends in a function declaration is left as it is.
     """
-    _heads, (body,) = parts(ast)
-    stmts = [copy_tree(s) for s in body]
-    applied = bool(stmts) and stmts[-1].kind is not NodeKind.FUNCTION_DECL
-    if applied:
-        cond = AstNode(NodeKind.NUMBER_LIT, attrs={"text": "1", "value": 1})
-        stmts[-1] = compound(NodeKind.IF, [cond], [[stmts[-1]], []])
-    return compound(NodeKind.PROGRAM, [], [stmts]), applied
+    out = copy_tree(ast)
+    _heads, (stmts,) = parts(out)
+    if not stmts or stmts[-1].kind is NodeKind.FUNCTION_DECL:
+        return out, False
+    cond = AstNode(NodeKind.NUMBER_LIT, attrs={"text": "1", "value": 1})
+    stmts[-1] = compound(NodeKind.IF, [cond], [[stmts[-1]], []])
+    return compound(NodeKind.PROGRAM, [], [stmts]), True
 
 
-def _rebuild_bodies(ast: AstNode, rebuild_body) -> AstNode:
-    """Apply a body-level rewrite at the program and function-body levels."""
-    new_children: list[AstNode] = []
-    pending: list[AstNode] = []
-
-    def flush():
-        if pending:
-            new_children.extend(rebuild_body(pending))
-            pending.clear()
-
-    _heads, (stmts,) = parts(ast)
-    for child in stmts:
-        if child.kind is NodeKind.FUNCTION_DECL:
-            flush()
-            name, params, body = child.function_parts()
-            new_children.append(compound(
-                NodeKind.FUNCTION_DECL, [copy_tree(p) for p in params],
-                [rebuild_body(body)], name=name))
-        else:
-            pending.append(child)
-    flush()
-    return compound(NodeKind.PROGRAM, [], [new_children])
+def _edit_first_body(ast: AstNode, edit) -> tuple[AstNode, bool]:
+    """Copy the program and apply ``edit(stmts) -> list | None`` to the
+    first statement list it changes: each run of top-level statements
+    between function declarations and each top-level function body, in
+    source order. Returns (tree, applied)."""
+    program = copy_tree(ast)
+    _heads, (top,) = parts(program)
+    start = 0
+    for end in [i for i, stmt in enumerate(top)
+                if stmt.kind is NodeKind.FUNCTION_DECL] + [len(top)]:
+        if start < end and (new := edit(top[start:end])) is not None:
+            top[start:end] = new
+            return compound(NodeKind.PROGRAM, [], [top]), True
+        if end < len(top):
+            name, params, body = top[end].function_parts()
+            if (new := edit(body)) is not None:
+                top[end] = compound(NodeKind.FUNCTION_DECL, params, [new],
+                                    name=name)
+                return compound(NodeKind.PROGRAM, [], [top]), True
+        start = end + 1
+    return program, False
 
 
 # ---------------------------------------------------------------------------
@@ -352,23 +306,17 @@ def augment_sample(origin: FileAnalysis, plan: tuple[str, ...],
             raise VulnMinerError(f"unknown augmentation op {op!r}")
     ast = origin.ast
     applied_ops: list[str] = []
-    structural = False
     for i, op in enumerate(plan):
         op_seed = seed + 7919 * i
         if op == "Rename":
             ast = rename_variables(ast, op_seed, keep=origin.keep)
             applied_ops.append("Rename")
-        elif op == "LoopToRecursion":
-            ast, ok = loop_to_recursion(ast, op_seed)
-            if ok:
-                applied_ops.append("LoopToRecursion")
-                structural = True
-        elif op == "SyntaxTransform":
-            ast, ok = transform_syntax_tree(ast, op_seed)
-            if ok:
-                applied_ops.append("SyntaxTransform")
-                structural = True
-    if not structural:
+            continue
+        ast, ok = (loop_to_recursion if op == "LoopToRecursion"
+                   else transform_syntax_tree)(ast, op_seed)
+        if ok:
+            applied_ops.append(op)
+    if not set(applied_ops) - {"Rename"}:  # nothing structural applied
         return None
     new_text = print_source(ast)
     result = FileAnalysis(SourceUnit.from_text(origin.path, new_text), origin.lex)

@@ -154,7 +154,8 @@ def calibrate_lambda(labeled, bundle, tau: float | None = None,
     ``labeled`` is a list of (FileAnalysis, label); ties prefer the
     smaller lambda so stage two wins when stages are interchangeable.
     ``errors`` collects the files the cascade cannot score, as in
-    ``score_cascade``.
+    ``score_cascade``; when none scores, the bundle's lambda stays, with
+    F1 None.
     """
     label_of = dict(labeled)
     if set(label_of.values()) != {0, 1}:
@@ -164,6 +165,8 @@ def calibrate_lambda(labeled, bundle, tau: float | None = None,
     scored = [(label_of[analysis], s1, s2) for analysis, s1, s2
               in score_cascade(label_of, bundle, tau1,
                                [] if errors is None else errors)]
+    if not scored:
+        return bundle.fusion.lam, None
     return search_lambda(scored, tau)
 
 

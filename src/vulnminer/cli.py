@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 # One BLAS thread unless set, before numpy loads: threads change trained bits.
@@ -51,15 +53,11 @@ def _read_units(paths: list[str]):
 
 
 def _load_cfg(args) -> Config:
-    overrides = {}
-    for key in ("seed", "backend", "endpoint", "timeout", "alpha",
-                "max_iterations", "lexicon"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "model", None):
-        overrides["model"] = args.model
-    return load_config(getattr(args, "config", None), overrides)
+    """Config file, then environment, then each parsed option that names a
+    ``Config`` field."""
+    names = {f.name for f in fields(Config)}
+    return load_config(args.config, {key: value for key, value
+                                     in vars(args).items() if key in names})
 
 
 def _lexicon(cfg: Config):
@@ -241,13 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-stage PHP vulnerability detection and localization")
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations, so `--out` never passes for `--out-dir`
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def common(p):
-        p.add_argument("--model", help="model file path")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--lexicon", default=None,
-                       help="taint lexicon file (kind,name,class lines)")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
+    def options(p, *names):
+        """The shared options a command reads; it accepts no others."""
+        helps = {"model": "model file path", "seed": None,
+                 "lexicon": "taint lexicon file (kind,name,class lines)",
+                 "out": "output file (default stdout)"}
+        for name in names:
+            p.add_argument(f"--{name}", help=helps[name],
+                           type=int if name == "seed" else None)
 
     def scanning(p):
         p.add_argument("paths", nargs="+")
@@ -255,55 +257,54 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit 0 or 1 even when some file gave an error "
                             "record (default: exit 2)")
 
-    scan = sub.add_parser("scan", help="run the detection cascade")
+    scan = add("scan", help="run the detection cascade")
     scanning(scan)
     scan.add_argument("--format", choices=("jsonl", "sarif"), default="jsonl")
-    common(scan)
+    options(scan, "model", "lexicon", "out")
     scan.set_defaults(func=cmd_scan)
 
-    loc = sub.add_parser("localize", help="locate and rewrite confirmed findings")
+    loc = add("localize", help="locate and rewrite confirmed findings")
     scanning(loc)
     loc.add_argument("--backend", choices=("deterministic", "remote", "refusal"),
                      default=None)
-    loc.add_argument("--endpoint", default=None)
-    loc.add_argument("--timeout", type=float, default=None)
-    loc.add_argument("--alpha", type=float, default=None)
-    loc.add_argument("--max-iterations", dest="max_iterations", type=int,
-                     default=None)
-    common(loc)
+    loc.add_argument("--endpoint")
+    loc.add_argument("--timeout", type=float)
+    loc.add_argument("--alpha", type=float)
+    loc.add_argument("--max-iterations", type=int)
+    options(loc, "model", "lexicon", "out")
     loc.set_defaults(func=cmd_localize)
 
-    train = sub.add_parser("train", help="train both stages and calibrate fusion")
+    train = add("train", help="train both stages and calibrate fusion")
     train.add_argument("manifest")
-    common(train)
+    options(train, "model", "seed", "lexicon")
     train.set_defaults(func=cmd_train)
 
-    bench = sub.add_parser("bench", help="metrics tables with ablations")
+    bench = add("bench", help="metrics tables with ablations")
     bench.add_argument("manifest")
     bench.add_argument("--ablate", action="append", default=None,
                        help=f"comma-separated from {', '.join(ABLATIONS)}")
     bench.add_argument("--split", choices=("train", "val", "test", "all"),
                        default="test")
     bench.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    common(bench)
+    options(bench, "model", "lexicon", "out")
     bench.set_defaults(func=cmd_bench)
 
-    aug = sub.add_parser("augment", help="semantics-preserving augmentation")
+    aug = add("augment", help="semantics-preserving augmentation")
     aug.add_argument("manifest")
     aug.add_argument("--ratio", type=float, required=True)
     aug.add_argument("--out-dir", required=True)
-    common(aug)
+    options(aug, "seed", "lexicon")
     aug.set_defaults(func=cmd_augment)
 
-    gen = sub.add_parser("gen-corpus", help="seeded synthetic corpus")
+    gen = add("gen-corpus", help="seeded synthetic corpus")
     gen.add_argument("--out-dir", required=True)
     gen.add_argument("--size", type=int, default=200)
     gen.add_argument("--ratio", type=float, default=0.3)
-    common(gen)
+    options(gen, "seed")
     gen.set_defaults(func=cmd_gen_corpus)
 
-    rate = sub.add_parser("localization-rate",
-                          help="rate and per-type breakdown from report stream")
+    rate = add("localization-rate",
+               help="rate and per-type breakdown from report stream")
     rate.add_argument("reports")
     rate.set_defaults(func=cmd_localization_rate)
     return parser

@@ -47,24 +47,33 @@ class CorpusManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusManifest":
+        """A line without a ``path``, a ``label`` of 0 or 1 and a known
+        split raises ``VulnMinerError`` naming ``manifest:LINE``."""
         entries = []
         base = Path(path).parent
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            file_path = obj["path"]
-            if not Path(file_path).is_absolute():
-                file_path = str(base / file_path)
-            entries.append(ManifestEntry(
-                path=file_path, label=int(obj["label"]),
-                vuln_type=obj.get("vuln_type"),
-                split=obj.get("split", "train")))
-        manifest = cls(entries=entries)
-        for entry in manifest.entries:
+            try:
+                obj = json.loads(line)
+                file_path, label = obj["path"], obj["label"]
+                if label not in (0, 1):
+                    raise ValueError(f"label {label!r}")
+                if not Path(file_path).is_absolute():
+                    file_path = str(base / file_path)
+                entry = ManifestEntry(path=file_path, label=int(label),
+                                      vuln_type=obj.get("vuln_type"),
+                                      split=obj.get("split", "train"))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise VulnMinerError(
+                    f"{path}:{lineno}: not a manifest entry with a path and "
+                    f"a label of 0 or 1") from exc
             if entry.split not in SPLITS:
-                raise VulnMinerError(f"unknown split {entry.split!r} in manifest")
-        return manifest
+                raise VulnMinerError(
+                    f"{path}:{lineno}: unknown split {entry.split!r}")
+            entries.append(entry)
+        return cls(entries=entries)
 
 
 def _relative_to(path: str, base: Path) -> str:

@@ -148,7 +148,6 @@ class AstNode:
 # children before the lists); None where the node's attrs say it.
 _HEADS = {NodeKind.PROGRAM: 0, NodeKind.FUNCTION_DECL: None, NodeKind.IF: 1,
           NodeKind.WHILE: 1, NodeKind.FOR: 3, NodeKind.FOREACH: None}
-COMPOUND_KINDS = frozenset(_HEADS)
 
 
 def parts(node: AstNode) -> tuple[list[AstNode], list[list[AstNode]]]:
@@ -259,11 +258,14 @@ def check_tree(root: AstNode) -> None:
 
 
 def copy_tree(node: AstNode) -> AstNode:
-    """Deep copy with fresh node ids."""
-    return AstNode(
-        kind=node.kind,
-        children=[copy_tree(c) for c in node.children],
-        attrs=dict(node.attrs),
-        start=node.start,
-        end=node.end,
-    )
+    """Deep copy with fresh node ids, the one way to get a tree to edit. It
+    copies in a loop, so a left-nested chain as long as the file copies like
+    a short one; a node gets its id before its children."""
+    root = AstNode(node.kind, [], dict(node.attrs), node.start, node.end)
+    stack = [(node, root)]
+    while stack:
+        src, dst = stack.pop()
+        dst.children = [AstNode(c.kind, [], dict(c.attrs), c.start, c.end)
+                        for c in src.children]
+        stack += zip(src.children, dst.children)
+    return root

@@ -13,8 +13,9 @@ SANITIZE_BEFORE_USE = "SanitizeBeforeUse"
 PARAMETERIZED_SQL = "ParameterizedSql"
 BOUNDED_OPERATION = "BoundedOperation"
 
-# Accepted sanitizers per sink class; wider than the taint lexicon on
-# purpose for Command (path/filename cleaners count as validation).
+# Accepted sanitizers per sink class: the lexicon's sanitizers of the class
+# without the `intval` coercion, except for Sql, which keeps `intval` and
+# drops `addslashes`.
 ACCEPTED_SANITIZERS = {
     "Command": ("escapeshellcmd", "escapeshellarg", "sanitize_path",
                 "sanitize_filename"),

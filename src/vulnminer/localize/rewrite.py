@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..frontend.nodes import (CHAIN_KINDS, COMPOUND_KINDS, AstNode, NodeKind,
-                              compound, copy_tree, mk_assign, mk_call,
-                              mk_expr_stmt, mk_str, mk_var, parts)
+from ..frontend.nodes import (AstNode, NodeKind, compound, copy_tree,
+                              mk_assign, mk_call, mk_expr_stmt, mk_str, mk_var,
+                              parts)
 from ..frontend.printer import print_source
 from .constraints import ACCEPTED_SANITIZERS, leftmost_operand
 from .ir import IntermediateRepresentation
@@ -46,113 +46,104 @@ class FillPlan:
 
 
 class Rewriter:
-    """Applies a fill plan to the original tree and re-prints the file."""
+    """Applies a fill plan to a copy of the original tree and re-prints it."""
 
     def __init__(self, ir: IntermediateRepresentation):
         self.ir = ir
         self.sink_class = ir.finding.sink_class
 
     def apply(self, plan: FillPlan) -> str:
+        """Edit a copy of the tree, each node after all its descendants,
+        so an edit sees its operands already edited."""
         self.plan = plan
+        analysis, prep = self.ir.analysis, plan.prepared
         self.wrap_nodes: dict[int, str] = {}
         self.replace_with_var: dict[int, str] = {}
+        self.hoists: dict[int, list[AstNode]] = {}  # statement id -> assigns
         for wrap in plan.source_wraps:
             if wrap.hoist_var and wrap.hoist_before is not None:
                 for nid in wrap.node_ids:
                     self.replace_with_var[nid] = wrap.hoist_var
+                read = analysis.nodes[wrap.node_ids[0]]
+                self.hoists.setdefault(wrap.hoist_before, []).append(mk_assign(
+                    mk_var(wrap.hoist_var),
+                    self._wrap(copy_tree(read), wrap.sanitizer)))
             else:
                 for nid in wrap.node_ids:
                     self.wrap_nodes[nid] = wrap.sanitizer
-        program = self._rebuild(self.ir.ast)
-        return print_source(program)
+        self.execute_calls = {
+            nid for nid, node in (analysis.nodes.items() if prep else ())
+            if node.kind is NodeKind.CALL
+            and node.attrs["name"] == prep.replace_call_name
+            and self.ir.stmt_of(nid) == prep.replace_call_stmt_id}
+        # the compound nodes whose statement lists get statements inserted
+        self.rebuilt = {analysis.parents[sid].node_id for sid in (
+            *self.hoists, *([prep.build_stmt_id] if prep else ()))}
+        touched = {*self.replace_with_var, *self.wrap_nodes,
+                   *plan.credential_env, *plan.rhs_wrap, *self.execute_calls,
+                   *plan.sink_head, *self.rebuilt}
 
-    # -- tree rebuilding -----------------------------------------------------
-
-    def _rebuild_body(self, stmts: list[AstNode]) -> list[AstNode]:
-        out: list[AstNode] = []
-        plan = self.plan
-        for stmt in stmts:
-            sid = stmt.node_id
-            for wrap in plan.source_wraps:
-                if wrap.hoist_before == sid and wrap.hoist_var:
-                    original = self.ir.analysis.nodes[wrap.node_ids[0]]
-                    out.append(mk_assign(
-                        mk_var(wrap.hoist_var),
-                        self._wrap(copy_tree(original), wrap.sanitizer)))
-            if plan.prepared and sid == plan.prepared.build_stmt_id:
-                out.extend(self._prepared_statements(stmt, plan.prepared))
+        source = self.ir.ast
+        pairs = list(zip(source.walk(), copy_tree(source).walk()))
+        self.copy_of = {node.node_id: copy for node, copy in pairs}
+        for node, copy in reversed(pairs):
+            if node.node_id not in touched:
                 continue
-            out.append(self._rebuild(stmt))
-        return out
+            edited = self.copy_of[node.node_id] = self._edit(node, copy)
+            parent = analysis.parents.get(node.node_id)
+            if parent is not None and edited is not copy:
+                siblings = self.copy_of[parent.node_id].children
+                siblings[siblings.index(copy)] = edited
+        return print_source(self.copy_of[source.node_id])
 
-    def _rebuild(self, node: AstNode) -> AstNode:
+    def _edit(self, node: AstNode, copy: AstNode) -> AstNode:
+        """The first of the plan's edits below that applies at ``node``:
+        the edited copy, or the node that replaces it."""
         nid = node.node_id
         plan = self.plan
         if nid in self.replace_with_var:
             return mk_var(self.replace_with_var[nid])
         if nid in self.wrap_nodes:
-            inner = self._rebuild_children(node)
-            return self._wrap(inner, self.wrap_nodes[nid])
-
+            return self._wrap(copy, self.wrap_nodes[nid])
         if node.kind is NodeKind.ASSIGN and nid in plan.credential_env:
-            target = self._rebuild(node.children[0])
-            env = plan.credential_env[nid]
-            return mk_assign(target, mk_call("getenv", [mk_str(env)]))
-        if node.kind is NodeKind.ASSIGN and nid in plan.rhs_wrap:
-            target = self._rebuild(node.children[0])
-            value = self._wrap(self._rebuild(node.children[1]),
-                               plan.rhs_wrap[nid])
-            return mk_assign(target, value)
-        if (plan.prepared and node.kind is NodeKind.CALL
-                and node.attrs["name"] == plan.prepared.replace_call_name
-                and self.ir.stmt_of(nid) == plan.prepared.replace_call_stmt_id):
+            env = mk_str(plan.credential_env[nid])
+            copy.children[1] = mk_call("getenv", [env])
+        elif node.kind is NodeKind.ASSIGN and nid in plan.rhs_wrap:
+            copy.children[1] = self._wrap(copy.children[1], plan.rhs_wrap[nid])
+        elif nid in self.execute_calls:
             return mk_call("db_execute", [mk_var(plan.prepared.stmt_var)])
-        if nid in plan.sink_head:
-            inner = self._rebuild_children(node)
-            return self._with_head(inner, plan.sink_head[nid])
-        if node.kind in CHAIN_KINDS:
-            return self._rebuild_chain(node)
-        return self._rebuild_children(node)
-
-    def _plain_chain(self, node: AstNode) -> bool:
-        """A `.`/operator node that the plan copies unchanged."""
-        nid = node.node_id
-        return (node.kind in CHAIN_KINDS and nid not in self.replace_with_var
-                and nid not in self.wrap_nodes and nid not in self.plan.sink_head)
-
-    def _rebuild_chain(self, node: AstNode) -> AstNode:
-        # A left-nested chain is as deep as it is long: walk down its plain
-        # left operands in a loop, then copy each level outward, rebuilding
-        # the nodes in the order that recursion would.
-        levels = [node]
-        while self._plain_chain(levels[-1].children[0]):
-            levels.append(levels[-1].children[0])
-        new = self._rebuild(levels[-1].children[0])
-        for level in reversed(levels):
-            new = AstNode(level.kind,
-                          children=[new] + [self._rebuild(c)
-                                            for c in level.children[1:]],
-                          attrs=dict(level.attrs))
-        return new
-
-    def _rebuild_children(self, node: AstNode) -> AstNode:
-        if node.kind in COMPOUND_KINDS:
-            heads, bodies = parts(node)
-            return compound(node.kind, [self._rebuild(h) for h in heads],
-                            [self._rebuild_body(b) for b in bodies],
+        elif nid in plan.sink_head:
+            return self._with_head(copy, plan.sink_head[nid])
+        elif nid in self.rebuilt:
+            (heads, bodies), (_, originals) = parts(copy), parts(node)
+            return compound(node.kind, heads,
+                            list(map(self._body, originals, bodies)),
                             **node.attrs)
-        return AstNode(node.kind,
-                       children=[self._rebuild(c) for c in node.children],
-                       attrs=dict(node.attrs))
+        return copy
+
+    def _body(self, stmts: list[AstNode],
+              copies: list[AstNode]) -> list[AstNode]:
+        """Edited copies of a statement list, with the hoists inserted and
+        the prepared build statement replaced by prepare and binds."""
+        out: list[AstNode] = []
+        prep = self.plan.prepared
+        for stmt, copy in zip(stmts, copies):
+            out.extend(self.hoists.get(stmt.node_id, ()))
+            if not prep or stmt.node_id != prep.build_stmt_id:
+                out.append(copy)
+                continue
+            out.append(mk_assign(mk_var(prep.stmt_var), mk_call(
+                "db_prepare", [mk_str(prep.query_literal)])))
+            out.extend(mk_expr_stmt(mk_call("db_bind", [
+                mk_var(prep.stmt_var), self.copy_of[nid]]))
+                for nid in prep.bind_exprs)
+        return out
 
     # -- guard construction ----------------------------------------------------
 
     def _wrap(self, expr: AstNode, sanitizer: str) -> AstNode:
         # collapse duplicate wraps: an accepted guard is never nested
-        if (expr.kind is NodeKind.CALL
-                and expr.attrs["name"] == sanitizer):
-            return expr
-        accepted = ACCEPTED_SANITIZERS.get(self.sink_class, ())
+        accepted = (sanitizer, *ACCEPTED_SANITIZERS.get(self.sink_class, ()))
         if expr.kind is NodeKind.CALL and expr.attrs["name"] in accepted:
             return expr
         return mk_call(sanitizer, [expr])
@@ -162,18 +153,3 @@ class Rewriter:
         if head.kind is NodeKind.STRING_LIT and head.attrs["value"]:
             return expr
         return AstNode(NodeKind.CONCAT, children=[mk_str(literal), expr])
-
-    def _prepared_statements(self, stmt: AstNode,
-                             prep: PreparedRewrite) -> list[AstNode]:
-        binds = [
-            mk_expr_stmt(mk_call("db_bind", [
-                mk_var(prep.stmt_var),
-                self._rebuild(self.ir.analysis.nodes[nid]),
-            ]))
-            for nid in prep.bind_exprs
-        ]
-        return [
-            mk_assign(mk_var(prep.stmt_var),
-                      mk_call("db_prepare", [mk_str(prep.query_literal)])),
-            *binds,
-        ]

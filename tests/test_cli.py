@@ -261,6 +261,82 @@ def test_train_skips_and_names_files_that_are_not_utf8(tmp_path, capsys):
     assert lines[1].startswith(f"skipped {bad_val}: not valid UTF-8")
 
 
+def test_train_keeps_lambda_when_no_validation_file_scores(tmp_path, capsys):
+    manifest = generate_synthetic_corpus(tmp_path, seed=7, size=40)
+    bad = [tmp_path / "val0.php", tmp_path / "val1.php"]
+    for path in bad:
+        path.write_text("<?php $a = (;")
+    manifest.entries = [e for e in manifest.entries if e.split != "val"] + [
+        ManifestEntry(path=str(path), label=label, split="val")
+        for label, path in enumerate(bad)]
+    manifest.save(tmp_path / "manifest.jsonl")
+    model = tmp_path / "m.json"
+    code, out, err = run(capsys, "train", str(tmp_path / "manifest.jsonl"),
+                         "--model", str(model))
+    assert code == 0 and model.exists()
+    assert "lambda=0.5 " in out
+    lines = err.splitlines()
+    assert len(lines) == 2
+    for line, path in zip(lines, bad):
+        assert line.startswith(f"skipped {path}: unexpected token")
+
+
+_MANIFEST_ARGS = {
+    "train": lambda tmp, model: ["--model", str(tmp / "m.json")],
+    "bench": lambda tmp, model: ["--model", model],
+    "augment": lambda tmp, model: ["--ratio", "0.5",
+                                   "--out-dir", str(tmp / "aug")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MANIFEST_ARGS))
+@pytest.mark.parametrize("line", [
+    "not json", '["x.php", 1]', '{"label": 1}', '{"path": "x.php"}',
+    '{"path": "x.php", "label": "yes"}', '{"path": "x.php", "label": 1.5}',
+    '{"path": "x.php", "label": 2}'])
+def test_malformed_manifest_line_is_one_error(command, line, model_path,
+                                              tmp_path, capsys):
+    manifest = tmp_path / "manifest.jsonl"
+    good = json.dumps({"path": str(FIXTURES / "command_injection.php"),
+                       "label": 1})
+    manifest.write_text(f"{good}\n\n{line}\n")
+    code, out, err = run(capsys, command, str(manifest),
+                         *_MANIFEST_ARGS[command](tmp_path, model_path))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {manifest}:3: not a manifest entry with a path "
+                   f"and a label of 0 or 1\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl"]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("scan", "--seed"), ("localize", "--seed"), ("bench", "--seed"),
+    ("augment", "--model"), ("augment", "--out"),
+    ("gen-corpus", "--model"), ("gen-corpus", "--lexicon"),
+    ("gen-corpus", "--out")])
+def test_command_refuses_an_option_it_does_not_read(command, flag, tmp_path,
+                                                    monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = {"scan": ["page.php"], "localize": ["page.php"],
+            "bench": ["m.jsonl"],
+            "augment": ["m.jsonl", "--ratio", "0.5", "--out-dir", "aug"],
+            "gen-corpus": ["--out-dir", "corpus"]}[command]
+    code, out, err = run(capsys, command, *args, flag, "1")
+    assert code == 2
+    assert f"unrecognized arguments: {flag} 1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_out_writes_no_model(corpus_dir, tmp_path, monkeypatch,
+                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "train", str(corpus_dir / "manifest.jsonl"),
+                       "--out", "mine.json")
+    assert code == 2
+    assert "unrecognized arguments: --out mine.json" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_pins_one_blas_thread_unless_told(tmp_path):
     # on a host with more than one core OpenBLAS would default to one thread
     # per core, and the 80-file corpus's trained weights differ in the last

@@ -36,7 +36,8 @@ REC, SKIP, STOP, KEPT, UNREAD = "record", "skip", "stop", "kept", "unread"
 
 
 def _row(code, bad):
-    """A chain is deep only for augment: every other command keeps it."""
+    """Every command keeps a long chain: each walks, copies and prints it
+    in a loop."""
     return code, {**dict.fromkeys(("decode", "parse", "deep", "unread"), bad),
                   "chain": KEPT}
 
@@ -57,8 +58,10 @@ EXPECTED = {
     ("bench-ablate", "val"): _row(2, STOP),
     ("bench-ablate", "test"): _row(2, STOP),
     # augment reads the vulnerable files of every split and stops at one
-    # it cannot read, parse or walk
-    **{("augment", kind): (2, {kind: STOP}) for kind in KINDS},
+    # it cannot read, parse or walk; it keeps a long chain
+    **{("augment", kind): (2, {kind: STOP}) for kind in KINDS
+       if kind != "chain"},
+    ("augment", "chain"): (0, {"chain": KEPT}),
 }
 
 

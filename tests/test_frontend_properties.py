@@ -12,7 +12,8 @@ from vulnminer.analysis import FileAnalysis
 from vulnminer.cascade import run_pipeline
 from vulnminer.cli import _read_units
 from vulnminer.errors import ParseError
-from vulnminer.frontend import ast_equal, parse, parse_text, tokenize
+from vulnminer.frontend import (ast_equal, copy_tree, parse, parse_text,
+                                print_source, tokenize)
 from vulnminer.frontend.nodes import compound, parts
 from vulnminer.localize import DeterministicBackend, default_templates, localize
 from vulnminer.source import SourceUnit, Span
@@ -129,6 +130,31 @@ def test_corpus_and_fixture_nodes_rebuild_from_parts(corpus_units):
                             for p in sorted(FIXTURES.glob("*.php"))]
     for unit in units:
         _assert_nodes_rebuild_from_parts(parse(unit))
+
+
+def _assert_copy_is_fresh(tree):
+    """The copy prints the same text, shares no node or attrs dict with
+    the source, and its ids are unique and new."""
+    copy = copy_tree(tree)
+    assert print_source(copy) == print_source(tree)
+    source, copied = list(tree.walk()), list(copy.walk())
+    assert not {id(n) for n in source} & {id(n) for n in copied}
+    assert not {id(n.attrs) for n in source} & {id(n.attrs) for n in copied}
+    ids = [n.node_id for n in copied]
+    assert len(set(ids)) == len(ids)
+    assert not set(ids) & {n.node_id for n in source}
+
+
+@given(programs)
+@settings(max_examples=200, deadline=None)
+def test_copy_tree_is_a_fresh_equal_tree(text):
+    _assert_copy_is_fresh(parse_text("p.php", text))
+
+
+def test_copy_tree_copies_a_3000_term_chain():
+    _assert_copy_is_fresh(parse_text(
+        "chain.php",
+        "<?php $a = $_GET['x']" + " . 'y'" * 2999 + "; system($a);"))
 
 
 def _one_record_per_unit(units, bundle):
