@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from .frontend.nodes import (AstNode, NodeKind, assigned_var, compound,
                              mk_var, parts)
 from .frontend.normalizer import renamed, user_names
 from .lexicon import RESERVED_FUNCTION_NAMES
+from .linearize import linearize
 from .source import SourceUnit, read_unit
 
 OP_KINDS = ("Rename", "LoopToRecursion", "SyntaxTransform")
@@ -297,9 +299,10 @@ def augment_sample(origin: FileAnalysis, plan: tuple[str, ...],
 
     The result is analyzed once, and the label gate compares its
     taint-oracle label with the origin's, the novelty gate its stage-two
-    sequence. Every op copies the tree before it writes, so one origin
-    analysis serves every plan tried on it. An op name not in ``OP_KINDS``
-    raises ``VulnMinerError``.
+    token stream, uncapped when either side was cut at the cap. Every op
+    copies the tree before it writes, so one origin analysis serves every
+    plan tried on it. An op name not in ``OP_KINDS`` raises
+    ``VulnMinerError``.
     """
     for op in plan:
         if op not in OP_KINDS:
@@ -322,9 +325,18 @@ def augment_sample(origin: FileAnalysis, plan: tuple[str, ...],
     result = FileAnalysis(SourceUnit.from_text(origin.path, new_text), origin.lex)
     if result.oracle_label != origin.oracle_label:
         return None
-    if result.semantic.tokens == origin.semantic.tokens:
+    if _stage_two_stream(result) == _stage_two_stream(origin):
         return None
     return new_text, applied_ops
+
+
+def _stage_two_stream(analysis: FileAnalysis) -> list[str]:
+    """The stage-two token stream of ``analysis`` without the length cap,
+    so that a rewrite past the cap still counts as new."""
+    if not analysis.semantic.truncated:
+        return analysis.semantic.tokens
+    return linearize(analysis.graph, flow_markers=False, max_len=sys.maxsize,
+                     keep=analysis.keep).tokens
 
 
 def augment_corpus(entries, target_ratio: float, seed: int,

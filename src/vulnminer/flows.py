@@ -3,8 +3,10 @@
 The graph keeps what its readers use: the tree's root, one scope per
 function body (or the top level) with its CFG successors, def/use model
 and reaching definitions, and the sorted reaching-definition data-flow
-pairs. Syntax edges are the tree itself; tree indexes such as the node
-and parent maps live on ``analysis.FileAnalysis``.
+pairs. Reaching definitions are shared frozensets in maps that statements
+share: a statement that defines nothing has its predecessor's map, so
+readers must not mutate them. Syntax edges are the tree itself; tree
+indexes such as the node and parent maps live on ``analysis.FileAnalysis``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .lexicon import (
 _ALL_CLASSES = frozenset(SINK_CLASSES)
 _MAX_CALL_DEPTH = 3
 
+# var -> ids of the definitions of it that reach a point
+_DefMap = dict[str, frozenset[int]]
+
 
 @dataclass
 class _Scope:
@@ -36,8 +41,11 @@ class _Scope:
     params: list[str] = field(default_factory=list)
     defs: dict[int, list[tuple[str, bool]]] = field(default_factory=dict)  # node -> [(var, kills)]
     uses: dict[int, list[str]] = field(default_factory=dict)
-    reach_in: dict[int, dict[str, set[int]]] = field(default_factory=dict)
+    # node -> var -> ids of the definitions reaching it; maps and sets are
+    # shared between statements, so readers must not mutate them
+    reach_in: dict[int, _DefMap] = field(default_factory=dict)
     loop_free: bool = False             # see _loop_free
+    back_edge: bool = False             # see _connect
 
 
 @dataclass
@@ -117,6 +125,10 @@ def _register(scope: _Scope, node: AstNode, defs, uses):
 def _connect(scope: _Scope, preds: set[int], node_id: int):
     for p in sorted(preds):
         scope.succ.setdefault(p, []).append(node_id)
+    # Statements are connected as they are registered, so only a loop's
+    # back edge goes to one registered before the last.
+    if preds and node_id != scope.statements[-1].node_id:
+        scope.back_edge = True
 
 
 def _link_stmt(scope: _Scope, stmt: AstNode, preds: set[int],
@@ -198,25 +210,35 @@ def _assign_uses(assign: AstNode) -> list[str]:
 
 
 def _expr_vars(expr: AstNode) -> list[str]:
+    """The variables ``expr`` reads, in pre-order."""
     out = []
-    for node in expr.walk():
+    stack = [expr]
+    while stack:
+        node = stack.pop()
         if node.kind is NodeKind.VAR:
             out.append(node.attrs["name"])
+        else:
+            stack += reversed(node.children)
     return out
 
 
 def _loop_free(scope: _Scope) -> bool:
     """True when no CFG edge goes to a statement registered at or before
-    its source, so that registration order is a topological order."""
-    position = {s.node_id: i for i, s in enumerate(scope.statements)}
-    return all(position[dst] > position[src]
-               for src, dests in scope.succ.items() for dst in dests)
+    its source, so that registration order is a topological order;
+    ``_connect`` marks the scope when it adds such an edge."""
+    return not scope.back_edge
 
 
 def _solve_reaching(scope: _Scope) -> None:
-    """Iterative worklist reaching-definitions over one scope's CFG.
+    """Iterative reaching-definitions over one scope's CFG, sweeping its
+    statements in order until no in-map changes.
 
-    A loop-free scope is solved in one sweep: each statement's
+    Definition sets are frozensets and a statement's maps are shared, not
+    copied: a statement with one predecessor takes that predecessor's
+    out-map as its in-map, a join builds a new map only where the
+    predecessors' sets differ, and only a defining statement copies its
+    in-map (shallowly) to write its own entries. A loop-free scope is
+    solved in one sweep with nothing compared: each statement's
     predecessors are final before it is reached.
     """
     scope.loop_free = _loop_free(scope)
@@ -226,32 +248,61 @@ def _solve_reaching(scope: _Scope) -> None:
         for dst in dests:
             preds[dst].append(src)
 
-    out_sets: dict[int, dict[str, set[int]]] = {
-        s.node_id: {} for s in scope.statements}
-    in_sets: dict[int, dict[str, set[int]]] = {
-        s.node_id: {} for s in scope.statements}
-
+    defs, loop_free = scope.defs, scope.loop_free
+    empty: _DefMap = {}
+    in_maps: dict[int, _DefMap] = dict.fromkeys(order)   # None: not yet visited
+    out_maps: dict[int, _DefMap] = dict.fromkeys(order, empty)
     changed = True
     while changed:
         changed = False
         for nid in order:
-            new_in: dict[str, set[int]] = {}
-            for p in preds[nid]:
-                for var, ids in out_sets[p].items():
-                    new_in.setdefault(var, set()).update(ids)
-            new_out = {var: set(ids) for var, ids in new_in.items()}
-            for var, kills in scope.defs.get(nid, ()):
-                if kills:
-                    new_out[var] = {nid}
-                else:
-                    new_out.setdefault(var, set()).add(nid)
-            if new_in != in_sets[nid] or new_out != out_sets[nid]:
-                in_sets[nid] = new_in
-                out_sets[nid] = new_out
-                changed = True
-        if scope.loop_free:
-            break
-    scope.reach_in = in_sets
+            ps = preds[nid]
+            in_map = (out_maps[ps[0]] if len(ps) == 1
+                      else _join([out_maps[p] for p in ps]))
+            # an unchanged in-map keeps its old maps, so later sweeps compare
+            # shared objects
+            if not loop_free and in_map == in_maps[nid]:
+                continue
+            in_maps[nid] = in_map
+            out_maps[nid] = (_gen_kill(in_map, defs[nid], nid) if defs[nid]
+                             else in_map)
+            changed = not loop_free
+    scope.reach_in = in_maps
+
+
+def _join(maps: list[_DefMap]) -> _DefMap:
+    """The union of ``maps``; a map that adds nothing is shared, not copied."""
+    if not maps:
+        return {}
+    joined = maps[0]
+    for other in maps[1:]:
+        if other is joined or not other:
+            continue
+        if not joined:
+            joined = other
+            continue
+        copy = None
+        for var, ids in other.items():
+            mine = joined.get(var)
+            if mine is ids or (mine is not None and ids <= mine):
+                continue
+            if copy is None:
+                copy = dict(joined)
+            copy[var] = ids if mine is None else mine | ids
+        if copy is not None:
+            joined = copy
+    return joined
+
+
+def _gen_kill(in_map: _DefMap, defs: list[tuple[str, bool]],
+              nid: int) -> _DefMap:
+    """The out-map of statement ``nid``, which defines ``defs``: a shallow
+    copy of ``in_map`` with the defined variables replaced."""
+    out = dict(in_map)
+    for var, kills in defs:
+        out[var] = (frozenset((nid,)) if kills
+                    else out.get(var, frozenset()) | {nid})
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from .nodes import (
     STATEMENT_KINDS,
     SUPERGLOBAL_CLASSES,
     ast_equal,
-    ast_signature,
     check_tree,
     copy_tree,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "SUPERGLOBAL_CLASSES",
     "Token",
     "ast_equal",
-    "ast_signature",
     "check_tree",
     "copy_tree",
     "normalize",

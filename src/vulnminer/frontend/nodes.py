@@ -228,19 +228,19 @@ _EQUALITY_ATTRS = {
 
 
 def ast_equal(a: AstNode, b: AstNode) -> bool:
-    """Structural equality; node ids and offsets are ignored."""
-    if a.kind is not b.kind or len(a.children) != len(b.children):
-        return False
-    for key in _EQUALITY_ATTRS.get(a.kind, ()):
-        if a.attrs.get(key) != b.attrs.get(key):
+    """Structural equality; node ids and offsets are ignored. It compares
+    in a loop, so a left-nested chain as long as the file compares like a
+    short one."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x.kind is not y.kind or len(x.children) != len(y.children):
             return False
-    return all(ast_equal(x, y) for x, y in zip(a.children, b.children))
-
-
-def ast_signature(node: AstNode) -> tuple:
-    """Hashable shape used for set-of-trees comparisons."""
-    keyed = tuple(node.attrs.get(k) for k in _EQUALITY_ATTRS.get(node.kind, ()))
-    return (node.kind.value, keyed, tuple(ast_signature(c) for c in node.children))
+        for key in _EQUALITY_ATTRS.get(x.kind, ()):
+            if x.attrs.get(key) != y.attrs.get(key):
+                return False
+        stack += zip(x.children, y.children)
+    return True
 
 
 def check_tree(root: AstNode) -> None:

@@ -201,6 +201,18 @@ class TestAugmentSample:
             assert "run_job(" in text and "run_job(helper(" not in text
             assert ops[0] == "Rename"
 
+    def test_novelty_gate_sees_past_the_sequence_cap(self):
+        # the chain's 512 capped tokens are the same before and after a
+        # rewrite; the uncapped streams are not
+        chain = origin("<?php $a = $_GET['x']" + " . 'y'" * 2999
+                       + "; system($a);")
+        assert chain.semantic.truncated
+        plans = [("SyntaxTransform",), ("Rename", "SyntaxTransform"),
+                 ("LoopToRecursion",), ("Rename", "LoopToRecursion"),
+                 ("SyntaxTransform", "Rename")]
+        assert any(augment_sample(chain, plan, seed) is not None
+                   for plan in plans for seed in range(3))
+
     def test_rename_alone_is_rejected(self):
         # renaming cannot change the normalized stream, so no plan without
         # a structural op can pass the novelty gate

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,97 @@ def test_reaching_definitions_match_path_oracle_on_generated_programs(text):
     assert g.dataflow_triples() == dataflow_oracle(g)
 
 
+def reference_reach_in(scope):
+    """Reaching definitions by a copy-based round-robin solver: each
+    statement gets fresh sets on every sweep, and every sweep compares them
+    with the last. Kept independent of the shared-map solver it checks."""
+    order = [s.node_id for s in scope.statements]
+    preds = {nid: [] for nid in order}
+    for src, dests in scope.succ.items():
+        for dst in dests:
+            preds[dst].append(src)
+    in_sets = {nid: {} for nid in order}
+    out_sets = {nid: {} for nid in order}
+    changed = True
+    while changed:
+        changed = False
+        for nid in order:
+            new_in = {}
+            for p in preds[nid]:
+                for var, ids in out_sets[p].items():
+                    new_in.setdefault(var, set()).update(ids)
+            new_out = {var: set(ids) for var, ids in new_in.items()}
+            for var, kills in scope.defs[nid]:
+                if kills:
+                    new_out[var] = {nid}
+                else:
+                    new_out.setdefault(var, set()).add(nid)
+            if new_in != in_sets[nid] or new_out != out_sets[nid]:
+                in_sets[nid], out_sets[nid] = new_in, new_out
+                changed = True
+    return in_sets
+
+
+def composed_texts(corpus_units, count=10, bodies=20):
+    """``count`` files, each the bodies of ``bodies`` corpus files drawn at
+    random, end to end: longer than any one corpus file."""
+    rng = random.Random(5)
+    return ["<?php\n" + "\n".join(rng.choice(corpus_units).text.split("\n", 1)[1]
+                                   for _ in range(bodies))
+            for _ in range(count)]
+
+
+def _fixture_texts():
+    fixtures = Path(__file__).parent / "fixtures"
+    return [path.read_text() for path in sorted(fixtures.glob("*.php"))]
+
+
+def _assert_solver_matches_reference(text):
+    """Reaching definitions equal the reference solver's, and a scope is
+    loop-free exactly when no CFG edge goes to a statement registered at
+    or before its source."""
+    g = augment_flows(parse_text("t.php", text))
+    for scope in g.scopes:
+        assert scope.reach_in == reference_reach_in(scope), text[:200]
+        position = {s.node_id: i for i, s in enumerate(scope.statements)}
+        assert scope.loop_free == all(
+            position[dst] > position[src]
+            for src, dests in scope.succ.items() for dst in dests), text[:200]
+
+
+def test_reach_in_matches_reference_solver(corpus_units):
+    texts = (ORACLE_PROGRAMS + SHORTCUT_PROGRAMS + _fixture_texts()
+             + [unit.text for unit in corpus_units]
+             + composed_texts(corpus_units))
+    for text in texts:
+        _assert_solver_matches_reference(text)
+
+
+@given(programs)
+@settings(max_examples=200, deadline=None)
+def test_reach_in_matches_reference_solver_on_generated_programs(text):
+    try:
+        _assert_solver_matches_reference(text)
+    except ParseError:
+        return
+
+
+def test_reach_in_sets_are_frozen_and_taint_trace_leaves_them(corpus_units):
+    texts = (ORACLE_PROGRAMS + SHORTCUT_PROGRAMS + _fixture_texts()
+             + [unit.text for unit in corpus_units]
+             + composed_texts(corpus_units, count=2))
+    for text in texts:
+        g = augment_flows(parse_text("t.php", text))
+        before = [{nid: {var: set(ids) for var, ids in reach.items()}
+                   for nid, reach in scope.reach_in.items()}
+                  for scope in g.scopes]
+        assert all(isinstance(ids, frozenset) for scope in g.scopes
+                   for reach in scope.reach_in.values()
+                   for ids in reach.values())
+        taint_trace(g)
+        assert [scope.reach_in for scope in g.scopes] == before
+
+
 # A recursive function, a function called twice, a while that reassigns.
 SHORTCUT_PROGRAMS = [
     "<?php function spin($acc, $n) { if ($n < 4) { $acc = $acc . $_GET['x'];"
@@ -116,12 +208,14 @@ def _flows_and_findings(root):
 
 
 def test_loop_free_shortcut_changes_no_result(corpus_units, monkeypatch):
-    fixtures = Path(__file__).parent / "fixtures"
-    texts = (SHORTCUT_PROGRAMS + ORACLE_PROGRAMS
-             + [path.read_text() for path in sorted(fixtures.glob("*.php"))]
-             + [unit.text for unit in corpus_units])
+    texts = (SHORTCUT_PROGRAMS + ORACLE_PROGRAMS + _fixture_texts()
+             + [unit.text for unit in corpus_units]
+             + composed_texts(corpus_units, count=2))
     roots = [parse_text("t.php", text) for text in texts]
     shortcut = [_flows_and_findings(root) for root in roots]
+    # both paths through _loop_free are taken before it is forced
+    assert {s.loop_free for root in roots
+            for s in augment_flows(root).scopes} == {True, False}
     monkeypatch.setattr(flows, "_loop_free", lambda scope: False)
     assert [_flows_and_findings(root) for root in roots] == shortcut
 

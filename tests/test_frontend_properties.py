@@ -157,6 +157,16 @@ def test_copy_tree_copies_a_3000_term_chain():
         "<?php $a = $_GET['x']" + " . 'y'" * 2999 + "; system($a);"))
 
 
+def test_ast_equal_compares_a_3000_term_chain():
+    text = "<?php $a = $_GET['x']" + " . 'y'" * 2999 + "; system($a);"
+    tree = parse_text("chain.php", text)
+    assert ast_equal(tree, tree)
+    assert ast_equal(tree, copy_tree(tree))
+    # the one leaf that differs is the chain's deepest
+    other = parse_text("chain.php", text.replace("['x']", "['w']"))
+    assert not ast_equal(tree, other)
+
+
 def _one_record_per_unit(units, bundle):
     verdicts, errors = run_pipeline(units, bundle)
     paths = [v.file_id for v in verdicts] + [path for path, _ in errors]

@@ -3,7 +3,7 @@ import pytest
 
 from vulnminer.errors import ConfigError
 from vulnminer.flows import augment_flows
-from vulnminer.frontend import normalize, parse_text
+from vulnminer.frontend import ast_equal, normalize, parse_text
 from vulnminer.linearize import (
     PAD,
     UNK,
@@ -65,13 +65,10 @@ def test_injectivity_over_corpus(corpus_units):
     for unit in corpus_units:
         normalized = normalize(parse_text(unit.path, unit.text))
         stream = tuple(linearize(augment_flows(normalized)).tokens)
-        from vulnminer.frontend import ast_signature
-
-        signature = ast_signature(normalized)
         if stream in seen:
-            assert seen[stream] == signature, unit.path
+            assert ast_equal(seen[stream], normalized), unit.path
         else:
-            seen[stream] = signature
+            seen[stream] = normalized
 
 
 def test_vocabulary_dense_and_stable():
