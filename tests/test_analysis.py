@@ -226,3 +226,44 @@ def test_analyses_leave_no_cyclic_garbage(bundle):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_paused_pipeline_leaves_no_cyclic_garbage(bundle):
+    # run_pipeline pauses the collector, so every analysis it drops, error
+    # records and flagged files included, must be freed by reference counts.
+    units = [SourceUnit.from_file(p) for p in sorted(FIXTURES.glob("*.php"))]
+    units += [
+        SourceUnit.from_text("class.php", "<?php class A { }"),
+        SourceUnit.from_text(
+            "deep.php", "<?php $a = " + "(" * 400 + "1" + ")" * 400 + ";"),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        verdicts, errors = run_pipeline(units, bundle)
+        assert not gc.isenabled()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert any(v.vulnerable and v.vuln_type for v in verdicts)
+    assert [path for path, _ in errors] == ["class.php", "deep.php"]
+    assert errors[1][1] == "nesting too deep"
+
+
+def test_pipeline_restores_the_collector_state(bundle):
+    units = [SourceUnit.from_file(p) for p in sorted(FIXTURES.glob("*.php"))]
+
+    def failing():
+        yield units[0]
+        raise RuntimeError("unit stream broke")
+
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            run_pipeline(units, bundle)
+            assert gc.isenabled() == enabled
+            with pytest.raises(RuntimeError, match="unit stream broke"):
+                run_pipeline(failing(), bundle)
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable()

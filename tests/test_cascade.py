@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vulnminer.cascade as cascade_mod
 from vulnminer.analysis import FileAnalysis
 from vulnminer.cascade import (
     FusionConfig,
@@ -64,6 +65,17 @@ def test_pipeline_covers_every_parseable_file(bundle, corpus_units):
     verdicts, errors = run_pipeline(corpus_units[:15] + [broken], bundle)
     assert len(verdicts) == 15
     assert [p for p, _ in errors] == ["broken.php"]
+
+
+def test_chunk_size_never_moves_a_verdict(bundle, corpus_units,
+                                          monkeypatch):
+    # A file scores the same bits alone and in any batch.
+    runs = []
+    for chunk in (1, 32, 64):
+        monkeypatch.setattr(cascade_mod, "SCORE_CHUNK", chunk)
+        verdicts, errors = run_pipeline(corpus_units, bundle)
+        runs.append(([v.record() for v in verdicts], errors))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_cascade_soundness_verdict_invariants(bundle, corpus_units):
