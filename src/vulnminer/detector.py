@@ -13,6 +13,8 @@ from .source import SourceUnit, read_unit
 from .stage2 import risky_columns
 from .training import Sample, stage_configs, train_semantic, train_structural
 
+_MIN_COUNT = 2
+
 
 def load_units(entries, skipped: list | None = None
                ) -> list[tuple[SourceUnit, int]]:
@@ -40,7 +42,7 @@ def stage_samples(labeled, skipped: list):
     return structural, semantic
 
 
-def bucket_rare_symbols(*sample_sets: list[Sample], min_count: int = 2):
+def bucket_rare_symbols(*sample_sets: list[Sample]):
     """Replace one-off literal/ordinal symbols with their class bucket.
 
     Buckets therefore get trained, and unseen symbols at inference time
@@ -55,7 +57,7 @@ def bucket_rare_symbols(*sample_sets: list[Sample], min_count: int = 2):
         for sample in samples:
             sample.tokens = [
                 fallback_symbol(t) or t
-                if counts[t] < min_count and fallback_symbol(t) else t
+                if counts[t] < _MIN_COUNT and fallback_symbol(t) else t
                 for t in sample.tokens
             ]
 

@@ -3,10 +3,12 @@
 The graph keeps what its readers use: the tree's root, one scope per
 function body (or the top level) with its CFG successors, def/use model
 and reaching definitions, and the sorted reaching-definition data-flow
-pairs. Reaching definitions are shared frozensets in maps that statements
-share: a statement that defines nothing has its predecessor's map, so
-readers must not mutate them. Syntax edges are the tree itself; tree
-indexes such as the node and parent maps live on ``analysis.FileAnalysis``.
+pairs. A scope is loop-free until ``_connect`` adds a loop's back edge.
+Reaching definitions are frozensets in maps that statements share: a
+statement with one predecessor has that predecessor's out-map, and one
+that defines nothing passes its in-map on, so readers must not mutate
+them. Syntax edges are the tree itself; tree indexes such as the node and
+parent maps live on ``analysis.FileAnalysis``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,12 @@ _DefMap = dict[str, frozenset[int]]
 
 @dataclass
 class _Scope:
-    """CFG and def/use model for one function body (or the top level)."""
+    """CFG and def/use model for one function body (or the top level).
+
+    Statements are registered in source order with their incoming edges,
+    so only a loop's back edge goes to a statement registered before its
+    source; ``_connect`` adds those edges and clears ``loop_free``.
+    """
 
     owner: AstNode                      # Program or FunctionDecl node
     statements: list[AstNode] = field(default_factory=list)
@@ -44,8 +51,7 @@ class _Scope:
     # node -> var -> ids of the definitions reaching it; maps and sets are
     # shared between statements, so readers must not mutate them
     reach_in: dict[int, _DefMap] = field(default_factory=dict)
-    loop_free: bool = False             # see _loop_free
-    back_edge: bool = False             # see _connect
+    loop_free: bool = True
 
 
 @dataclass
@@ -103,9 +109,7 @@ def _build_scope(scopes: list[_Scope], owner: AstNode, body: list[AstNode],
     """Append the scope of ``owner`` and, nested in its body, of each function."""
     scope = _Scope(owner=owner, params=params)
     scopes.append(scope)
-    scope.statements.append(owner)
-    scope.defs[owner.node_id] = [(p, True) for p in params]
-    scope.uses[owner.node_id] = []
+    _register(scope, owner, [(p, True) for p in params], [], set())
     _link_body(scope, body, {owner.node_id}, scopes)
 
 
@@ -116,19 +120,21 @@ def _link_body(scope: _Scope, stmts: list[AstNode], preds: set[int],
     return preds
 
 
-def _register(scope: _Scope, node: AstNode, defs, uses):
+def _register(scope: _Scope, node: AstNode, defs, uses, preds: set[int]):
+    """Append ``node`` to the scope's statements with edges from ``preds``."""
     scope.statements.append(node)
     scope.defs[node.node_id] = defs
     scope.uses[node.node_id] = uses
-
-
-def _connect(scope: _Scope, preds: set[int], node_id: int):
     for p in sorted(preds):
-        scope.succ.setdefault(p, []).append(node_id)
-    # Statements are connected as they are registered, so only a loop's
-    # back edge goes to one registered before the last.
-    if preds and node_id != scope.statements[-1].node_id:
-        scope.back_edge = True
+        scope.succ.setdefault(p, []).append(node.node_id)
+
+
+def _connect(scope: _Scope, preds: set[int], loop_id: int):
+    """Add a loop's back edges from ``preds`` to its head ``loop_id``."""
+    for p in sorted(preds):
+        scope.succ.setdefault(p, []).append(loop_id)
+    if preds:
+        scope.loop_free = False
 
 
 def _link_stmt(scope: _Scope, stmt: AstNode, preds: set[int],
@@ -136,47 +142,38 @@ def _link_stmt(scope: _Scope, stmt: AstNode, preds: set[int],
     k = stmt.kind
     nid = stmt.node_id
     if k is NodeKind.ASSIGN:
-        _register(scope, stmt, _assign_defs(stmt), _assign_uses(stmt))
-        _connect(scope, preds, nid)
+        _register(scope, stmt, _assign_defs(stmt), _assign_uses(stmt), preds)
         return {nid}
     if k in (NodeKind.EXPR_STMT, NodeKind.ECHO, NodeKind.INCLUDE_STMT):
-        _register(scope, stmt, [], _expr_vars(stmt.children[0]))
-        _connect(scope, preds, nid)
+        _register(scope, stmt, [], _expr_vars(stmt.children[0]), preds)
         return {nid}
     if k is NodeKind.RETURN:
         used = _expr_vars(stmt.children[0]) if stmt.attrs.get("has_value") else []
-        _register(scope, stmt, [], used)
-        _connect(scope, preds, nid)
+        _register(scope, stmt, [], used, preds)
         return set()
     if k is NodeKind.FUNCTION_DECL:
         _name, params, body = stmt.function_parts()
         _build_scope(scopes, stmt, body, [p.attrs["name"] for p in params])
-        _register(scope, stmt, [], [])
-        _connect(scope, preds, nid)
+        _register(scope, stmt, [], [], preds)
         return {nid}
     if k is NodeKind.IF:
         cond, then, other = stmt.if_parts()
-        _register(scope, stmt, [], _expr_vars(cond))
-        _connect(scope, preds, nid)
+        _register(scope, stmt, [], _expr_vars(cond), preds)
         then_exit = _link_body(scope, then, {nid}, scopes)
         else_exit = _link_body(scope, other, {nid}, scopes) if other else {nid}
         return then_exit | else_exit
     if k is NodeKind.WHILE:
         cond, body = stmt.loop_parts()
-        _register(scope, stmt, [], _expr_vars(cond))
-        _connect(scope, preds, nid)
+        _register(scope, stmt, [], _expr_vars(cond), preds)
         body_exit = _link_body(scope, body, {nid}, scopes)
         _connect(scope, body_exit - {nid}, nid)
         return {nid}
     if k is NodeKind.FOR:
         (init, cond, step), (body,) = parts(stmt)
-        _register(scope, init, _assign_defs(init), _assign_uses(init))
-        _connect(scope, preds, init.node_id)
-        _register(scope, stmt, [], _expr_vars(cond))
-        _connect(scope, {init.node_id}, nid)
+        _register(scope, init, _assign_defs(init), _assign_uses(init), preds)
+        _register(scope, stmt, [], _expr_vars(cond), {init.node_id})
         body_exit = _link_body(scope, body, {nid}, scopes)
-        _register(scope, step, _assign_defs(step), _assign_uses(step))
-        _connect(scope, body_exit, step.node_id)
+        _register(scope, step, _assign_defs(step), _assign_uses(step), body_exit)
         _connect(scope, {step.node_id}, nid)
         return {nid}
     if k is NodeKind.FOREACH:
@@ -184,8 +181,7 @@ def _link_stmt(scope: _Scope, stmt: AstNode, preds: set[int],
         defs = [(value.attrs["name"], True)]
         if key is not None:
             defs.append((key.attrs["name"], True))
-        _register(scope, stmt, defs, _expr_vars(iterable))
-        _connect(scope, preds, nid)
+        _register(scope, stmt, defs, _expr_vars(iterable), preds)
         body_exit = _link_body(scope, body, {nid}, scopes)
         _connect(scope, body_exit - {nid}, nid)
         return {nid}
@@ -222,26 +218,18 @@ def _expr_vars(expr: AstNode) -> list[str]:
     return out
 
 
-def _loop_free(scope: _Scope) -> bool:
-    """True when no CFG edge goes to a statement registered at or before
-    its source, so that registration order is a topological order;
-    ``_connect`` marks the scope when it adds such an edge."""
-    return not scope.back_edge
-
-
 def _solve_reaching(scope: _Scope) -> None:
     """Iterative reaching-definitions over one scope's CFG, sweeping its
     statements in order until no in-map changes.
 
     Definition sets are frozensets and a statement's maps are shared, not
     copied: a statement with one predecessor takes that predecessor's
-    out-map as its in-map, a join builds a new map only where the
-    predecessors' sets differ, and only a defining statement copies its
-    in-map (shallowly) to write its own entries. A loop-free scope is
-    solved in one sweep with nothing compared: each statement's
-    predecessors are final before it is reached.
+    out-map as its in-map, a join unions its predecessors' maps into a new
+    one, and only a defining statement copies its in-map (shallowly) to
+    write its own entries. A loop-free scope is solved in one sweep with
+    nothing compared: each statement's predecessors are final before it
+    is reached.
     """
-    scope.loop_free = _loop_free(scope)
     order = [s.node_id for s in scope.statements]
     preds: dict[int, list[int]] = {nid: [] for nid in order}
     for src, dests in scope.succ.items():
@@ -271,26 +259,12 @@ def _solve_reaching(scope: _Scope) -> None:
 
 
 def _join(maps: list[_DefMap]) -> _DefMap:
-    """The union of ``maps``; a map that adds nothing is shared, not copied."""
-    if not maps:
-        return {}
-    joined = maps[0]
+    """The union of ``maps``."""
+    joined: _DefMap = dict(maps[0]) if maps else {}
     for other in maps[1:]:
-        if other is joined or not other:
-            continue
-        if not joined:
-            joined = other
-            continue
-        copy = None
         for var, ids in other.items():
             mine = joined.get(var)
-            if mine is ids or (mine is not None and ids <= mine):
-                continue
-            if copy is None:
-                copy = dict(joined)
-            copy[var] = ids if mine is None else mine | ids
-        if copy is not None:
-            joined = copy
+            joined[var] = ids if mine is None else mine | ids
     return joined
 
 

@@ -97,10 +97,13 @@ class DeterministicBackend:
 
 def _command_plan(plan: FillPlan, ir, facts) -> bool:
     taken = _var_names(ir)
+    # a read hoists out of a path statement that sits directly in a body
+    on_path = {ir.stmt_of(nid) for nid in ir.finding.path}
     for text, ids, key in facts.read_groups:
         sanitizer = _path_sanitizer(key)
         stmt_id = ir.stmt_of(ids[0])
-        if facts.hoist_container_of.get(stmt_id, False):
+        if stmt_id in on_path and ir.analysis.parents[stmt_id].kind in (
+                NodeKind.PROGRAM, NodeKind.FUNCTION_DECL):
             plan.source_wraps.append(SourceWrap(
                 node_ids=ids, sanitizer=sanitizer,
                 hoist_var=_fresh_var(taken, key or "input"),

@@ -112,9 +112,9 @@ def generate_candidates(ir: IntermediateRepresentation,
 
 def verify(candidate: Candidate, ir: IntermediateRepresentation,
            constraints: ConstraintSet, hook: str | None = None,
-           hook_timeout: float = 10.0,
-           enforce_constraints: bool = True) -> tuple[bool, list[str]]:
-    """Compile gate, taint re-check, constraint re-evaluation, optional hook."""
+           hook_timeout: float = 10.0) -> tuple[bool, list[str]]:
+    """Compile gate, taint re-check, optional hook. ``constraints`` are not
+    checked again: ``select_best`` returns only candidates that pass them."""
     reasons: list[str] = []
     try:
         findings = candidate.analyze(ir).findings
@@ -123,10 +123,6 @@ def verify(candidate: Candidate, ir: IntermediateRepresentation,
     klass = ir.finding.sink_class
     if any(not f.sanitized and f.sink_class == klass for f in findings):
         reasons.append(f"taint: unsanitized {klass} flow remains")
-    if enforce_constraints:
-        for constraint in constraints.constraints:
-            if not candidate.constraint_results.get(constraint.cid, False):
-                reasons.append(f"constraint: {constraint.cid}")
     if hook:
         ok, why = _run_hook(hook, candidate.text, hook_timeout)
         if not ok:
@@ -236,8 +232,7 @@ def _localize(unit: SourceUnit, bundle, templates: list[MicroTemplate],
         best = select_best(candidates, constraints,
                            enforce_constraints=enforce_constraints)
         if best is not None:
-            ok, reasons = verify(best, ir, constraints, hook=hook,
-                                 enforce_constraints=enforce_constraints)
+            ok, reasons = verify(best, ir, constraints, hook=hook)
             if ok:
                 return LocalizationReport(
                     path=unit.path, vuln_type=vuln_type,

@@ -123,7 +123,6 @@ class SliceFacts:
     build_stmt: AstNode | None
     build_in_window: bool
     query_built: bool
-    hoist_container_of: dict[int, bool]
 
 
 def _collect_facts(ir: IntermediateRepresentation) -> SliceFacts:
@@ -177,12 +176,6 @@ def _collect_facts(ir: IntermediateRepresentation) -> SliceFacts:
     ) or bool(sink_arg is not None
               and sink_arg.kind is NodeKind.CONCAT)
 
-    hoistable: dict[int, bool] = {}
-    for stmt in path_stmts:
-        parent = parents.get(stmt.node_id)
-        hoistable[stmt.node_id] = parent is not None and parent.kind in (
-            NodeKind.PROGRAM, NodeKind.FUNCTION_DECL)
-
     ordered = sorted(groups)
     return SliceFacts(
         window_ids=window_ids,
@@ -194,7 +187,6 @@ def _collect_facts(ir: IntermediateRepresentation) -> SliceFacts:
         build_stmt=build_stmt,
         build_in_window=build_in_window,
         query_built=query_built,
-        hoist_container_of=hoistable,
     )
 
 

@@ -296,7 +296,6 @@ class RiskMatrix:
     """Additive pre-softmax bias: ``row`` (beta at risky columns) for every row."""
 
     row: np.ndarray
-    beta: float
     risky_columns: tuple[int, ...] = field(default_factory=tuple)
 
     @classmethod
@@ -309,7 +308,7 @@ class RiskMatrix:
             if not 0 <= j < n:
                 raise ConfigError(f"risky column {j} outside sequence of length {n}")
             row[j] = beta
-        return cls(row=row, beta=beta, risky_columns=cols)
+        return cls(row=row, risky_columns=cols)
 
 
 def attention_forward(emb: np.ndarray, p: AttentionParams,

@@ -7,15 +7,13 @@ from dataclasses import dataclass
 from .analysis import FileAnalysis
 from .lexicon import TaintLexicon
 from .linearize import TokenSequence, embed_sequence, linearize
-from .nn import RiskMatrix, attention_forward, risky_attention_mass
+from .nn import RiskMatrix, attention_forward
 
 
 @dataclass(frozen=True)
 class StageTwoScore:
     file_id: str
     score: float
-    risky_positions: tuple[int, ...]
-    risky_mass: float
 
     def record(self) -> dict:
         return {"path": self.file_id, "stage2_score": self.score}
@@ -48,10 +46,5 @@ def verify_semantic(analysis: FileAnalysis, bundle, beta: float | None = None,
     bias = build_risk_matrix(seq, analysis.lex, beta)
     if emb is None:
         emb = embed_sequence(seq, bundle.embedding, bundle.vocab)
-    score, _, attn, _ = attention_forward(emb, bundle.stage2, bias)
-    return StageTwoScore(
-        file_id=analysis.path,
-        score=score,
-        risky_positions=bias.risky_columns,
-        risky_mass=risky_attention_mass(attn, bias.risky_columns),
-    )
+    score = attention_forward(emb, bundle.stage2, bias)[0]
+    return StageTwoScore(file_id=analysis.path, score=score)

@@ -213,11 +213,35 @@ def test_loop_free_shortcut_changes_no_result(corpus_units, monkeypatch):
              + composed_texts(corpus_units, count=2))
     roots = [parse_text("t.php", text) for text in texts]
     shortcut = [_flows_and_findings(root) for root in roots]
-    # both paths through _loop_free are taken before it is forced
+    # both flag values occur before the fixpoint is forced
     assert {s.loop_free for root in roots
             for s in augment_flows(root).scopes} == {True, False}
-    monkeypatch.setattr(flows, "_loop_free", lambda scope: False)
+    solve = flows._solve_reaching
+
+    def forced(scope):
+        scope.loop_free = False
+        solve(scope)
+
+    monkeypatch.setattr(flows, "_solve_reaching", forced)
     assert [_flows_and_findings(root) for root in roots] == shortcut
+
+
+@pytest.mark.parametrize("text, loop_free", [
+    ("<?php $a = 1; echo $a;", [True]),
+    ("<?php if ($c) { $a = 1; } else { $a = 2; } echo $a;", [True]),
+    ("<?php while ($c) { } echo $c;", [True]),
+    ("<?php for ($i = 0; $i < 3; $i = $i + 1) { return $i; }", [False]),
+    ("<?php foreach ($xs as $x) { echo $x; }", [False]),
+    ("<?php while ($c) { function f($a) { echo $a; } }", [False, True]),
+])
+def test_only_a_back_edge_clears_loop_free(text, loop_free):
+    g = graph_of(text)
+    assert [scope.loop_free for scope in g.scopes] == loop_free
+    for scope in g.scopes:
+        position = {s.node_id: i for i, s in enumerate(scope.statements)}
+        assert scope.loop_free == all(
+            position[dst] > position[src]
+            for src, dests in scope.succ.items() for dst in dests)
 
 
 def test_loop_free_scope_takes_one_taint_sweep(monkeypatch):

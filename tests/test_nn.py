@@ -438,7 +438,7 @@ class TestAttention:
         p = AttentionParams.init(4, seed=3)
         emb = rng.uniform(-1, 1, (4, 4))
         base = RiskMatrix.build(4, [2], beta=1.0)
-        shifted = RiskMatrix(row=base.row + 7.5, beta=1.0,
+        shifted = RiskMatrix(row=base.row + 7.5,
                              risky_columns=base.risky_columns)
         _, _, a1, _ = attention_forward(emb, p, base)
         _, _, a2, _ = attention_forward(emb, p, shifted)

@@ -2,8 +2,10 @@ import numpy as np
 
 from vulnminer.analysis import FileAnalysis
 from vulnminer.lexicon import DEFAULT_LEXICON
+from vulnminer.linearize import embed_sequence
+from vulnminer.nn import attention_forward, risky_attention_mass
 from vulnminer.source import SourceUnit
-from vulnminer.stage2 import build_risk_matrix, verify_semantic
+from vulnminer.stage2 import build_risk_matrix, risky_columns, verify_semantic
 
 
 def test_no_risky_tokens_zero_matrix():
@@ -68,19 +70,26 @@ def test_bias_increases_risky_mass_on_vulnerable_fixtures(
 
     positives = [e.path for e in manifest.entries if e.label == 1][:25]
     for path in positives:
-        unit = SU.from_file(path)
-        biased = verify_semantic(FileAnalysis(unit), bundle, beta=2.0)
-        unbiased = verify_semantic(FileAnalysis(unit), bundle, beta=0.0)
-        if not biased.risky_positions:
+        analysis = FileAnalysis(SU.from_file(path))
+        seq = analysis.semantic
+        emb = embed_sequence(seq, bundle.embedding, bundle.vocab)
+        masses = []
+        for beta in (2.0, 0.0):
+            bias = build_risk_matrix(seq, analysis.lex, beta)
+            _, _, attn, _ = attention_forward(emb, bundle.stage2, bias)
+            masses.append(risky_attention_mass(attn, bias.risky_columns))
+        if not bias.risky_columns:
             continue
-        assert biased.risky_mass > unbiased.risky_mass, path
+        assert masses[0] > masses[1], path
 
 
-def test_risky_positions_within_sequence(bundle, corpus_units):
+def test_risky_positions_within_sequence(corpus_units):
     for unit in corpus_units[:20]:
-        result = verify_semantic(FileAnalysis(unit), bundle)
-        seq = FileAnalysis(unit).semantic
-        assert all(0 <= i < len(seq.tokens) for i in result.risky_positions)
+        analysis = FileAnalysis(unit)
+        seq = analysis.semantic
+        bias = build_risk_matrix(seq, analysis.lex, 2.0)
+        assert bias.risky_columns == risky_columns(seq, analysis.lex)
+        assert all(0 <= i < len(seq.tokens) for i in bias.risky_columns)
 
 
 def test_handoff_records(bundle, corpus_units, tmp_path):
