@@ -65,7 +65,7 @@ def _stage2_row(variant: str, scored, labels, bundle, **kw) -> BenchRow:
     pairs = []
     for analysis, score in scored:
         if score is None:
-            score = verify_semantic(analysis, bundle, **kw).score
+            score = verify_semantic(analysis, bundle, **kw)
         pairs.append((labels[analysis.path], int(score > 0.5)))
     return BenchRow(variant, compute_metrics(confusion_from_pairs(pairs)))
 
@@ -140,7 +140,7 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
         pairs = ((FileAnalysis(unit, lex), label) for unit, label
                  in load_units(manifest.split("train"), skipped))
         train = [(analysis, label) for analysis, label in pairs
-                 if analyzed(analysis, skipped, "structural", "semantic")]
+                 if analyzed(analysis, skipped, "structural")]
 
     def retrained(variant: str, stream_fn) -> BenchRow:
         return _stage1_retrained_row(variant, train, analyses, labels,

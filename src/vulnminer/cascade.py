@@ -91,14 +91,12 @@ def score_cascade(analyses, bundle, tau1: float, errors: list):
 
     The one cascade pass of scan, calibration and bench, built on
     ``score_files``: stage two runs only on files whose stage-one score
-    passes ``tau1`` and is None for the rest. A file whose stage-two input
-    cannot be computed is appended to ``errors`` as (path, message).
+    passes ``tau1`` and is None for the rest. Its input, ``semantic``, is
+    computed whenever ``structural`` is, since ``structural`` is built from it.
     """
     for analysis, one in score_files(analyses, bundle, tau1, errors):
-        if not one.passed:
-            yield analysis, one.score, None
-        elif analyzed(analysis, errors, "semantic"):
-            yield analysis, one.score, verify_semantic(analysis, bundle).score
+        yield analysis, one.score, (verify_semantic(analysis, bundle)
+                                    if one.passed else None)
 
 
 def cascade_verdict(s1: float, s2: float | None, lam: float,

@@ -31,7 +31,7 @@ def stage_samples(labeled, skipped: list):
     structural: list[Sample] = []
     semantic: list[Sample] = []
     for analysis, label in labeled:
-        if not analyzed(analysis, skipped, "structural", "semantic"):
+        if not analyzed(analysis, skipped, "structural"):
             continue
         seq1, seq2 = analysis.structural, analysis.semantic
         structural.append(Sample(tokens=seq1.tokens, label=label))

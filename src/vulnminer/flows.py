@@ -85,7 +85,8 @@ class FlowGraph:
 
 def augment_flows(root: AstNode) -> FlowGraph:
     """Build each scope's CFG and its reaching-definition data flow."""
-    scopes = _collect_scopes(root)
+    scopes: list[_Scope] = []
+    _build_scope(scopes, root, list(root.children), [])
     pairs: set[tuple[int, int]] = set()
     for scope in scopes:
         _solve_reaching(scope)
@@ -96,12 +97,6 @@ def augment_flows(root: AstNode) -> FlowGraph:
                     if def_id != node_id:
                         pairs.add((def_id, node_id))
     return FlowGraph(root=root, scopes=scopes, dataflow=sorted(pairs))
-
-
-def _collect_scopes(root: AstNode) -> list[_Scope]:
-    scopes: list[_Scope] = []
-    _build_scope(scopes, root, list(root.children), [])
-    return scopes
 
 
 def _build_scope(scopes: list[_Scope], owner: AstNode, body: list[AstNode],

@@ -218,14 +218,7 @@ class _Parser:
         tok = self.expect("var")
         if tok.value in SUPERGLOBAL_NAMES:
             self.fail(f"cannot assign to superglobal ${tok.value}")
-        node = self._var_node(tok)
-        while self.at("op", "["):
-            self.advance()
-            idx = self.expression()
-            end = self.expect("op", "]").end
-            node = AstNode(NodeKind.INDEX, children=[node, idx],
-                           start=node.start, end=end)
-        return node
+        return self._postfix(self._var_node(tok))
 
     def _expr_statement(self) -> AstNode:
         expr = self.expression()
@@ -269,8 +262,10 @@ class _Parser:
                            start=tok.start, end=operand.end)
         return self._postfix()
 
-    def _postfix(self) -> AstNode:
-        node = self._primary()
+    def _postfix(self, node: AstNode | None = None) -> AstNode:
+        """``[expr]`` suffixes after ``node``, by default the next primary."""
+        if node is None:
+            node = self._primary()
         while self.at("op", "["):
             self.advance()
             idx = self.expression()
@@ -327,27 +322,16 @@ class _Parser:
     # -- interpolation desugaring ---------------------------------------------
 
     def _interp(self, tok: Token) -> AstNode:
-        """Desugar "a $x b" into an explicit concat chain of its parts,
-        which alternate literal and expression."""
-        pieces: list[AstNode] = []
-        for part in tok.parts:
-            if part.kind == "lit":
-                if part.text == "":
-                    continue
-                node = AstNode(NodeKind.STRING_LIT,
-                               attrs={"value": part.text, "from_interp": True},
-                               start=part.start, end=part.end)
-            else:
-                node = self._interp_expr(part)
-            if (pieces and pieces[-1].kind is NodeKind.STRING_LIT
-                    and node.kind is NodeKind.STRING_LIT):
-                raise ParseError("interpolation parts must alternate",
-                                 span=self.unit.span_between(part.start, part.end),
-                                 path=self.unit.path)
-            pieces.append(node)
-        if not pieces:
-            return AstNode(NodeKind.STRING_LIT, attrs={"value": ""},
-                           start=tok.start, end=tok.end)
+        """Desugar "a $x b" into an explicit concat chain of its parts.
+
+        The lexer gives an ``interp_string`` at least one expression part,
+        and literal parts that are non-empty and never adjacent.
+        """
+        pieces = [AstNode(NodeKind.STRING_LIT,
+                          attrs={"value": part.text, "from_interp": True},
+                          start=part.start, end=part.end)
+                  if part.kind == "lit" else self._interp_expr(part)
+                  for part in tok.parts]
         node = pieces[0]
         for piece in pieces[1:]:
             node = AstNode(NodeKind.CONCAT, children=[node, piece],

@@ -82,8 +82,6 @@ class DeterministicBackend:
 
     def fill(self, template: MicroTemplate, ir: IntermediateRepresentation,
              constraints: ConstraintSet) -> list[FillPlan]:
-        if not template.applicable(ir.finding.sink_class):
-            return []
         primary = FillPlan(template_id=template.template_id, variant="primary")
         if not template.make(primary, ir, ir.facts):
             return []
@@ -97,12 +95,12 @@ class DeterministicBackend:
 
 def _command_plan(plan: FillPlan, ir, facts) -> bool:
     taken = _var_names(ir)
-    # a read hoists out of a path statement that sits directly in a body
-    on_path = {ir.stmt_of(nid) for nid in ir.finding.path}
+    # every read sits in a path statement; it hoists out of one that sits
+    # directly in a body
     for text, ids, key in facts.read_groups:
         sanitizer = _path_sanitizer(key)
         stmt_id = ir.stmt_of(ids[0])
-        if stmt_id in on_path and ir.analysis.parents[stmt_id].kind in (
+        if ir.analysis.parents[stmt_id].kind in (
                 NodeKind.PROGRAM, NodeKind.FUNCTION_DECL):
             plan.source_wraps.append(SourceWrap(
                 node_ids=ids, sanitizer=sanitizer,

@@ -142,12 +142,15 @@ def _collect_facts(ir: IntermediateRepresentation) -> SliceFacts:
     groups: dict[str, list[int]] = {}
     keys: dict[str, str | None] = {}
     if finding.source_kind == "superglobal":
+        # a read counts only in its own statement: a compound path
+        # statement's body holds reads the flow need not pass through
         for stmt in path_stmts:
             if stmt.node_id not in window_ids:
                 continue
             for node in stmt.walk():
                 if (node.kind is NodeKind.SUPERGLOBAL
-                        and f"$_{node.attrs['sg']}" == finding.source_label):
+                        and f"$_{node.attrs['sg']}" == finding.source_label
+                        and ir.stmt_of(node.node_id) == stmt.node_id):
                     read = node
                     parent = parents.get(node.node_id)
                     if (parent is not None and parent.kind is NodeKind.INDEX

@@ -102,7 +102,7 @@ def score_candidates(candidates: list[Candidate],
     for candidate, analysis, one in zip(candidates, analyses, stage_one):
         emb = embed_sequence(analysis.semantic, bundle.embedding, bundle.vocab)
         two = verify_semantic(analysis, bundle, emb=emb)
-        candidate.s_sec = 1.0 - fuse_scores(float(one), two.score, lam)
+        candidate.s_sec = 1.0 - fuse_scores(float(one), two, lam)
         cand_vec = emb.sum(axis=0) / max(len(emb), 1)
         denom = float(np.linalg.norm(origin_vec) * np.linalg.norm(cand_vec))
         sim = float(origin_vec @ cand_vec / denom) if denom > 0 else 0.0

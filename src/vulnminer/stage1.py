@@ -18,9 +18,6 @@ class StageOneScore:
     score: float
     passed: bool
 
-    def record(self) -> dict:
-        return {"path": self.file_id, "score": self.score, "passed": self.passed}
-
 
 @dataclass
 class HypothesisSet:

@@ -2,21 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .analysis import FileAnalysis
 from .lexicon import TaintLexicon
 from .linearize import TokenSequence, embed_sequence, linearize
 from .nn import RiskMatrix, attention_forward
-
-
-@dataclass(frozen=True)
-class StageTwoScore:
-    file_id: str
-    score: float
-
-    def record(self) -> dict:
-        return {"path": self.file_id, "stage2_score": self.score}
 
 
 def risky_columns(seq: TokenSequence, lex: TaintLexicon) -> tuple[int, ...]:
@@ -32,7 +21,7 @@ def build_risk_matrix(seq: TokenSequence, lex: TaintLexicon,
 
 
 def verify_semantic(analysis: FileAnalysis, bundle, beta: float | None = None,
-                    normalized: bool = True, emb=None) -> StageTwoScore:
+                    normalized: bool = True, emb=None) -> float:
     """Attention score for one stage-one hypothesis.
 
     ``normalized=False`` scores the raw-identifier sequence instead, for
@@ -46,5 +35,4 @@ def verify_semantic(analysis: FileAnalysis, bundle, beta: float | None = None,
     bias = build_risk_matrix(seq, analysis.lex, beta)
     if emb is None:
         emb = embed_sequence(seq, bundle.embedding, bundle.vocab)
-    score = attention_forward(emb, bundle.stage2, bias)[0]
-    return StageTwoScore(file_id=analysis.path, score=score)
+    return attention_forward(emb, bundle.stage2, bias)[0]

@@ -189,8 +189,8 @@ def test_candidates_scored_with_the_localization_lexicon(
     unit = SourceUnit.from_text(command_injection_unit.path + ".candidate",
                                 report.candidate_text)
     custom = FileAnalysis(unit, CUSTOM_LEXICON)
-    two = verify_semantic(custom, bundle).score
-    assert two != verify_semantic(FileAnalysis(unit), bundle).score
+    two = verify_semantic(custom, bundle)
+    assert two != verify_semantic(FileAnalysis(unit), bundle)
     one = score_structural(custom, bundle).score
     assert report.s_sec == 1.0 - fuse_scores(one, two, bundle.fusion.lam)
 

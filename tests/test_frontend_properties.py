@@ -1,12 +1,14 @@
 """Property tests: odd, long and deep inputs end in a ParseError or in a
 per-file error record, never in another exception; a long chain also
-localizes to a fix; every parsed node rebuilds from its layout parts."""
+localizes to a fix; every parsed node rebuilds from its layout parts; the
+parts of an interpolated string alternate literal and expression."""
 
 import tempfile
 from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_frontend_golden import SNIPPETS
 
 from vulnminer.analysis import FileAnalysis
 from vulnminer.cascade import run_pipeline
@@ -102,6 +104,37 @@ def test_offset_spans_match_forward_newline_count(text):
         return
     for node in tree.walk():
         check(node)
+
+
+def _assert_interp_parts_alternate(text):
+    """Each ``interp_string`` token has an expression part, no empty
+    literal part and no two adjacent literal parts: the parser desugars
+    its parts as they come, with no check of its own."""
+    try:
+        tokens = tokenize(SourceUnit.from_text("p.php", text))
+    except ParseError:
+        return
+    for tok in tokens:
+        if tok.kind != "interp_string":
+            continue
+        kinds = [part.kind for part in tok.parts]
+        assert "expr" in kinds, tok
+        assert all(part.text for part in tok.parts if part.kind == "lit"), tok
+        assert ("lit", "lit") not in zip(kinds, kinds[1:]), tok
+
+
+@given(st.one_of(phpish, programs))
+@example('<?php $a = "$b";')
+@example('<?php $a = "\\n$b\\t{$c[\'k\']}$d[0]\\$e $";')
+@example('<?php $a = "{$b}{$c}x";')
+@settings(max_examples=300, deadline=None)
+def test_interp_string_parts_alternate(text):
+    _assert_interp_parts_alternate(text)
+
+
+def test_golden_snippet_interp_string_parts_alternate():
+    for text in SNIPPETS:
+        _assert_interp_parts_alternate(text)
 
 
 _LAYOUT_ATTRS = ("then_len", "else_len", "n_params", "has_key")

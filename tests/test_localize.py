@@ -32,6 +32,7 @@ from vulnminer.localize import (
 )
 from vulnminer.localize.backends import _concat_leaves
 from vulnminer.localize.constraints import CandidateContext, evaluate_constraint
+from vulnminer.localize.rewrite import FillPlan, SourceWrap
 from vulnminer.localize.scoring import score_candidates
 from vulnminer.nn import gru_scores
 from vulnminer.source import SourceUnit
@@ -166,6 +167,24 @@ def test_non_parsing_candidate_fails_all(command_injection_unit):
     assert evaluate_constraint(constraints.constraints[0], ctx) is False
 
 
+def test_include_bound_needs_a_literal_or_accepted_head():
+    ir = build_ir(FileAnalysis(SourceUnit.from_text(
+        "i.php", "<?php include $_GET['p'];")))
+    bounded = extract_constraints(ir).by_id("bounded-include")
+
+    def holds(text):
+        ctx = CandidateContext.build(
+            FileAnalysis(SourceUnit.from_text("i.candidate", text)), ir,
+            query_built=False)
+        return evaluate_constraint(bounded, ctx)
+
+    # sanitized, but the target starts with a variable: unbounded
+    assert holds("<?php $p = basename($_GET['p']);\ninclude $p . '.php';\n") \
+        is False
+    assert holds("<?php include basename($_GET['p']);\n") is True
+    assert holds("<?php include './' . basename($_GET['p']);\n") is True
+
+
 # -- templates -------------------------------------------------------------------
 
 def test_template_library_covers_all_sink_classes():
@@ -224,6 +243,39 @@ def test_command_plan_hoists_each_read_into_its_own_variable():
     assert "$input = escapeshellarg($_GET[$k]);" in primary.text
     assert "$input_safe = escapeshellarg($_GET[0]);" in primary.text
     assert "'ls ' . $input . ' ' . $input_safe" in primary.text
+
+
+def test_command_plan_wraps_a_read_in_an_if_body_in_place():
+    source = "<?php\nif ($n < 1) {\n    system(\"ls \" . $_GET['dir']);\n}\n"
+    ir = build_ir(FileAnalysis(SourceUnit.from_text("if.php", source)))
+    candidates = generate_candidates(ir, extract_constraints(ir), TEMPLATES,
+                                     BACKEND)
+    primary = next(c for c in candidates if c.variant == "primary")
+    assert primary.text == ("<?php\nif ($n < 1) {\n    system(escapeshellcmd("
+                            "'ls ' . sanitize_path($_GET['dir'])));\n}\n")
+
+
+# The flow is $_GET -> $v -> system; h() reads $_GET off that flow.
+_READ_OFF_THE_FLOW = """<?php
+foreach ($_GET as $v) {
+    function h() {
+        $y = $_GET['b'];
+        return $y;
+    }
+    system($v);
+}
+"""
+
+
+def test_command_plan_guards_only_reads_on_the_flow(bundle):
+    unit = SourceUnit.from_text("off.php", _READ_OFF_THE_FLOW)
+    ir = build_ir(FileAnalysis(unit))
+    assert [text for text, _, _ in ir.facts.read_groups] == ["$_GET"]
+    report = localize(unit, bundle, TEMPLATES, BACKEND)
+    assert report.status == "ok"
+    assert "        $y = $_GET['b'];\n        return $y;\n" \
+        in report.candidate_text
+    assert "escapeshellarg($_GET['b'])" not in report.candidate_text
 
 
 def test_sql_candidate_uses_placeholder_binding(sql_auth_unit):
@@ -620,7 +672,7 @@ def test_lambda_zero_scores_candidates_without_stage_one(
     assert len(embeds) == len(scored) + len(rounds)
     for c in scored:
         assert "structural" not in vars(c.analysis)
-        assert c.s_sec == 1.0 - verify_semantic(c.analysis, bundle).score
+        assert c.s_sec == 1.0 - verify_semantic(c.analysis, bundle)
 
 
 def test_positive_lambda_runs_stage_one_once_per_round(
@@ -635,7 +687,7 @@ def test_positive_lambda_runs_stage_one_once_per_round(
     assert len(embeds) == len(scored) + len(rounds)
     for c in scored:
         s1 = score_structural(c.analysis, half).score
-        s2 = verify_semantic(c.analysis, half).score
+        s2 = verify_semantic(c.analysis, half)
         assert c.s_sec == 1.0 - fuse_scores(s1, s2, 0.5)
 
 
@@ -744,6 +796,55 @@ def test_analyze_failures_names_constraints(bundle, sql_auth_unit):
     assert any(f.get("constraint") == "parameterized-sql" for f in feedback)
 
 
+class _PlanBackend:
+    """One plan per maker, made from the IR, for every template."""
+
+    name = "stub"
+
+    def __init__(self, *makers):
+        self.makers = makers
+
+    def fill(self, template, ir, constraints):
+        return [make(template, ir) for make in self.makers]
+
+
+def _hoist_before_a_missing_statement(template, ir):
+    _, ids, _ = ir.facts.read_groups[0]
+    return FillPlan(template.template_id, "primary", source_wraps=[
+        SourceWrap(ids, "escapeshellarg", hoist_var="dir",
+                   hoist_before=10 ** 9)])
+
+
+def _wrap_with_an_invalid_name(template, ir):
+    _, ids, _ = ir.facts.read_groups[0]
+    return FillPlan(template.template_id, "generic",
+                    source_wraps=[SourceWrap(ids, "1bad")])
+
+
+def test_failed_plans_are_recorded_and_fed_back(bundle):
+    unit = SourceUnit.from_text("cmd.php", _SINK_CLASS_FILES["Command"])
+    ir = build_ir(FileAnalysis(unit))
+    constraints = extract_constraints(ir)
+    backend = _PlanBackend(_hoist_before_a_missing_statement,
+                           _wrap_with_an_invalid_name)
+    candidates = generate_candidates(ir, constraints, TEMPLATES, backend)
+    assert [c.candidate_id for c in candidates] == [
+        "validation_wrapper:0", "validation_wrapper:1"]
+    missing, invalid = candidates
+    assert missing.failure.startswith("rewrite failed: ")
+    assert missing.text == ""
+    assert invalid.failure.startswith("candidate does not parse: ")
+    assert "1bad($_GET['dir'])" in invalid.text
+    feedback = analyze_failures(candidates, constraints)
+    assert feedback == [
+        {"kind": "parse_failure", "candidate": c.candidate_id,
+         "detail": c.failure[:200]} for c in candidates]
+
+    report = localize(unit, bundle, TEMPLATES, backend)
+    assert report.status == "fail" and report.iterations == 2
+    assert [f["kind"] for f in report.feedback] == ["parse_failure"] * 4
+
+
 # -- the full loop ----------------------------------------------------------------------
 
 def test_localize_command_case(bundle, command_injection_unit):
@@ -764,6 +865,32 @@ def test_localize_uses_refinement_for_wrapped_sql(bundle):
     assert report.iterations == 2
     single = localize(unit, bundle, TEMPLATES, BACKEND, max_iterations=1)
     assert not single.succeeded and single.status == "fail"
+
+
+def test_localize_calls_the_prepared_query_at_the_helper_call_site(bundle):
+    # built at top level, run inside a helper: the first window (the
+    # helper) cannot see the build, the whole-file window replaces the
+    # helper call with the prepared execute
+    source = """<?php
+function run($q) {
+    return mysql_query($q);
+}
+$q = "SELECT * FROM t WHERE id='" . $_GET['id'] . "'";
+run($q);
+"""
+    report = localize(SourceUnit.from_text("helper.php", source), bundle,
+                      TEMPLATES, BACKEND)
+    assert report.status == "ok" and report.iterations == 2
+    assert report.template_id == "prepared_statement"
+    assert [f["kind"] for f in report.feedback] == ["no_applicable_template"]
+    assert report.candidate_text == """<?php
+function run($q) {
+    return mysql_query($q);
+}
+$stmt = db_prepare('SELECT * FROM t WHERE id=?');
+db_bind($stmt, $_GET['id']);
+db_execute($stmt);
+"""
 
 
 def test_localize_false_positive_path(bundle, clean_unit):

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -178,3 +179,46 @@ def test_scan_with_malformed_model_exits_two(bundle, tmp_path, capsys):
     page.write_text('<?php echo "static";')
     assert main(["scan", "--model", str(path), str(page)]) == 2
     assert "model file has no 'vocab' section" in capsys.readouterr().err
+
+
+def _edit_array(head, name, edit):
+    """A tamper that replaces one stored array with ``edit`` of it."""
+    def tamper(doc):
+        stored = doc[head][name]
+        arr = np.frombuffer(base64.b64decode(stored["f8"]),
+                            dtype="<f8").reshape(stored["shape"])
+        arr = np.ascontiguousarray(edit(arr.copy()))
+        doc[head][name] = {"shape": list(arr.shape),
+                           "f8": base64.b64encode(arr.tobytes()).decode()}
+    return tamper
+
+
+def _with_nan(arr):
+    arr.flat[3] = np.nan
+    return arr
+
+
+# A transposed wz sets the widths the other GRU weights are checked
+# against, so the shape error names wr, the first weight that disagrees.
+@pytest.mark.parametrize("tamper, message", [
+    (_edit_array("stage1", "wz", np.transpose),
+     r"GRU param wr has shape \(64, 16\), want \(16, 64\)"),
+    (_edit_array("stage1", "uz", _with_nan),
+     "GRU param uz has non-finite entries"),
+    (_edit_array("stage2", "w1", np.transpose),
+     r"attention param w1 has shape \(256, 64\), want \(64, 256\)"),
+    (_edit_array("stage2", "w1", _with_nan),
+     "attention param w1 has non-finite entries"),
+], ids=["stage1-wz-transposed", "stage1-uz-nan", "stage2-w1-transposed",
+        "stage2-w1-nan"])
+def test_bad_head_weights_refused_naming_head_and_parameter(
+        bundle, tmp_path, capsys, tamper, message):
+    from vulnminer.cli import main
+
+    path = _tampered(bundle, tmp_path, tamper)
+    with pytest.raises(ConfigError, match=message):
+        load_model(path)
+    page = tmp_path / "page.php"
+    page.write_text('<?php echo "static";')
+    assert main(["scan", "--model", str(path), str(page)]) == 2
+    assert re.search(message, capsys.readouterr().err)

@@ -1,10 +1,7 @@
-import json
-
 import pytest
 
 from vulnminer.analysis import FileAnalysis
 from vulnminer.cascade import score_files
-from vulnminer.cli import write_jsonl
 from vulnminer.errors import ParseError
 from vulnminer.source import SourceUnit
 from vulnminer.stage1 import propose_hypotheses, score_structural
@@ -78,15 +75,6 @@ def test_parse_errors_collected_not_fatal(bundle, tmp_path):
     hset = propose_hypotheses([good, bad], bundle, tau1=0.0)
     assert [p for p, _ in hset.errors] == ["bad.php"]
     assert len(hset.hypotheses) == 1
-
-
-def test_handoff_file_round_trip(bundle, corpus_units, tmp_path):
-    hset = propose_hypotheses(corpus_units[:20], bundle, tau1=0.2)
-    path = tmp_path / "hypotheses.jsonl"
-    write_jsonl([h.record() for h in hset.hypotheses], path)
-    loaded = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [(h["path"], h["score"], h["passed"]) for h in loaded] \
-        == [(h.file_id, h.score, h.passed) for h in hset.hypotheses]
 
 
 def test_empty_corpus_is_empty_set(bundle):

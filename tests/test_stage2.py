@@ -36,15 +36,15 @@ def test_verifier_separates_vulnerable_from_sanitized(
         bundle, command_injection_unit, command_injection_fixed_unit):
     vulnerable = verify_semantic(FileAnalysis(command_injection_unit), bundle)
     sanitized = verify_semantic(FileAnalysis(command_injection_fixed_unit), bundle)
-    assert vulnerable.score > 0.5
-    assert sanitized.score < vulnerable.score
-    assert sanitized.score < 0.5
+    assert vulnerable > 0.5
+    assert sanitized < vulnerable
+    assert sanitized < 0.5
 
 
 def test_determinism(bundle, command_injection_unit):
     a = verify_semantic(FileAnalysis(command_injection_unit), bundle)
     b = verify_semantic(FileAnalysis(command_injection_unit), bundle)
-    assert a.score == b.score
+    assert a == b
 
 
 def test_clean_invariance_comments_ignored(bundle):
@@ -52,16 +52,16 @@ def test_clean_invariance_comments_ignored(bundle):
     commented = SourceUnit.from_text(
         "b.php", "<?php // reading input\n$x = $_GET['q'];\n"
                  "/* output below */\necho $x;")
-    assert verify_semantic(FileAnalysis(base), bundle).score \
-        == verify_semantic(FileAnalysis(commented), bundle).score
+    assert verify_semantic(FileAnalysis(base), bundle) \
+        == verify_semantic(FileAnalysis(commented), bundle)
 
 
 def test_rename_invariance(bundle):
     base = SourceUnit.from_text("a.php", "<?php $user = $_GET['q'];\necho $user;")
     renamed = SourceUnit.from_text("b.php", "<?php $visitor_name = $_GET['q'];\n"
                                             "echo $visitor_name;")
-    assert verify_semantic(FileAnalysis(base), bundle).score \
-        == verify_semantic(FileAnalysis(renamed), bundle).score
+    assert verify_semantic(FileAnalysis(base), bundle) \
+        == verify_semantic(FileAnalysis(renamed), bundle)
 
 
 def test_bias_increases_risky_mass_on_vulnerable_fixtures(
@@ -91,19 +91,3 @@ def test_risky_positions_within_sequence(corpus_units):
         assert bias.risky_columns == risky_columns(seq, analysis.lex)
         assert all(0 <= i < len(seq.tokens) for i in bias.risky_columns)
 
-
-def test_handoff_records(bundle, corpus_units, tmp_path):
-    import json
-
-    from vulnminer.cli import write_jsonl
-    from vulnminer.stage1 import propose_hypotheses
-
-    hset = propose_hypotheses(corpus_units[:30], bundle, tau1=0.2)
-    unit_of = {u.path: u for u in corpus_units}
-    scores = [verify_semantic(FileAnalysis(unit_of[h.file_id]), bundle)
-              for h in hset.hypotheses]
-    out = tmp_path / "stage2.jsonl"
-    write_jsonl([s.record() for s in scores], out)
-    rows = [json.loads(line) for line in out.read_text().splitlines()]
-    assert [set(r) for r in rows] == [{"path", "stage2_score"}] * len(scores)
-    assert [r["path"] for r in rows] == [h.file_id for h in hset.hypotheses]
