@@ -8,7 +8,7 @@ from typing import Callable, Protocol
 
 from ..frontend.nodes import AstNode, NodeKind
 from .constraints import ConstraintSet
-from .ir import IntermediateRepresentation, enclosing_function
+from .ir import IntermediateRepresentation, enclosing_function, source_element
 from .rewrite import FillPlan, PreparedRewrite, SourceWrap
 
 # Wrong-class guard proposed as an exploratory variant; the constraint set
@@ -177,15 +177,22 @@ def _wrap_reads_or_sink(plan: FillPlan, facts, sanitizer: str):
         for _, ids, _key in facts.read_groups:
             plan.source_wraps.append(SourceWrap(ids, sanitizer))
         return
-    # reads live outside the window (or the source is a literal):
-    # guard the tainted leaves inside the sink argument instead
-    for leaf in _tainted_leaves(facts.sink_arg, facts.tainted_vars):
+    # reads live outside the window, or the source is a literal or a
+    # whole array: guard the tainted leaves inside the sink argument, or
+    # the argument itself when it has none
+    leaves = _tainted_leaves(facts.sink_arg, facts.tainted_vars)
+    if not leaves and facts.sink_arg is not None:
+        leaves = [facts.sink_arg]
+    for leaf in leaves:
         plan.source_wraps.append(SourceWrap((leaf.node_id,), sanitizer))
 
 
 def _prepared_rewrite(ir, facts) -> PreparedRewrite | None:
     build = facts.build_stmt
     if build is None or not facts.build_in_window:
+        return None
+    call_id = _execute_site(ir, build)
+    if call_id is None:
         return None
     literal_parts: list[str] = []
     binds: list[int] = []
@@ -203,15 +210,10 @@ def _prepared_rewrite(ir, facts) -> PreparedRewrite | None:
         if part == "?" and i + 1 < len(literal_parts) \
                 and literal_parts[i + 1].startswith("'"):
             literal_parts[i + 1] = literal_parts[i + 1][1:]
-    stmt_var = _fresh_var(_var_names(ir), "stmt")
-    call_stmt, call_name = _execute_site(ir, facts)
-    if call_stmt is None:
-        return None
     return PreparedRewrite(
         build_stmt_id=build.node_id,
-        replace_call_stmt_id=call_stmt,
-        replace_call_name=call_name,
-        stmt_var=stmt_var,
+        call_id=call_id,
+        stmt_var=_fresh_var(_var_names(ir), "stmt"),
         query_literal="".join(literal_parts),
         bind_exprs=tuple(binds),
     )
@@ -262,15 +264,13 @@ def _fresh_var(taken: set[str], base: str) -> str:
 
 
 def _tainted_leaves(arg: AstNode | None, tainted_vars: set[str]):
+    """Tainted variables and indexed superglobal elements in ``arg``; a
+    bare superglobal is an array, which no sanitizer takes."""
     if arg is None:
         return []
-    out = []
-    for node in arg.walk():
-        if node.kind is NodeKind.VAR and node.attrs["name"] in tainted_vars:
-            out.append(node)
-        elif node.kind is NodeKind.SUPERGLOBAL:
-            out.append(node)
-    return out
+    return [node for node in arg.walk()
+            if (node.kind is NodeKind.VAR and node.attrs["name"] in tainted_vars)
+            or source_element(node)]
 
 
 def _secret_assign(ir, var: str) -> int | None:
@@ -285,21 +285,29 @@ def _secret_assign(ir, var: str) -> int | None:
     return None
 
 
-def _execute_site(ir, facts) -> tuple[int | None, str | None]:
-    """Statement whose call gets replaced by the prepared execute."""
-    sink_owner = enclosing_function(ir.analysis, facts.sink_stmt_id)
-    build_owner = enclosing_function(ir.analysis, facts.build_stmt.node_id)
-    if sink_owner == build_owner:
-        return facts.sink_stmt_id, facts.sink_node.attrs.get("name")
-    if build_owner is None and sink_owner is not None:
-        # query built at top level, executed inside a helper: call the
-        # prepared handle directly at the original call site
-        helper = ir.analysis.nodes[sink_owner].attrs["name"]
-        for node in ir.ast.walk():
-            if (node.kind is NodeKind.CALL
-                    and node.attrs["name"] == helper):
-                return ir.stmt_of(node.node_id), helper
-    return None, None
+def _execute_site(ir, build: AstNode) -> int | None:
+    """Id of the call that the prepared execute replaces, or None.
+
+    The query's definition must reach exactly one statement, and that
+    statement holds the call: the sink call when the query is built and
+    run in one function, else the one call there of the function that
+    holds the sink.
+    """
+    analysis = ir.analysis
+    uses = [use for d, use in analysis.graph.dataflow if d == build.node_id]
+    if len(uses) != 1:
+        return None
+    use, sink_id = uses[0], ir.finding.sink_id
+    sink_owner = enclosing_function(analysis, sink_id)
+    if sink_owner == enclosing_function(analysis, build.node_id):
+        return sink_id if ir.stmt_of(sink_id) == use else None
+    if sink_owner is None:
+        return None
+    helper = analysis.nodes[sink_owner].attrs["name"]
+    calls = [n.node_id for n in analysis.nodes[use].walk()
+             if n.kind is NodeKind.CALL and n.attrs["name"] == helper
+             and ir.stmt_of(n.node_id) == use]
+    return calls[0] if len(calls) == 1 else None
 
 
 # ---------------------------------------------------------------------------

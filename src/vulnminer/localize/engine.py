@@ -114,7 +114,8 @@ def verify(candidate: Candidate, ir: IntermediateRepresentation,
            constraints: ConstraintSet, hook: str | None = None,
            hook_timeout: float = 10.0) -> tuple[bool, list[str]]:
     """Compile gate, taint re-check, optional hook. ``constraints`` are not
-    checked again: ``select_best`` returns only candidates that pass them."""
+    checked again: a localization round selects only among candidates
+    that pass them."""
     reasons: list[str] = []
     try:
         findings = candidate.analyze(ir).findings
@@ -223,15 +224,12 @@ def _localize(unit: SourceUnit, bundle, templates: list[MicroTemplate],
         candidates = generate_candidates(ir, constraints, templates, backend)
         parsed = check_constraints([c for c in candidates if c.parse_ok],
                                    ir, constraints)
-        # select_best chooses only among hard-constraint survivors, so only
-        # they are scored, unless constraints are off
-        scored = ([c for c in parsed if c.passes_hard(constraints)]
+        # only a candidate that passes every hard constraint may be
+        # chosen, so only those are scored, unless constraints are off
+        scored = ([c for c in parsed if all(c.constraint_results.values())]
                   if enforce_constraints else parsed)
         if scored:
-            score_candidates(scored, ir, bundle, constraints, alpha=alpha)
-        best = select_best(candidates, constraints,
-                           enforce_constraints=enforce_constraints)
-        if best is not None:
+            best = select_best(score_candidates(scored, ir, bundle, alpha))
             ok, reasons = verify(best, ir, constraints, hook=hook)
             if ok:
                 return LocalizationReport(

@@ -117,8 +117,6 @@ class SliceFacts:
     window_ids: set[int]
     read_groups: list[tuple[str, tuple[int, ...], str | None]]  # text, ids, key
     tainted_vars: set[str]
-    sink_stmt_id: int
-    sink_node: AstNode
     sink_arg: AstNode | None
     build_stmt: AstNode | None
     build_in_window: bool
@@ -128,7 +126,6 @@ class SliceFacts:
 def _collect_facts(ir: IntermediateRepresentation) -> SliceFacts:
     finding = ir.finding
     nodes = ir.analysis.nodes
-    parents = ir.analysis.parents
     window_ids = {s.node_id for s in ir.window_statements()}
 
     path_stmts: list[AstNode] = []
@@ -142,20 +139,15 @@ def _collect_facts(ir: IntermediateRepresentation) -> SliceFacts:
     groups: dict[str, list[int]] = {}
     keys: dict[str, str | None] = {}
     if finding.source_kind == "superglobal":
-        # a read counts only in its own statement: a compound path
-        # statement's body holds reads the flow need not pass through
+        # a read is one indexed element, never the bare array, and counts
+        # only in its own statement: a compound path statement's body
+        # holds reads the flow need not pass through
         for stmt in path_stmts:
             if stmt.node_id not in window_ids:
                 continue
-            for node in stmt.walk():
-                if (node.kind is NodeKind.SUPERGLOBAL
-                        and f"$_{node.attrs['sg']}" == finding.source_label
-                        and ir.stmt_of(node.node_id) == stmt.node_id):
-                    read = node
-                    parent = parents.get(node.node_id)
-                    if (parent is not None and parent.kind is NodeKind.INDEX
-                            and parent.children[0] is node):
-                        read = parent
+            for read in stmt.walk():
+                if (source_element(read, finding.source_label)
+                        and ir.stmt_of(read.node_id) == stmt.node_id):
                     text = print_expression(read)
                     groups.setdefault(text, []).append(read.node_id)
                     keys.setdefault(text, _index_key(read))
@@ -164,11 +156,13 @@ def _collect_facts(ir: IntermediateRepresentation) -> SliceFacts:
     for stmt in path_stmts:
         if stmt.kind is NodeKind.ASSIGN and stmt.children[0].kind is NodeKind.VAR:
             tainted_vars.add(stmt.children[0].attrs["name"])
+        elif stmt.kind is NodeKind.FOREACH:
+            _, key, value, _ = stmt.foreach_parts()
+            tainted_vars.update(v.attrs["name"] for v in (key, value) if v)
     if finding.source_kind == "secret_literal":
         tainted_vars.add(finding.source_label.split(":", 1)[1])
 
-    sink_node = nodes[finding.sink_id]
-    sink_arg = _tainted_sink_arg(sink_node, tainted_vars)
+    sink_arg = _tainted_sink_arg(nodes[finding.sink_id], tainted_vars)
 
     build_stmt = _build_statement(path_stmts, sink_arg)
     build_in_window = (build_stmt is not None
@@ -184,8 +178,6 @@ def _collect_facts(ir: IntermediateRepresentation) -> SliceFacts:
         window_ids=window_ids,
         read_groups=[(t, tuple(groups[t]), keys[t]) for t in ordered],
         tainted_vars=tainted_vars,
-        sink_stmt_id=ir.stmt_of(finding.sink_id),
-        sink_node=sink_node,
         sink_arg=sink_arg,
         build_stmt=build_stmt,
         build_in_window=build_in_window,
@@ -193,9 +185,18 @@ def _collect_facts(ir: IntermediateRepresentation) -> SliceFacts:
     )
 
 
+def source_element(node: AstNode, label: str | None = None) -> bool:
+    """Whether ``node`` indexes a superglobal (the one named ``label``,
+    if given) directly: ``$_GET['id']``, not ``$_GET``."""
+    if node.kind is not NodeKind.INDEX:
+        return False
+    base = node.children[0]
+    return (base.kind is NodeKind.SUPERGLOBAL
+            and label in (None, f"$_{base.attrs['sg']}"))
+
+
 def _index_key(read: AstNode) -> str | None:
-    if (read.kind is NodeKind.INDEX
-            and read.children[1].kind is NodeKind.STRING_LIT):
+    if read.children[1].kind is NodeKind.STRING_LIT:
         return read.children[1].attrs["value"]
     return None
 

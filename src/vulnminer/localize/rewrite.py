@@ -25,8 +25,7 @@ class SourceWrap:
 @dataclass
 class PreparedRewrite:
     build_stmt_id: int
-    replace_call_stmt_id: int      # statement whose call becomes db_execute
-    replace_call_name: str         # function call to swap (sink or wrapper)
+    call_id: int                   # the call that becomes db_execute
     stmt_var: str
     query_literal: str
     bind_exprs: tuple[int, ...]    # node ids of tainted parts in the build
@@ -71,17 +70,12 @@ class Rewriter:
             else:
                 for nid in wrap.node_ids:
                     self.wrap_nodes[nid] = wrap.sanitizer
-        self.execute_calls = {
-            nid for nid, node in (analysis.nodes.items() if prep else ())
-            if node.kind is NodeKind.CALL
-            and node.attrs["name"] == prep.replace_call_name
-            and self.ir.stmt_of(nid) == prep.replace_call_stmt_id}
         # the compound nodes whose statement lists get statements inserted
         self.rebuilt = {analysis.parents[sid].node_id for sid in (
             *self.hoists, *([prep.build_stmt_id] if prep else ()))}
         touched = {*self.replace_with_var, *self.wrap_nodes,
-                   *plan.credential_env, *plan.rhs_wrap, *self.execute_calls,
-                   *plan.sink_head, *self.rebuilt}
+                   *plan.credential_env, *plan.rhs_wrap, *plan.sink_head,
+                   *self.rebuilt, *([prep.call_id] if prep else ())}
 
         source = self.ir.ast
         pairs = list(zip(source.walk(), copy_tree(source).walk()))
@@ -110,7 +104,7 @@ class Rewriter:
             copy.children[1] = mk_call("getenv", [env])
         elif node.kind is NodeKind.ASSIGN and nid in plan.rhs_wrap:
             copy.children[1] = self._wrap(copy.children[1], plan.rhs_wrap[nid])
-        elif nid in self.execute_calls:
+        elif plan.prepared and nid == plan.prepared.call_id:
             return mk_call("db_execute", [mk_var(plan.prepared.stmt_var)])
         elif nid in plan.sink_head:
             return self._with_head(copy, plan.sink_head[nid])

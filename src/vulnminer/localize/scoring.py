@@ -38,10 +38,6 @@ class Candidate:
         """The plan rewrote and the text parses."""
         return self.failure is None
 
-    def passes_hard(self, constraints: ConstraintSet) -> bool:
-        return all(self.constraint_results.get(c.cid, False)
-                   for c in constraints.constraints)
-
     def analyze(self, ir: IntermediateRepresentation) -> FileAnalysis:
         """The candidate text's analysis, made on first use and kept."""
         if self.analysis is None:
@@ -74,7 +70,6 @@ def check_constraints(candidates: list[Candidate],
 
 def score_candidates(candidates: list[Candidate],
                      ir: IntermediateRepresentation, bundle,
-                     constraints: ConstraintSet,
                      alpha: float = 0.6) -> list[Candidate]:
     """Security score from the frozen cascade, semantic score from embeddings.
 
@@ -82,14 +77,11 @@ def score_candidates(candidates: list[Candidate],
     one scores the batch in one ``stage_one_scores`` call, whose rows score
     the same bits alone as in any batch; at λ = 0 it is not run. Each
     candidate's stage-two sequence is embedded once, for its attention
-    score and its mean. A candidate with no constraint results yet gets
-    them from ``check_constraints``. Only candidates whose utility ties
-    get an edit distance: ``select_best`` reads it only there.
+    score and its mean. Only candidates whose utility ties get an edit
+    distance: ``select_best`` reads it only there.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    check_constraints([c for c in candidates if not c.constraint_results],
-                      ir, constraints)
     analyses = [candidate.analyze(ir) for candidate in candidates]
     lam = bundle.fusion.lam
     # fusion multiplies s1 by λ, so at λ = 0 a zero stands in for stage one
@@ -120,17 +112,13 @@ def score_candidates(candidates: list[Candidate],
 def score_candidate(candidate: Candidate, ir: IntermediateRepresentation,
                     bundle, constraints: ConstraintSet,
                     alpha: float = 0.6) -> Candidate:
-    """``score_candidates`` on a batch of one."""
-    return score_candidates([candidate], ir, bundle, constraints, alpha)[0]
+    """``check_constraints`` and ``score_candidates`` on a batch of one."""
+    check_constraints([candidate], ir, constraints)
+    return score_candidates([candidate], ir, bundle, alpha)[0]
 
 
-def select_best(candidates: list[Candidate],
-                constraints: ConstraintSet,
-                enforce_constraints: bool = True) -> Candidate | None:
-    """Max utility among hard-constraint survivors; edit distance breaks ties."""
-    pool = [c for c in candidates if c.parse_ok]
-    if enforce_constraints:
-        pool = [c for c in pool if c.passes_hard(constraints)]
-    if not pool:
-        return None
-    return min(pool, key=lambda c: (-c.utility, c.edit_distance, c.template_id))
+def select_best(scored: list[Candidate]) -> Candidate | None:
+    """The highest utility, then the smallest edit distance, then the
+    template id; the caller passes only candidates it may choose."""
+    return min(scored, key=lambda c: (-c.utility, c.edit_distance,
+                                      c.template_id), default=None)

@@ -64,12 +64,8 @@ class ModelBundle:
 
     def validate(self) -> None:
         self.embedding.validate(self.vocab)
-        self.stage1.validate()
-        self.stage2.validate()
-        if self.stage1.dim != self.embedding.dim:
-            raise ConfigError("stage-one width differs from embedding width")
-        if self.stage2.dim != self.embedding.dim:
-            raise ConfigError("stage-two width differs from embedding width")
+        self.stage1.validate(self.embedding.dim, self.stage1_config.hidden)
+        self.stage2.validate(self.embedding.dim)
 
 
 def _array_out(arr: np.ndarray):

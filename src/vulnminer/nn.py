@@ -68,8 +68,9 @@ class GruParams:
         return {k: getattr(self, k) for k in
                 ("wz", "wr", "wh", "uz", "ur", "uh", "bz", "br", "bh", "w", "b")}
 
-    def validate(self) -> None:
-        d, h = self.dim, self.hidden
+    def validate(self, d: int, h: int) -> None:
+        """Each array's shape for input width ``d`` and hidden width ``h``,
+        the widths the model records, and finite entries."""
         shapes = {
             "wz": (d, h), "wr": (d, h), "wh": (d, h),
             "uz": (h, h), "ur": (h, h), "uh": (h, h),
@@ -277,8 +278,9 @@ class AttentionParams:
         return {k: getattr(self, k) for k in
                 ("wq", "wk", "wv", "w1", "b1", "w2", "b2", "w", "b")}
 
-    def validate(self) -> None:
-        d = self.dim
+    def validate(self, d: int) -> None:
+        """Each array's shape for width ``d``, the width the model
+        records, and finite entries."""
         shapes = {"wq": (d, d), "wk": (d, d), "wv": (d, d),
                   "w1": (d, 4 * d), "b1": (4 * d,),
                   "w2": (4 * d, d), "b2": (d,), "w": (d,), "b": ()}

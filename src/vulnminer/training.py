@@ -163,7 +163,7 @@ def train_structural(samples: list[Sample], vocab: Vocabulary,
 
     curve = _fit(samples, vocab, table, cfg, params.arrays(), cfg.seed,
                  forward, gru_backward, update_table=True)
-    params.validate()
+    params.validate(cfg.dim, cfg.hidden)
     return params, curve
 
 
@@ -182,7 +182,7 @@ def train_semantic(samples: list[Sample], vocab: Vocabulary,
 
     curve = _fit(samples, vocab, table, cfg, params.arrays(), cfg.seed + 1,
                  forward, attention_backward)
-    params.validate()
+    params.validate(cfg.dim)
     return params, curve
 
 

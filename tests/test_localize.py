@@ -33,7 +33,7 @@ from vulnminer.localize import (
 from vulnminer.localize.backends import _concat_leaves
 from vulnminer.localize.constraints import CandidateContext, evaluate_constraint
 from vulnminer.localize.rewrite import FillPlan, SourceWrap
-from vulnminer.localize.scoring import score_candidates
+from vulnminer.localize.scoring import check_constraints, score_candidates
 from vulnminer.nn import gru_scores
 from vulnminer.source import SourceUnit
 from vulnminer.stage1 import score_structural
@@ -137,7 +137,7 @@ def test_soft_preference_recorded(bundle, command_injection_unit):
     candidates = generate_candidates(ir, constraints, TEMPLATES, BACKEND)
     primary = next(c for c in candidates if c.variant == "primary")
     twin = _copy(primary)
-    score_candidates([primary, twin], ir, bundle, constraints)
+    score_candidates([primary, twin], ir, bundle)
     assert primary.utility == twin.utility
     for tied in (primary, twin):
         assert tied.edit_distance == pytest.approx(
@@ -270,7 +270,7 @@ foreach ($_GET as $v) {
 def test_command_plan_guards_only_reads_on_the_flow(bundle):
     unit = SourceUnit.from_text("off.php", _READ_OFF_THE_FLOW)
     ir = build_ir(FileAnalysis(unit))
-    assert [text for text, _, _ in ir.facts.read_groups] == ["$_GET"]
+    assert ir.facts.read_groups == []
     report = localize(unit, bundle, TEMPLATES, BACKEND)
     assert report.status == "ok"
     assert "        $y = $_GET['b'];\n        return $y;\n" \
@@ -513,13 +513,13 @@ def test_utility_tie_is_broken_by_edit_distance(bundle,
         "<?php\n", "<?php\n// " + "padding " * 20 + "\n", 1)
     other = next(c for c in candidates if c.variant != "primary"
                  and c.parse_ok)
-    score_candidates([far, near, other], ir, bundle, constraints)
+    score_candidates([far, near, other], ir, bundle)
     assert far.utility == near.utility != other.utility
     assert near.edit_distance == edit_distance(ir.unit.text, near.text)
     assert far.edit_distance == edit_distance(ir.unit.text, far.text)
     assert near.edit_distance < far.edit_distance
     assert other.edit_distance == 1.0
-    assert select_best([far, near], constraints) is near
+    assert select_best([far, near]) is near
 
 
 def test_round_batch_scores_each_candidate_as_alone(bundle, corpus_units,
@@ -548,8 +548,7 @@ def test_round_batch_scores_each_candidate_as_alone(bundle, corpus_units,
     assert max(len(parsed) for parsed, *_ in rounds) > 1
     alpha = engine.DEFAULT_ALPHA
     for parsed, ir, constraints in rounds:
-        for candidate in score_candidates(parsed, ir, bundle, constraints,
-                                          alpha):
+        for candidate in score_candidates(parsed, ir, bundle, alpha):
             alone = score_candidate(_copy(candidate), ir, bundle,
                                     constraints, alpha)
             assert (alone.s_sec, alone.s_sem, alone.utility,
@@ -571,9 +570,9 @@ def _scored_rounds(bundle, monkeypatch, unit, **kwargs):
         rounds.append(([c for c in candidates if c.parse_ok], []))
         return candidates
 
-    def scoring(candidates, ir, bundle, constraints, alpha):
+    def scoring(candidates, ir, bundle, alpha):
         rounds[-1][1].extend(candidates)
-        return batch(candidates, ir, bundle, constraints, alpha=alpha)
+        return batch(candidates, ir, bundle, alpha)
 
     def verifying(analysis, bundle, **kwargs):
         verified.append(analysis)
@@ -608,7 +607,7 @@ def test_round_scores_only_hard_constraint_survivors(bundle, monkeypatch,
 
     def check_and_score_all(candidates, ir, constraints):
         check(candidates, ir, constraints)
-        return score_candidates(candidates, ir, bundle, constraints,
+        return score_candidates(candidates, ir, bundle,
                                 alpha=engine_mod.DEFAULT_ALPHA)
 
     monkeypatch.setattr(engine_mod, "check_constraints", check_and_score_all)
@@ -647,9 +646,9 @@ def _localize_fixtures(bundle, monkeypatch, *units):
     rounds = []
     batch = engine_mod.score_candidates
 
-    def recording(candidates, ir, bundle, constraints, alpha):
+    def recording(candidates, ir, bundle, alpha):
         rounds.append(list(candidates))
-        return batch(candidates, ir, bundle, constraints, alpha=alpha)
+        return batch(candidates, ir, bundle, alpha)
 
     monkeypatch.setattr(engine_mod, "score_candidates", recording)
     stage_one = _count_calls(monkeypatch, scoring_mod.stage_one_scores)
@@ -691,29 +690,20 @@ def test_positive_lambda_runs_stage_one_once_per_round(
         assert c.s_sec == 1.0 - fuse_scores(s1, s2, 0.5)
 
 
-def test_select_best_filters_and_breaks_ties(command_injection_unit):
+def test_select_best_ranks_utility_then_edit_distance_then_template():
     from vulnminer.localize.scoring import Candidate
 
-    ir = build_ir(FileAnalysis(command_injection_unit))
-    constraints = extract_constraints(ir)
-    cid = constraints.constraints[0].cid
-
-    def cand(name, utility, edit, ok):
+    def cand(name, utility, edit):
         c = Candidate(candidate_id=name, template_id=name, variant="primary",
                       text="<?php\n", backend="test")
         c.utility, c.edit_distance = utility, edit
-        c.constraint_results = {cid: ok}
         return c
 
-    survivor = select_best([cand("a", 0.9, 0.5, False),
-                            cand("b", 0.7, 0.3, True),
-                            cand("c", 0.7, 0.1, True)], constraints)
-    assert survivor.candidate_id == "c"
-    assert select_best([cand("a", 0.9, 0.5, False)], constraints) is None
-    unfiltered = select_best([cand("a", 0.9, 0.5, False),
-                              cand("b", 0.7, 0.3, True)],
-                             constraints, enforce_constraints=False)
-    assert unfiltered.candidate_id == "a"
+    assert select_best([cand("a", 0.6, 0.5), cand("b", 0.7, 0.3),
+                        cand("c", 0.7, 0.1)]).candidate_id == "c"
+    assert select_best([cand("b", 0.7, 0.1),
+                        cand("a", 0.7, 0.1)]).candidate_id == "a"
+    assert select_best([]) is None
 
 
 # -- verification -----------------------------------------------------------------
@@ -722,9 +712,11 @@ def _scored_best(unit, bundle):
     ir = build_ir(FileAnalysis(unit))
     constraints = extract_constraints(ir)
     candidates = generate_candidates(ir, constraints, TEMPLATES, BACKEND)
-    score_candidates([c for c in candidates if c.parse_ok], ir, bundle,
-                     constraints)
-    return ir, constraints, select_best(candidates, constraints)
+    parsed = check_constraints([c for c in candidates if c.parse_ok], ir,
+                               constraints)
+    survivors = [c for c in parsed if all(c.constraint_results.values())]
+    return ir, constraints, select_best(score_candidates(survivors, ir,
+                                                         bundle))
 
 
 def test_verify_passes_remediated_candidate(bundle, command_injection_unit):
@@ -867,30 +859,76 @@ def test_localize_uses_refinement_for_wrapped_sql(bundle):
     assert not single.succeeded and single.status == "fail"
 
 
+_HELPER = """<?php
+function run($q) {
+    return mysql_query($q);
+}
+"""
+
+
 def test_localize_calls_the_prepared_query_at_the_helper_call_site(bundle):
     # built at top level, run inside a helper: the first window (the
     # helper) cannot see the build, the whole-file window replaces the
-    # helper call with the prepared execute
+    # helper call that the built query reaches, never an earlier one
+    for earlier in ("", "run('SELECT 1');\n"):
+        source = (_HELPER + earlier + "$q = \"SELECT * FROM t WHERE id='\" . "
+                  "$_GET['id'] . \"'\";\nrun($q);\n")
+        report = localize(SourceUnit.from_text("helper.php", source), bundle,
+                          TEMPLATES, BACKEND)
+        assert report.status == "ok" and report.iterations == 2
+        assert report.template_id == "prepared_statement"
+        assert [f["kind"] for f in report.feedback] \
+            == ["no_applicable_template"]
+        assert report.candidate_text == _HELPER + earlier + (
+            "$stmt = db_prepare('SELECT * FROM t WHERE id=?');\n"
+            "db_bind($stmt, $_GET['id']);\ndb_execute($stmt);\n")
+
+
+def test_query_read_after_its_execute_gets_no_prepared_plan(bundle):
+    # replacing the build would leave `echo $q` reading a variable that
+    # nothing assigns, so the template refuses in both rounds
     source = """<?php
-function run($q) {
-    return mysql_query($q);
-}
-$q = "SELECT * FROM t WHERE id='" . $_GET['id'] . "'";
-run($q);
+$q = "SELECT * FROM t WHERE id='" . $_GET["id"] . "'";
+mysql_query($q);
+echo $q;
 """
-    report = localize(SourceUnit.from_text("helper.php", source), bundle,
+    report = localize(SourceUnit.from_text("two_uses.php", source), bundle,
                       TEMPLATES, BACKEND)
-    assert report.status == "ok" and report.iterations == 2
-    assert report.template_id == "prepared_statement"
-    assert [f["kind"] for f in report.feedback] == ["no_applicable_template"]
-    assert report.candidate_text == """<?php
-function run($q) {
-    return mysql_query($q);
-}
-$stmt = db_prepare('SELECT * FROM t WHERE id=?');
-db_bind($stmt, $_GET['id']);
-db_execute($stmt);
-"""
+    assert report.status == "fail" and report.candidate_text is None
+    assert [f["kind"] for f in report.feedback] \
+        == ["no_applicable_template"] * 2
+
+
+def _calls_on_bare_superglobals(text):
+    tree = FileAnalysis(SourceUnit.from_text("c.php", text)).ast
+    return sorted(n.attrs["name"] for n in tree.walk()
+                  if n.kind is NodeKind.CALL
+                  and any(c.kind is NodeKind.SUPERGLOBAL for c in n.children))
+
+
+@pytest.mark.parametrize("source, fixed", [
+    ("<?php\nforeach ($_GET as $v) {\n    system($v);\n}\n",
+     "<?php\nforeach ($_GET as $v) {\n    system(escapeshellcmd($v));\n}\n"),
+    ("<?php\nforeach ($_GET as $v) {\n    echo $v;\n}\n",
+     "<?php\nforeach ($_GET as $v) {\n    echo htmlspecialchars($v);\n}\n"),
+    ("<?php\necho implode(',', $_GET);\n",
+     "<?php\necho htmlspecialchars(implode(',', $_GET));\n"),
+    ("<?php\nsystem(implode(' ', $_GET));\n",
+     "<?php\nsystem(escapeshellcmd(implode(' ', $_GET)));\n"),
+], ids=["foreach-system", "foreach-echo", "echo-implode", "system-implode"])
+def test_no_sanitizer_is_handed_a_whole_superglobal(bundle, source, fixed):
+    # a superglobal is an array; PHP 8 raises a TypeError when a string
+    # sanitizer gets one
+    unit = SourceUnit.from_text("array.php", source)
+    report = localize(unit, bundle, TEMPLATES, BACKEND)
+    assert report.status == "ok" and report.candidate_text == fixed
+    ir = build_ir(FileAnalysis(unit))
+    candidates = generate_candidates(ir, extract_constraints(ir), TEMPLATES,
+                                     BACKEND)
+    assert candidates and all(c.parse_ok for c in candidates)
+    for c in candidates:
+        assert _calls_on_bare_superglobals(c.text) \
+            == _calls_on_bare_superglobals(source)
 
 
 def test_localize_false_positive_path(bundle, clean_unit):

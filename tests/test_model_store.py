@@ -9,6 +9,7 @@ import pytest
 from vulnminer.errors import ConfigError
 from vulnminer.lexicon import DEFAULT_LEXICON, lexicon_entries
 from vulnminer.model_store import FusionSettings, load_model, save_model
+from vulnminer.nn import AttentionParams
 
 
 def test_fusion_settings_validation():
@@ -181,15 +182,28 @@ def test_scan_with_malformed_model_exits_two(bundle, tmp_path, capsys):
     assert "model file has no 'vocab' section" in capsys.readouterr().err
 
 
+def _stored(arr):
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    return {"shape": list(arr.shape),
+            "f8": base64.b64encode(arr.tobytes()).decode()}
+
+
 def _edit_array(head, name, edit):
     """A tamper that replaces one stored array with ``edit`` of it."""
     def tamper(doc):
         stored = doc[head][name]
         arr = np.frombuffer(base64.b64decode(stored["f8"]),
                             dtype="<f8").reshape(stored["shape"])
-        arr = np.ascontiguousarray(edit(arr.copy()))
-        doc[head][name] = {"shape": list(arr.shape),
-                           "f8": base64.b64encode(arr.tobytes()).decode()}
+        doc[head][name] = _stored(edit(arr.copy()))
+    return tamper
+
+
+def _stage2_of_width(width):
+    """A tamper that stores a whole, self-consistent stage-two head of
+    another width than the embedding's."""
+    def tamper(doc):
+        head = AttentionParams.init(width, seed=0)
+        doc["stage2"] = {k: _stored(v) for k, v in head.arrays().items()}
     return tamper
 
 
@@ -198,19 +212,22 @@ def _with_nan(arr):
     return arr
 
 
-# A transposed wz sets the widths the other GRU weights are checked
-# against, so the shape error names wr, the first weight that disagrees.
+# Each head is checked against the widths the model records (the
+# embedding width and stage one's hidden width), so a shape error names
+# the array that is wrong.
 @pytest.mark.parametrize("tamper, message", [
     (_edit_array("stage1", "wz", np.transpose),
-     r"GRU param wr has shape \(64, 16\), want \(16, 64\)"),
+     r"GRU param wz has shape \(16, 64\), want \(64, 16\)"),
     (_edit_array("stage1", "uz", _with_nan),
      "GRU param uz has non-finite entries"),
     (_edit_array("stage2", "w1", np.transpose),
      r"attention param w1 has shape \(256, 64\), want \(64, 256\)"),
     (_edit_array("stage2", "w1", _with_nan),
      "attention param w1 has non-finite entries"),
+    (_stage2_of_width(32),
+     r"attention param wq has shape \(32, 32\), want \(64, 64\)"),
 ], ids=["stage1-wz-transposed", "stage1-uz-nan", "stage2-w1-transposed",
-        "stage2-w1-nan"])
+        "stage2-w1-nan", "stage2-narrower-than-embedding"])
 def test_bad_head_weights_refused_naming_head_and_parameter(
         bundle, tmp_path, capsys, tamper, message):
     from vulnminer.cli import main
