@@ -19,12 +19,13 @@ class FileAnalysis:
     the advisory finding and localization share one parse and one flow
     graph. The tree indexes ``nodes`` and ``parents`` live here, not on
     the flow graph, and only localization reads them. One walk of the
-    graph feeds both stage sequences: ``semantic`` linearizes it,
-    renaming variables and user functions canonically (stage two's
-    normalization), and ``structural`` is that sequence with the def-use
-    markers appended. A parse failure is not kept: each field that needs
-    the tree raises the ``ParseError`` again. Function names in ``keep``
-    (built-ins and every name of the lexicon) are never renamed.
+    graph feeds every sequence: ``stream`` linearizes it whole, renaming
+    variables and user functions canonically (stage two's normalization),
+    ``semantic`` is its ``head`` (the ``MAX_SEQUENCE`` cut), and
+    ``structural`` is that head with the def-use markers appended. A
+    parse failure is not kept: each field that needs the tree raises the
+    ``ParseError`` again. Function names in ``keep`` (built-ins and every
+    name of the lexicon) are never renamed.
     """
 
     def __init__(self, unit: SourceUnit, lex: TaintLexicon | None = None):
@@ -61,9 +62,14 @@ class FileAnalysis:
         return with_flow_markers(self.semantic, self.graph)
 
     @cached_property
-    def semantic(self):
-        """Stage-two input: the flow graph linearized without flow markers."""
+    def stream(self):
+        """The flow graph linearized whole, without flow markers."""
         return linearize(self.graph, flow_markers=False, keep=self.keep)
+
+    @cached_property
+    def semantic(self):
+        """Stage-two input: ``stream`` cut to ``MAX_SEQUENCE`` tokens."""
+        return self.stream.head()
 
     @cached_property
     def findings(self):

@@ -148,12 +148,12 @@ class _Parser:
         self.expect("op", "(")
         iterable = self.expression()
         self.expect("keyword", "as")
-        first = self._var_node(self.expect("var"))
+        first = self._binding()
         key = None
         if self.at("op", "=>"):
             self.advance()
             key = first
-            value = self._var_node(self.expect("var"))
+            value = self._binding()
         else:
             value = first
         self.expect("op", ")")
@@ -168,10 +168,10 @@ class _Parser:
         self.expect("op", "(")
         params: list[AstNode] = []
         if not self.at("op", ")"):
-            params.append(self._var_node(self.expect("var")))
+            params.append(self._binding())
             while self.at("op", ","):
                 self.advance()
-                params.append(self._var_node(self.expect("var")))
+                params.append(self._binding())
         self.expect("op", ")")
         if not self.at("op", "{"):
             self.fail("expected statement or block", expected="{")
@@ -208,17 +208,19 @@ class _Parser:
         return node
 
     def _assignment_core(self) -> AstNode:
-        target = self._lvalue()
+        target = self._postfix(self._binding())
         self.expect("op", "=")
         value = self.expression()
         return AstNode(NodeKind.ASSIGN, children=[target, value],
                        start=target.start, end=value.end)
 
-    def _lvalue(self) -> AstNode:
-        tok = self.expect("var")
-        if tok.value in SUPERGLOBAL_NAMES:
+    def _binding(self) -> AstNode:
+        """A variable that an assignment, a foreach or a parameter binds;
+        a superglobal is refused at its own token."""
+        tok = self.tokens[self.i]
+        if tok.kind == "var" and tok.value in SUPERGLOBAL_NAMES:
             self.fail(f"cannot assign to superglobal ${tok.value}")
-        return self._postfix(self._var_node(tok))
+        return self._var_node(self.expect("var"))
 
     def _expr_statement(self) -> AstNode:
         expr = self.expression()

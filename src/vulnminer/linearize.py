@@ -37,19 +37,29 @@ _KIND_TOKENS = {
 class TokenSequence:
     tokens: list[str]
     truncated: bool = False
-    statements: tuple[int, ...] = ()   # kept statement node ids, in order
+    # (token position, node id) of each kept statement, in order
+    statements: tuple[tuple[int, int], ...] = ()
+
+    def head(self) -> "TokenSequence":
+        """The first ``MAX_SEQUENCE`` tokens and the statements that start
+        among them, marked truncated when tokens were cut; ``self`` when
+        it fits."""
+        if len(self.tokens) <= MAX_SEQUENCE:
+            return self
+        return TokenSequence(
+            tokens=self.tokens[:MAX_SEQUENCE], truncated=True,
+            statements=tuple(s for s in self.statements if s[0] < MAX_SEQUENCE))
 
 
 def linearize(graph: FlowGraph, canonical: bool = True,
-              flow_markers: bool = True, max_len: int = MAX_SEQUENCE,
+              flow_markers: bool = True,
               keep: frozenset[str] | None = None) -> TokenSequence:
-    """Pre-order DFS token stream plus def/use markers for data-flow pairs.
+    """Pre-order DFS token stream of ``graph``, whole.
 
-    Structural tokens take priority under the length budget; markers whose
-    endpoints survive are appended afterwards by ``with_flow_markers``,
-    statement ordinals 1-based. Function names in ``keep`` (default:
-    built-ins and the default lexicon) stay as they are; other function
-    names are renamed.
+    With ``flow_markers`` the result is its ``head`` with the def/use
+    markers of ``with_flow_markers`` appended, statement ordinals 1-based.
+    Function names in ``keep`` (default: built-ins and the default
+    lexicon) stay as they are; other function names are renamed.
     """
     keep = RESERVED_FUNCTION_NAMES if keep is None else keep
     var_names: dict[str, str] = {}
@@ -80,38 +90,32 @@ def linearize(graph: FlowGraph, canonical: bool = True,
         return fn_names[name]
 
     tokens: list[str] = []
-    statements: list[int] = []
-    truncated = False
+    statements: list[tuple[int, int]] = []
 
     for node in graph.root.walk():
-        if len(tokens) >= max_len:
-            truncated = True
-            break
         if node.kind in STATEMENT_KINDS:
-            statements.append(node.node_id)
+            statements.append((len(tokens), node.node_id))
         tokens.append(_node_symbol(node, var_symbol, fn_symbol))
 
-    seq = TokenSequence(tokens=tokens, truncated=truncated,
-                        statements=tuple(statements))
-    return with_flow_markers(seq, graph, max_len) if flow_markers else seq
+    seq = TokenSequence(tokens=tokens, statements=tuple(statements))
+    return with_flow_markers(seq.head(), graph) if flow_markers else seq
 
 
-def with_flow_markers(seq: TokenSequence, graph: FlowGraph,
-                      max_len: int = MAX_SEQUENCE) -> TokenSequence:
+def with_flow_markers(seq: TokenSequence, graph: FlowGraph) -> TokenSequence:
     """``seq`` with a ``DF @i @j`` triple appended per data-flow pair.
 
-    ``seq`` is ``graph`` linearized without markers at the same ``max_len``.
-    Both ends of a pair are statements, so it survives the budget when both
-    have an ordinal; a pair that does not, or a marker past the budget,
+    ``seq`` is the ``head`` of ``graph`` linearized without markers. Both
+    ends of a pair are statements, so it survives the cut when both have
+    an ordinal; a pair that does not, or a marker past ``MAX_SEQUENCE``,
     marks the result truncated.
     """
-    ordinal = {node_id: k for k, node_id in enumerate(seq.statements, 1)}
+    ordinal = {node_id: k for k, (_, node_id) in enumerate(seq.statements, 1)}
     markers = sorted((ordinal[src], ordinal[dst]) for src, dst in graph.dataflow
                      if src in ordinal and dst in ordinal)
     truncated = seq.truncated or len(markers) < len(graph.dataflow)
     tokens = list(seq.tokens)
     for src_ord, dst_ord in markers:
-        if len(tokens) + 3 > max_len:
+        if len(tokens) + 3 > MAX_SEQUENCE:
             truncated = True
             break
         tokens.extend((FLOW_MARK, f"@{src_ord}", f"@{dst_ord}"))

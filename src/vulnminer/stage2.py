@@ -31,7 +31,7 @@ def verify_semantic(analysis: FileAnalysis, bundle, beta: float | None = None,
     beta = bundle.fusion.beta if beta is None else beta
     seq = analysis.semantic if normalized else linearize(
         analysis.graph, canonical=False, flow_markers=False,
-        keep=analysis.keep)
+        keep=analysis.keep).head()
     bias = build_risk_matrix(seq, analysis.lex, beta)
     if emb is None:
         emb = embed_sequence(seq, bundle.embedding, bundle.vocab)

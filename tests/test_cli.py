@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import vulnminer.cli as cli_mod
 from vulnminer.cli import main
 from vulnminer.corpus import ManifestEntry, generate_synthetic_corpus
 from vulnminer.lexicon import DEFAULT_LEXICON, lexicon_entries, load_lexicon
@@ -452,6 +453,22 @@ def test_scan_only_unparseable_file_exits_two(model_path, tmp_path, capsys):
         code, _, _ = run(capsys, command, "--model", model_path,
                          "--allow-errors", str(tmp_path))
         assert code == 0
+
+
+@pytest.mark.parametrize("allow", [(), ("--allow-errors",)])
+def test_internal_fault_exits_two_with_one_line(allow, model_path,
+                                                 monkeypatch, capsys):
+    # a fault of the program is no per-file record: --allow-errors keeps it
+    def failing(*args, **kwargs):
+        raise KeyError("name")
+
+    monkeypatch.setattr(cli_mod, "run_pipeline", failing)
+    code, out, err = run(capsys, "scan", "--model", model_path, *allow,
+                         str(FIXTURES / "clean_page.php"))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["internal error: KeyError: 'name'"]
+    assert "Traceback" not in err
 
 
 def test_bench_invalid_flag_exits_two(model_path, corpus_dir, capsys):

@@ -21,6 +21,8 @@ KINDS = {
     "decode": ('<?php system("café " . $_GET["c"]);'.encode("latin-1"),
                "not valid UTF-8"),
     "parse": (b"<?php $a = (;", "unexpected token ';'"),
+    "binding": (b"<?php foreach ($_GET as $_POST) { echo 1; }",
+                "cannot assign to superglobal $_POST"),
     "deep": (b"<?php $a = " + b"(" * 300 + b"1" + b")" * 300 + b";",
              "nesting too deep"),
     "chain": (b"<?php $a = $_GET['x']" + b" . 'y'" * 2999 + b"; system($a);",
@@ -38,7 +40,8 @@ REC, SKIP, STOP, KEPT, UNREAD = "record", "skip", "stop", "kept", "unread"
 def _row(code, bad):
     """Every command keeps a long chain: each walks, copies and prints it
     in a loop."""
-    return code, {**dict.fromkeys(("decode", "parse", "deep", "unread"), bad),
+    return code, {**dict.fromkeys(("decode", "parse", "binding", "deep",
+                                   "unread"), bad),
                   "chain": KEPT}
 
 

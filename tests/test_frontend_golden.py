@@ -167,4 +167,4 @@ def test_class_wrapped_digest(corpus_texts):
 def test_snippets_digest():
     texts = [(f"s{k}.php", text) for k, text in enumerate(SNIPPETS)]
     assert digest(texts) == (
-        "95137b3c7f90c056ef4f48c19f2ce444f471a4ff80ef9028ad7cb10fc9a49b55")
+        "ae1f78e7598e512de6814f07162c14009a5e9f133a62338146598196fef83755")

@@ -13,10 +13,11 @@ from test_frontend_golden import SNIPPETS
 from vulnminer.analysis import FileAnalysis
 from vulnminer.cascade import run_pipeline
 from vulnminer.cli import _read_units
+from vulnminer.corpus import generate_synthetic_corpus
 from vulnminer.errors import ParseError
 from vulnminer.frontend import (ast_equal, copy_tree, parse, parse_text,
                                 print_source, tokenize)
-from vulnminer.frontend.nodes import compound, parts
+from vulnminer.frontend.nodes import SUPERGLOBAL_NAMES, compound, parts
 from vulnminer.localize import DeterministicBackend, default_templates, localize
 from vulnminer.source import SourceUnit, Span
 
@@ -256,6 +257,34 @@ def test_any_bytes_give_one_record_per_file(bundle, raw):
         verdicts, errors = run_pipeline(units, bundle)
     paths = [v.file_id for v in verdicts] + [p for p, _ in unread + errors]
     assert sorted(Path(p).name for p in paths) == ["any.php", "good.php"]
+
+
+def test_every_superglobal_swap_parses_or_is_refused(tmp_path):
+    # each variable occurrence, a parameter or foreach key and value
+    # included, becomes each superglobal in turn; a binding is refused
+    manifest = generate_synthetic_corpus(tmp_path, seed=41, size=300,
+                                         positive_ratio=0.1)
+    texts = [Path(e.path).read_text(encoding="utf-8")
+             for e in manifest.entries] + list(SNIPPETS)
+    parsed = 0
+    for text in texts:
+        try:
+            tokens = tokenize(SourceUnit.from_text("s.php", text))
+        except ParseError:
+            continue
+        for tok in tokens:
+            if tok.kind != "var" or tok.value in SUPERGLOBAL_NAMES:
+                continue
+            for name in SUPERGLOBAL_NAMES:
+                swapped = text[:tok.start] + "$" + name + text[tok.end:]
+                analysis = FileAnalysis(SourceUnit.from_text("s.php", swapped))
+                try:
+                    analysis.ast
+                except ParseError:
+                    continue
+                parsed += 1
+                analysis.graph, analysis.structural, analysis.findings
+    assert parsed > 1000
 
 
 def test_parentheses_nested_150_deep_parse():

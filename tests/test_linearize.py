@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vulnminer.analysis import FileAnalysis
 from vulnminer.errors import ConfigError
 from vulnminer.flows import augment_flows
 from vulnminer.frontend import ast_equal, normalize, parse_text
@@ -13,6 +14,7 @@ from vulnminer.linearize import (
     embed_sequence,
     linearize,
 )
+from vulnminer.source import SourceUnit
 
 
 def seq_of(src, **kw):
@@ -41,9 +43,14 @@ def test_node_count_equals_structural_tokens():
 
 def test_truncation_flag_and_bound():
     src = "<?php " + " ".join(f"$a{i} = {i};" for i in range(300))
-    seq = seq_of(src, max_len=64)
-    assert seq.truncated
-    assert len(seq.tokens) <= 64
+    analysis = FileAnalysis(SourceUnit.from_text("t.php", src))
+    stream, semantic = analysis.stream, analysis.semantic
+    assert len(stream.tokens) == sum(1 for _ in analysis.ast.walk()) > 512
+    assert not stream.truncated
+    assert semantic.truncated
+    assert semantic.tokens == stream.tokens[:512]
+    assert analysis.structural.truncated
+    assert len(analysis.structural.tokens) <= 512
 
 
 def test_risky_names_survive_canonicalization():
