@@ -102,17 +102,17 @@ _STAGE2_SETTINGS = {"no-bias": {"beta": 0.0},
 
 
 def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
-                  split: str = "test", lex=None,
+                  split: str = "test",
                   skipped: list | None = None) -> list[BenchRow]:
     """Cascade metrics on a split, one extra labeled row per ablation;
-    every file is analyzed with ``lex`` (default: the built-in lexicon).
-    A train file the stage-one rows cannot use goes to ``skipped``."""
+    every file is analyzed with the model's lexicon. A train file the
+    stage-one rows cannot use goes to ``skipped``."""
     skipped = [] if skipped is None else skipped
     entries = manifest.split(split) if split != "all" else manifest.entries
     if not entries:
         raise VulnMinerError(f"manifest has no {split} entries")
     errors: list[tuple[str, str]] = []
-    analyses = [FileAnalysis(unit, lex) for e in entries
+    analyses = [FileAnalysis(unit, bundle.lexicon) for e in entries
                 if (unit := read_unit(e.path, errors)) is not None]
     labels = {e.path: e.label for e in entries}
     fusion = bundle.fusion
@@ -137,7 +137,7 @@ def run_benchmark(manifest: CorpusManifest, bundle, ablations=(),
 
     train: list[tuple[FileAnalysis, int]] = []
     if _STAGE1_STREAMS.keys() & set(ablations):
-        pairs = ((FileAnalysis(unit, lex), label) for unit, label
+        pairs = ((FileAnalysis(unit, bundle.lexicon), label) for unit, label
                  in load_units(manifest.split("train"), skipped))
         train = [(analysis, label) for analysis, label in pairs
                  if analyzed(analysis, skipped, "structural")]

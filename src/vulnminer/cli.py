@@ -64,14 +64,6 @@ def _lexicon(cfg: Config):
     return load_lexicon(cfg.lexicon) if cfg.lexicon else DEFAULT_LEXICON
 
 
-def _model_and_lexicon(cfg: Config):
-    """The model and the lexicon to scan with, which must be its own."""
-    bundle = load_model(cfg.model)
-    lex = _lexicon(cfg)
-    bundle.check_lexicon(lex)
-    return bundle, lex
-
-
 def _exit_code(findings: bool, errors, allow_errors: bool) -> int:
     """2 when a file gave an error record (unless allowed), else 1 or 0."""
     if errors and not allow_errors:
@@ -101,9 +93,9 @@ def write_jsonl(records, out: str | None = None) -> None:
 
 def cmd_scan(args) -> int:
     cfg = _load_cfg(args)
-    bundle, lex = _model_and_lexicon(cfg)
+    bundle = load_model(cfg.model)
     units, unread = _read_units(args.paths)
-    verdicts, errors = run_pipeline(units, bundle, lex=lex)
+    verdicts, errors = run_pipeline(units, bundle, lex=bundle.lexicon)
     errors = unread + errors
 
     if args.format == "sarif":
@@ -118,12 +110,12 @@ def cmd_scan(args) -> int:
 
 def cmd_localize(args) -> int:
     cfg = _load_cfg(args)
-    bundle, lex = _model_and_lexicon(cfg)
+    bundle = load_model(cfg.model)
     templates = default_templates()
     backend = make_backend(cfg.backend, endpoint=cfg.endpoint,
                            token=cfg.endpoint_token, timeout=cfg.timeout)
     units, unread = _read_units(args.paths)
-    verdicts, errors = run_pipeline(units, bundle, lex=lex)
+    verdicts, errors = run_pipeline(units, bundle, lex=bundle.lexicon)
     errors = unread + errors
     unit_of = {u.path: u for u in units}
 
@@ -133,8 +125,8 @@ def cmd_localize(args) -> int:
             continue
         reports.append(localize(
             unit_of[verdict.file_id], bundle, templates, backend,
-            alpha=cfg.alpha, max_iterations=cfg.max_iterations, lex=lex,
-            hook=cfg.verify_hook or None))
+            alpha=cfg.alpha, max_iterations=cfg.max_iterations,
+            lex=bundle.lexicon, hook=cfg.verify_hook or None))
     write_jsonl([r.to_dict() for r in reports]
                 + [{"path": p, "error": e} for p, e in errors], args.out)
     return _exit_code(bool(reports), errors, args.allow_errors)
@@ -161,7 +153,7 @@ def cmd_train(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _load_cfg(args)
     manifest = CorpusManifest.load(args.manifest)
-    bundle, lex = _model_and_lexicon(cfg)
+    bundle = load_model(cfg.model)
     ablations = []
     for item in args.ablate or []:
         ablations.extend(part for part in item.split(",") if part)
@@ -171,7 +163,7 @@ def cmd_bench(args) -> int:
             f"unknown ablation(s) {sorted(unknown)}; choose from {ABLATIONS}")
     skipped: list[tuple[str, str]] = []
     rows = run_benchmark(manifest, bundle, ablations=ablations,
-                         split=args.split, lex=lex, skipped=skipped)
+                         split=args.split, skipped=skipped)
     for path, message in skipped:
         print(f"skipped {path} (split: train): {message}", file=sys.stderr)
     if args.format == "jsonl":
@@ -260,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan = add("scan", help="run the detection cascade")
     scanning(scan)
     scan.add_argument("--format", choices=("jsonl", "sarif"), default="jsonl")
-    options(scan, "model", "lexicon", "out")
+    options(scan, "model", "out")
     scan.set_defaults(func=cmd_scan)
 
     loc = add("localize", help="locate and rewrite confirmed findings")
@@ -271,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--timeout", type=float)
     loc.add_argument("--alpha", type=float)
     loc.add_argument("--max-iterations", type=int)
-    options(loc, "model", "lexicon", "out")
+    options(loc, "model", "out")
     loc.set_defaults(func=cmd_localize)
 
     train = add("train", help="train both stages and calibrate fusion")
@@ -286,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--split", choices=("train", "val", "test", "all"),
                        default="test")
     bench.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    options(bench, "model", "lexicon", "out")
+    options(bench, "model", "out")
     bench.set_defaults(func=cmd_bench)
 
     aug = add("augment", help="semantics-preserving augmentation")

@@ -14,7 +14,7 @@ ENV_PREFIX = "VULNMINER_"
 @dataclass
 class Config:
     model: str = "model.json"
-    lexicon: str = ""                 # empty = built-in default lexicon
+    lexicon: str = ""                 # train, augment; empty = built-in
     tau: float = 0.5
     tau1: float = 0.2
     alpha: float = 0.6

@@ -5,7 +5,7 @@ from __future__ import annotations
 from .analysis import FileAnalysis, analyzed
 from .corpus import CorpusManifest
 from .errors import TrainingError
-from .lexicon import DEFAULT_LEXICON, TaintLexicon, lexicon_entries
+from .lexicon import DEFAULT_LEXICON, TaintLexicon
 from .linearize import EmbeddingTable, Vocabulary, fallback_symbol
 from .model_store import FusionSettings, ModelBundle
 from .cascade import calibrate_lambda
@@ -91,7 +91,7 @@ def train_bundle(manifest: CorpusManifest, seed: int = 0,
         vocab=vocab, embedding=table, stage1=stage1, stage2=stage2,
         fusion=fusion, stage1_config=cfg1, stage2_config=cfg2,
         curves={"stage1": curve1, "stage2": curve2},
-        lexicon=lexicon_entries(lex),
+        lexicon=lex,
     )
     val = [(FileAnalysis(unit, lex), label)
            for unit, label in load_units(manifest.split("val"), skipped)]

@@ -129,12 +129,13 @@ DEFAULT_LEXICON = TaintLexicon(
 RESERVED_FUNCTION_NAMES = DEFAULT_LEXICON.keep
 
 
-def load_lexicon(path: str | Path) -> TaintLexicon:
-    """Read ``kind,name,class`` lines; blank lines and # comments ignored."""
+def parse_lexicon(lines: list[str], where) -> TaintLexicon:
+    """A lexicon from ``kind,name,class`` lines, as a file or a model holds
+    them; blank lines and # comments ignored. ``where`` names the lines."""
     sources: set[str] = set()
     sinks: dict[str, str] = {}
     sanitizers: dict[str, set[str]] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -147,12 +148,17 @@ def load_lexicon(path: str | Path) -> TaintLexicon:
         elif kind == "sanitizer" and len(fields) == 3:
             sanitizers.setdefault(fields[1], set()).add(fields[2])
         else:
-            raise LexiconError(f"{path}:{lineno}: bad lexicon entry {raw!r}")
+            raise LexiconError(f"{where}:{lineno}: bad lexicon entry {raw!r}")
     return TaintLexicon(
         sources=frozenset(sources),
         sinks=sinks,
         sanitizers={k: frozenset(v) for k, v in sanitizers.items()},
     )
+
+
+def load_lexicon(path: str | Path) -> TaintLexicon:
+    return parse_lexicon(
+        Path(path).read_text(encoding="utf-8").splitlines(), path)
 
 
 def lexicon_entries(lex: TaintLexicon) -> list[str]:

@@ -116,7 +116,7 @@ def refine_context(ir: IntermediateRepresentation,
 class SliceFacts:
     window_ids: set[int]
     read_groups: list[tuple[str, tuple[int, ...], str | None]]  # text, ids, key
-    tainted_vars: set[str]
+    tainted_vars: set[str]          # none holds a whole superglobal
     sink_arg: AstNode | None
     build_stmt: AstNode | None
     build_in_window: bool
@@ -152,10 +152,15 @@ def _collect_facts(ir: IntermediateRepresentation) -> SliceFacts:
                     groups.setdefault(text, []).append(read.node_id)
                     keys.setdefault(text, _index_key(read))
 
-    tainted_vars = set()
+    tainted_vars, array_vars = set(), set()
     for stmt in path_stmts:
         if stmt.kind is NodeKind.ASSIGN and stmt.children[0].kind is NodeKind.VAR:
-            tainted_vars.add(stmt.children[0].attrs["name"])
+            name = stmt.children[0].attrs["name"]
+            tainted_vars.add(name)
+            if _holds_array(stmt.children[1], array_vars):
+                array_vars.add(name)
+            else:
+                array_vars.discard(name)
         elif stmt.kind is NodeKind.FOREACH:
             _, key, value, _ = stmt.foreach_parts()
             tainted_vars.update(v.attrs["name"] for v in (key, value) if v)
@@ -163,8 +168,14 @@ def _collect_facts(ir: IntermediateRepresentation) -> SliceFacts:
         tainted_vars.add(finding.source_label.split(":", 1)[1])
 
     sink_arg = _tainted_sink_arg(nodes[finding.sink_id], tainted_vars)
+    # an array is no sanitizer's argument: a variable holding a whole
+    # superglobal is never a leaf to wrap nor a build statement, and a
+    # sink argument that is an array leaves nothing to wrap
+    tainted_vars -= array_vars
+    if sink_arg is not None and _holds_array(sink_arg, array_vars):
+        sink_arg = None
 
-    build_stmt = _build_statement(path_stmts, sink_arg)
+    build_stmt = _build_statement(path_stmts, sink_arg, tainted_vars)
     build_in_window = (build_stmt is not None
                        and build_stmt.node_id in window_ids)
     query_built = bool(
@@ -195,6 +206,12 @@ def source_element(node: AstNode, label: str | None = None) -> bool:
             and label in (None, f"$_{base.attrs['sg']}"))
 
 
+def _holds_array(expr: AstNode, array_vars: set[str]) -> bool:
+    """Whether ``expr`` is a bare superglobal or a variable holding one."""
+    return (expr.kind is NodeKind.SUPERGLOBAL
+            or expr.kind is NodeKind.VAR and expr.attrs["name"] in array_vars)
+
+
 def _index_key(read: AstNode) -> str | None:
     if read.children[1].kind is NodeKind.STRING_LIT:
         return read.children[1].attrs["value"]
@@ -217,12 +234,12 @@ def _tainted_sink_arg(sink_node: AstNode,
     return None
 
 
-def _build_statement(path_stmts: list[AstNode],
-                     sink_arg: AstNode | None) -> AstNode | None:
+def _build_statement(path_stmts: list[AstNode], sink_arg: AstNode | None,
+                     tainted_vars: set[str]) -> AstNode | None:
     if sink_arg is None:
         return None
     arg_vars = {n.attrs["name"] for n in sink_arg.walk()
-                if n.kind is NodeKind.VAR}
+                if n.kind is NodeKind.VAR} & tainted_vars
     build = None
     for stmt in path_stmts:
         if (stmt.kind is NodeKind.ASSIGN

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, VulnMinerError
-from .lexicon import TaintLexicon, lexicon_entries, lexicon_hash
+from .lexicon import (TaintLexicon, lexicon_entries, lexicon_hash,
+                      parse_lexicon)
 from .linearize import EmbeddingTable, Vocabulary
 from .nn import AttentionParams, GruParams, gru_input_table
 from .training import TrainConfig
@@ -47,20 +48,13 @@ class ModelBundle:
     stage1_config: TrainConfig
     stage2_config: TrainConfig
     curves: dict[str, list[float]]
-    lexicon: list[str]              # the training lexicon's entries
+    lexicon: TaintLexicon           # the training lexicon
 
     @functools.cached_property
     def stage1_table(self) -> np.ndarray:
         """Stage one's input for each vocabulary id (``gru_input_table``);
         made on first use, as ``stage1`` and ``embedding`` never change."""
         return gru_input_table(self.embedding.matrix, self.stage1)
-
-    def check_lexicon(self, lex: TaintLexicon) -> None:
-        """Refuse a lexicon other than the one the model was trained with."""
-        if lexicon_entries(lex) != self.lexicon:
-            raise ConfigError(
-                "lexicon differs from the one the model was trained with; "
-                "retrain with this lexicon or scan with the training one")
 
     def validate(self) -> None:
         self.embedding.validate(self.vocab)
@@ -109,11 +103,11 @@ def _section(doc: dict, name: str, build, convert=None):
         raise ConfigError(f"model section {name!r}: {exc}") from None
 
 
-def _lexicon_in(section: dict) -> list[str]:
+def _lexicon_in(section: dict) -> TaintLexicon:
     entries = [str(e) for e in section["entries"]]
     if lexicon_hash(entries) != section["sha256"]:
         raise ConfigError("lexicon hash mismatch; model file corrupted")
-    return entries
+    return parse_lexicon(entries, "entries")
 
 
 def save_model(bundle: ModelBundle, path: str | Path) -> None:
@@ -124,6 +118,7 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
     back bit-exactly and no Python float is made per weight.
     """
     bundle.validate()
+    lexicon = lexicon_entries(bundle.lexicon)
     doc = {
         "format_version": FORMAT_VERSION,
         "vocab": bundle.vocab.symbols,
@@ -135,8 +130,7 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
         "stage1_config": asdict(bundle.stage1_config),
         "stage2_config": asdict(bundle.stage2_config),
         "curves": bundle.curves,
-        "lexicon": {"entries": bundle.lexicon,
-                    "sha256": lexicon_hash(bundle.lexicon)},
+        "lexicon": {"entries": lexicon, "sha256": lexicon_hash(lexicon)},
     }
     Path(path).write_text(
         json.dumps(doc, sort_keys=True, separators=(",", ":")),

@@ -124,6 +124,10 @@ def test_ablation_names_stable():
 
 def test_every_analysis_uses_the_given_lexicon(manifest, bundle, monkeypatch,
                                                tmp_path):
+    # the lexicon is the model's: an equal copy loaded from a file, so
+    # each analysis must get that very object, not the built-in one
+    import dataclasses
+
     from vulnminer import bench
     from vulnminer.lexicon import DEFAULT_LEXICON, lexicon_entries, load_lexicon
 
@@ -138,8 +142,8 @@ def test_every_analysis_uses_the_given_lexicon(manifest, bundle, monkeypatch,
         return analysis(unit, lex)
 
     monkeypatch.setattr(bench, "FileAnalysis", seen_analysis)
-    run_benchmark(manifest, bundle, ablations=("lambda0", "no-bias",
-                                               "raw-code"), lex=lex)
+    run_benchmark(manifest, dataclasses.replace(bundle, lexicon=lex),
+                  ablations=("lambda0", "no-bias", "raw-code"))
     expected = manifest.split("test") + manifest.split("train")
     assert sorted(p for p, _ in seen) == sorted(e.path for e in expected)
     assert all(used is lex for _, used in seen)

@@ -12,7 +12,7 @@ import vulnminer.cli as cli_mod
 from vulnminer.cli import main
 from vulnminer.corpus import ManifestEntry, generate_synthetic_corpus
 from vulnminer.lexicon import DEFAULT_LEXICON, lexicon_entries, load_lexicon
-from vulnminer.model_store import save_model
+from vulnminer.model_store import load_model, save_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -167,21 +167,47 @@ def test_scan_deep_nesting_is_an_error_record(model_path, tmp_path, capsys):
     assert [r for r in records if "error" in r] == errors
 
 
-def test_scan_and_localize_refuse_another_lexicon(model_path, tmp_path,
-                                                  capsys):
-    same, other = tmp_path / "same.lex", tmp_path / "other.lex"
-    same.write_text("\n".join(lexicon_entries(DEFAULT_LEXICON)) + "\n")
-    other.write_text(same.read_text() + "sink,run_job,Command\n")
-    page = tmp_path / "page.php"
-    page.write_text('<?php echo "static";')
-    for command in ("scan", "localize"):
-        code, _, err = run(capsys, command, "--model", model_path,
-                           "--lexicon", str(other), str(page))
-        assert code == 2
-        assert "lexicon differs from the one the model was trained with" in err
-        code, _, _ = run(capsys, command, "--model", model_path,
-                         "--lexicon", str(same), str(page))
-        assert code == 0
+def _custom_lexicon(tmp_path):
+    """A lexicon file: the built-in one plus the Command sink ``run_job``."""
+    path = tmp_path / "custom.lex"
+    path.write_text("\n".join(lexicon_entries(DEFAULT_LEXICON))
+                    + "\nsink,run_job,Command\n")
+    return path
+
+
+def _custom_lexicon_model(bundle, tmp_path):
+    model = tmp_path / "custom-lexicon-model.json"
+    save_model(dataclasses.replace(
+        bundle, lexicon=load_lexicon(_custom_lexicon(tmp_path))), model)
+    return str(model)
+
+
+def test_scan_and_localize_use_the_model_lexicon(bundle, model_path,
+                                                 tmp_path, capsys):
+    page = tmp_path / "job.php"
+    page.write_text("<?php\nrun_job($_GET['c']);\n")
+    _, out, _ = run(capsys, "scan", "--model", model_path, str(page))
+    assert json.loads(out)["sink_line"] is None
+    model = _custom_lexicon_model(bundle, tmp_path)
+    code, out, _ = run(capsys, "scan", "--model", model, str(page))
+    assert code == 1
+    record = json.loads(out)
+    assert (record["sink_line"], record["vuln_type"]) == (2, "Injection")
+    code, out, _ = run(capsys, "localize", "--model", model, str(page))
+    assert code == 1
+    report = json.loads(out)
+    assert report["artifact"]["status"] == "ok"
+    assert "reaches the run_job sink at line 2" in report["cause analysis"]
+    assert "escapeshellarg($_GET['c'])" in report["artifact"]["candidate"]
+
+
+def test_train_records_the_lexicon_it_is_given(tmp_path, capsys):
+    generate_synthetic_corpus(tmp_path / "corpus", seed=7, size=20)
+    custom, model = _custom_lexicon(tmp_path), tmp_path / "m.json"
+    code, _, err = run(capsys, "train", str(tmp_path / "corpus/manifest.jsonl"),
+                       "--model", str(model), "--lexicon", str(custom))
+    assert code == 0, err
+    assert load_model(model).lexicon == load_lexicon(custom)
 
 
 def test_localize_reports_schema(model_path, capsys):
@@ -312,6 +338,7 @@ def test_malformed_manifest_line_is_one_error(command, line, model_path,
 
 @pytest.mark.parametrize("command,flag", [
     ("scan", "--seed"), ("localize", "--seed"), ("bench", "--seed"),
+    ("scan", "--lexicon"), ("localize", "--lexicon"), ("bench", "--lexicon"),
     ("augment", "--model"), ("augment", "--out"),
     ("gen-corpus", "--model"), ("gen-corpus", "--lexicon"),
     ("gen-corpus", "--out")])
@@ -421,23 +448,30 @@ def test_bench_refuses_labeled_file_that_is_not_utf8(model_path, tmp_path,
     assert f"{bad}: not valid UTF-8" in err
 
 
-def test_bench_checks_the_model_lexicon(bundle, corpus_dir, tmp_path, capsys):
-    same, custom = tmp_path / "same.lex", tmp_path / "custom.lex"
-    same.write_text("\n".join(lexicon_entries(DEFAULT_LEXICON)) + "\n")
-    custom.write_text(same.read_text() + "sink,run_job,Command\n")
-    model = tmp_path / "custom-lexicon-model.json"
-    save_model(dataclasses.replace(
-        bundle, lexicon=lexicon_entries(load_lexicon(custom))), model)
-    bench = ("bench", str(corpus_dir / "manifest.jsonl"), "--model",
-             str(model))
-    for extra in ((), ("--lexicon", str(same))):
-        code, out, err = run(capsys, *bench, *extra)
-        assert code == 2
-        assert out == ""
-        assert "lexicon differs from the one the model was trained with" in err
-    code, out, err = run(capsys, *bench, "--lexicon", str(custom))
+def test_bench_uses_the_model_lexicon(bundle, tmp_path, monkeypatch, capsys):
+    import vulnminer.bench as bench_mod
+
+    page = tmp_path / "job.php"
+    page.write_text("<?php\nrun_job($_GET['c']);\n")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(
+        json.dumps({"path": str(path), "label": label}) + "\n"
+        for path, label in ((page, 1), (FIXTURES / "clean_page.php", 0))))
+    analyses = []
+    analysis = bench_mod.FileAnalysis
+
+    def seen_analysis(unit, lex):
+        analyses.append(analysis(unit, lex))
+        return analyses[-1]
+
+    monkeypatch.setattr(bench_mod, "FileAnalysis", seen_analysis)
+    code, out, err = run(capsys, "bench", str(manifest), "--split", "all",
+                         "--model", _custom_lexicon_model(bundle, tmp_path))
     assert code == 0, err
     assert out.startswith("variant,")
+    assert [a.path for a in analyses] == [str(page),
+                                          str(FIXTURES / "clean_page.php")]
+    assert [f.sink_name for f in analyses[0].findings] == ["run_job"]
 
 
 def test_scan_only_unparseable_file_exits_two(model_path, tmp_path, capsys):

@@ -899,11 +899,21 @@ echo $q;
         == ["no_applicable_template"] * 2
 
 
-def _calls_on_bare_superglobals(text):
+def _calls_on_arrays(text):
+    """Names of the calls handed a whole superglobal, or a variable that
+    the text assigns one (directly or through another such variable)."""
     tree = FileAnalysis(SourceUnit.from_text("c.php", text)).ast
+
+    def array(node):
+        return (node.kind is NodeKind.SUPERGLOBAL
+                or node.kind is NodeKind.VAR and node.attrs["name"] in arrays)
+
+    arrays = set()
+    for node in tree.walk():
+        if node.kind is NodeKind.ASSIGN and array(node.children[1]):
+            arrays.add(node.children[0].attrs["name"])
     return sorted(n.attrs["name"] for n in tree.walk()
-                  if n.kind is NodeKind.CALL
-                  and any(c.kind is NodeKind.SUPERGLOBAL for c in n.children))
+                  if n.kind is NodeKind.CALL and any(map(array, n.children)))
 
 
 @pytest.mark.parametrize("source, fixed", [
@@ -915,7 +925,13 @@ def _calls_on_bare_superglobals(text):
      "<?php\necho htmlspecialchars(implode(',', $_GET));\n"),
     ("<?php\nsystem(implode(' ', $_GET));\n",
      "<?php\nsystem(escapeshellcmd(implode(' ', $_GET)));\n"),
-], ids=["foreach-system", "foreach-echo", "echo-implode", "system-implode"])
+    ("<?php\n$x = $_GET;\necho implode(',', $x);\n",
+     "<?php\n$x = $_GET;\necho htmlspecialchars(implode(',', $x));\n"),
+    ("<?php\n$x = $_GET;\n$y = $x;\nsystem(implode(' ', $y));\n",
+     "<?php\n$x = $_GET;\n$y = $x;\n"
+     "system(escapeshellcmd(implode(' ', $y)));\n"),
+], ids=["foreach-system", "foreach-echo", "echo-implode", "system-implode",
+        "var-echo-implode", "var-copy-system-implode"])
 def test_no_sanitizer_is_handed_a_whole_superglobal(bundle, source, fixed):
     # a superglobal is an array; PHP 8 raises a TypeError when a string
     # sanitizer gets one
@@ -927,8 +943,23 @@ def test_no_sanitizer_is_handed_a_whole_superglobal(bundle, source, fixed):
                                      BACKEND)
     assert candidates and all(c.parse_ok for c in candidates)
     for c in candidates:
-        assert _calls_on_bare_superglobals(c.text) \
-            == _calls_on_bare_superglobals(source)
+        assert _calls_on_arrays(c.text) == _calls_on_arrays(source)
+
+
+@pytest.mark.parametrize("source", [
+    "<?php\necho $_GET;\n",
+    "<?php\nsystem($_GET);\n",
+    "<?php\n$x = $_GET;\ninclude $x;\n",
+], ids=["echo", "system", "var-include"])
+def test_a_sink_argument_that_is_an_array_is_not_wrapped(bundle, source):
+    # no sanitizer takes the array, and there is nothing else to guard
+    unit = SourceUnit.from_text("array.php", source)
+    report = localize(unit, bundle, TEMPLATES, BACKEND)
+    assert report.status == "fail" and report.candidate_text is None
+    ir = build_ir(FileAnalysis(unit))
+    for c in generate_candidates(ir, extract_constraints(ir), TEMPLATES,
+                                 BACKEND):
+        assert _calls_on_arrays(c.text) == _calls_on_arrays(source)
 
 
 def test_localize_false_positive_path(bundle, clean_unit):

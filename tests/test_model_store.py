@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vulnminer.errors import ConfigError
-from vulnminer.lexicon import DEFAULT_LEXICON, lexicon_entries
+from vulnminer.lexicon import DEFAULT_LEXICON, lexicon_hash
 from vulnminer.model_store import FusionSettings, load_model, save_model
 from vulnminer.nn import AttentionParams
 
@@ -33,7 +33,7 @@ def test_save_load_round_trip_bitexact(bundle, tmp_path):
         assert np.array_equal(arr, loaded.stage2.arrays()[key]), key
     assert loaded.fusion == bundle.fusion
     assert loaded.curves == bundle.curves
-    assert loaded.lexicon == bundle.lexicon == lexicon_entries(DEFAULT_LEXICON)
+    assert loaded.lexicon == bundle.lexicon == DEFAULT_LEXICON
 
 
 def test_save_writes_compact_json_and_indented_files_load(bundle, tmp_path):
@@ -146,6 +146,11 @@ def test_save_and_load_make_no_object_per_weight(bundle, tmp_path):
         assert peak < 2.5e6
 
 
+def _rehashed(entries):
+    """A lexicon section whose sha256 matches ``entries``."""
+    return {"entries": entries, "sha256": lexicon_hash(entries)}
+
+
 @pytest.mark.parametrize("section, tamper", [
     ("stage1_config", lambda d: d["stage1_config"].update(momentum=0.9)),
     ("stage2_config", lambda d: d["stage2_config"].update(optimizer="sgd")),
@@ -162,14 +167,25 @@ def test_save_and_load_make_no_object_per_weight(bundle, tmp_path):
     ("curves", lambda d: d.update(curves=[0.5])),
     ("lexicon", lambda d: d.pop("lexicon")),
     ("lexicon", lambda d: d["lexicon"]["entries"].append("sink,run_job,Command")),
+    ("lexicon", lambda d: d.update(lexicon=_rehashed(
+        d["lexicon"]["entries"] + ["sink,run_job,Bogus"]))),
 ], ids=["unknown-key", "unknown-string-key", "string-number",
         "no-vocab", "no-vocab-hash", "vocab-not-a-list", "embedding-list",
         "missing-array", "non-base64-array", "unknown-array", "null-number",
-        "no-curves", "curves-list", "no-lexicon", "lexicon-hash-mismatch"])
+        "no-curves", "curves-list", "no-lexicon", "lexicon-hash-mismatch",
+        "lexicon-bad-entry"])
 def test_malformed_section_is_a_config_error_naming_it(
-        bundle, tmp_path, section, tamper):
+        bundle, tmp_path, section, tamper, capsys):
+    from vulnminer.cli import main
+
+    path = _tampered(bundle, tmp_path, tamper)
     with pytest.raises(ConfigError, match=f"'{section}'"):
-        load_model(_tampered(bundle, tmp_path, tamper))
+        load_model(path)
+    page = tmp_path / "page.php"
+    page.write_text('<?php echo "static";')
+    assert main(["scan", "--model", str(path), str(page)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and f"'{section}'" in line
 
 
 def test_scan_with_malformed_model_exits_two(bundle, tmp_path, capsys):
