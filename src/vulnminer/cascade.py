@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from itertools import islice
 
 from .analysis import FileAnalysis, analyzed
 from .errors import TrainingError, VulnMinerError
@@ -12,7 +11,7 @@ from .flows import classify_vuln_type, primary_finding
 from .lexicon import TaintLexicon
 from .metrics import MetricsReport, compute_metrics, confusion_from_pairs
 from .model_store import FusionSettings
-from .stage1 import stage_one_score, stage_one_scores
+from .stage1 import score_files
 from .stage2 import verify_semantic
 
 
@@ -21,12 +20,6 @@ from .stage2 import verify_semantic
 FusionConfig = FusionSettings
 
 _LAMBDA_STEP = 0.05
-
-# Files scored by one GRU call: a larger chunk runs fewer recurrence steps
-# per file but keeps more analyses (trees, graphs, sequences) alive at
-# once. At 64 a scan of 2000 files peaks about 0.5 MB higher than at 32;
-# no result depends on the chunk size.
-SCORE_CHUNK = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,22 +63,6 @@ def _advisory_finding(analysis: FileAnalysis):
             analysis.unit.position(best.sink_start)[0])
 
 
-def score_files(analyses, bundle, tau1: float, errors: list):
-    """Yield (analysis, stage-one score) for each file that parses, in order.
-
-    The one scoring loop of scan, calibration and hypothesis proposal.
-    Analyses are taken ``SCORE_CHUNK`` at a time and each chunk is scored
-    by one ``stage_one_scores`` call. A file that does not parse, or nests
-    too deep for the parser, is appended to ``errors`` as (path, message).
-    """
-    analyses = iter(analyses)
-    while chunk := list(islice(analyses, SCORE_CHUNK)):
-        parsed = [a for a in chunk if analyzed(a, errors, "structural")]
-        seqs = [analysis.structural for analysis in parsed]
-        for analysis, score in zip(parsed, stage_one_scores(seqs, bundle)):
-            yield analysis, stage_one_score(analysis, score, tau1)
-
-
 def score_cascade(analyses, bundle, tau1: float, errors: list):
     """Yield (analysis, stage-one score, stage-two score or None) per file.
 
@@ -125,9 +102,9 @@ def run_pipeline(units, bundle, cfg: FusionSettings | None = None,
 
     Returns (verdicts, errors); every file gets a verdict or a per-file
     error record (parse error or nesting too deep), never a raise. Units are
-    taken in chunks of ``SCORE_CHUNK``, and each chunk's analyses are
-    dropped with it.
-    ``cfg`` defaults to the model's own fusion settings.
+    taken in chunks of ``stage1.SCORE_CHUNK``, and each chunk's analyses
+    are dropped with it. ``cfg`` defaults to the model's own fusion
+    settings and ``lex`` to the model's lexicon.
 
     Analyses are acyclic, so reference counting frees each one: the cyclic
     collector is paused for the call, and turned back on at the end only if
@@ -139,7 +116,7 @@ def run_pipeline(units, bundle, cfg: FusionSettings | None = None,
     collecting = gc.isenabled()
     gc.disable()
     try:
-        analyses = (FileAnalysis(unit, lex) for unit in units)
+        analyses = (FileAnalysis(u, lex or bundle.lexicon) for u in units)
         for analysis, s1, s2 in score_cascade(analyses, bundle, fusion.tau1,
                                               errors):
             final, vulnerable = cascade_verdict(s1, s2, fusion.lam,
@@ -159,9 +136,9 @@ def run_pipeline(units, bundle, cfg: FusionSettings | None = None,
     return verdicts, errors
 
 
-def calibrate_lambda(labeled, bundle, tau: float | None = None,
-                     tau1: float | None = None, errors: list | None = None):
-    """Grid search, in steps of 0.05, for the weight maximizing F1 at tau.
+def calibrate_lambda(labeled, bundle, errors: list | None = None):
+    """Grid search, in steps of 0.05, for the weight maximizing F1 at the
+    model's tau, with stage one gated at its tau1.
 
     ``labeled`` is a list of (FileAnalysis, label); ties prefer the
     smaller lambda so stage two wins when stages are interchangeable.
@@ -172,14 +149,12 @@ def calibrate_lambda(labeled, bundle, tau: float | None = None,
     label_of = dict(labeled)
     if set(label_of.values()) != {0, 1}:
         raise TrainingError("calibration requires both classes present")
-    tau = bundle.fusion.tau if tau is None else tau
-    tau1 = bundle.fusion.tau1 if tau1 is None else tau1
     scored = [(label_of[analysis], s1, s2) for analysis, s1, s2
-              in score_cascade(label_of, bundle, tau1,
+              in score_cascade(label_of, bundle, bundle.fusion.tau1,
                                [] if errors is None else errors)]
     if not scored:
         return bundle.fusion.lam, None
-    return search_lambda(scored, tau)
+    return search_lambda(scored, bundle.fusion.tau)
 
 
 def search_lambda(scored, tau: float) -> tuple[float, float]:

@@ -95,7 +95,7 @@ def cmd_scan(args) -> int:
     cfg = _load_cfg(args)
     bundle = load_model(cfg.model)
     units, unread = _read_units(args.paths)
-    verdicts, errors = run_pipeline(units, bundle, lex=bundle.lexicon)
+    verdicts, errors = run_pipeline(units, bundle)
     errors = unread + errors
 
     if args.format == "sarif":
@@ -115,7 +115,7 @@ def cmd_localize(args) -> int:
     backend = make_backend(cfg.backend, endpoint=cfg.endpoint,
                            token=cfg.endpoint_token, timeout=cfg.timeout)
     units, unread = _read_units(args.paths)
-    verdicts, errors = run_pipeline(units, bundle, lex=bundle.lexicon)
+    verdicts, errors = run_pipeline(units, bundle)
     errors = unread + errors
     unit_of = {u.path: u for u in units}
 
@@ -126,7 +126,7 @@ def cmd_localize(args) -> int:
         reports.append(localize(
             unit_of[verdict.file_id], bundle, templates, backend,
             alpha=cfg.alpha, max_iterations=cfg.max_iterations,
-            lex=bundle.lexicon, hook=cfg.verify_hook or None))
+            hook=cfg.verify_hook or None))
     write_jsonl([r.to_dict() for r in reports]
                 + [{"path": p, "error": e} for p, e in errors], args.out)
     return _exit_code(bool(reports), errors, args.allow_errors)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from .analysis import FileAnalysis, analyzed
 from .corpus import CorpusManifest
 from .errors import TrainingError
@@ -96,9 +98,7 @@ def train_bundle(manifest: CorpusManifest, seed: int = 0,
     val = [(FileAnalysis(unit, lex), label)
            for unit, label in load_units(manifest.split("val"), skipped)]
     if val and {label for _, label in val} == {0, 1}:
-        lam, _ = calibrate_lambda(val, bundle, tau=tau, tau1=tau1,
-                                  errors=skipped)
-        bundle.fusion = FusionSettings(lam=lam, tau=tau, tau1=tau1,
-                                       beta=cfg2.beta)
+        lam, _ = calibrate_lambda(val, bundle, errors=skipped)
+        bundle.fusion = dataclasses.replace(bundle.fusion, lam=lam)
     bundle.validate()
     return bundle

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
@@ -136,8 +137,8 @@ def _run_hook(hook: str, text: str, timeout: float) -> tuple[bool, str]:
         fh.write(text)
         path = fh.name
     try:
-        result = subprocess.run(hook.split() + [path], capture_output=True,
-                                timeout=timeout)
+        result = subprocess.run(shlex.split(hook) + [path],
+                                capture_output=True, timeout=timeout)
         if result.returncode != 0:
             return False, f"hook: exit {result.returncode}"
         return True, ""
@@ -188,7 +189,7 @@ def localize(unit: SourceUnit, bundle, templates: list[MicroTemplate],
     A tree too deep for the rewriter or the printer to walk gives a FAIL
     report `nesting too deep` rather than a raise, as a scan gives such a
     file an error record. Both walk a left-nested `.` or operator chain in
-    a loop, so a long chain is not deep.
+    a loop, so a long chain is not deep. ``lex`` defaults to the model's.
     """
     try:
         return _localize(unit, bundle, templates, backend, alpha,
@@ -204,7 +205,7 @@ def _localize(unit: SourceUnit, bundle, templates: list[MicroTemplate],
               lex, hook: str | None,
               enforce_constraints: bool) -> LocalizationReport:
     try:
-        ir = build_ir(FileAnalysis(unit, lex))
+        ir = build_ir(FileAnalysis(unit, lex or bundle.lexicon))
     except NoFindingError:
         return LocalizationReport(
             path=unit.path, vuln_type=None,

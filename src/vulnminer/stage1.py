@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .analysis import FileAnalysis
+from .analysis import FileAnalysis, analyzed
 from .errors import VulnMinerError
 from .linearize import TokenSequence
 from .nn import gru_scores
+
+# Files scored by one GRU call: a larger chunk runs fewer recurrence steps
+# per file but keeps more analyses (trees, graphs, sequences) alive at
+# once. At 64 a scan of 2000 files peaks about 0.5 MB higher than at 32;
+# no result depends on the chunk size.
+SCORE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -56,16 +63,31 @@ def score_structural(analysis: FileAnalysis, bundle,
     return stage_one_score(analysis, score, tau1)
 
 
+def score_files(analyses, bundle, tau1: float, errors: list):
+    """Yield (analysis, stage-one score) for each file that parses, in order.
+
+    The one scoring loop of scan, calibration and hypothesis proposal.
+    Analyses are taken ``SCORE_CHUNK`` at a time and each chunk is scored
+    by one ``stage_one_scores`` call. A file that does not parse, or nests
+    too deep for the parser, is appended to ``errors`` as (path, message).
+    """
+    analyses = iter(analyses)
+    while chunk := list(islice(analyses, SCORE_CHUNK)):
+        parsed = [a for a in chunk if analyzed(a, errors, "structural")]
+        seqs = [analysis.structural for analysis in parsed]
+        for analysis, score in zip(parsed, stage_one_scores(seqs, bundle)):
+            yield analysis, stage_one_score(analysis, score, tau1)
+
+
 def propose_hypotheses(units, bundle,
                        tau1: float | None = None) -> HypothesisSet:
-    """Score every parseable file; keep those above the low bar."""
-    from .cascade import score_files  # the cascade builds on this module
-
+    """Score each file with the model's lexicon; keep those above tau1."""
     tau1 = bundle.fusion.tau1 if tau1 is None else tau1
     if not 0.0 <= tau1 < 1.0:
         raise VulnMinerError("tau1 must be in [0, 1)")
     errors: list[tuple[str, str]] = []
-    scored = score_files(map(FileAnalysis, units), bundle, tau1, errors)
+    scored = score_files((FileAnalysis(u, bundle.lexicon) for u in units),
+                         bundle, tau1, errors)
     passed = sorted((one for _, one in scored if one.passed),
                     key=lambda h: (-h.score, h.file_id))
     return HypothesisSet(hypotheses=passed, errors=errors)

@@ -19,7 +19,7 @@ from vulnminer.lexicon import DEFAULT_LEXICON
 from vulnminer.linearize import embed_sequence, linearize
 from vulnminer.localize import DeterministicBackend, default_templates, localize
 from vulnminer.source import SourceUnit
-from vulnminer.stage1 import score_structural
+from vulnminer.stage1 import propose_hypotheses, score_structural
 from vulnminer.stage2 import build_risk_matrix, verify_semantic
 
 from conftest import FIXTURES
@@ -193,6 +193,21 @@ def test_candidates_scored_with_the_localization_lexicon(
     assert two != verify_semantic(FileAnalysis(unit), bundle)
     one = score_structural(custom, bundle).score
     assert report.s_sec == 1.0 - fuse_scores(one, two, bundle.fusion.lam)
+
+
+def test_entry_points_analyze_with_the_model_lexicon(bundle):
+    b2 = dataclasses.replace(bundle, lexicon=RUN_JOB_LEXICON)
+    u = SourceUnit.from_text("job.php",
+                             "<?php\n$c = $_GET['c'];\nrun_job($c);\n")
+    verdicts, errors = run_pipeline([u], b2)
+    assert (verdicts, errors) == run_pipeline([u], b2, lex=RUN_JOB_LEXICON)
+    (verdict,) = verdicts
+    assert (verdict.vuln_type, verdict.sink_line) == ("Injection", 3)
+    report = localize(u, b2, default_templates(), DeterministicBackend())
+    assert report.status == "ok"
+    (hypothesis,) = propose_hypotheses([u], b2, tau1=0.0).hypotheses
+    assert hypothesis.score == score_structural(
+        FileAnalysis(u, RUN_JOB_LEXICON), b2).score
 
 
 def test_training_calibrates_with_its_lexicon(tmp_path, monkeypatch):

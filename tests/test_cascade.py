@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import vulnminer.cascade as cascade_mod
+import vulnminer.stage1 as stage1_mod
 from vulnminer.analysis import FileAnalysis
 from vulnminer.cascade import (
     FusionConfig,
@@ -72,7 +72,7 @@ def test_chunk_size_never_moves_a_verdict(bundle, corpus_units,
     # A file scores the same bits alone and in any batch.
     runs = []
     for chunk in (1, 32, 64):
-        monkeypatch.setattr(cascade_mod, "SCORE_CHUNK", chunk)
+        monkeypatch.setattr(stage1_mod, "SCORE_CHUNK", chunk)
         verdicts, errors = run_pipeline(corpus_units, bundle)
         runs.append(([v.record() for v in verdicts], errors))
     assert runs[0] == runs[1] == runs[2]

@@ -2,7 +2,8 @@
 
 The frontend is the bottom layer: it imports nothing of the package beyond
 itself, the error types, source units and the lexicon. Localization is the
-top layer: only the command line imports it. No module imports an
+top layer: only the command line imports it. No two modules import each
+other, directly or through others. No module imports an
 underscore name of another. Every package name the benchmark harness
 (``perfbench/``) names still resolves, so deleting one fails here rather
 than only in a traced benchmark run.
@@ -35,6 +36,38 @@ def _imports(path: Path) -> set[str]:
 
 def _files(root: Path) -> list[Path]:
     return sorted(root.rglob("*.py"))
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _reachable(graph: dict[str, set[str]], start: str) -> set[str]:
+    seen, todo = set(), [start]
+    while todo:
+        for name in graph[todo.pop()] - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen
+
+
+def test_package_import_graph_is_acyclic():
+    modules = {_module_name(path): path for path in _files(PACKAGE)}
+
+    def module_of(name: str) -> str:
+        # ``from .frontend import parse`` names an attribute of a module
+        while name not in modules:
+            name = name.rpartition(".")[0]
+        return name
+
+    graph = {name: {module_of(n) for n in _imports(path)} - {name}
+             for name, path in modules.items()}
+    reach = {name: _reachable(graph, name) for name in graph}
+    cycles = sorted({tuple(sorted(other for other in reach[name]
+                                  if name in reach[other]))
+                     for name in graph if name in reach[name]})
+    assert cycles == []
 
 
 def test_only_the_command_line_imports_localization():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shlex
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -765,6 +766,21 @@ def test_verify_hook_success_failure_timeout(bundle, command_injection_unit,
     ok, reasons = verify(best, ir, constraints, hook=str(slow),
                          hook_timeout=0.3)
     assert not ok and any("timeout" in r for r in reasons)
+
+
+def test_verify_hook_path_with_a_space(bundle, command_injection_unit,
+                                       tmp_path):
+    # The hook command is split with shell-style quoting, so a quoted
+    # path may hold a space; the candidate's temp path is appended.
+    folder = tmp_path / "hook dir"
+    folder.mkdir()
+    hook = folder / "check.sh"
+    hook.write_text('#!/bin/sh\ncp "$1" "$(dirname "$0")/seen.php"\n')
+    hook.chmod(0o755)
+    report = localize(command_injection_unit, bundle, default_templates(),
+                      DeterministicBackend(), hook=shlex.quote(str(hook)))
+    assert report.status == "ok"
+    assert (folder / "seen.php").read_text() == report.candidate_text
 
 
 # -- failure analysis ----------------------------------------------------------------

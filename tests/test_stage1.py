@@ -1,10 +1,9 @@
 import pytest
 
 from vulnminer.analysis import FileAnalysis
-from vulnminer.cascade import score_files
 from vulnminer.errors import ParseError
 from vulnminer.source import SourceUnit
-from vulnminer.stage1 import propose_hypotheses, score_structural
+from vulnminer.stage1 import propose_hypotheses, score_files, score_structural
 
 
 def test_vulnerable_fixture_flagged(bundle, command_injection_unit):
